@@ -74,15 +74,18 @@ class BoundaryDataSpace:
     basis      columns span the space, orthonormal in the graph inner
                product.
     projector  coordinate map, basis^H times the graph form matrix.
-    embedding  coordinates back to vectors; equals basis.
     graph      the inner product the basis is orthonormal for.
+    embedding  coordinates back to vectors; the basis itself.
     """
 
     side: str
     basis: np.ndarray
     projector: np.ndarray
-    embedding: np.ndarray
     graph: GraphInnerProduct
+
+    @property
+    def embedding(self) -> np.ndarray:
+        return self.basis
 
     @property
     def dim(self) -> int:
@@ -169,7 +172,7 @@ def compute_bd_space(pair: GradDivPair, side: str) -> BoundaryDataSpace:
     basis = _graph_mgs(kernel, graph)
     projector = basis.conj().T @ graph.matrix()
     return BoundaryDataSpace(
-        side=side, basis=basis, projector=projector, embedding=basis, graph=graph
+        side=side, basis=basis, projector=projector, graph=graph
     )
 
 
@@ -184,7 +187,7 @@ def dot_map(bd_from: BoundaryDataSpace, bd_to: BoundaryDataSpace, pair: GradDivP
     if bd_from.side == bd_to.side:
         raise ValueError("transport needs one node-side and one cell-side space")
     op = pair.G if bd_from.side == "G" else pair.D
-    return bd_to.projector @ (op @ bd_from.embedding)
+    return bd_to.projector @ (op @ bd_from.basis)
 
 
 def riesz_map(pair: GradDivPair) -> np.ndarray:
@@ -217,7 +220,7 @@ def dual_projection(
     D).  Composing with the Riesz map recovers the plain embedding.
     """
     Q = dot_map(bdG, bdD, pair)
-    return bdG.embedding - pair.minimal_div() @ (bdD.embedding @ Q)
+    return bdG.basis - pair.minimal_div() @ (bdD.basis @ Q)
 
 
 def build_u_space(

@@ -26,13 +26,14 @@ Files are UTF-8 with LF line endings; fields are comma-separated with
 17 significant digits and '.' as the decimal mark.  Header comments
 record the sampling seed (env EVOCTL_SEED, default 12345) and the run
 parameters, so identical configurations produce byte-identical output.
-Backward Euler steps dissipate an extra quadratic (1/2)<dx|M0 dx> by
-construction; ledger rows expose it in the euler_correction column
-(zero on midpoint steps) and the defect column holds the balance of
-each step against its own identity, which is the quantity checked
-against the tolerance.  Exit status: 0 when every requested defect
-threshold passes, 1 when a threshold or hypothesis fails, 2 for
-configuration and precondition errors.
+A theta-step dissipates the extra quadratic (theta - 1/2)<dx|M0 dx>
+by construction (theta = 1 on backward Euler steps); ledger rows expose
+it in the euler_correction column and the defect column holds the
+balance of each step against its own identity, which is the quantity
+checked against the tolerance (a non-finite one always fails).  Exit
+status: 0 when every requested defect threshold passes, 1 when a
+threshold or hypothesis fails, 2 for configuration and precondition
+errors.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .bdspace import compute_bd_space, dot_map
-from .control import check_compatibility, energy_ledger, extract_io
+from .control import energy_ledger, extract_io, step_ledger
 from .errors import EvoctlError
 from .evolution import SCHEMES, TimeGrid, Trajectory, check_wellposed
 from .models import (
@@ -59,7 +60,6 @@ from .models import (
     build_weiss_tucsnak_wave,
     drive,
     maxwell_lift_solve,
-    scheme_states,
     three_region_indicators,
 )
 from .operators import Grid1D, build_sbp_pair_1d
@@ -126,6 +126,16 @@ def _apply_override(data, dotted, raw):
     node[keys[-1]] = value
 
 
+def _number(name, value, kind=float):
+    """A finite float or int; null, bool and fractional counts are refused."""
+    if value is None or isinstance(value, (bool, list, dict)):
+        raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
+    number = float(value)
+    if not math.isfinite(number) or kind(number) != number:
+        raise ValueError(f"{name} must be a finite {kind.__name__}, got {value}")
+    return kind(number)
+
+
 def load_config(path, overrides, default_tolerance) -> RunConfig:
     user = {}
     if path is not None:
@@ -140,12 +150,8 @@ def load_config(path, overrides, default_tolerance) -> RunConfig:
         _apply_override(user, dotted, raw)
     data = _merge(DEFAULT_CONFIG, user)
 
-    for name, value in (("grid.a", data["grid"]["a"]), ("grid.b", data["grid"]["b"]),
-                        ("time.t_end", data["time"]["t_end"]),
-                        ("time.nu", data["time"]["nu"])):
-        if not math.isfinite(float(value)):
-            raise ValueError(f"{name} must be finite, got {value}")
-    n_steps = int(data["time"]["n_steps"])
+    grid, time = data["grid"], data["time"]
+    n_steps = _number("time.n_steps", time["n_steps"], int)
     if n_steps < 1:
         raise ValueError(f"time.n_steps must be at least 1, got {n_steps}")
     if data["preset"] not in PRESETS:
@@ -153,15 +159,15 @@ def load_config(path, overrides, default_tolerance) -> RunConfig:
     if data["scheme"] not in SCHEMES:
         raise ValueError(f"unknown scheme {data['scheme']!r}; choose from {SCHEMES}")
     tolerance = data["tolerance"]
-    tolerance = default_tolerance if tolerance is None else float(tolerance)
-    if not math.isfinite(tolerance) or tolerance <= 0:
+    tolerance = default_tolerance if tolerance is None else _number("tolerance", tolerance)
+    if tolerance <= 0:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     return RunConfig(
         preset=data["preset"],
-        a=float(data["grid"]["a"]), b=float(data["grid"]["b"]),
-        n_cells=int(data["grid"]["n_cells"]),
-        t_end=float(data["time"]["t_end"]), n_steps=n_steps,
-        nu=float(data["time"]["nu"]),
+        a=_number("grid.a", grid["a"]), b=_number("grid.b", grid["b"]),
+        n_cells=_number("grid.n_cells", grid["n_cells"], int),
+        t_end=_number("time.t_end", time["t_end"]), n_steps=n_steps,
+        nu=_number("time.nu", time["nu"]),
         scheme=data["scheme"], input=data["input"], initial=data["initial"],
         outdir=str(data["outdir"]), tolerance=tolerance,
     )
@@ -178,6 +184,7 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, comments, columns, rows):
+    """Write comments, header and rows; rows is consumed one row at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
@@ -201,10 +208,8 @@ def _initial_profile(cfg: RunConfig, points):
     if kind == "zero":
         return np.zeros(len(points))
     if kind == "sine":
-        amplitude = float(cfg.initial.get("amplitude", 1.0))
-        mode = int(cfg.initial.get("mode", 1))
-        if not math.isfinite(amplitude):
-            raise ValueError("initial.amplitude must be finite")
+        amplitude = _number("initial.amplitude", cfg.initial.get("amplitude", 1.0))
+        mode = _number("initial.mode", cfg.initial.get("mode", 1), int)
         rel = (np.asarray(points) - cfg.a) / (cfg.b - cfg.a)
         return amplitude * np.sin(mode * np.pi * rel)
     raise ValueError(f"unknown initial kind {kind!r}; use zero or sine")
@@ -243,11 +248,9 @@ def _control_signal(cfg: RunConfig, n_inputs):
     if kind == "zero":
         return None
     if kind == "sinusoid":
-        freq = float(cfg.input.get("freq", 1.0))
-        amplitude = float(cfg.input.get("amplitude", 1.0))
-        component = int(cfg.input.get("component", 0))
-        if not (math.isfinite(freq) and math.isfinite(amplitude)):
-            raise ValueError("input.freq and input.amplitude must be finite")
+        freq = _number("input.freq", cfg.input.get("freq", 1.0))
+        amplitude = _number("input.amplitude", cfg.input.get("amplitude", 1.0))
+        component = _number("input.component", cfg.input.get("component", 0), int)
         if not 0 <= component < n_inputs:
             raise ValueError(
                 f"input.component must lie in [0, {n_inputs - 1}], got {component}"
@@ -283,11 +286,8 @@ def _build_control_preset(cfg: RunConfig):
     raise ValueError(f"preset {cfg.preset!r} does not build a control system")
 
 
-def _maxwell_matrices(cfg: RunConfig):
-    grid = Grid1D(cfg.a, cfg.b, cfg.n_cells)
-    pair = build_sbp_pair_1d(grid)
-    dim = pair.n_nodes + pair.n_cells
-    return pair, np.eye(dim), np.zeros((dim, dim))
+def _run_comments(cfg: RunConfig, traj: Trajectory):
+    return _base_comments(cfg) + [f"n_euler_init_steps={traj.n_euler_init_steps}"]
 
 
 def _imag_note(states):
@@ -303,7 +303,8 @@ def cmd_wellposed(cfg: RunConfig, outdir: Path, zero_damping: bool) -> int:
     if cfg.preset == "maxwell-lift-1d":
         if zero_damping:
             raise ValueError("--zero-damping applies to presets with a Y block")
-        _, M0, M1 = _maxwell_matrices(cfg)
+        dim = Grid1D(cfg.a, cfg.b, cfg.n_cells).n_nodes + cfg.n_cells
+        M0, M1 = np.eye(dim), np.zeros((dim, dim))
     else:
         sys = _build_control_preset(cfg)
         M0, M1 = sys.M0, np.array(sys.M1)
@@ -330,21 +331,27 @@ def cmd_wellposed(cfg: RunConfig, outdir: Path, zero_damping: bool) -> int:
     return 0
 
 
-def _ledger_rows(sys, traj, times):
-    rows = []
-    worst = 0.0
-    for k in range(traj.grid.n_steps):
-        led = energy_ledger(sys, traj, a=times[k], b=times[k + 1])
-        euler_step = traj.scheme == "backward_euler" or k < traj.n_euler_init_steps
-        correction = 0.0
-        if euler_step:
-            dx = traj.states[k + 1] - traj.states[k]
-            correction = 0.5 * np.vdot(dx, sys.M0 @ dx).real
-        defect = led.defect - correction
-        rows.append((times[k], times[k + 1], led.stored_drop, led.dissipation,
-                     led.supply, correction, defect))
-        worst = max(worst, abs(defect))
-    return rows, worst
+def _verdict(label, values, tolerance) -> int:
+    """Print the largest |value| and return the exit status.  A non-finite
+    value fails whatever the tolerance, and the first one is named."""
+    values = np.abs(values)
+    worst = values.max()
+    print(f"{label} max = {worst:.6e} (tolerance {tolerance:.0e})")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        print(f"{label} is not finite at step {bad[0]}")
+        return 1
+    return 0 if worst <= tolerance else 1
+
+
+def _ledger_rows(sys, traj):
+    led = step_ledger(sys, traj)
+    times = traj.times
+    drop = led.energy[:-1] - led.energy[1:]
+    defect = drop - (led.dissipation - led.supply) - led.correction
+    rows = zip(times[:-1], times[1:], drop, led.dissipation, led.supply, led.correction,
+               defect)
+    return rows, defect
 
 
 LEDGER_COLUMNS = ("t_a", "t_b", "stored_drop", "dissipation", "supply",
@@ -358,13 +365,10 @@ def _simulate_control(cfg: RunConfig, outdir: Path) -> int:
     traj = drive(sys, u_of_t, tg, cfg.scheme)
     times = tg.times()
 
-    comments = _base_comments(cfg) + [
-        f"n_euler_init_steps={traj.n_euler_init_steps}",
-        _imag_note(traj.states),
-    ]
+    comments = _run_comments(cfg, traj) + [_imag_note(traj.states)]
     columns = ("t",) + tuple(f"x{i}" for i in range(sys.dim))
     write_csv(outdir / "trajectory.csv", comments, columns,
-              [(times[k], *traj.states[k].real) for k in range(cfg.n_steps + 1)])
+              ((times[k], *traj.states[k].real) for k in range(cfg.n_steps + 1)))
 
     io = extract_io(sys, traj)
     us = sys.control_samples(traj)
@@ -372,13 +376,12 @@ def _simulate_control(cfg: RunConfig, outdir: Path) -> int:
     io_columns = ("t",) + tuple(f"u{i}" for i in range(m)) \
         + tuple(f"y{i}" for i in range(ny))
     write_csv(outdir / "io.csv", comments, io_columns,
-              [(io.times[k], *us[k].real, *io.y_samples[k].real)
-               for k in range(cfg.n_steps)])
+              ((io.times[k], *us[k].real, *io.y_samples[k].real)
+               for k in range(cfg.n_steps)))
 
-    rows, worst = _ledger_rows(sys, traj, times)
+    rows, defects = _ledger_rows(sys, traj)
     write_csv(outdir / "ledger.csv", comments, LEDGER_COLUMNS, rows)
-    print(f"ledger defect max = {worst:.6e} (tolerance {cfg.tolerance:.0e})")
-    return 0 if worst <= cfg.tolerance else 1
+    return _verdict("ledger defect", defects, cfg.tolerance)
 
 
 def _simulate_maxwell(cfg: RunConfig, outdir: Path) -> int:
@@ -389,31 +392,23 @@ def _simulate_maxwell(cfg: RunConfig, outdir: Path) -> int:
     bdD = compute_bd_space(pair, "D")
 
     u_of_t = _control_signal(cfg, bdD.dim)
-    u_samples = None if u_of_t is None \
-        else np.stack([u_of_t(t) for t in times]).astype(complex)
+    u_samples = np.zeros((cfg.n_steps + 1, bdD.dim)) if u_of_t is None \
+        else np.stack([u_of_t(t) for t in times])
     E0 = _initial_profile(cfg, grid.nodes())
     result = maxwell_lift_solve(pair, None, None, u_samples,
                                 (E0, np.zeros(pair.n_cells)), tg, cfg.scheme)
     direct, lifted = result.direct, result.lifted
 
-    comments = _base_comments(cfg) + [
-        f"n_euler_init_steps={direct.n_euler_init_steps}",
-        _imag_note(direct.states),
-    ]
+    comments = _run_comments(cfg, direct) + [_imag_note(direct.states)]
     columns = ("t",) + tuple(f"x{i}" for i in range(pair.n_nodes + pair.n_cells))
     write_csv(outdir / "trajectory.csv", comments, columns,
-              [(times[k], *direct.states[k].real) for k in range(cfg.n_steps + 1)])
+              ((times[k], *direct.states[k].real) for k in range(cfg.n_steps + 1)))
 
     nn = pair.n_nodes
-    data = np.zeros((cfg.n_steps + 1, bdD.dim)) if u_samples is None \
-        else u_samples.real
     io_rows = []
-    for k, x in scheme_states(direct):
-        euler_step = cfg.scheme == "backward_euler" or k < direct.n_euler_init_steps
-        t_s = times[k + 1] if euler_step else times[k] + 0.5 * tg.tau
-        u_s = data[k + 1] if euler_step else 0.5 * (data[k] + data[k + 1])
-        y_s = bdD.project(x[nn:]).real
-        io_rows.append((t_s, *u_s, *y_s))
+    for (k, theta, x), t_s in zip(direct.steps(), direct.sample_times()):
+        u_s = (1.0 - theta) * u_samples[k] + theta * u_samples[k + 1]
+        io_rows.append((t_s, *u_s, *bdD.project(x[nn:]).real))
     io_columns = ("t",) + tuple(f"u{i}" for i in range(bdD.dim)) \
         + tuple(f"y{i}" for i in range(bdD.dim))
     write_csv(outdir / "io.csv", comments, io_columns, io_rows)
@@ -423,19 +418,17 @@ def _simulate_maxwell(cfg: RunConfig, outdir: Path) -> int:
                       + (pair.W1 * np.abs(x[nn:]) ** 2).sum())
 
     rows = []
-    worst = 0.0
+    gaps = np.zeros(cfg.n_steps)
     for k in range(cfg.n_steps):
-        gap = np.abs(lifted.states[k + 1] - direct.states[k + 1]).max()
+        gaps[k] = np.abs(lifted.states[k + 1] - direct.states[k + 1]).max()
         rows.append((times[k], times[k + 1],
                      energy(direct.states[k]) - energy(direct.states[k + 1]),
-                     0.0, 0.0, 0.0, gap))
-        worst = max(worst, gap)
+                     0.0, 0.0, 0.0, gaps[k]))
     write_csv(outdir / "ledger.csv",
               comments + ["defect column = distance between the lifted and "
                           "direct routes"],
               LEDGER_COLUMNS, rows)
-    print(f"route gap max = {worst:.6e} (tolerance {cfg.tolerance:.0e})")
-    return 0 if worst <= cfg.tolerance else 1
+    return _verdict("route gap", gaps, cfg.tolerance)
 
 
 def cmd_simulate(cfg: RunConfig, outdir: Path) -> int:
@@ -468,36 +461,41 @@ def cmd_bdspace(cfg: RunConfig, outdir: Path) -> int:
 
     div_min = pair.minimal_div()
     grad_min = pair.minimal_grad()
-    dec_div = dec_grad = green = 0.0
+    dec_div, dec_grad, green = [], [], []
     for _ in range(50):
         z = rng.standard_normal(pair.n_cells)
         v = rng.standard_normal(pair.n_nodes)
-        dec_div = max(dec_div, np.abs(
+        dec_div.append(np.abs(
             pair.D @ z - div_min @ z - (pair.T @ z) / pair.W0
         ).max() / np.linalg.norm(z))
-        dec_grad = max(dec_grad, np.abs(
+        dec_grad.append(np.abs(
             pair.G @ v - grad_min @ v - (pair.T.T @ v) / pair.W1
         ).max() / np.linalg.norm(v))
         lhs = np.vdot(pair.G @ v, pair.W1 * z) + np.vdot(v, pair.W0 * (pair.D @ z))
-        green = max(green, abs(lhs - np.vdot(v, pair.T @ z))
-                    / (np.linalg.norm(v) * np.linalg.norm(z)))
+        green.append(abs(lhs - np.vdot(v, pair.T @ z))
+                     / (np.linalg.norm(v) * np.linalg.norm(z)))
 
+    # np.max propagates NaN where the builtin max would skip it
     defect_rows = [
         ("unitarity_node_to_cell", bdG.dim, unit_gd),
         ("unitarity_cell_to_node", bdD.dim, unit_dg),
-        ("decomposition_div", bdD.dim, dec_div),
-        ("decomposition_grad", bdG.dim, dec_grad),
-        ("green_identity", bdG.dim, green),
+        ("decomposition_div", bdD.dim, np.max(dec_div)),
+        ("decomposition_grad", bdG.dim, np.max(dec_grad)),
+        ("green_identity", bdG.dim, np.max(green)),
     ]
     write_csv(outdir / "bd_defects.csv", comments,
               ("check", "dimension", "defect"), defect_rows)
 
-    worst = max(row[2] for row in defect_rows)
+    worst = np.max([row[2] for row in defect_rows])
     print(f"boundary space dimensions: G = {bdG.dim}, D = {bdD.dim}; "
           f"worst defect = {worst:.6e} (tolerance {cfg.tolerance:.0e})")
     if bdG.dim != bdD.dim:
         print("dimension mismatch between the node and cell sides")
         return 1
+    for check, _, defect in defect_rows:
+        if not np.isfinite(defect):
+            print(f"{check} defect is not finite")
+            return 1
     return 0 if worst <= cfg.tolerance else 1
 
 
@@ -552,24 +550,20 @@ def cmd_energy(cfg: RunConfig, outdir: Path, trajectory_path) -> int:
         raise ValueError("stored time column does not match the configured grid")
 
     u_of_t = _control_signal(cfg, sys.partition.n_u1)
-    inputs = np.zeros((cfg.n_steps, sys.dim + sys.partition.n_u1), dtype=complex)
-    for k in range(cfg.n_steps):
-        euler_step = scheme == "backward_euler" or k < n_init
-        t_s = grid_times[k + 1] if euler_step else grid_times[k] + 0.5 * tg.tau
-        u_k = np.zeros(sys.partition.n_u1) if u_of_t is None else u_of_t(t_s)
-        inputs[k] = sys.input_vector(u_k)
-    traj = Trajectory(grid=tg, states=states.astype(complex), inputs=inputs,
-                      scheme=scheme, n_euler_init_steps=n_init)
+    traj = Trajectory(tg, states.astype(complex),
+                      np.zeros((cfg.n_steps, sys.dim + sys.partition.n_u1), dtype=complex),
+                      scheme, n_init)
+    if u_of_t is not None:
+        for k, t in enumerate(traj.sample_times()):
+            traj.inputs[k, sys.dim:] = u_of_t(t)
 
-    rows, worst = _ledger_rows(sys, traj, grid_times)
-    comments = _base_comments(cfg) + [f"n_euler_init_steps={n_init}",
-                                      f"source={path.name}"]
-    write_csv(outdir / "ledger.csv", comments, LEDGER_COLUMNS, rows)
+    rows, defects = _ledger_rows(sys, traj)
+    write_csv(outdir / "ledger.csv", _run_comments(cfg, traj) + [f"source={path.name}"],
+              LEDGER_COLUMNS, rows)
     led = energy_ledger(sys, traj, a=grid_times[n_init])
     print(f"stored drop {led.stored_drop:.6e}, dissipation {led.dissipation:.6e},"
           f" supply {led.supply:.6e} over {led.interval}")
-    print(f"ledger defect max = {worst:.6e} (tolerance {cfg.tolerance:.0e})")
-    return 0 if worst <= cfg.tolerance else 1
+    return _verdict("ledger defect", defects, cfg.tolerance)
 
 
 # ---------------------------------------------------------------------------

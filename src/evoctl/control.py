@@ -22,13 +22,16 @@ tie the control distribution to the observation rows; under them (plus
 a zero y-row of M0) the midpoint time stepper satisfies an exact energy
 ledger: the drop in stored energy (1/2)<x|M0 x> over [a, b] equals the
 accumulated internal dissipation minus the boundary supply
-<B2 u|Re(M1_yy^{-1}) B2 u>.  Backward Euler adds the nonnegative
-artificial dissipation (1/2)<dx|M0 dx> per step instead.
+<B2 u|Re(M1_yy^{-1}) B2 u>.  A theta-step with theta > 1/2 (backward
+Euler, theta = 1) adds the nonnegative numerical dissipation
+(theta - 1/2)<dx|M0 dx>, which step_ledger reports per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,8 +115,8 @@ class ControlSystem:
     """Assembled boundary control system in flat coordinates.
 
     M0, M1, A are dim x dim; B0/B1/B2 are the control columns per coarse
-    block; Gmat and Cmat are the two constituents of F; Cdual is the
-    dual map of Cmat appearing in the v-rows of A.  n_zeta + n_w =
+    block; Gmat and Cmat are the two constituents of F; Cdual = Cmat^H
+    is the dual map of Cmat appearing in the v-rows of A.  n_zeta + n_w =
     partition.n_h1 records the fine split of the middle block.  geometry
     is an optional mapping carrying model data (grid operators, scaling
     matrices, boundary spaces) for checks that need the physical
@@ -129,7 +132,6 @@ class ControlSystem:
     B2: np.ndarray
     Gmat: np.ndarray
     Cmat: np.ndarray
-    Cdual: np.ndarray
     n_zeta: int
     n_w: int
     x0: np.ndarray = field(default=None)
@@ -155,6 +157,10 @@ class ControlSystem:
     @property
     def dim(self) -> int:
         return self.partition.dim
+
+    @property
+    def Cdual(self) -> np.ndarray:
+        return self.Cmat.conj().T
 
     @property
     def fine_sizes(self) -> tuple:
@@ -281,7 +287,7 @@ def assemble_control(
 
     return ControlSystem(
         partition=partition, M0=M0, M1=M1, A=A, B0=B0, B1=B1, B2=B2,
-        Gmat=Gmat, Cmat=Cmat, Cdual=Cmat.conj().T, n_zeta=n_zeta, n_w=n_w,
+        Gmat=Gmat, Cmat=Cmat, n_zeta=n_zeta, n_w=n_w,
         x0=None if x0 is None else np.asarray(x0, dtype=complex),
         geometry=geometry,
     )
@@ -332,6 +338,18 @@ class EnergyLedger:
     defect: float
 
 
+class StepLedger(NamedTuple):
+    """Energy terms of the steps ia, ia+1, ... of a trajectory: energy[j]
+    = E(x^{ia+j}), and dissipation[j], supply[j] and the numerical
+    dissipation correction[j] = (theta - 1/2)<dx|M0 dx> of step ia+j."""
+
+    ia: int
+    energy: np.ndarray
+    dissipation: np.ndarray
+    supply: np.ndarray
+    correction: np.ndarray
+
+
 def _grid_index(grid, t, what):
     times = grid.times()
     k = int(np.argmin(np.abs(times - t)))
@@ -340,15 +358,17 @@ def _grid_index(grid, t, what):
     return k
 
 
-def energy_ledger(sys: ControlSystem, traj: Trajectory, u_samples=None, a=0.0, b=None
-                  ) -> EnergyLedger:
-    """Energy ledger of a controlled trajectory over [a, b].
+def step_ledger(sys: ControlSystem, traj: Trajectory, u_samples=None, a=0.0, b=None
+                ) -> StepLedger:
+    """Stored energy, dissipation, supply and numerical dissipation of
+    every step of a controlled trajectory over [a, b].
 
     Refuses (naming the failed hypothesis) when the y-rows of M0 are
     nonzero or the compatibility defects exceed tolerance, since the
     balance equation is only asserted under those hypotheses.  u_samples
     defaults to the control part of the samples stored in the
-    trajectory; pass one row per step otherwise.
+    trajectory; pass one row per step otherwise.  Each step k then
+    satisfies energy drop = dissipation - supply + correction.
     """
     p = sys.partition
     scale0 = max(1.0, np.abs(sys.M0).max())
@@ -391,27 +411,34 @@ def energy_ledger(sys: ControlSystem, traj: Trajectory, u_samples=None, a=0.0, b
     supply_kernel = 0.5 * (Myy_inv + Myy_inv.conj().T)
 
     tau = traj.grid.tau
-    dissipation = 0.0
-    supply = 0.0
-    for k in range(ia, ib):
-        euler_step = traj.scheme == "backward_euler" or k < traj.n_euler_init_steps
-        xs = traj.states[k + 1] if euler_step else 0.5 * (traj.states[k] + traj.states[k + 1])
-        dissipation += tau * np.vdot(xs, reM1 @ xs).real
+    energy = np.array([0.5 * np.vdot(x, sys.M0 @ x).real for x in traj.states[ia:ib + 1]])
+    dissipation, supply, correction = np.zeros((3, ib - ia))
+    for k, theta, xs in islice(traj.steps(), ia, ib):
+        dissipation[k - ia] = tau * np.vdot(xs, reM1 @ xs).real
         bu = sys.B2 @ u_samples[k]
-        supply += tau * np.vdot(bu, supply_kernel @ bu).real
+        supply[k - ia] = tau * np.vdot(bu, supply_kernel @ bu).real
+        dx = traj.states[k + 1] - traj.states[k]
+        correction[k - ia] = (theta - 0.5) * np.vdot(dx, sys.M0 @ dx).real
+    return StepLedger(ia, energy, dissipation, supply, correction)
 
-    def stored(i):
-        return 0.5 * np.vdot(traj.states[i], sys.M0 @ traj.states[i]).real
 
-    stored_drop = stored(ia) - stored(ib)
-    defect = stored_drop - (dissipation - supply)
+def energy_ledger(sys: ControlSystem, traj: Trajectory, u_samples=None, a=0.0, b=None
+                  ) -> EnergyLedger:
+    """Energy ledger of a controlled trajectory over [a, b]: the steps of
+    step_ledger summed (hypotheses and arguments as there)."""
+    steps = step_ledger(sys, traj, u_samples, a, b)
+    stored_drop = steps.energy[0] - steps.energy[-1]
+    # the builtin sum adds in step order like a running total; np.sum adds
+    # pairwise, which changes the last digits of the reported ledger
+    dissipation = sum(steps.dissipation, 0.0)
+    supply = sum(steps.supply, 0.0)
     times = traj.grid.times()
     return EnergyLedger(
-        interval=(float(times[ia]), float(times[ib])),
+        interval=(float(times[steps.ia]), float(times[steps.ia + len(steps.supply)])),
         stored_drop=float(stored_drop),
         dissipation=float(dissipation),
         supply=float(supply),
-        defect=float(defect),
+        defect=float(stored_drop - (dissipation - supply)),
     )
 
 
@@ -465,30 +492,20 @@ def extract_io(sys: ControlSystem, traj: Trajectory) -> IOSamples:
                 "the (w, y) block of M1 + A is not invertible; input/output "
                 "recovery presupposes its bounded inverse"
             )
-    tau = traj.grid.tau
-    times = traj.grid.times()
-
     rec_w = np.zeros((traj.grid.n_steps, nw), dtype=complex)
     rec_y = np.zeros((traj.grid.n_steps, ny), dtype=complex)
-    sample_times = np.zeros(traj.grid.n_steps)
-    worst = 0.0
-    for k in range(traj.grid.n_steps):
-        euler_step = traj.scheme == "backward_euler" or k < traj.n_euler_init_steps
-        if euler_step:
-            xs = traj.states[k + 1]
-            sample_times[k] = times[k + 1]
-        else:
-            xs = 0.5 * (traj.states[k] + traj.states[k + 1])
-            sample_times[k] = times[k] + 0.5 * tau
-        jrow = sys.J @ traj.inputs[k]
+    deviation = np.zeros(traj.grid.n_steps)
+    J = sys.J
+    for k, _, xs in traj.steps():
+        jrow = J @ traj.inputs[k]
         rhs = jrow[wy] - M1A[wy, vz] @ xs[vz]
         sol = np.linalg.solve(K, rhs) if K.size else np.zeros(0, dtype=complex)
         rec_w[k] = sol[:nw]
         rec_y[k] = sol[nw:]
-        dev = np.abs(sol - xs[wy]).max() if sol.size else 0.0
-        worst = max(worst, float(dev))
+        deviation[k] = np.abs(sol - xs[wy]).max() if sol.size else 0.0
     return IOSamples(
-        times=sample_times, w_samples=rec_w, y_samples=rec_y, max_deviation=float(worst)
+        times=traj.sample_times(), w_samples=rec_w, y_samples=rec_y,
+        max_deviation=float(deviation.max()),
     )
 
 

@@ -10,25 +10,26 @@ the coercivity constant of the time-weighted problem.  The delta source
 carrying the initial state is realized by starting the one-step scheme
 from x^0 = x0 (solutions vanish for t < 0).
 
-Two implicit one-step schemes are provided.  Backward Euler,
+Both time schemes are the theta-method with a per-step theta:
 
-    (M0/tau + M1 + A) x^{k+1} = M0 x^k / tau + J f(t_{k+1}),
+    (M0/tau + theta (M1+A)) x^{k+1}
+        = (M0/tau - (1 - theta)(M1+A)) x^k + J f(t_k + theta tau).
 
-dissipates the artificial energy (1/2)<dx|M0 dx> per step; the implicit
-midpoint rule,
+theta = 1 is backward Euler and theta = 1/2 the implicit midpoint rule.
+The algebraic rows hold at x_theta = (1 - theta) x^k + theta x^{k+1},
+and with E = (1/2)<x|M0 x> every step satisfies
 
-    (M0/tau + (M1+A)/2) x^{k+1} = (M0/tau - (M1+A)/2) x^k + J f(t_{k+1/2}),
+    E^k - E^{k+1} = tau <x_theta|Re M1 x_theta> - tau Re <x_theta|J f>
+                    + (theta - 1/2) <dx|M0 dx>,   dx = x^{k+1} - x^k,
 
-satisfies the exact per-step energy ledger
+because A drops out of the real pairing; the last term, the numerical
+dissipation, is zero for the midpoint rule and (1/2)<dx|M0 dx> >= 0
+for backward Euler.  theta_schedule gives the theta of every step: the
+scheme's own, except that a midpoint run on singular M0 (algebraic
+constraints present) takes its first step with theta = 1, which
+initializes the algebraic components consistently.
 
-    E^{k+1} - E^k + tau <x_mid|Re M1 x_mid> = tau Re <x_mid|J f_mid>,
-
-with E = (1/2)<x|M0 x>, because A drops out of the real pairing.  When
-M0 is singular (algebraic constraints present) a midpoint run prepends a
-single backward Euler step, which initializes the algebraic components
-consistently.
-
-Both schemes are causal by construction; causality_defect measures this
+Every theta-step is causal by construction; causality_defect measures this
 numerically.  weighted_norm evaluates the exponentially weighted
 space-time norm used by the underlying solution theory.
 """
@@ -129,10 +130,10 @@ class EvolutionarySystem:
 class Trajectory:
     """States x^0..x^n on a time grid plus the source samples used.
 
-    inputs[k] is the sample consumed by step k -> k+1 (taken at t_{k+1}
-    for backward Euler, at t_{k+1/2} for the midpoint rule).
-    n_euler_init_steps counts backward Euler steps prepended to a
-    midpoint run for consistent initialization.
+    inputs[k] is the sample consumed by step k -> k+1, taken at
+    sample_times()[k].  n_euler_init_steps counts the theta = 1 steps
+    that start a midpoint run on singular M0; together with scheme it
+    fixes theta, the per-step schedule of theta_schedule.
     """
 
     grid: TimeGrid
@@ -150,6 +151,21 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return self.grid.times()
+
+    @property
+    def theta(self) -> np.ndarray:
+        """theta of every step."""
+        return _theta(self.scheme, self.grid.n_steps, self.n_euler_init_steps)
+
+    def sample_times(self) -> np.ndarray:
+        """Time t_k + theta_k tau at which step k samples its source."""
+        return self.grid.times()[:-1] + self.theta * self.grid.tau
+
+    def steps(self):
+        """Yield (k, theta_k, x_theta) per step, where the algebraic rows
+        hold at x_theta = (1 - theta_k) x^k + theta_k x^{k+1}."""
+        for k, theta in enumerate(self.theta):
+            yield k, theta, (1.0 - theta) * self.states[k] + theta * self.states[k + 1]
 
 
 @dataclass(frozen=True)
@@ -249,16 +265,41 @@ def _sample(f, t, m):
     return val
 
 
+def _init_steps(M0, scheme) -> int:
+    """Number of theta = 1 steps a run starts with: one for a midpoint
+    run on singular M0, none otherwise."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    if scheme != "implicit_midpoint":
+        return 0
+    eigs = np.abs(np.linalg.eigvalsh(M0))
+    return int(eigs.min() <= 1e-12 * max(eigs.max(), 1.0))
+
+
+def _theta(scheme, n_steps, n_init) -> np.ndarray:
+    theta = np.full(n_steps, 0.5 if scheme == "implicit_midpoint" else 1.0)
+    theta[:n_init] = 1.0
+    return theta
+
+
+def theta_schedule(M0, scheme, n_steps) -> np.ndarray:
+    """theta of each step of a run of scheme on mass matrix M0.
+
+    theta = 1 on backward_euler steps and on the initialization step of
+    an implicit_midpoint run on singular M0; theta = 1/2 otherwise.
+    """
+    return _theta(scheme, n_steps, _init_steps(M0, scheme))
+
+
 def solve(sys: EvolutionarySystem, x0, f, grid: TimeGrid, scheme: str) -> Trajectory:
     """Integrate the system from x^0 = x0 with the chosen scheme.
 
     f is a callable t -> source sample (length n_inputs) or None for a
-    source-free run; it is evaluated only at the scheme-mandated times.
-    A midpoint run on singular M0 starts with one backward Euler step to
-    settle the algebraic components.
+    source-free run; it is evaluated only at the sample times.  Each
+    step is the theta-step of the module docstring, with theta from
+    theta_schedule.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    n_init = _init_steps(sys.M0, scheme)
     x0 = np.asarray(x0, dtype=complex)
     if x0.shape != (sys.dim,):
         raise ShapeMismatchError(f"x0 must have shape ({sys.dim},), got {x0.shape}")
@@ -273,57 +314,29 @@ def solve(sys: EvolutionarySystem, x0, f, grid: TimeGrid, scheme: str) -> Trajec
             RuntimeWarning,
         )
 
-    n_init = 0
-    if scheme == "implicit_midpoint":
-        eigs = np.abs(np.linalg.eigvalsh(sys.M0))
-        if eigs.min() <= 1e-12 * max(eigs.max(), 1.0):
-            n_init = 1
-
-    states = np.zeros((grid.n_steps + 1, sys.dim), dtype=complex)
-    inputs = np.zeros((grid.n_steps, m), dtype=complex)
-    states[0] = x0
-
-    K_euler = sys.M0 / tau + sys.M1 + sys.A
-    half = 0.5 * (sys.M1 + sys.A)
-    K_mid = sys.M0 / tau + half
-    R_mid = sys.M0 / tau - half
-
-    lu_e = piv_e = lu_m = piv_m = None
-    if scheme == "backward_euler" or n_init > 0:
-        lu_e, piv_e = _factor_step_matrix(K_euler, tau)
-    if scheme == "implicit_midpoint":
-        lu_m, piv_m = _factor_step_matrix(K_mid, tau)
-
-    times = grid.times()
-    for k in range(grid.n_steps):
-        if scheme == "backward_euler" or k < n_init:
-            fk = _sample(f, times[k + 1], m)
-            rhs = sys.M0 @ states[k] / tau + sys.J @ fk
-            states[k + 1] = lu_solve((lu_e, piv_e), rhs)
-        else:
-            fk = _sample(f, times[k] + 0.5 * tau, m)
-            rhs = R_mid @ states[k] + sys.J @ fk
-            states[k + 1] = lu_solve((lu_m, piv_m), rhs)
-        inputs[k] = fk
-
-    return Trajectory(
-        grid=grid, states=states, inputs=inputs, scheme=scheme, n_euler_init_steps=n_init
-    )
+    traj = Trajectory(grid, np.zeros((grid.n_steps + 1, sys.dim), dtype=complex),
+                      np.zeros((grid.n_steps, m), dtype=complex), scheme, n_init)
+    traj.states[0] = x0
+    M1A = sys.M1 + sys.A
+    step = {theta: (_factor_step_matrix(sys.M0 / tau + theta * M1A, tau),
+                    sys.M0 / tau - (1.0 - theta) * M1A)
+            for theta in np.unique(traj.theta)}
+    for k, (theta, t) in enumerate(zip(traj.theta, traj.sample_times())):
+        lu, R = step[theta]
+        traj.inputs[k] = _sample(f, t, m)
+        traj.states[k + 1] = lu_solve(lu, R @ traj.states[k] + sys.J @ traj.inputs[k])
+    return traj
 
 
 def causality_defect(sys, f1, f2, a: float, grid: TimeGrid, scheme: str, x0=None) -> float:
     """Maximum deviation of the two solutions on grid times <= a.
 
-    Requires f1 and f2 to agree at every scheme sample time <= a (the
+    Requires f1 and f2 to agree at every sample time <= a (the
     violating sample is reported otherwise); the initial state is shared.
     """
-    tau = grid.tau
     m = sys.n_inputs
-    if scheme == "backward_euler":
-        sample_times = grid.times()[1:]
-    else:
-        sample_times = grid.times()[:-1] + 0.5 * tau
-    for t in sample_times:
+    theta = theta_schedule(sys.M0, scheme, grid.n_steps)
+    for t in grid.times()[:-1] + theta * grid.tau:
         if t <= a + 1e-12 * max(1.0, a):
             v1 = _sample(f1, t, m)
             v2 = _sample(f2, t, m)
@@ -355,6 +368,5 @@ def weighted_norm(traj: Trajectory, component_weights) -> float:
     t = traj.times
     quad = np.einsum("ki,ij,kj->k", traj.states.conj(), W, traj.states).real
     integrand = np.exp(-2.0 * traj.grid.nu * t) * quad
-    trapezoid = getattr(np, "trapezoid", np.trapz)
-    total = float(trapezoid(integrand, t))
+    total = float(np.trapezoid(integrand, t))
     return float(np.sqrt(max(total, 0.0)))

@@ -52,7 +52,7 @@ order in the step size otherwise.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -89,18 +89,10 @@ def deflation_basis(pair: GradDivPair) -> np.ndarray:
 
 
 def scheme_states(traj: Trajectory):
-    """Yield (k, x) with x the scheme-consistent state of step k.
-
-    The algebraic rows of an evolutionary system hold exactly at the new
-    state for backward Euler steps (including the initialization steps
-    of a midpoint run) and at the average of the two endpoint states for
-    midpoint steps; the matching input sample is traj.inputs[k].
-    """
-    for k in range(traj.grid.n_steps):
-        if traj.scheme == "backward_euler" or k < traj.n_euler_init_steps:
-            yield k, traj.states[k + 1]
-        else:
-            yield k, 0.5 * (traj.states[k] + traj.states[k + 1])
+    """Yield (k, x) with x the scheme-consistent state of step k, at which
+    the algebraic rows hold (Trajectory.steps); the matching input
+    sample is traj.inputs[k]."""
+    return ((k, x) for k, _, x in traj.steps())
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +693,7 @@ def maxwell_lift_solve(pair, eps, mu, u_bd, x0, grid, scheme) -> MaxwellLiftResu
             )
     du = np.gradient(u, tau, axis=0, edge_order=2 if n_steps >= 2 else 1)
 
-    lift = s1[:, None] * bdD.embedding
+    lift = s1[:, None] * bdD.basis
     Ghat = (pair.G / s0[None, :]) * s1[:, None]
     Dhat = (pair.D / s1[None, :]) * s0[:, None]
     Theta = Dhat + Ghat.conj().T
@@ -745,8 +737,7 @@ def maxwell_lift_solve(pair, eps, mu, u_bd, x0, grid, scheme) -> MaxwellLiftResu
         inputs = raw.inputs.copy()
         inputs[:, :nn] /= s0
         inputs[:, nn:] /= s1
-        return Trajectory(grid=grid, states=states, inputs=inputs, scheme=scheme,
-                          n_euler_init_steps=raw.n_euler_init_steps)
+        return replace(raw, states=states, inputs=inputs)
 
     return MaxwellLiftResult(lifted=physical(raw_lifted, True),
                              direct=physical(raw_direct, False))

@@ -28,7 +28,7 @@ boundary data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,9 +82,6 @@ class GradDivPair:
     W0: np.ndarray
     W1: np.ndarray
     T: np.ndarray
-    boundary_node_indices: tuple = field(default=(0, -1))
-    minimal_mask_nodes: np.ndarray = field(default=None)
-    minimal_mask_cells: np.ndarray = field(default=None)
 
     @property
     def n_nodes(self) -> int:
@@ -175,11 +172,6 @@ def build_sbp_pair_1d(grid: Grid1D) -> GradDivPair:
     T[n, n - 1] = (3.0 + h * h) / 2.0
     T[n, n - 2] = -0.5
 
-    mask_nodes = np.ones(n + 1, dtype=bool)
-    mask_nodes[[0, n]] = False
-    mask_cells = np.ones(n, dtype=bool)
-    mask_cells[[0, n - 1]] = False
-
     return GradDivPair(
         grid=grid,
         G=G,
@@ -187,9 +179,6 @@ def build_sbp_pair_1d(grid: Grid1D) -> GradDivPair:
         W0=W0,
         W1=W1,
         T=T,
-        boundary_node_indices=(0, n),
-        minimal_mask_nodes=mask_nodes,
-        minimal_mask_cells=mask_cells,
     )
 
 
@@ -216,8 +205,8 @@ def minimal_projector(pair: GradDivPair, side: str) -> np.ndarray:
     first and last cell.  Diagonal, hence idempotent and symmetric with
     respect to the diagonal weight of its side.
     """
-    if side == "node":
-        return np.diag(pair.minimal_mask_nodes.astype(float))
-    if side == "cell":
-        return np.diag(pair.minimal_mask_cells.astype(float))
-    raise ValueError(f"side must be 'node' or 'cell', got {side!r}")
+    if side not in ("node", "cell"):
+        raise ValueError(f"side must be 'node' or 'cell', got {side!r}")
+    mask = np.ones(pair.n_nodes if side == "node" else pair.n_cells)
+    mask[[0, -1]] = 0.0
+    return np.diag(mask)

@@ -86,6 +86,17 @@ class TestConfig:
         assert run(tmp_path, "simulate", "--set", "time.n_steps=0") == 2
 
 
+    @pytest.mark.parametrize("override", [
+        "time.nu=null",
+        "time.n_steps=true",
+        "time.n_steps=3.9",
+        "grid.n_cells=2.7",
+    ])
+    def test_malformed_number_exits_2(self, tmp_path, capsys, override):
+        """Null, boolean and non-integral values are refused, not coerced."""
+        assert run(tmp_path, "simulate", "--set", override) == 2
+        assert override.split("=")[0] in capsys.readouterr().err
+
 class TestWellposed:
     def test_wave_sweep_matches_min_formula(self, tmp_path):
         """The wave preset's constant is min(nu, 1 - 1/sqrt(2))."""
@@ -136,6 +147,14 @@ class TestSimulate:
         correction = rows[:, header.index("euler_correction")]
         assert correction[0] > 0.0
         assert np.abs(correction[1:]).max() == 0.0
+
+    def test_overflowing_run_fails_and_names_the_step(self, tmp_path, capsys):
+        """A ledger that overflows to NaN fails instead of passing."""
+        code = run(tmp_path, "simulate", "--set", "input.kind=sinusoid",
+                   "--set", "input.amplitude=1e300")
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "ledger defect is not finite at step 0" in out
 
     def test_rerun_is_byte_identical(self, tmp_path):
         """The same configuration writes the same bytes twice."""

@@ -18,6 +18,7 @@ from evoctl.control import (
     check_compatibility,
     energy_ledger,
     extract_io,
+    step_ledger,
 )
 from evoctl.errors import HypothesisViolationError, ShapeMismatchError
 from evoctl.evolution import TimeGrid, Trajectory, solve
@@ -376,6 +377,41 @@ class TestEnergyLedger:
         assert abs(led.defect - expected) < 1e-11 * scale, \
             f"Euler defect {led.defect:.6e} vs increments {expected:.6e}"
 
+    @pytest.mark.parametrize("scheme", ["backward_euler", "implicit_midpoint"])
+    def test_every_theta_step_closes_with_its_correction(self, scheme):
+        """Each step's stored drop equals dissipation - supply plus the
+        theta-method correction (theta - 1/2)<dx|M0 dx>, the Euler
+        start-up step of a midpoint run included."""
+        rng = np.random.default_rng(34)
+        sys = random_compatible_system(rng)
+        grid = TimeGrid(t_end=1.0, n_steps=12)
+        x0 = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
+        traj = drive(sys, self.u_signal(2), x0, grid, scheme)
+        steps = step_ledger(sys, traj)
+        drop = steps.energy[:-1] - steps.energy[1:]
+        residual = drop - (steps.dissipation - steps.supply) - steps.correction
+        scale = max(1.0, np.abs(drop).max(), steps.dissipation.max())
+        assert np.abs(residual).max() < 1e-11 * scale
+        dx = np.diff(traj.states, axis=0)
+        increments = np.array([np.vdot(d, sys.M0 @ d).real for d in dx])
+        assert np.array_equal(steps.correction, (traj.theta - 0.5) * increments)
+
+    def test_interval_ledger_sums_the_steps(self):
+        """energy_ledger over [a, b] is the step ledger summed over it."""
+        rng = np.random.default_rng(35)
+        sys = random_compatible_system(rng)
+        grid = TimeGrid(t_end=1.0, n_steps=10)
+        x0 = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
+        traj = drive(sys, self.u_signal(2), x0, grid, "implicit_midpoint")
+        times = grid.times()
+        steps = step_ledger(sys, traj, a=times[3], b=times[7])
+        assert steps.ia == 3 and steps.energy.shape == (5,)
+        led = energy_ledger(sys, traj, a=times[3], b=times[7])
+        assert led.interval == (times[3], times[7])
+        assert led.stored_drop == steps.energy[0] - steps.energy[-1]
+        assert led.dissipation == pytest.approx(steps.dissipation.sum(), rel=1e-14)
+        assert led.supply == pytest.approx(steps.supply.sum(), rel=1e-14)
+
     def test_reactive_observation_conserves_energy(self):
         """Purely imaginary algebraic blocks yield a conservative ledger."""
         part = BlockPartition(n_h0=2, n_h1=3, n_y=1, n_u1=1)
@@ -519,6 +555,16 @@ class TestExtractIO:
         times = grid.times()
         assert io.times[0] == times[1]
         assert np.allclose(io.times[1:], times[1:-1] + 0.5 * grid.tau)
+
+    def test_non_finite_state_poisons_the_deviation(self):
+        """A NaN anywhere in the states shows up in max_deviation."""
+        rng = np.random.default_rng(46)
+        sys = random_compatible_system(rng)
+        grid = TimeGrid(t_end=1.0, n_steps=6)
+        x0 = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
+        traj = drive(sys, self.u_signal(2), x0, grid, "backward_euler")
+        traj.states[4, -1] = np.nan
+        assert np.isnan(extract_io(sys, traj).max_deviation)
 
     def test_quiet_system_recovers_zeros(self):
         """No control and no coupling leaves the boundary values at zero."""

@@ -11,8 +11,11 @@ from evoctl.evolution import (
     causality_defect,
     check_wellposed,
     solve,
+    theta_schedule,
     weighted_norm,
 )
+from evoctl.models import WaveSpec, build_weiss_tucsnak_wave
+from evoctl.operators import Grid1D
 
 
 def random_skew(rng, n):
@@ -234,6 +237,55 @@ class TestCausality:
         grid = TimeGrid(t_end=1.0, n_steps=10)
         with pytest.raises(HypothesisViolationError, match="differ at sample"):
             causality_defect(sys, f1, f2, 0.5, grid, "backward_euler")
+
+
+    def test_singular_mass_checks_the_euler_start_up_sample(self):
+        """A midpoint run on singular M0 samples its first step at t_1,
+        so inputs that differ only near tau/2 do not reach t = 0.75 tau."""
+        wave = build_weiss_tucsnak_wave(WaveSpec(grid=Grid1D(0.0, 1.0, 8)))
+        sys = wave.as_evolutionary()
+        grid = TimeGrid(t_end=1.0, n_steps=20)
+        tau = grid.tau
+        f1 = lambda t: np.zeros(sys.n_inputs)
+        f2 = lambda t: np.full(sys.n_inputs, float(abs(t - 0.5 * tau) < 0.1 * tau))
+        assert causality_defect(sys, f1, f2, 0.75 * tau, grid, "implicit_midpoint") == 0.0
+        with pytest.raises(HypothesisViolationError, match="differ at sample"):
+            causality_defect(sys, f1, lambda t: f2(t - 0.5 * tau), 1.25 * tau, grid,
+                             "implicit_midpoint")
+
+
+class TestThetaSchedule:
+    @pytest.mark.parametrize("M0, scheme, first, rest", [
+        (np.eye(3), "backward_euler", 1.0, 1.0),
+        (np.diag([1.0, 1.0, 0.0]), "backward_euler", 1.0, 1.0),
+        (np.eye(3), "implicit_midpoint", 0.5, 0.5),
+        (np.diag([1.0, 1.0, 0.0]), "implicit_midpoint", 1.0, 0.5),
+    ])
+    def test_schedule(self, M0, scheme, first, rest):
+        """theta is 1 on Euler steps and on the start-up step of a
+        midpoint run on singular M0, and 1/2 otherwise."""
+        theta = theta_schedule(M0, scheme, 5)
+        assert theta[0] == first and np.all(theta[1:] == rest)
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="scheme"):
+            theta_schedule(np.eye(2), "crank_nicolson", 3)
+
+    @pytest.mark.parametrize("scheme", ["backward_euler", "implicit_midpoint"])
+    def test_trajectory_reads_back_the_schedule(self, scheme):
+        """A solved trajectory carries the schedule, samples its source at
+        t_k + theta tau and yields x_theta = (1 - theta) x^k + theta x^{k+1}."""
+        M0 = np.diag([1.0, 1.0, 0.0])
+        sys = EvolutionarySystem(M0=M0, M1=np.eye(3), A=np.zeros((3, 3)), J=np.eye(3))
+        grid = TimeGrid(t_end=1.0, n_steps=6)
+        traj = solve(sys, np.ones(3), lambda t: t * np.ones(3), grid, scheme)
+        assert np.array_equal(traj.theta, theta_schedule(M0, scheme, 6))
+        times = grid.times()
+        assert np.allclose(traj.sample_times(), times[:-1] + traj.theta * grid.tau)
+        assert np.allclose(traj.inputs[:, 0], traj.sample_times())
+        for k, theta, x in traj.steps():
+            expected = (1 - theta) * traj.states[k] + theta * traj.states[k + 1]
+            assert np.array_equal(x, expected)
 
 
 class TestWeightedNorm:
