@@ -14,8 +14,8 @@ possible).  The presets are
 
 Commands
     wellposed   sweep nu and write wellposed.csv with c_min, the
-                smallest eigenvalue of nu M0 + Re M1; fails when no nu
-                certifies positivity
+                smallest eigenvalue of nu M0 + Re M1; certifies M0 >= 0
+                and c_min > 0 at nu_max = 2 time.nu, fails otherwise
     simulate    integrate the preset and write trajectory.csv,
                 ledger.csv (per-step energy balance) and io.csv
     bdspace     write the boundary space bases and a defect table
@@ -216,10 +216,12 @@ def _initial_profile(cfg: RunConfig, points):
 
 
 def _table_signal(path, n_inputs):
-    rows = []
+    """Interpolating sampler of a CSV table; every value must be finite
+    and the time column strictly increasing."""
+    rows, linenos = [], []
     with open(path, encoding="utf-8") as fh:
         header = None
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -227,6 +229,7 @@ def _table_signal(path, n_inputs):
                 header = line.split(",")
                 continue
             rows.append([float(v) for v in line.split(",")])
+            linenos.append(lineno)
     if header is None or not rows:
         raise ValueError(f"signal table {path} is empty")
     table = np.asarray(rows)
@@ -235,7 +238,15 @@ def _table_signal(path, n_inputs):
             f"signal table {path} must have 1 + {n_inputs} columns, "
             f"got {table.shape[1]}"
         )
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise ValueError(f"signal table {path} line {linenos[bad[0]]} holds a "
+                         "non-finite value")
     tt = table[:, 0]
+    bad = np.flatnonzero(np.diff(tt) <= 0)
+    if bad.size:
+        raise ValueError(f"signal table {path} line {linenos[bad[0] + 1]}: time "
+                         f"{_fmt(tt[bad[0] + 1])} does not exceed {_fmt(tt[bad[0]])}")
 
     def u(t):
         return np.array([np.interp(t, tt, table[:, 1 + j]) for j in range(n_inputs)])
@@ -500,17 +511,14 @@ def cmd_bdspace(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _read_trajectory_csv(path):
-    meta = {}
+    comments = []
     header = None
     rows = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.rstrip("\n")
             if line.startswith("# "):
-                body = line[2:]
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
+                comments.append(line[2:].strip())
                 continue
             if not line:
                 continue
@@ -521,7 +529,7 @@ def _read_trajectory_csv(path):
     if header is None or not rows:
         raise ValueError(f"trajectory file {path} holds no samples")
     table = np.asarray(rows)
-    return meta, table[:, 0], table[:, 1:]
+    return comments, table[:, 0], table[:, 1:]
 
 
 def cmd_energy(cfg: RunConfig, outdir: Path, trajectory_path) -> int:
@@ -533,7 +541,12 @@ def cmd_energy(cfg: RunConfig, outdir: Path, trajectory_path) -> int:
     sys = _build_control_preset(cfg)
     path = Path(trajectory_path) if trajectory_path is not None \
         else outdir / "trajectory.csv"
-    meta, times, states = _read_trajectory_csv(path)
+    comments, times, states = _read_trajectory_csv(path)
+    for line in _base_comments(cfg):
+        if line.startswith(("preset=", "grid ")) and line not in comments:
+            raise ValueError(f"stored trajectory {path} lacks '# {line}' of the "
+                             "configured run")
+    meta = dict(line.partition("=")[::2] for line in comments)
     if states.shape != (cfg.n_steps + 1, sys.dim):
         raise ValueError(
             f"stored trajectory has shape {states.shape}, the configured run "

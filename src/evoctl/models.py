@@ -88,13 +88,6 @@ def deflation_basis(pair: GradDivPair) -> np.ndarray:
     return house[:, 1:]
 
 
-def scheme_states(traj: Trajectory):
-    """Yield (k, x) with x the scheme-consistent state of step k, at which
-    the algebraic rows hold (Trajectory.steps); the matching input
-    sample is traj.inputs[k]."""
-    return ((k, x) for k, _, x in traj.steps())
-
-
 # ---------------------------------------------------------------------------
 # wave presets
 
@@ -329,7 +322,7 @@ def elliptic_residual(sys: ControlSystem, traj: Trajectory) -> np.ndarray:
     div_min = pair.minimal_div()
     off = sys.fine_offsets()
     out = np.zeros(traj.grid.n_steps)
-    for k, x in scheme_states(traj):
+    for k, _, x in traj.steps():
         v = (V @ x[off[0]:off[1]]) / s0
         zeta = x[off[1]:off[2]] / s1
         w = x[off[2]:off[3]]
@@ -587,7 +580,7 @@ def endpoint_coupling_defect(sys: ControlSystem, traj: Trajectory) -> np.ndarray
     off = sys.fine_offsets()
     u = sys.control_samples(traj)
     out = np.zeros(traj.grid.n_steps)
-    for k, x in scheme_states(traj):
+    for k, _, x in traj.steps():
         x1 = x[off[1]:off[2]]
         y = x[off[3]:off[4]]
         w = np.linalg.solve(M32, sys.B2 @ u[k] - M33 @ y)

@@ -40,7 +40,6 @@ from evoctl import (
     energy_ledger,
     ibp_defect,
     maxwell_lift_solve,
-    scheme_states,
     solve,
     three_region_indicators,
 )
@@ -356,7 +355,7 @@ class TestAcceptance:
         for _ in range(3):
             traj = drive(sys, random_wave_input(rng), tg, "implicit_midpoint")
             us = sys.control_samples(traj)
-            samples = dict(scheme_states(traj))
+            samples = {k: x for k, _, x in traj.steps()}
 
             def stored(i):
                 return 0.5 * np.vdot(traj.states[i], sys.M0 @ traj.states[i]).real

@@ -115,6 +115,12 @@ class TestWellposed:
         err = np.abs(rows[:, 1] - rows[:, 0]).max()
         assert err < 1e-13, f"c(nu) = nu fails for the undamped preset: {err:.2e}"
 
+    def test_certificate_is_reported_at_nu_max(self, tmp_path, capsys):
+        """The default wave certifies 1 - 1/sqrt(2) at nu_max = 2 time.nu."""
+        assert run(tmp_path, "wellposed") == 0
+        assert capsys.readouterr().out == \
+            "well-posed with c = 2.928932e-01 at nu = 2.000000e+00\n"
+
     def test_zero_damping_fails_with_witness(self, tmp_path, capsys):
         """Removing the observation damping breaks positivity."""
         code = run(tmp_path, "wellposed", "--zero-damping")
@@ -203,6 +209,23 @@ class TestSimulate:
         assert run(tmp_path, "simulate", "--set", "input.kind=table",
                    "--set", f"input.path={sig}") == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_table_exits_2(self, tmp_path, capsys, value):
+        """A non-finite table entry is refused at load time, by line."""
+        sig = tmp_path / "sig.csv"
+        sig.write_text(f"t,u0,u1\n0,0,0\n0.5,{value},0\n1,0,0\n", encoding="utf-8")
+        assert run(tmp_path, "simulate", "--set", "input.kind=table",
+                   "--set", f"input.path={sig}") == 2
+        assert "line 3" in capsys.readouterr().err
+
+    def test_non_increasing_table_time_exits_2(self, tmp_path, capsys):
+        """np.interp would misread a time column that does not increase."""
+        sig = tmp_path / "sig.csv"
+        sig.write_text("t,u0,u1\n0,0,0\n1,1,0\n0.5,0,0\n", encoding="utf-8")
+        assert run(tmp_path, "simulate", "--set", "input.kind=table",
+                   "--set", f"input.path={sig}") == 2
+        assert "line 4" in capsys.readouterr().err
+
     def test_port_hamiltonian_preset_balances(self, tmp_path):
         """The closed chain preset runs and balances its ledger."""
         assert run(tmp_path, "simulate", "--set", "preset=port-hamiltonian",
@@ -279,6 +302,16 @@ class TestEnergy:
     def test_maxwell_replay_is_rejected(self, tmp_path):
         """The route-gap preset has no control ledger to replay."""
         assert run(tmp_path, "energy", "--set", "preset=maxwell-lift-1d") == 2
+
+    def test_trajectory_from_another_grid_is_rejected(self, tmp_path, capsys):
+        """A same-shape trajectory written on [0, 2] cannot replay on [0, 1]."""
+        sim = tmp_path / "sim"
+        assert run(sim, "simulate", "--set", "grid.b=2",
+                   "--set", "time.n_steps=20") == 0
+        code = run(tmp_path, "energy", "--set", "time.n_steps=20",
+                   "--trajectory", str(sim / "trajectory.csv"))
+        assert code == 2
+        assert "grid a=0 b=1 n_cells=16" in capsys.readouterr().err
 
     def test_mismatched_shape_is_rejected(self, tmp_path):
         """A stored trajectory must match the configured run size."""

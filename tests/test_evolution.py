@@ -3,6 +3,9 @@ checker, causality, and the weighted space-time norm."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from evoctl.errors import HypothesisViolationError, ShapeMismatchError, StepSingularityError
 from evoctl.evolution import (
@@ -54,6 +57,21 @@ class TestEvolutionarySystem:
         assert sys.n_inputs == 1
 
 
+@st.composite
+def psd_pencils(draw):
+    """(M0, M1, nu_max, nu) with M0 = B B^H for a rank-deficient B and
+    nu in (0, nu_max]."""
+    n = draw(st.integers(2, 6))
+    rank = draw(st.integers(0, n - 1))
+    entries = st.floats(-3.0, 3.0)
+    B = draw(hnp.arrays(float, (n, rank), elements=entries)) \
+        + 1j * draw(hnp.arrays(float, (n, rank), elements=entries))
+    M1 = draw(hnp.arrays(float, (n, n), elements=entries))
+    nu_max = draw(st.floats(1e-2, 1e2))
+    nu = nu_max * draw(st.floats(0.0, 1.0, exclude_min=True))
+    return B @ B.conj().T, M1, nu_max, nu
+
+
 class TestCheckWellposed:
     def test_identity_mass(self):
         """M0 = I, M1 = 0: c(nu) = nu, maximized at nu_max."""
@@ -80,6 +98,28 @@ class TestCheckWellposed:
         expected = min(nu_max, 1.0 - 1.0 / np.sqrt(2.0))
         assert rep.ok
         assert abs(rep.c - expected) < 1e-8, f"c = {rep.c}, expected {expected}"
+
+    def test_indefinite_m0_is_never_certified(self):
+        """c(nu) = min(nu, 2 - nu) is positive on (0, 2) but tends to
+        -infinity, so the hypothesis fails along the negative mass."""
+        rep = check_wellposed(np.diag([1.0, -1.0]), np.diag([0.0, 2.0]), nu_max=10.0)
+        assert not rep.ok
+        assert rep.c < 0.0
+        w = np.abs(rep.witness)
+        assert w[1] > 0.99 and w[0] < 1e-6
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(psd_pencils())
+    def test_psd_mass_certifies_at_nu_max(self, pencil):
+        """For M0 >= 0 the constant is c(nu_max), the largest on (0, nu_max]."""
+        M0, M1, nu_max, nu = pencil
+        re_m1 = 0.5 * (M1 + M1.T)
+        rep = check_wellposed(M0, M1, nu_max=nu_max)
+        scale = 1.0 + nu_max * np.abs(M0).max() + np.abs(M1).max()
+        assert rep.nu0 == nu_max
+        assert abs(rep.c - np.linalg.eigvalsh(nu_max * M0 + re_m1)[0]) <= 1e-12 * scale
+        assert rep.c >= np.linalg.eigvalsh(nu * M0 + re_m1)[0] - 1e-10 * scale
+        assert rep.ok == (rep.c > 0)
 
     def test_rejects_nonhermitian_m0(self):
         with pytest.raises(HypothesisViolationError):

@@ -36,7 +36,6 @@ from evoctl.models import (
     elliptic_residual,
     endpoint_coupling_defect,
     maxwell_lift_solve,
-    scheme_states,
     three_region_indicators,
 )
 from evoctl.operators import Grid1D, build_sbp_pair_1d
@@ -224,7 +223,7 @@ class TestWaveBuilder:
         traj = drive(sys, two_tone, tg, scheme)
         us = sys.control_samples(traj)
         worst = 0.0
-        for k, x in scheme_states(traj):
+        for k, _, x in traj.steps():
             v = x[sys.fine_slice(0)]
             w = x[sys.fine_slice(2)]
             y = x[sys.fine_slice(3)]
@@ -247,7 +246,7 @@ class TestWaveBuilder:
         traj = drive(sys, two_tone, tg, "implicit_midpoint")
         us = sys.control_samples(traj)
         flux = 0.0
-        for k, x in scheme_states(traj):
+        for k, _, x in traj.steps():
             if k < traj.n_euler_init_steps:
                 continue
             y = x[sys.fine_slice(3)]
@@ -275,7 +274,7 @@ class TestWaveBuilder:
         us = sys.control_samples(traj)
         full = reduced = 0.0
         worst = 0.0
-        for k, x in scheme_states(traj):
+        for k, _, x in traj.steps():
             if k < traj.n_euler_init_steps:
                 continue
             w = x[sys.fine_slice(2)]
