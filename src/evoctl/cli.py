@@ -43,15 +43,16 @@ import json
 import math
 import os
 import sys as _sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .bdspace import compute_bd_space, dot_map
-from .control import energy_ledger, extract_io, step_ledger
+from .control import extract_io, step_ledger
 from .errors import EvoctlError
-from .evolution import SCHEMES, TimeGrid, Trajectory, check_wellposed
+from .evolution import SCHEMES, TimeGrid, Trajectory, check_wellposed, theta_schedule
 from .models import (
     PortHamiltonianSpec,
     WaveSpec,
@@ -355,9 +356,7 @@ def _verdict(label, values, tolerance) -> int:
     return 0 if worst <= tolerance else 1
 
 
-def _ledger_rows(sys, traj):
-    led = step_ledger(sys, traj)
-    times = traj.times
+def _ledger_rows(led, times):
     drop = led.energy[:-1] - led.energy[1:]
     defect = drop - (led.dissipation - led.supply) - led.correction
     rows = zip(times[:-1], times[1:], drop, led.dissipation, led.supply, led.correction,
@@ -382,15 +381,14 @@ def _simulate_control(cfg: RunConfig, outdir: Path) -> int:
               ((times[k], *traj.states[k].real) for k in range(cfg.n_steps + 1)))
 
     io = extract_io(sys, traj)
-    us = sys.control_samples(traj)
     m, ny = sys.partition.n_u1, sys.partition.n_y
     io_columns = ("t",) + tuple(f"u{i}" for i in range(m)) \
         + tuple(f"y{i}" for i in range(ny))
     write_csv(outdir / "io.csv", comments, io_columns,
-              ((io.times[k], *us[k].real, *io.y_samples[k].real)
+              ((io.times[k], *traj.inputs[k].real, *io.y_samples[k].real)
                for k in range(cfg.n_steps)))
 
-    rows, defects = _ledger_rows(sys, traj)
+    rows, defects = _ledger_rows(step_ledger(sys, traj), times)
     write_csv(outdir / "ledger.csv", comments, LEDGER_COLUMNS, rows)
     return _verdict("ledger defect", defects, cfg.tolerance)
 
@@ -511,24 +509,25 @@ def cmd_bdspace(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _read_trajectory_csv(path):
+    """The '# ' comment lines, time column and states of a stored
+    trajectory; a file without samples or with a ragged or non-numeric
+    row is refused."""
     comments = []
-    header = None
-    rows = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
-            line = line.rstrip("\n")
             if line.startswith("# "):
                 comments.append(line[2:].strip())
-                continue
-            if not line:
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    if header is None or not rows:
+            elif line.strip():
+                break  # the column header
+        try:
+            with warnings.catch_warnings():
+                # an empty table is refused below, not warned about
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"trajectory file {path}: {exc}") from None
+    if table.size == 0:
         raise ValueError(f"trajectory file {path} holds no samples")
-    table = np.asarray(rows)
     return comments, table[:, 0], table[:, 1:]
 
 
@@ -555,27 +554,34 @@ def cmd_energy(cfg: RunConfig, outdir: Path, trajectory_path) -> int:
     scheme = meta.get("scheme", cfg.scheme)
     if scheme not in SCHEMES:
         raise ValueError(f"stored scheme {scheme!r} is not recognized")
-    n_init = int(meta.get("n_euler_init_steps", 0))
 
     tg = TimeGrid(t_end=cfg.t_end, n_steps=cfg.n_steps, nu=cfg.nu)
     grid_times = tg.times()
     if np.abs(grid_times - times).max() > 1e-9 * max(1.0, tg.t_end):
         raise ValueError("stored time column does not match the configured grid")
 
-    u_of_t = _control_signal(cfg, sys.partition.n_u1)
+    # the theta = 1 start-up steps of a midpoint run follow from the system
+    theta = theta_schedule(sys.M0, scheme, cfg.n_steps)
+    n_init = int(np.count_nonzero(theta == 1.0)) if scheme == "implicit_midpoint" else 0
     traj = Trajectory(tg, states.astype(complex),
-                      np.zeros((cfg.n_steps, sys.dim + sys.partition.n_u1), dtype=complex),
+                      np.zeros((cfg.n_steps, sys.partition.n_u1), dtype=complex),
                       scheme, n_init)
+    header = _run_comments(cfg, traj)
+    if header[-1] not in comments:
+        raise ValueError(f"stored trajectory {path} lacks '# {header[-1]}', the "
+                         f"theta schedule of {scheme} on the configured system")
+    u_of_t = _control_signal(cfg, sys.partition.n_u1)
     if u_of_t is not None:
         for k, t in enumerate(traj.sample_times()):
-            traj.inputs[k, sys.dim:] = u_of_t(t)
+            traj.inputs[k] = u_of_t(t)
 
-    rows, defects = _ledger_rows(sys, traj)
-    write_csv(outdir / "ledger.csv", _run_comments(cfg, traj) + [f"source={path.name}"],
+    led = step_ledger(sys, traj)
+    rows, defects = _ledger_rows(led, grid_times)
+    write_csv(outdir / "ledger.csv", header + [f"source={path.name}"],
               LEDGER_COLUMNS, rows)
-    led = energy_ledger(sys, traj, a=grid_times[n_init])
-    print(f"stored drop {led.stored_drop:.6e}, dissipation {led.dissipation:.6e},"
-          f" supply {led.supply:.6e} over {led.interval}")
+    total = led.summed(grid_times, n_init)
+    print(f"stored drop {total.stored_drop:.6e}, dissipation {total.dissipation:.6e},"
+          f" supply {total.supply:.6e} over {total.interval}")
     return _verdict("ledger defect", defects, cfg.tolerance)
 
 

@@ -10,8 +10,10 @@ pairs v against (zeta, w); the y block carries no dynamics and its rows
 of M1 define the observation algebraically.  All matrices here live in
 coordinates in which the physical weighted inner products are plain dot
 products, so conjugate transposes realize adjoints and A is exactly
-skew.  The input map is J = [identity | B] with B stacked from
-(B0, B1, B2) over the coarse blocks (v | zeta, w | y).
+skew.  Control acts only through the boundary data: the input map is
+J = B, stacked from (B0, B1, B2) over the coarse blocks (v | zeta,
+w | y), and a control run's source samples are the control samples u
+themselves; no state source enters.
 
 The compatibility conditions
 
@@ -186,27 +188,9 @@ class ControlSystem:
     def B(self) -> np.ndarray:
         return np.vstack([self.B0, self.B1, self.B2])
 
-    @property
-    def J(self) -> np.ndarray:
-        return np.hstack([np.eye(self.dim, dtype=complex), self.B])
-
     def as_evolutionary(self) -> EvolutionarySystem:
-        return EvolutionarySystem(M0=self.M0, M1=self.M1, A=self.A, J=self.J)
-
-    def input_vector(self, u, f_state=None) -> np.ndarray:
-        """Stack a state source and a control sample into a J input."""
-        u = np.atleast_1d(np.asarray(u, dtype=complex))
-        if u.shape != (self.partition.n_u1,):
-            raise ShapeMismatchError(
-                f"u must have length {self.partition.n_u1}, got {u.shape}"
-            )
-        if f_state is None:
-            f_state = np.zeros(self.dim, dtype=complex)
-        return np.concatenate([np.asarray(f_state, dtype=complex), u])
-
-    def control_samples(self, traj: Trajectory) -> np.ndarray:
-        """Control part of the samples a trajectory consumed."""
-        return traj.inputs[:, self.dim:]
+        """The system driven by its control columns, J = B."""
+        return EvolutionarySystem(M0=self.M0, M1=self.M1, A=self.A, J=self.B)
 
 
 def assemble_control(
@@ -349,6 +333,23 @@ class StepLedger(NamedTuple):
     supply: np.ndarray
     correction: np.ndarray
 
+    def summed(self, times, start=None) -> EnergyLedger:
+        """The steps from grid index start (default ia) to the end summed
+        into the ledger of the interval they cover; times are the grid's."""
+        j = 0 if start is None else start - self.ia
+        stored_drop = self.energy[j] - self.energy[-1]
+        # the builtin sum adds in step order like a running total; np.sum adds
+        # pairwise, which changes the last digits of the reported ledger
+        dissipation = sum(self.dissipation[j:], 0.0)
+        supply = sum(self.supply[j:], 0.0)
+        return EnergyLedger(
+            interval=(float(times[self.ia + j]), float(times[self.ia + len(self.supply)])),
+            stored_drop=float(stored_drop),
+            dissipation=float(dissipation),
+            supply=float(supply),
+            defect=float(stored_drop - (dissipation - supply)),
+        )
+
 
 def _grid_index(grid, t, what):
     times = grid.times()
@@ -358,17 +359,16 @@ def _grid_index(grid, t, what):
     return k
 
 
-def step_ledger(sys: ControlSystem, traj: Trajectory, u_samples=None, a=0.0, b=None
-                ) -> StepLedger:
+def step_ledger(sys: ControlSystem, traj: Trajectory, a=0.0, b=None) -> StepLedger:
     """Stored energy, dissipation, supply and numerical dissipation of
     every step of a controlled trajectory over [a, b].
 
     Refuses (naming the failed hypothesis) when the y-rows of M0 are
     nonzero or the compatibility defects exceed tolerance, since the
-    balance equation is only asserted under those hypotheses.  u_samples
-    defaults to the control part of the samples stored in the
-    trajectory; pass one row per step otherwise.  Each step k then
-    satisfies energy drop = dissipation - supply + correction.
+    balance equation is only asserted under those hypotheses.  The
+    supply is that of the control samples traj.inputs, one row of
+    length n_u1 per step.  Each step k then satisfies energy drop =
+    dissipation - supply + correction.
     """
     p = sys.partition
     scale0 = max(1.0, np.abs(sys.M0).max())
@@ -397,12 +397,10 @@ def step_ledger(sys: ControlSystem, traj: Trajectory, u_samples=None, a=0.0, b=N
     if not ia < ib:
         raise ValueError(f"need a < b on the grid, got indices {ia}, {ib}")
 
-    if u_samples is None:
-        u_samples = sys.control_samples(traj)
-    u_samples = np.asarray(u_samples, dtype=complex)
-    if u_samples.shape != (traj.grid.n_steps, p.n_u1):
+    if traj.inputs.shape != (traj.grid.n_steps, p.n_u1):
         raise ShapeMismatchError(
-            f"u_samples must be ({traj.grid.n_steps}, {p.n_u1}), got {u_samples.shape}"
+            f"control samples must be ({traj.grid.n_steps}, {p.n_u1}), "
+            f"got {traj.inputs.shape}"
         )
 
     reM1 = 0.5 * (sys.M1 + sys.M1.conj().T)
@@ -415,31 +413,17 @@ def step_ledger(sys: ControlSystem, traj: Trajectory, u_samples=None, a=0.0, b=N
     dissipation, supply, correction = np.zeros((3, ib - ia))
     for k, theta, xs in islice(traj.steps(), ia, ib):
         dissipation[k - ia] = tau * np.vdot(xs, reM1 @ xs).real
-        bu = sys.B2 @ u_samples[k]
+        bu = sys.B2 @ traj.inputs[k]
         supply[k - ia] = tau * np.vdot(bu, supply_kernel @ bu).real
         dx = traj.states[k + 1] - traj.states[k]
         correction[k - ia] = (theta - 0.5) * np.vdot(dx, sys.M0 @ dx).real
     return StepLedger(ia, energy, dissipation, supply, correction)
 
 
-def energy_ledger(sys: ControlSystem, traj: Trajectory, u_samples=None, a=0.0, b=None
-                  ) -> EnergyLedger:
+def energy_ledger(sys: ControlSystem, traj: Trajectory, a=0.0, b=None) -> EnergyLedger:
     """Energy ledger of a controlled trajectory over [a, b]: the steps of
     step_ledger summed (hypotheses and arguments as there)."""
-    steps = step_ledger(sys, traj, u_samples, a, b)
-    stored_drop = steps.energy[0] - steps.energy[-1]
-    # the builtin sum adds in step order like a running total; np.sum adds
-    # pairwise, which changes the last digits of the reported ledger
-    dissipation = sum(steps.dissipation, 0.0)
-    supply = sum(steps.supply, 0.0)
-    times = traj.grid.times()
-    return EnergyLedger(
-        interval=(float(times[steps.ia]), float(times[steps.ia + len(steps.supply)])),
-        stored_drop=float(stored_drop),
-        dissipation=float(dissipation),
-        supply=float(supply),
-        defect=float(stored_drop - (dissipation - supply)),
-    )
+    return step_ledger(sys, traj, a, b).summed(traj.grid.times())
 
 
 @dataclass(frozen=True)
@@ -466,7 +450,7 @@ def extract_io(sys: ControlSystem, traj: Trajectory) -> IOSamples:
 
     At each step's scheme-consistent state x the rows
 
-        (M1 + A)[wy, wy] (w; y) = (J f)[wy] - (M1 + A)[wy, v zeta] x
+        (M1 + A)[wy, wy] (w; y) = B[wy] u - (M1 + A)[wy, v zeta] x
 
     are solved directly and compared with the trajectory's stored
     components.  Refuses when M0 has nonzero (w, y) rows (the rows are
@@ -495,10 +479,9 @@ def extract_io(sys: ControlSystem, traj: Trajectory) -> IOSamples:
     rec_w = np.zeros((traj.grid.n_steps, nw), dtype=complex)
     rec_y = np.zeros((traj.grid.n_steps, ny), dtype=complex)
     deviation = np.zeros(traj.grid.n_steps)
-    J = sys.J
+    B_wy = sys.B[wy]
     for k, _, xs in traj.steps():
-        jrow = J @ traj.inputs[k]
-        rhs = jrow[wy] - M1A[wy, vz] @ xs[vz]
+        rhs = B_wy @ traj.inputs[k] - M1A[wy, vz] @ xs[vz]
         sol = np.linalg.solve(K, rhs) if K.size else np.zeros(0, dtype=complex)
         rec_w[k] = sol[:nw]
         rec_y[k] = sol[nw:]

@@ -298,8 +298,7 @@ def elliptic_residual(sys: ControlSystem, traj: Trajectory) -> np.ndarray:
     carries no boundary pairing.  The deflation determines the velocity
     rows only up to a shared constant, which turns up as a constant
     shift of the full residual; the defect is therefore measured after
-    removing the mean over the eligible nodes.  Assumes the run carried
-    no interior source.
+    removing the mean over the eligible nodes.
     """
     geo = sys.geometry or {}
     needed = ("pair", "node_basis", "S0", "S1", "Cdual_physical", "region_masks")
@@ -578,12 +577,11 @@ def endpoint_coupling_defect(sys: ControlSystem, traj: Trajectory) -> np.ndarray
             "observation rows"
         )
     off = sys.fine_offsets()
-    u = sys.control_samples(traj)
     out = np.zeros(traj.grid.n_steps)
     for k, _, x in traj.steps():
         x1 = x[off[1]:off[2]]
         y = x[off[3]:off[4]]
-        w = np.linalg.solve(M32, sys.B2 @ u[k] - M33 @ y)
+        w = np.linalg.solve(M32, sys.B2 @ traj.inputs[k] - M33 @ y)
         out[k] = np.abs(E @ x1 - w).max()
     return out
 
@@ -741,12 +739,9 @@ def drive(sys: ControlSystem, u_of_t, grid: TimeGrid, scheme: str,
     """Integrate a control system under the control signal t -> u(t).
 
     Uses the system's stored initial state when x0 is None (zero when it
-    carries none); u_of_t None means zero control.
+    carries none); u_of_t None means zero control.  The trajectory's
+    inputs are the control samples, one row of length n_u1 per step.
     """
     if x0 is None:
         x0 = sys.x0 if sys.x0 is not None else np.zeros(sys.dim, dtype=complex)
-    f = None
-    if u_of_t is not None:
-        def f(t):
-            return sys.input_vector(np.asarray(u_of_t(t), dtype=complex))
-    return solve(sys.as_evolutionary(), x0, f, grid, scheme)
+    return solve(sys.as_evolutionary(), x0, u_of_t, grid, scheme)

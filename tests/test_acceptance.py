@@ -232,10 +232,10 @@ class TestAcceptance:
                 return np.array([np.sin(2.0 * t), np.cos(3.0 * t)])
 
             def f1(t):
-                return sys.input_vector(u(t))
+                return u(t)
 
             def f2(t):
-                return sys.input_vector(u(t) + (t > a + 1e-9) * np.array([0.8, -0.6]))
+                return u(t) + (t > a + 1e-9) * np.array([0.8, -0.6])
 
             return f1, f2
 
@@ -354,7 +354,7 @@ class TestAcceptance:
         worst = 0.0
         for _ in range(3):
             traj = drive(sys, random_wave_input(rng), tg, "implicit_midpoint")
-            us = sys.control_samples(traj)
+            us = traj.inputs
             samples = {k: x for k, _, x in traj.steps()}
 
             def stored(i):

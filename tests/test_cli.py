@@ -320,3 +320,41 @@ class TestEnergy:
         code = run(tmp_path, "energy", "--set", "time.n_steps=30",
                    "--trajectory", str(sim / "trajectory.csv"))
         assert code == 2
+
+    def simulated_trajectory(self, tmp_path):
+        """Lines of a stored 20-step midpoint wave-wt trajectory."""
+        sim = tmp_path / "sim"
+        assert run(sim, "simulate", "--set", "time.n_steps=20") == 0
+        return (sim / "trajectory.csv").read_text(encoding="utf-8").splitlines(True)
+
+    def replay(self, tmp_path, lines):
+        path = tmp_path / "edited.csv"
+        path.write_text("".join(lines), encoding="utf-8")
+        return run(tmp_path / "replay", "energy", "--set", "time.n_steps=20",
+                   "--trajectory", str(path))
+
+    def test_ragged_row_exits_2(self, tmp_path, capsys):
+        """A row with a missing field is refused, not replayed."""
+        lines = self.simulated_trajectory(tmp_path)
+        lines[-3] = lines[-3].rsplit(",", 1)[0] + "\n"
+        assert self.replay(tmp_path, lines) == 2
+        assert "number of columns changed" in capsys.readouterr().err
+
+    def test_header_only_file_exits_2(self, tmp_path, capsys):
+        """Comments and a column header without samples are refused."""
+        lines = self.simulated_trajectory(tmp_path)
+        header = [line for line in lines if line.startswith("# ")] + \
+            [next(line for line in lines if not line.startswith("# "))]
+        assert self.replay(tmp_path, header) == 2
+        assert "holds no samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_theta_schedule_header_is_checked(self, tmp_path, capsys, value):
+        """The midpoint wave on singular M0 starts with one theta = 1 step;
+        a stored header that says otherwise is refused, not replayed."""
+        lines = self.simulated_trajectory(tmp_path)
+        assert "# n_euler_init_steps=1\n" in lines
+        lines = [f"# n_euler_init_steps={value}\n"
+                 if line == "# n_euler_init_steps=1\n" else line for line in lines]
+        assert self.replay(tmp_path, lines) == 2
+        assert "n_euler_init_steps=1" in capsys.readouterr().err

@@ -9,6 +9,8 @@ ledger closes to machine precision once the Euler start-up step is past.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evoctl.bdspace import compute_bd_space, dual_projection
 from evoctl.control import (
@@ -21,7 +23,8 @@ from evoctl.control import (
     step_ledger,
 )
 from evoctl.errors import HypothesisViolationError, ShapeMismatchError
-from evoctl.evolution import TimeGrid, Trajectory, solve
+from evoctl.evolution import TimeGrid, Trajectory
+from evoctl.models import drive as drive_control
 from evoctl.operators import Grid1D, build_sbp_pair_1d
 
 RT2 = np.sqrt(2.0)
@@ -82,10 +85,7 @@ def random_compatible_system(rng, n_h0=4, n_zeta=3, n_w=2, n_y=2, n_u1=2):
 
 def drive(sys, u_of_t, x0, grid, scheme):
     """Integrate a control system under the control signal u_of_t."""
-    def f(t):
-        return sys.input_vector(u_of_t(t))
-
-    return solve(sys.as_evolutionary(), x0, f, grid, scheme)
+    return drive_control(sys, u_of_t, grid, scheme, x0)
 
 
 class TestBlockPartition:
@@ -187,14 +187,11 @@ class TestAssembleControl:
             assemble_control(part, empty_blocks(), empty_blocks(), None, None,
                              (None, None, None), n_w=1)
 
-    def test_input_vector_stacks_state_source_and_control(self):
+    def test_drive_rejects_a_control_of_the_wrong_length(self):
+        """A control signal must have one entry per control input."""
         sys = wave_example_system()
-        vec = sys.input_vector(np.array([2.0 + 1j]))
-        assert vec.shape == (5,)
-        assert np.array_equal(vec[:4], np.zeros(4, dtype=complex))
-        assert vec[4] == 2.0 + 1j
         with pytest.raises(ShapeMismatchError):
-            sys.input_vector(np.ones(2))
+            drive(sys, lambda t: np.ones(2), np.zeros(4), TimeGrid(1.0, 2), "backward_euler")
 
 
 class TestAdjointStructure:
@@ -224,12 +221,10 @@ class TestAdjointStructure:
             worst = max(worst, abs(np.vdot(x, sys.A @ y) + np.vdot(sys.A @ x, y)))
         assert worst < 1e-12, f"skew pairing defect {worst:.2e}"
 
-    def test_as_evolutionary_carries_identity_and_control_columns(self):
+    def test_as_evolutionary_carries_the_control_columns(self):
         sys = wave_example_system()
         evo = sys.as_evolutionary()
-        assert evo.J.shape == (4, 5)
-        assert np.array_equal(evo.J[:, :4], np.eye(4, dtype=complex))
-        assert np.array_equal(evo.J[:, 4:], sys.B)
+        assert np.array_equal(evo.J, sys.B)
 
 
 class TestCheckCompatibility:
@@ -396,6 +391,30 @@ class TestEnergyLedger:
         increments = np.array([np.vdot(d, sys.M0 @ d).real for d in dx])
         assert np.array_equal(steps.correction, (traj.theta - 0.5) * increments)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), sizes=st.tuples(*[st.integers(1, 3)] * 5),
+           n_steps=st.integers(1, 30),
+           scheme=st.sampled_from(["backward_euler", "implicit_midpoint"]))
+    def test_random_systems_close_every_step(self, seed, sizes, n_steps, scheme):
+        """Per-step closure with the theta correction holds for random
+        compatible systems, step counts and both schemes, and the run
+        stores one control sample per step."""
+        rng = np.random.default_rng(seed)
+        sys = random_compatible_system(rng, *sizes)
+        n_u1 = sys.partition.n_u1
+        grid = TimeGrid(t_end=1.0, n_steps=n_steps)
+        x0 = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
+        traj = drive(sys, self.u_signal(n_u1), x0, grid, scheme)
+        assert traj.inputs.shape == (n_steps, n_u1)
+        steps = step_ledger(sys, traj)
+        drop = steps.energy[:-1] - steps.energy[1:]
+        residual = drop - (steps.dissipation - steps.supply) - steps.correction
+        scale = max(1.0, np.abs(drop).max(), steps.dissipation.max())
+        assert np.abs(residual).max() < 1e-11 * scale
+        dx = np.diff(traj.states, axis=0)
+        increments = np.array([np.vdot(d, sys.M0 @ d).real for d in dx])
+        assert np.array_equal(steps.correction, (traj.theta - 0.5) * increments)
+
     def test_interval_ledger_sums_the_steps(self):
         """energy_ledger over [a, b] is the step ledger summed over it."""
         rng = np.random.default_rng(35)
@@ -438,17 +457,6 @@ class TestEnergyLedger:
         assert abs(led.stored_drop) < 1e-11 * scale, \
             f"energy drifted by {led.stored_drop:.2e}"
 
-    def test_explicit_u_samples_match_recorded_ones(self):
-        rng = np.random.default_rng(35)
-        sys = random_compatible_system(rng)
-        grid = TimeGrid(t_end=1.0, n_steps=8)
-        x0 = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
-        traj = drive(sys, self.u_signal(2), x0, grid, "implicit_midpoint")
-        a = grid.times()[1]
-        led_default = energy_ledger(sys, traj, a=a)
-        led_explicit = energy_ledger(sys, traj, sys.control_samples(traj), a=a)
-        assert led_default == led_explicit
-
     def test_refuses_mass_on_observation_block(self):
         part = BlockPartition(n_h0=1, n_h1=2, n_y=1, n_u1=1)
         M0b = empty_blocks()
@@ -461,7 +469,7 @@ class TestEnergyLedger:
                                Gmat=np.zeros((1, 1)), n_w=1)
         grid = TimeGrid(t_end=1.0, n_steps=2)
         traj = Trajectory(grid=grid, states=np.zeros((3, 4), dtype=complex),
-                          inputs=np.zeros((2, 5), dtype=complex),
+                          inputs=np.zeros((2, 1), dtype=complex),
                           scheme="backward_euler")
         with pytest.raises(HypothesisViolationError, match="observation rows"):
             energy_ledger(sys, traj)
@@ -479,7 +487,7 @@ class TestEnergyLedger:
         )
         grid = TimeGrid(t_end=1.0, n_steps=2)
         traj = Trajectory(grid=grid, states=np.zeros((3, 4), dtype=complex),
-                          inputs=np.zeros((2, 5), dtype=complex),
+                          inputs=np.zeros((2, 1), dtype=complex),
                           scheme="backward_euler")
         with pytest.raises(HypothesisViolationError, match="compatibility"):
             energy_ledger(broken, traj)
@@ -524,7 +532,7 @@ class TestExtractIO:
         x0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         traj = drive(sys, self.u_signal(1), x0, grid, "implicit_midpoint")
         w, y = extract_io(sys, traj)
-        u_used = sys.control_samples(traj)
+        u_used = traj.inputs
         worst_in = worst_out = 0.0
         for k in range(1, grid.n_steps):
             xm = 0.5 * (traj.states[k] + traj.states[k + 1])
@@ -599,7 +607,7 @@ class TestExtractIO:
                                Gmat=np.zeros((1, 1)), n_w=1)
         grid = TimeGrid(t_end=1.0, n_steps=2)
         traj = Trajectory(grid=grid, states=np.zeros((3, 4), dtype=complex),
-                          inputs=np.zeros((2, 5), dtype=complex),
+                          inputs=np.zeros((2, 1), dtype=complex),
                           scheme="backward_euler")
         with pytest.raises(HypothesisViolationError, match="rows of M0"):
             extract_io(sys, traj)
@@ -635,7 +643,7 @@ class TestBoundaryEquationDefect:
     def constant_trajectory(self, sys, x, n_steps=3):
         grid = TimeGrid(t_end=1.0, n_steps=n_steps)
         states = np.tile(x, (n_steps + 1, 1))
-        inputs = np.zeros((n_steps, sys.dim + sys.partition.n_u1), dtype=complex)
+        inputs = np.zeros((n_steps, sys.partition.n_u1), dtype=complex)
         return Trajectory(grid=grid, states=states, inputs=inputs,
                           scheme="backward_euler")
 
@@ -700,7 +708,7 @@ class TestBoundaryEquationDefect:
         sys = wave_example_system()
         grid = TimeGrid(t_end=1.0, n_steps=2)
         traj = Trajectory(grid=grid, states=np.zeros((3, 4), dtype=complex),
-                          inputs=np.zeros((2, 5), dtype=complex),
+                          inputs=np.zeros((2, 1), dtype=complex),
                           scheme="backward_euler")
         with pytest.raises(HypothesisViolationError, match="pair"):
             boundary_equation_defect(sys, traj)

@@ -221,7 +221,7 @@ class TestWaveBuilder:
         sys = wave_system()
         tg = TimeGrid(t_end=1.0, n_steps=200, nu=1.0)
         traj = drive(sys, two_tone, tg, scheme)
-        us = sys.control_samples(traj)
+        us = traj.inputs
         worst = 0.0
         for k, _, x in traj.steps():
             v = x[sys.fine_slice(0)]
@@ -244,7 +244,7 @@ class TestWaveBuilder:
         sys = wave_system()
         tg = TimeGrid(t_end=2.0, n_steps=400, nu=1.0)
         traj = drive(sys, two_tone, tg, "implicit_midpoint")
-        us = sys.control_samples(traj)
+        us = traj.inputs
         flux = 0.0
         for k, _, x in traj.steps():
             if k < traj.n_euler_init_steps:
@@ -271,7 +271,7 @@ class TestWaveBuilder:
         tg = TimeGrid(t_end=1.5, n_steps=300, nu=1.0)
         traj = drive(sys, two_tone, tg, "implicit_midpoint")
         led = energy_ledger(sys, traj, a=tg.times()[1])
-        us = sys.control_samples(traj)
+        us = traj.inputs
         full = reduced = 0.0
         worst = 0.0
         for k, _, x in traj.steps():

@@ -7,9 +7,29 @@ polynomials, and the coordinate projectors.
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from evoctl import Grid1D, InvalidGridError, build_sbp_pair_1d, ibp_defect, minimal_projector
 from evoctl.errors import ShapeMismatchError
+
+
+@st.composite
+def sbp_pairings(draw):
+    """(pair, u, v): a pair on a random [a, b] with 2 to 64 cells and
+    complex node and cell vectors."""
+    a = draw(st.floats(-10.0, 10.0))
+    length = draw(st.floats(1e-2, 10.0))
+    pair = build_sbp_pair_1d(Grid1D(a, a + length, draw(st.integers(2, 64))))
+    entries = st.floats(-1.0, 1.0)
+
+    def cplx(n):
+        return draw(hnp.arrays(float, n, elements=entries)) \
+            + 1j * draw(hnp.arrays(float, n, elements=entries))
+
+    return pair, cplx(pair.n_nodes), cplx(pair.n_cells)
 
 
 def kernel_dimension(mat, tol=1e-8):
@@ -61,6 +81,17 @@ class TestSummationByParts:
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             worst = max(worst, ibp_defect(pair, u, v))
         assert worst < 1e-12, f"integration by parts defect at n={n}: {worst:.2e}"
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(sbp_pairings())
+    def test_random_intervals_stay_at_roundoff(self, draw):
+        """The identity holds to roundoff relative to |u| |v| / h on any
+        interval and cell count."""
+        pair, u, v = draw
+        # scipy's BLAS norm rescales; np.linalg.norm squares the entries,
+        # which underflows to 0 for entries below about 1e-154
+        scale = scipy.linalg.norm(u) * scipy.linalg.norm(v) / pair.grid.h
+        assert ibp_defect(pair, u, v) <= 1e-12 * scale
 
     def test_boundary_pairing_support(self):
         """T vanishes away from the two boundary-node rows."""
