@@ -145,7 +145,9 @@ def compute_bd_space(pair: GradDivPair, side: str) -> BoundaryDataSpace:
 
     side='G' returns the kernel of 1 - DG on nodes, side='D' the kernel
     of 1 - GD on cells, each with a graph-orthonormal basis found by a
-    singular value decomposition with relative cutoff 1e-8.
+    singular value decomposition with cutoff 1e-8 relative to the largest
+    singular value, or to 1 when that is smaller: the operator contains
+    the identity, and on two cells 1 - GD is zero up to roundoff.
     """
     if side == "G":
         mat = np.eye(pair.n_nodes) - pair.D @ pair.G
@@ -157,7 +159,7 @@ def compute_bd_space(pair: GradDivPair, side: str) -> BoundaryDataSpace:
         raise ValueError(f"side must be 'G' or 'D', got {side!r}")
 
     _, s, vh = np.linalg.svd(mat)
-    smax = s[0] if s[0] > 0 else 1.0
+    smax = max(s[0], 1.0)
     cutoff = KERNEL_CUTOFF * smax
     in_gap = (s >= cutoff) & (s < KERNEL_GAP * cutoff)
     if np.any(in_gap):

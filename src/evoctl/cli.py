@@ -44,7 +44,7 @@ import math
 import os
 import sys as _sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -299,7 +299,10 @@ def _build_control_preset(cfg: RunConfig):
 
 
 def _run_comments(cfg: RunConfig, traj: Trajectory):
-    return _base_comments(cfg) + [f"n_euler_init_steps={traj.n_euler_init_steps}"]
+    """Header of a run's files; the scheme is the trajectory's, which an
+    energy replay takes from the stored file, not from the configuration."""
+    return _base_comments(replace(cfg, scheme=traj.scheme)) + [
+        f"n_euler_init_steps={traj.n_euler_init_steps}"]
 
 
 def _imag_note(states):

@@ -7,7 +7,9 @@ zeta, boundary values w, and an observation y.  The skew coupling
     A = [[0, -F^H, 0], [F, 0, 0], [0, 0, 0]],   F = (-Gmat; Cmat),
 
 pairs v against (zeta, w); the y block carries no dynamics and its rows
-of M1 define the observation algebraically.  All matrices here live in
+of M1 define the observation algebraically.  The caller supplies both
+parts of F: assemble_control requires Gmat, which each preset forms
+from its own operators.  All matrices here live in
 coordinates in which the physical weighted inner products are plain dot
 products, so conjugate transposes realize adjoints and A is exactly
 skew.  Control acts only through the boundary data: the input map is
@@ -175,12 +177,6 @@ class ControlSystem:
         off = self.fine_offsets()
         return slice(off[i], off[i + 1])
 
-    def split_state(self, x):
-        """Split a flat state into (v, zeta, w, y)."""
-        x = np.asarray(x)
-        off = self.fine_offsets()
-        return tuple(x[..., off[i]:off[i + 1]] for i in range(4))
-
     def m1_block(self, i: int, j: int) -> np.ndarray:
         return self.M1[self.fine_slice(i), self.fine_slice(j)]
 
@@ -197,46 +193,30 @@ def assemble_control(
     partition: BlockPartition,
     M0_blocks,
     M1_blocks,
-    pair,
+    Gmat,
     Cmat,
     B_blocks,
     *,
-    Gmat=None,
-    node_basis=None,
-    n_w=None,
+    n_w,
     x0=None,
     geometry=None,
 ) -> ControlSystem:
     """Build a ControlSystem from fine-block data.
 
     M0_blocks and M1_blocks are 4x4 nested lists over (v, zeta, w, y).
-    F's first part defaults to the pair's gradient in length-scaled
-    coordinates (sqrt-weight scaling on both sides), optionally
-    restricted to the columns of node_basis; pass Gmat to override it
-    entirely.  Cmat maps v coordinates to w coordinates (None for no
-    boundary coupling); its dual in these coordinates is the conjugate
-    transpose.  B_blocks = (B0, B1, B2) over the coarse blocks, each
-    optionally None.
+    Gmat is the gradient part of F, an n_zeta x n_h0 matrix in the
+    length-scaled coordinates of the state; presets form it from their
+    own operators.  Cmat maps v coordinates to w coordinates (None for
+    no boundary coupling); its dual in these coordinates is the
+    conjugate transpose.  B_blocks = (B0, B1, B2) over the coarse
+    blocks, each optionally None.
     """
-    n_w = partition.n_y if n_w is None else int(n_w)
+    n_w = int(n_w)
     n_zeta = partition.n_h1 - n_w
     if n_zeta < 0:
         raise ShapeMismatchError("n_w exceeds the middle block size")
     sizes = (partition.n_h0, n_zeta, n_w, partition.n_y)
 
-    if Gmat is None:
-        if pair is None:
-            raise ValueError("either a GradDivPair or an explicit Gmat is required")
-        s0 = np.sqrt(pair.W0)
-        s1 = np.sqrt(pair.W1)
-        Gmat = (pair.G / s0[None, :]) * s1[:, None]
-        if node_basis is not None:
-            node_basis = np.asarray(node_basis, dtype=complex)
-            if node_basis.shape[0] != pair.n_nodes:
-                raise ShapeMismatchError(
-                    f"node_basis must have {pair.n_nodes} rows, got {node_basis.shape}"
-                )
-            Gmat = Gmat @ node_basis
     Gmat = np.asarray(Gmat, dtype=complex)
     if Gmat.shape != (n_zeta, partition.n_h0):
         raise ShapeMismatchError(
@@ -492,7 +472,7 @@ def extract_io(sys: ControlSystem, traj: Trajectory) -> IOSamples:
     )
 
 
-def boundary_equation_defect(sys: ControlSystem, traj: Trajectory, pair=None) -> np.ndarray:
+def boundary_equation_defect(sys: ControlSystem, traj: Trajectory) -> np.ndarray:
     """Norm of the boundary-data constraint on zeta at every grid state.
 
     Evaluates the cell-side boundary coordinates of zeta^k + eta^k,
@@ -501,28 +481,21 @@ def boundary_equation_defect(sys: ControlSystem, traj: Trajectory, pair=None) ->
     assembled to satisfy the constraint; small along trajectories that
     enforce it weakly.
 
-    Needs the physical picture: the grad/div pair plus, from the system
-    geometry, the cell scaling and the physical dual map of the boundary
-    observation.
+    Needs the physical picture from the system geometry: the grad/div
+    pair, its cell-side boundary data space and the physical dual map
+    of the boundary observation.
     """
     geo = sys.geometry or {}
-    pair = pair if pair is not None else geo.get("pair")
-    if pair is None:
+    if any(key not in geo for key in ("pair", "bdD", "Cdual_physical")):
         raise HypothesisViolationError(
-            "boundary equation check needs the grad/div pair (none in geometry)"
+            "boundary equation check needs wave geometry on the system "
+            "(grad/div pair, cell-side boundary space, physical dual map)"
         )
     if sys.n_w == 0 or np.abs(sys.Cmat).max() == 0.0:
         raise HypothesisViolationError(
             "boundary equation check needs a system with boundary coupling"
         )
-    from .bdspace import compute_bd_space
-
-    bdD = geo.get("bdD") or compute_bd_space(pair, "D")
-    Cdual_phys = geo.get("Cdual_physical")
-    if Cdual_phys is None:
-        raise HypothesisViolationError(
-            "geometry lacks the physical dual observation map Cdual_physical"
-        )
+    pair, bdD, Cdual_phys = geo["pair"], geo["bdD"], geo["Cdual_physical"]
     s1 = np.sqrt(pair.W1)
     Dmin = pair.minimal_div()
 

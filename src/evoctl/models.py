@@ -59,12 +59,7 @@ import numpy as np
 
 from .bdspace import build_u_space, compute_bd_space, dot_map, dual_projection
 from .control import BlockPartition, ControlSystem, assemble_control
-from .errors import (
-    HypothesisViolationError,
-    NumericalRankError,
-    PositivityError,
-    ShapeMismatchError,
-)
+from .errors import HypothesisViolationError, PositivityError, ShapeMismatchError
 from .evolution import EvolutionarySystem, TimeGrid, Trajectory, solve
 from .operators import GradDivPair, Grid1D, build_sbp_pair_1d
 
@@ -185,6 +180,11 @@ def build_mixed_type_wave(spec: WaveSpec, indicators) -> ControlSystem:
     derivative, only hyperbolic cells keep theirs, and the complement
     lands in the damping block, so the all-hyperbolic choice yields the
     constant coefficient blocks of the module docstring.
+
+    The gradient part of F is the deflated gradient S1 G S0^-1 V, square
+    and injective on the staggered pair, so its range is the whole cell
+    space: the initial velocity maps to V^H S0 z1 and the initial flux
+    to S1 z0 with nothing projected away.
     """
     grid = spec.grid
     pair = build_sbp_pair_1d(grid)
@@ -240,15 +240,9 @@ def build_mixed_type_wave(spec: WaveSpec, indicators) -> ControlSystem:
     B1 = np.vstack([np.zeros((pair.n_cells, m)), -np.sqrt(2.0) * np.eye(m)])
     B_blocks = (None, B1, -np.eye(m))
 
-    Ghat_defl = ((pair.G / s0[None, :]) * s1[:, None]) @ V
-    Qg, Rg = np.linalg.qr(Ghat_defl)
-    rdiag = np.abs(np.diag(Rg))
-    if rdiag.min() <= 1e-10 * max(1.0, rdiag.max()):
-        raise NumericalRankError(
-            "the deflated gradient lost column rank; cannot project the "
-            "initial flux onto its range"
-        )
-    pi_grad = Qg @ Qg.conj().T
+    # a complex product on purpose: the real one rounds differently in the
+    # last bits, which would change every artifact downstream
+    Gmat = ((pair.G / s0[None, :]) * s1[:, None]) @ V.astype(complex)
 
     z1 = np.zeros(pair.n_nodes) if spec.z1 is None else np.asarray(spec.z1, dtype=complex)
     z0 = np.zeros(pair.n_cells) if spec.z0 is None else np.asarray(spec.z0, dtype=complex)
@@ -258,29 +252,24 @@ def build_mixed_type_wave(spec: WaveSpec, indicators) -> ControlSystem:
         raise ShapeMismatchError(f"z0 must have length {pair.n_cells}, got {z0.shape}")
     x0 = np.concatenate([
         V.conj().T @ (s0 * z1),
-        pi_grad @ (s1 * z0),
+        s1 * z0,
         np.zeros(2 * m),
     ])
 
     partition = BlockPartition(n_h0=n_v, n_h1=pair.n_cells + m, n_y=m, n_u1=m)
     geometry = {
         "pair": pair,
-        "grid": grid,
-        "bdG": bdG,
         "bdD": bdD,
         "S0": s0,
         "S1": s1,
         "node_basis": V,
-        "pi_grad": pi_grad,
         "u_space": uspace,
-        "b_map": b_map,
-        "u_normalizer": L,
         "Cdual_physical": Cdual_physical,
         "region_masks": masks,
     }
     return assemble_control(
-        partition, M0_blocks, M1_blocks, pair, Cmat, B_blocks,
-        node_basis=V, n_w=m, x0=x0, geometry=geometry,
+        partition, M0_blocks, M1_blocks, Gmat, Cmat, B_blocks,
+        n_w=m, x0=x0, geometry=geometry,
     )
 
 
@@ -536,20 +525,14 @@ def build_port_hamiltonian(spec: PortHamiltonianSpec) -> ControlSystem:
     partition = BlockPartition(n_h0=ell * nc, n_h1=ell * nn, n_y=n, n_u1=n)
     geometry = {
         "pair": pair,
-        "grid": grid,
         "S0": s0,
-        "S1": s1,
-        "ell": ell,
-        "Nmat": N,
         "endpoint_sampler": E,
-        "boundary_sampler": Cport,
         "M32": M32,
         "M33": M33,
     }
     return assemble_control(
-        partition, M0_blocks, M1_blocks, None, None,
-        (None, E.conj().T @ B1, B2),
-        Gmat=Gmat, n_w=0, x0=x0, geometry=geometry,
+        partition, M0_blocks, M1_blocks, Gmat, None,
+        (None, E.conj().T @ B1, B2), n_w=0, x0=x0, geometry=geometry,
     )
 
 

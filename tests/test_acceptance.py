@@ -310,7 +310,7 @@ class TestAcceptance:
         B1 = np.linalg.solve(Myy, M1[off[3]:, off[1]:off[3]]).conj().T @ B2
         sys = assemble_control(
             BlockPartition(sizes[0], sizes[1] + sizes[2], sizes[3], n_u1),
-            M0b, M1b, pair=None, Cmat=cplx(rng, sizes[2], sizes[0]),
+            M0b, M1b, Cmat=cplx(rng, sizes[2], sizes[0]),
             B_blocks=(B0, B1, B2), Gmat=cplx(rng, sizes[1], sizes[0]),
             n_w=sizes[2],
         )

@@ -3,6 +3,10 @@ projections, the auxiliary control space, and the Green identity."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from evoctl.bdspace import (
     GraphInnerProduct,
@@ -15,6 +19,29 @@ from evoctl.bdspace import (
 )
 from evoctl.errors import PositivityError, ShapeMismatchError
 from evoctl.operators import Grid1D, build_sbp_pair_1d
+
+
+@st.composite
+def random_grids(draw):
+    """A grid on a random [a, a + length] with 2 to 64 cells."""
+    a = draw(st.floats(-10.0, 10.0))
+    length = draw(st.floats(1e-2, 100.0))
+    return Grid1D(a, a + length, draw(st.integers(2, 64)))
+
+
+@st.composite
+def green_pairs(draw):
+    """(pair, x, y, x2, y2): a pair on a random grid with complex node
+    vectors x, x2 and cell vectors y, y2."""
+    pair = build_sbp_pair_1d(draw(random_grids()))
+    entries = st.floats(-1.0, 1.0)
+
+    def cplx(n):
+        return draw(hnp.arrays(float, n, elements=entries)) \
+            + 1j * draw(hnp.arrays(float, n, elements=entries))
+
+    return (pair, cplx(pair.n_nodes), cplx(pair.n_cells),
+            cplx(pair.n_nodes), cplx(pair.n_cells))
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +59,14 @@ class TestComputeBdSpace:
     @pytest.mark.parametrize("side", ["G", "D"])
     def test_dimension_is_two(self, n, side):
         pair = build_sbp_pair_1d(Grid1D(0.0, 1.0, n))
+        assert compute_bd_space(pair, side).dim == 2
+
+    @pytest.mark.parametrize("length", [3.0, 0.01, 100.0])
+    @pytest.mark.parametrize("side", ["G", "D"])
+    def test_two_cells_give_two_dimensions(self, length, side):
+        """On two cells 1 - GD vanishes up to roundoff; the cutoff must not
+        scale with that roundoff."""
+        pair = build_sbp_pair_1d(Grid1D(0.0, length, 2))
         assert compute_bd_space(pair, side).dim == 2
 
     def test_basis_in_kernel(self, pair16, spaces16):
@@ -136,6 +171,19 @@ class TestDotMap:
         v = bdD.embedding @ (Q @ bdG.project(even))
         assert np.max(np.abs(flip_cells @ v + v)) < 1e-10, "transported vector is not odd"
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(random_grids())
+    def test_random_grids_transport_unitarily(self, grid):
+        """Both spaces are two-dimensional and the transport is unitary to
+        roundoff relative to max(1, h^-2), the scale of 1 - DG."""
+        pair = build_sbp_pair_1d(grid)
+        bdG = compute_bd_space(pair, "G")
+        bdD = compute_bd_space(pair, "D")
+        assert bdG.dim == bdD.dim == 2
+        Q = dot_map(bdG, bdD, pair)
+        err = np.abs(Q.conj().T @ Q - np.eye(2)).max()
+        assert err <= 1e-12 * max(1.0, grid.h ** -2), f"unitarity defect: {err:.2e}"
+
     def test_same_side_rejected(self, pair16, spaces16):
         bdG, _ = spaces16
         with pytest.raises(ValueError):
@@ -239,6 +287,17 @@ class TestGreenIdentity:
             y, y2 = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
             worst = max(worst, boundary_triple_defect(pair16, x, y, x2, y2, bdG, bdD))
         assert worst < 1e-10, f"Green identity defect: {worst:.2e}"
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(green_pairs())
+    def test_random_grids_stay_at_roundoff(self, draw):
+        """The identity holds to roundoff relative to
+        (|x| + |y|)(|x2| + |y2|) / h on any interval and cell count."""
+        pair, x, y, x2, y2 = draw
+        # scipy's BLAS norm rescales instead of underflowing like np.linalg.norm
+        norm = scipy.linalg.norm
+        scale = (norm(x) + norm(y)) * (norm(x2) + norm(y2)) / pair.grid.h
+        assert boundary_triple_defect(pair, x, y, x2, y2) <= 1e-12 * scale
 
     def test_zero_boundary_states(self, pair16, spaces16):
         """Interior-supported states make both sides vanish."""

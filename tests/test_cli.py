@@ -358,3 +358,17 @@ class TestEnergy:
                  if line == "# n_euler_init_steps=1\n" else line for line in lines]
         assert self.replay(tmp_path, lines) == 2
         assert "n_euler_init_steps=1" in capsys.readouterr().err
+
+    def test_replay_header_names_the_stored_scheme(self, tmp_path):
+        """A backward Euler trajectory replayed under the default
+        (midpoint) configuration is labelled with the scheme it replayed."""
+        sim = tmp_path / "sim"
+        assert run(sim, "simulate", "--set", "scheme=backward_euler",
+                   "--set", "time.n_steps=20") == 0
+        replay = tmp_path / "replay"
+        assert run(replay, "energy", "--set", "time.n_steps=20",
+                   "--trajectory", str(sim / "trajectory.csv")) == 0
+        comments = read_table(replay / "ledger.csv")[0]
+        assert "scheme=backward_euler" in comments
+        assert "scheme=implicit_midpoint" not in comments
+        assert "n_euler_init_steps=0" in comments

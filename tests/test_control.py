@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import qr
 
 from evoctl.bdspace import compute_bd_space, dual_projection
 from evoctl.control import (
@@ -45,7 +46,7 @@ def wave_example_system(g=1.3, c=0.7):
     M1b[3][2] = RT2
     M1b[3][3] = 1.0
     return assemble_control(
-        part, M0b, M1b, pair=None, Cmat=np.array([[c]], dtype=complex),
+        part, M0b, M1b, Cmat=np.array([[c]], dtype=complex),
         B_blocks=(None, np.array([[0.0], [-RT2]]), np.array([[-1.0]])),
         Gmat=np.array([[g]], dtype=complex), n_w=1,
     )
@@ -78,7 +79,7 @@ def random_compatible_system(rng, n_h0=4, n_zeta=3, n_w=2, n_y=2, n_u1=2):
     B0 = np.linalg.solve(Myy, My0).conj().T @ B2
     B1 = np.linalg.solve(Myy, My1).conj().T @ B2
     return assemble_control(
-        part, M0b, M1b, pair=None, Cmat=cplx(n_w, n_h0),
+        part, M0b, M1b, Cmat=cplx(n_w, n_h0),
         B_blocks=(B0, B1, B2), Gmat=cplx(n_zeta, n_h0), n_w=n_w,
     )
 
@@ -124,8 +125,8 @@ class TestAssembleControl:
         assert np.abs(sys.A + sys.A.conj().T).max() == 0.0
         assert np.abs(sys.A[p.sl_y, :]).max() == 0.0
 
-    def test_default_gradient_is_length_scaled(self):
-        """Omitting Gmat uses the pair's gradient scaled by sqrt weights."""
+    def test_omitted_coupling_is_zero(self):
+        """Cmat None means no boundary coupling: a zero n_w x n_h0 block."""
         pair = build_sbp_pair_1d(Grid1D(0.0, 1.0, 8))
         n_nodes, n_cells = pair.n_nodes, pair.grid.n_cells
         part = BlockPartition(n_h0=n_nodes, n_h1=n_cells + 2, n_y=2, n_u1=2)
@@ -135,31 +136,10 @@ class TestAssembleControl:
         M1b = empty_blocks()
         M1b[2][2] = 1.0
         M1b[3][3] = 1.0
-        sys = assemble_control(part, M0b, M1b, pair, None, (None, None, None), n_w=2)
-        expected = (pair.G / np.sqrt(pair.W0)[None, :]) * np.sqrt(pair.W1)[:, None]
-        err = np.abs(sys.Gmat - expected).max()
-        assert err == 0.0, f"default gradient part is off by {err:.2e}"
+        ghat = (pair.G / np.sqrt(pair.W0)[None, :]) * np.sqrt(pair.W1)[:, None]
+        sys = assemble_control(part, M0b, M1b, ghat, None, (None, None, None), n_w=2)
         assert np.abs(sys.Cmat).max() == 0.0
         assert sys.Cdual.shape == (n_nodes, 2)
-
-    def test_node_basis_restricts_columns(self):
-        """A node basis restricts the gradient part to its column span."""
-        rng = np.random.default_rng(3)
-        pair = build_sbp_pair_1d(Grid1D(0.0, 1.0, 8))
-        V = np.linalg.qr(rng.standard_normal((pair.n_nodes, 5)))[0]
-        part = BlockPartition(n_h0=5, n_h1=pair.grid.n_cells + 1, n_y=1, n_u1=1)
-        M0b = empty_blocks()
-        M0b[0][0] = 1.0
-        M0b[1][1] = 1.0
-        M1b = empty_blocks()
-        M1b[2][2] = 1.0
-        M1b[3][3] = 1.0
-        sys = assemble_control(
-            part, M0b, M1b, pair, None, (None, None, None), node_basis=V, n_w=1
-        )
-        ghat = (pair.G / np.sqrt(pair.W0)[None, :]) * np.sqrt(pair.W1)[:, None]
-        err = np.abs(sys.Gmat - ghat @ V).max()
-        assert err < 1e-14, f"restricted gradient part is off by {err:.2e}"
 
     def test_rejects_non_hermitian_mass(self):
         M0b = empty_blocks()
@@ -169,8 +149,8 @@ class TestAssembleControl:
         M1b[3][3] = 1.0
         part = BlockPartition(n_h0=1, n_h1=3, n_y=1, n_u1=1)
         with pytest.raises(HypothesisViolationError, match="Hermitian"):
-            assemble_control(part, M0b, M1b, None, None, (None, None, None),
-                             Gmat=np.zeros((2, 1)), n_w=1)
+            assemble_control(part, M0b, M1b, np.zeros((2, 1)), None,
+                             (None, None, None), n_w=1)
 
     def test_rejects_wrong_coupling_shape(self):
         part = BlockPartition(n_h0=2, n_h1=3, n_y=1, n_u1=1)
@@ -178,13 +158,7 @@ class TestAssembleControl:
         M1b = empty_blocks()
         M1b[3][3] = 1.0
         with pytest.raises(ShapeMismatchError):
-            assemble_control(part, M0b, M1b, None, np.zeros((3, 2)),
-                             (None, None, None), Gmat=np.zeros((2, 2)), n_w=1)
-
-    def test_requires_pair_or_explicit_gradient(self):
-        part = BlockPartition(n_h0=1, n_h1=2, n_y=1, n_u1=1)
-        with pytest.raises(ValueError):
-            assemble_control(part, empty_blocks(), empty_blocks(), None, None,
+            assemble_control(part, M0b, M1b, np.zeros((2, 2)), np.zeros((3, 2)),
                              (None, None, None), n_w=1)
 
     def test_drive_rejects_a_control_of_the_wrong_length(self):
@@ -243,8 +217,7 @@ class TestCheckCompatibility:
              [None] * 4, [None] * 4],
             [[None] * 4, [None] * 4,
              [None, None, 1.0, None], [None, None, RT2, 1.0]],
-            None, sys.Cmat, (None, None, np.array([[-1.0]])),
-            Gmat=sys.Gmat, n_w=1,
+            sys.Gmat, sys.Cmat, (None, None, np.array([[-1.0]])), n_w=1,
         )
         d0, d1 = check_compatibility(broken)
         assert d0 == 0.0
@@ -261,8 +234,7 @@ class TestCheckCompatibility:
         M1b[3][2] = RT2
         M1b[3][3] = 1.0
         sys = assemble_control(
-            part, M0b, M1b, None, None, (None, None, -np.eye(2)),
-            Gmat=np.zeros((1, 2)), n_w=2,
+            part, M0b, M1b, np.zeros((1, 2)), None, (None, None, -np.eye(2)), n_w=2,
         )
         d0, d1 = check_compatibility(sys)
         assert d0 == 0.0
@@ -284,13 +256,12 @@ class TestCheckCompatibility:
              for i in range(4)],
             [[sys.M1[sys.fine_slice(i), sys.fine_slice(j)] for j in range(4)]
              for i in range(4)],
-            None, sys.Cmat,
+            sys.Gmat, sys.Cmat,
             (sys.B0 + rng.standard_normal(sys.B0.shape), sys.B1, sys.B2),
-            Gmat=sys.Gmat, n_w=sys.n_w,
+            n_w=sys.n_w,
         )
         d0, d1 = check_compatibility(broken)
-        U = np.linalg.qr(rng.standard_normal((2, 2))
-                         + 1j * rng.standard_normal((2, 2)))[0]
+        U = qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
         M1r = [[broken.M1[broken.fine_slice(i), broken.fine_slice(j)]
                 for j in range(4)] for i in range(4)]
         for j in range(3):
@@ -302,9 +273,9 @@ class TestCheckCompatibility:
             broken.partition,
             [[broken.M0[broken.fine_slice(i), broken.fine_slice(j)]
               for j in range(4)] for i in range(4)],
-            M1r, None, broken.Cmat,
+            M1r, broken.Gmat, broken.Cmat,
             (broken.B0, broken.B1, U.conj().T @ broken.B2),
-            Gmat=broken.Gmat, n_w=broken.n_w,
+            n_w=broken.n_w,
         )
         r0, r1 = check_compatibility(rotated)
         assert abs(r0 - d0) < 1e-11, f"rotation moved first defect by {abs(r0 - d0):.2e}"
@@ -315,8 +286,8 @@ class TestCheckCompatibility:
         M1b = empty_blocks()
         M1b[2][2] = 1.0
         M1b[3][3] = 0.0
-        sys = assemble_control(part, empty_blocks(), M1b, None, None,
-                               (None, None, None), Gmat=np.zeros((1, 1)), n_w=1)
+        sys = assemble_control(part, empty_blocks(), M1b, np.zeros((1, 1)), None,
+                               (None, None, None), n_w=1)
         with pytest.raises(HypothesisViolationError, match="not invertible"):
             check_compatibility(sys)
 
@@ -442,8 +413,8 @@ class TestEnergyLedger:
         M1b[3][3] = 1.0j
         rng = np.random.default_rng(34)
         sys = assemble_control(
-            part, M0b, M1b, None, rng.standard_normal((1, 2)),
-            (None, None, np.array([[1.0]])),
+            part, M0b, M1b, Cmat=rng.standard_normal((1, 2)),
+            B_blocks=(None, None, np.array([[1.0]])),
             Gmat=rng.standard_normal((2, 2)), n_w=1,
         )
         grid = TimeGrid(t_end=1.0, n_steps=20)
@@ -465,8 +436,8 @@ class TestEnergyLedger:
         M1b = empty_blocks()
         M1b[2][2] = 1.0
         M1b[3][3] = 1.0
-        sys = assemble_control(part, M0b, M1b, None, None, (None, None, None),
-                               Gmat=np.zeros((1, 1)), n_w=1)
+        sys = assemble_control(part, M0b, M1b, np.zeros((1, 1)), None,
+                               (None, None, None), n_w=1)
         grid = TimeGrid(t_end=1.0, n_steps=2)
         traj = Trajectory(grid=grid, states=np.zeros((3, 4), dtype=complex),
                           inputs=np.zeros((2, 1), dtype=complex),
@@ -482,8 +453,8 @@ class TestEnergyLedger:
              [None] * 4, [None] * 4],
             [[None] * 4, [None] * 4,
              [None, None, 1.0, None], [None, None, RT2, 1.0]],
-            None, sys.Cmat,
-            (np.array([[0.5]]), sys.B1, sys.B2), Gmat=sys.Gmat, n_w=1,
+            sys.Gmat, sys.Cmat,
+            (np.array([[0.5]]), sys.B1, sys.B2), n_w=1,
         )
         grid = TimeGrid(t_end=1.0, n_steps=2)
         traj = Trajectory(grid=grid, states=np.zeros((3, 4), dtype=complex),
@@ -585,8 +556,8 @@ class TestExtractIO:
         M1b[3][2] = RT2
         M1b[3][3] = 1.0
         rng = np.random.default_rng(45)
-        sys = assemble_control(part, M0b, M1b, None, None, (None, None, None),
-                               Gmat=rng.standard_normal((2, 2)), n_w=1)
+        sys = assemble_control(part, M0b, M1b, rng.standard_normal((2, 2)), None,
+                               (None, None, None), n_w=1)
         grid = TimeGrid(t_end=1.0, n_steps=6)
         x0 = np.zeros(sys.dim, dtype=complex)
         x0[:2] = rng.standard_normal(2)
@@ -603,8 +574,8 @@ class TestExtractIO:
         M1b = empty_blocks()
         M1b[2][2] = 1.0
         M1b[3][3] = 1.0
-        sys = assemble_control(part, M0b, M1b, None, None, (None, None, None),
-                               Gmat=np.zeros((1, 1)), n_w=1)
+        sys = assemble_control(part, M0b, M1b, np.zeros((1, 1)), None,
+                               (None, None, None), n_w=1)
         grid = TimeGrid(t_end=1.0, n_steps=2)
         traj = Trajectory(grid=grid, states=np.zeros((3, 4), dtype=complex),
                           inputs=np.zeros((2, 1), dtype=complex),
@@ -634,9 +605,10 @@ class TestBoundaryEquationDefect:
         M1b[3][2] = RT2
         M1b[3][3] = 1.0
         cmat = -bdG.projector @ np.diag(1.0 / np.sqrt(pair.W0)) if couple else None
+        ghat = (pair.G / np.sqrt(pair.W0)[None, :]) * np.sqrt(pair.W1)[:, None]
         B1 = np.vstack([np.zeros((n_cells, 2)), -RT2 * np.eye(2)])
         return assemble_control(
-            part, M0b, M1b, pair, cmat, (None, B1, -np.eye(2)), n_w=2,
+            part, M0b, M1b, ghat, cmat, (None, B1, -np.eye(2)), n_w=2,
             geometry={"pair": pair, "bdD": bdD, "Cdual_physical": cdual_phys},
         )
 

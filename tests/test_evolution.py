@@ -230,6 +230,16 @@ class TestSolve:
         with pytest.raises(StepSingularityError), pytest.warns(RuntimeWarning):
             solve(sys, np.zeros(1), None, grid, "backward_euler")
 
+    def test_ill_conditioned_step_matrix_raises(self):
+        """Nonzero pivots do not suffice: a 1-norm condition estimate
+        above 1e14 refuses the step matrix and reports the estimate."""
+        sys = EvolutionarySystem(M0=np.diag([1.0, 1e-17]), M1=np.zeros((2, 2)),
+                                 A=np.zeros((2, 2)), J=np.eye(2))
+        grid = TimeGrid(t_end=1.0, n_steps=4)
+        with pytest.raises(StepSingularityError, match="numerically singular") as exc:
+            solve(sys, np.zeros(2), None, grid, "backward_euler")
+        assert exc.value.cond_estimate == pytest.approx(1e17)
+
     def test_unknown_scheme_rejected(self):
         sys = EvolutionarySystem(M0=np.eye(1), M1=np.eye(1), A=np.zeros((1, 1)), J=np.eye(1))
         with pytest.raises(ValueError):
@@ -278,6 +288,27 @@ class TestCausality:
         with pytest.raises(HypothesisViolationError, match="differ at sample"):
             causality_defect(sys, f1, f2, 0.5, grid, "backward_euler")
 
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 3),
+           n_steps=st.integers(1, 30), data=st.data(),
+           scheme=st.sampled_from(["backward_euler", "implicit_midpoint"]))
+    def test_random_systems_ignore_inputs_after_a(self, seed, n, m, n_steps, data, scheme):
+        """On random systems, singular masses included, inputs that agree
+        up to a grid time a give the same states up to a."""
+        rng = np.random.default_rng(seed)
+        M0 = np.diag((rng.random(n) < 0.7) * rng.uniform(0.5, 2.0, n))
+        M1 = np.eye(n) + 0.1 * rng.standard_normal((n, n))
+        J = rng.standard_normal((n, m))
+        sys = EvolutionarySystem(M0=M0, M1=M1, A=random_skew(rng, n), J=J)
+        grid = TimeGrid(t_end=1.0, n_steps=n_steps)
+        a = grid.times()[data.draw(st.integers(0, n_steps))]
+        c, bump = rng.standard_normal((2, m))
+        f1 = lambda t: np.cos(3.0 * t) * c
+        f2 = lambda t: f1(t) + (t > a + 1e-9 * grid.tau) * bump
+        x0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        defect = causality_defect(sys, f1, f2, a, grid, scheme, x0)
+        assert defect <= 1e-12, f"causality defect {defect:.2e}"
 
     def test_singular_mass_checks_the_euler_start_up_sample(self):
         """A midpoint run on singular M0 samples its first step at t_1,

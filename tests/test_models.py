@@ -168,6 +168,14 @@ class TestWaveBuilder:
         err = np.abs(sys.Cmat.conj().T - chain).max()
         assert err < 1e-12, f"dual coupling chain broken: {err:.2e}"
 
+    def test_gradient_part_is_the_deflated_gradient(self):
+        """Gmat is the complex product S1 G S0^-1 V, bit for bit."""
+        sys = wave_system(n_cells=192)
+        geo = sys.geometry
+        pair, V = geo["pair"], geo["node_basis"]
+        ghat = (pair.G / geo["S0"][None, :]) * geo["S1"][:, None]
+        assert np.array_equal(sys.Gmat, ghat @ np.asarray(V, dtype=complex))
+
     def test_dual_coupling_supported_on_boundary(self):
         """The physical dual coupling vanishes at interior nodes."""
         sys = wave_system()

@@ -1,0 +1,90 @@
+"""Parity matrix of the evoctl command line: run a fixed set of CLI
+invocations and keep everything they produce, so that two checkouts can
+be compared byte for byte.
+
+    python tools/parity.py OUTDIR
+
+Each case runs `python -m evoctl.cli` in a fresh process against the
+src/ of the checkout that holds this file, with one BLAS thread and the
+default sampling seed, and writes its artifacts to its own directory
+under OUTDIR beside stdout.txt, stderr.txt and exit_code.txt.  In the
+captured streams the paths of OUTDIR and of the checkout read <outdir>
+and <checkout>.  Two checkouts agree when `diff -r` of their output
+directories is empty.
+
+The matrix: every preset under both schemes with a sinusoid input at
+frequency 3 and a sine initial profile (n_cells 24, 16 for the
+port-Hamiltonian chain), an energy replay of each control preset's run,
+wellposed for each preset, and the benchmark's cubic-wave and
+long-horizon configurations (perfbench/workloads.py) at input frequency
+3 and initial mode 2.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import invocations  # noqa: E402
+
+PRESETS = {"wave-wt": 24, "wave-mixed": 24, "port-hamiltonian": 16, "maxwell-lift-1d": 24}
+CONTROL_PRESETS = ("wave-wt", "wave-mixed", "port-hamiltonian")
+SCHEMES = ("backward_euler", "implicit_midpoint")
+WORKLOAD_PARAMS = {"freq": 3.0, "mode": 2}
+
+
+def _sets(*pairs):
+    return [arg for key, value in pairs for arg in ("--set", f"{key}={value}")]
+
+
+def matrix(out: Path) -> list:
+    """(outdir, argv) of every case in run order; each argv sets its outdir
+    and a replay follows the run it replays."""
+    cases = []
+    for preset, n_cells in PRESETS.items():
+        grid = (("preset", preset), ("grid.n_cells", n_cells))
+        case = out / f"wellposed-{preset}"
+        cases.append((case, ["wellposed", *_sets(*grid, ("outdir", case))]))
+        for scheme in SCHEMES:
+            common = _sets(*grid, ("scheme", scheme), ("input.kind", "sinusoid"),
+                           ("input.freq", 3), ("initial.kind", "sine"))
+            sim = out / f"simulate-{preset}-{scheme}"
+            cases.append((sim, ["simulate", *common, *_sets(("outdir", sim))]))
+            if preset in CONTROL_PRESETS:
+                case = out / f"energy-{preset}-{scheme}"
+                cases.append((case, ["energy", *common, *_sets(("outdir", case)),
+                                     "--trajectory", str(sim / "trajectory.csv")]))
+    for workload in ("cubic-wave", "long-horizon"):
+        cases += [(inv.outdir, list(inv.argv))
+                  for inv in invocations(workload, WORKLOAD_PARAMS, out / workload)]
+    return cases
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("outdir", type=Path, help="new or empty output directory")
+    out = parser.parse_args(argv).outdir.resolve()
+    if out.exists() and any(out.iterdir()):
+        print(f"{out} is not empty; stale artifacts would enter the comparison",
+              file=sys.stderr)
+        return 2
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("EVOCTL_SEED", None)
+    for case, args in matrix(out):
+        case.mkdir(parents=True, exist_ok=True)
+        proc = subprocess.run([sys.executable, "-m", "evoctl.cli", *args], env=env,
+                              capture_output=True, text=True)
+        for name, text in (("stdout.txt", proc.stdout), ("stderr.txt", proc.stderr)):
+            text = text.replace(str(out), "<outdir>").replace(str(ROOT), "<checkout>")
+            (case / name).write_text(text, encoding="utf-8")
+        (case / "exit_code.txt").write_text(f"{proc.returncode}\n", encoding="utf-8")
+        print(f"{case.relative_to(out)}: exit {proc.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
