@@ -417,10 +417,8 @@ def _simulate_maxwell(cfg: RunConfig, outdir: Path) -> int:
               ((times[k], *direct.states[k].real) for k in range(cfg.n_steps + 1)))
 
     nn = pair.n_nodes
-    io_rows = []
-    for (k, theta, x), t_s in zip(direct.steps(), direct.sample_times()):
-        u_s = (1.0 - theta) * u_samples[k] + theta * u_samples[k + 1]
-        io_rows.append((t_s, *u_s, *bdD.project(x[nn:]).real))
+    io_rows = [(t_s, *direct.inputs[k].real, *bdD.project(x[nn:]).real)
+               for (k, _, x), t_s in zip(direct.steps(), direct.sample_times())]
     io_columns = ("t",) + tuple(f"u{i}" for i in range(bdD.dim)) \
         + tuple(f"y{i}" for i in range(bdD.dim))
     write_csv(outdir / "io.csv", comments, io_columns, io_rows)
@@ -642,10 +640,7 @@ def main(argv=None) -> int:
         if args.command == "bdspace":
             return cmd_bdspace(cfg, outdir)
         return cmd_energy(cfg, outdir, args.trajectory)
-    except EvoctlError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (EvoctlError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
 

@@ -71,6 +71,10 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_end, self.n_steps + 1)
 
+    def sample_times(self, theta) -> np.ndarray:
+        """Time t_k + theta_k tau at which step k samples its source."""
+        return self.times()[:-1] + theta * self.tau
+
 
 def _as_square(name, mat, n=None):
     mat = np.asarray(mat, dtype=complex)
@@ -159,8 +163,8 @@ class Trajectory:
         return _theta(self.scheme, self.grid.n_steps, self.n_euler_init_steps)
 
     def sample_times(self) -> np.ndarray:
-        """Time t_k + theta_k tau at which step k samples its source."""
-        return self.grid.times()[:-1] + self.theta * self.grid.tau
+        """Time at which each step samples its source."""
+        return self.grid.sample_times(self.theta)
 
     def steps(self):
         """Yield (k, theta_k, x_theta) per step, where the algebraic rows
@@ -319,7 +323,7 @@ def causality_defect(sys, f1, f2, a: float, grid: TimeGrid, scheme: str, x0=None
     """
     m = sys.n_inputs
     theta = theta_schedule(sys.M0, scheme, grid.n_steps)
-    for t in grid.times()[:-1] + theta * grid.tau:
+    for t in grid.sample_times(theta):
         if t <= a + 1e-12 * max(1.0, a):
             v1 = _sample(f1, t, m)
             v2 = _sample(f2, t, m)

@@ -45,8 +45,9 @@ prescribed in cell-side boundary coordinates.  Two treatments of the
 inhomogeneous data are integrated side by side: shifting H by the
 boundary representative (volume sources, one carrying a time
 derivative) and keeping the data in the divergence rows through the
-boundary pairing.  They agree exactly for constant data and to first
-order in the step size otherwise.
+boundary pairing.  Each step takes the shift at the theta-average
+u_theta of the data and its derivative as the step's difference
+quotient, so the two routes agree to roundoff under both schemes.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ import numpy as np
 from .bdspace import build_u_space, compute_bd_space, dot_map, dual_projection
 from .control import BlockPartition, ControlSystem, assemble_control
 from .errors import HypothesisViolationError, PositivityError, ShapeMismatchError
-from .evolution import EvolutionarySystem, TimeGrid, Trajectory, solve
+from .evolution import EvolutionarySystem, TimeGrid, Trajectory, solve, theta_schedule
 from .operators import GradDivPair, Grid1D, build_sbp_pair_1d
 
 REGION_LABELS = ("hyperbolic", "parabolic", "elliptic")
@@ -636,15 +637,16 @@ def maxwell_lift_solve(pair, eps, mu, u_bd, x0, grid, scheme) -> MaxwellLiftResu
     State (E, H) on (nodes, cells) with A = [[0, -Ghat^H], [Ghat, 0]] in
     length-scaled coordinates and M0 = diag(eps, mu); u_bd holds samples
     of the boundary data of H in cell-side boundary coordinates, one row
-    per grid time.  The lifted route substitutes H = Htilde + P u with P
-    the boundary representative, producing the sources -Dhat P u on the
-    E-rows and -mu P du/dt on the H-rows (the derivative sampled by
-    centered differences from the given data); the direct route keeps
-    the data in the divergence rows through the boundary pairing part
-    Theta = Dhat + Ghat^H.  Both come back in physical units with the
-    lift undone.  Zero data gives identical runs, constant data agrees
-    to roundoff, and time-varying data to first order in the step size
-    under backward Euler.
+    per grid time.  Step k of the theta-method sees the data as
+    u_theta = (1 - theta_k) u^k + theta_k u^{k+1} and its change as
+    du = (u^{k+1} - u^k) / tau.  The lifted route substitutes
+    H = Htilde + P u with P the boundary representative, producing the
+    sources -Dhat P u_theta on the E-rows and -mu P du on the H-rows; the
+    direct route keeps the data in the divergence rows through the
+    boundary pairing part Theta = Dhat + Ghat^H.  With the shift taken at
+    the step's own u_theta and du, the theta-step commutes with it, so the
+    routes agree to roundoff under both schemes.  Both come back in
+    physical units with the lift undone, their inputs holding u_theta.
     """
     nn, nc = pair.n_nodes, pair.n_cells
     s0 = np.sqrt(pair.W0)
@@ -654,7 +656,6 @@ def maxwell_lift_solve(pair, eps, mu, u_bd, x0, grid, scheme) -> MaxwellLiftResu
 
     bdD = compute_bd_space(pair, "D")
     m = bdD.dim
-    tau = grid.tau
     n_steps = grid.n_steps
     if u_bd is None:
         u = np.zeros((n_steps + 1, m), dtype=complex)
@@ -665,7 +666,6 @@ def maxwell_lift_solve(pair, eps, mu, u_bd, x0, grid, scheme) -> MaxwellLiftResu
                 f"u_bd must be ({n_steps + 1}, {m}) samples on the time grid, "
                 f"got {u.shape}"
             )
-    du = np.gradient(u, tau, axis=0, edge_order=2 if n_steps >= 2 else 1)
 
     lift = s1[:, None] * bdD.basis
     Ghat = (pair.G / s0[None, :]) * s1[:, None]
@@ -679,21 +679,17 @@ def maxwell_lift_solve(pair, eps, mu, u_bd, x0, grid, scheme) -> MaxwellLiftResu
     sys = EvolutionarySystem(M0=M0, M1=np.zeros((nn + nc, nn + nc)), A=A,
                              J=np.eye(nn + nc))
 
-    def sample(t):
-        s = t / tau
-        j = int(round(s))
-        if abs(s - j) <= 1e-9 and 0 <= j <= n_steps:
-            return u[j], du[j]
-        k = min(max(int(np.floor(s)), 0), n_steps - 1)
-        return 0.5 * (u[k] + u[k + 1]), (u[k + 1] - u[k]) / tau
+    theta = theta_schedule(M0, scheme, n_steps)
+    step_of = {t: k for k, t in enumerate(grid.sample_times(theta))}
+    u_theta = (1.0 - theta)[:, None] * u[:-1] + theta[:, None] * u[1:]
+    du = (u[1:] - u[:-1]) / grid.tau
 
     def f_lifted(t):
-        ut, dut = sample(t)
-        return np.concatenate([-(Dhat @ (lift @ ut)), -mu_d * (lift @ dut)])
+        k = step_of[t]
+        return np.concatenate([-(Dhat @ (lift @ u_theta[k])), -mu_d * (lift @ du[k])])
 
     def f_direct(t):
-        ut, _ = sample(t)
-        return np.concatenate([-(Theta @ (lift @ ut)), np.zeros(nc)])
+        return np.concatenate([-(Theta @ (lift @ u_theta[step_of[t]])), np.zeros(nc)])
 
     E0, H0 = _initial_fields(x0, nn, nc)
     x_direct = np.concatenate([s0 * E0, s1 * H0])
@@ -708,10 +704,7 @@ def maxwell_lift_solve(pair, eps, mu, u_bd, x0, grid, scheme) -> MaxwellLiftResu
             states[:, nn:] += (lift @ u.T).T
         states[:, :nn] /= s0
         states[:, nn:] /= s1
-        inputs = raw.inputs.copy()
-        inputs[:, :nn] /= s0
-        inputs[:, nn:] /= s1
-        return replace(raw, states=states, inputs=inputs)
+        return replace(raw, states=states, inputs=u_theta)
 
     return MaxwellLiftResult(lifted=physical(raw_lifted, True),
                              direct=physical(raw_direct, False))

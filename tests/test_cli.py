@@ -242,15 +242,25 @@ class TestSimulate:
         gap = rows[:, header.index("defect")].max()
         assert gap < 1e-9, f"route gap under the midpoint rule: {gap:.2e}"
 
-    def test_maxwell_euler_gap_exceeds_default_tolerance(self, tmp_path):
-        """Backward Euler separates the routes at first order in tau."""
+    def test_maxwell_euler_routes_agree(self, tmp_path):
+        """Under backward Euler the lifted and direct routes coincide too."""
         code = run(tmp_path, "simulate", "--set", "preset=maxwell-lift-1d",
                    "--set", "scheme=backward_euler",
                    "--set", "input.kind=sinusoid", "--set", "input.component=1",
                    "--set", "time.n_steps=50")
-        assert code == 1
+        assert code == 0
         _, header, rows = read_table(tmp_path / "ledger.csv")
-        assert rows[:, header.index("defect")].max() > 1e-6
+        gap = rows[:, header.index("defect")].max()
+        assert gap <= 1e-12, f"route gap under backward Euler: {gap:.2e}"
+
+    def test_out_of_memory_is_a_configuration_error(self, tmp_path, monkeypatch, capsys):
+        """A run too large to allocate exits 2 with a message, not a traceback."""
+        def allocate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 TiB for an array")
+
+        monkeypatch.setattr("evoctl.cli.drive", allocate)
+        assert run(tmp_path, "simulate", "--set", "time.n_steps=1e9") == 2
+        assert "error: Unable to allocate" in capsys.readouterr().err
 
 
 class TestBdspace:

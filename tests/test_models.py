@@ -15,6 +15,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from evoctl.control import check_compatibility, energy_ledger, extract_io
 from evoctl.errors import (
@@ -22,7 +25,7 @@ from evoctl.errors import (
     PositivityError,
     ShapeMismatchError,
 )
-from evoctl.evolution import TimeGrid, check_wellposed
+from evoctl.evolution import SCHEMES, TimeGrid, check_wellposed
 from evoctl.models import (
     MaxwellLiftResult,
     PortHamiltonianSpec,
@@ -50,6 +53,20 @@ def wave_system(n_cells=24, **kwargs):
 
 def two_tone(t):
     return np.array([np.sin(2.1 * t), 0.4 * np.cos(1.3 * t)])
+
+
+@st.composite
+def lift_draws(draw):
+    """(pair, u, x0, grid, scheme) for a Maxwell run: 2 to 64 cells on an
+    interval of length 0.01 to 100, 1 to 50 steps up to t_end 10,
+    boundary data in [-1, 1] and standard normal initial fields."""
+    length = draw(st.floats(1e-2, 100.0))
+    pair = build_sbp_pair_1d(Grid1D(0.0, length, draw(st.integers(2, 64))))
+    tg = TimeGrid(t_end=draw(st.floats(1e-2, 10.0)), n_steps=draw(st.integers(1, 50)))
+    u = draw(hnp.arrays(float, (tg.n_steps + 1, 2), elements=st.floats(-1.0, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x0 = (rng.standard_normal(pair.n_nodes), rng.standard_normal(pair.n_cells))
+    return pair, u, x0, tg, draw(st.sampled_from(SCHEMES))
 
 
 class TestDeflationBasis:
@@ -557,14 +574,46 @@ class TestMaxwellLift:
         gap = self.gap(100, lambda t: np.array([0.7, -0.3]))
         assert gap < 1e-10, f"constant-data routes split: {gap:.2e}"
 
-    def test_time_varying_gap_is_first_order(self):
-        """Halving the step size halves the route discrepancy."""
-        u = lambda t: np.array([np.sin(3.0 * t), np.cos(2.0 * t)])
-        d1 = self.gap(200, u)
-        d2 = self.gap(400, u)
-        assert d1 > 1e-6, f"gap suspiciously small: {d1:.2e}"
-        ratio = d1 / d2
-        assert 1.4 < ratio < 2.6, f"gap ratio {ratio:.3f} not first order"
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_routes_agree_to_roundoff_for_any_data(self, scheme):
+        """The shift is taken at the step's own u_theta and difference
+        quotient, so the theta-step commutes with it: zero, constant and
+        time-varying data all give routes equal to roundoff."""
+        data = {
+            "zero": None,
+            "constant": lambda t: np.array([0.7, -0.3]),
+            "varying": lambda t: np.array([np.sin(3.0 * t), np.cos(2.0 * t)]),
+        }
+        for name, u_fun in data.items():
+            for n_steps in (1, 2, 200):
+                gap = self.gap(n_steps, u_fun, scheme)
+                assert gap <= 1e-12, f"{name} data, {n_steps} steps: gap {gap:.2e}"
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_inputs_hold_theta_averaged_data(self, scheme):
+        """Both routes report u_theta = (1 - theta) u^k + theta u^{k+1},
+        one row of boundary data per step."""
+        tg = TimeGrid(t_end=1.0, n_steps=20, nu=1.0)
+        u = np.stack([np.array([np.sin(3.0 * t), t]) for t in tg.times()])
+        res = maxwell_lift_solve(self.pair, None, None, u,
+                                 (self.E0, self.H0), tg, scheme)
+        theta = res.direct.theta[:, None]
+        expected = (1.0 - theta) * u[:-1] + theta * u[1:]
+        for traj in res:
+            assert traj.inputs.shape == (20, 2)
+            assert np.array_equal(traj.inputs, expected)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(lift_draws())
+    def test_random_runs_agree_to_roundoff(self, draw):
+        """Route agreement on random grids, step counts, data and initial
+        fields, relative to max(1, max|x|) max(1, 1/h)."""
+        pair, u, x0, tg, scheme = draw
+        res = maxwell_lift_solve(pair, None, None, u, x0, tg, scheme)
+        gap = np.abs(res.lifted.states - res.direct.states).max()
+        size = max(np.abs(res.lifted.states).max(), np.abs(res.direct.states).max())
+        scale = max(1.0, size) * max(1.0, 1.0 / pair.grid.h)
+        assert gap <= 1e-12 * scale, f"{scheme}: gap {gap:.2e}, scale {scale:.2e}"
 
     def test_midpoint_routes_coincide(self):
         """Under the midpoint rule the derivative source telescopes to the
