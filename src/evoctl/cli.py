@@ -185,13 +185,24 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, comments, columns, rows):
-    """Write comments, header and rows; rows is consumed one row at a time."""
+    """Write comments, header and rows; rows is consumed one row at a time.
+
+    Column types are fixed by the first row: a column whose first value
+    is a str is written as is, every other column as _fmt writes a
+    number.  One %-format per row then writes the same text as _fmt per
+    value.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
+        fmt = None
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            row = tuple(row)
+            if fmt is None:
+                fmt = ",".join("%s" if isinstance(v, str) else "%.17g"
+                               for v in row) + "\n"
+            fh.write(fmt % row)
 
 
 def _base_comments(cfg: RunConfig):
@@ -381,15 +392,15 @@ def _simulate_control(cfg: RunConfig, outdir: Path) -> int:
     comments = _run_comments(cfg, traj) + [_imag_note(traj.states)]
     columns = ("t",) + tuple(f"x{i}" for i in range(sys.dim))
     write_csv(outdir / "trajectory.csv", comments, columns,
-              ((times[k], *traj.states[k].real) for k in range(cfg.n_steps + 1)))
+              ((t, *x.real.tolist()) for t, x in zip(times, traj.states)))
 
     io = extract_io(sys, traj)
     m, ny = sys.partition.n_u1, sys.partition.n_y
     io_columns = ("t",) + tuple(f"u{i}" for i in range(m)) \
         + tuple(f"y{i}" for i in range(ny))
     write_csv(outdir / "io.csv", comments, io_columns,
-              ((io.times[k], *traj.inputs[k].real, *io.y_samples[k].real)
-               for k in range(cfg.n_steps)))
+              ((t, *u.real.tolist(), *y.real.tolist())
+               for t, u, y in zip(io.times, traj.inputs, io.y_samples)))
 
     rows, defects = _ledger_rows(step_ledger(sys, traj), times)
     write_csv(outdir / "ledger.csv", comments, LEDGER_COLUMNS, rows)
@@ -414,7 +425,7 @@ def _simulate_maxwell(cfg: RunConfig, outdir: Path) -> int:
     comments = _run_comments(cfg, direct) + [_imag_note(direct.states)]
     columns = ("t",) + tuple(f"x{i}" for i in range(pair.n_nodes + pair.n_cells))
     write_csv(outdir / "trajectory.csv", comments, columns,
-              ((times[k], *direct.states[k].real) for k in range(cfg.n_steps + 1)))
+              ((t, *x.real.tolist()) for t, x in zip(times, direct.states)))
 
     nn = pair.n_nodes
     io_rows = [(t_s, *direct.inputs[k].real, *bdD.project(x[nn:]).real)
@@ -558,7 +569,8 @@ def cmd_energy(cfg: RunConfig, outdir: Path, trajectory_path) -> int:
 
     tg = TimeGrid(t_end=cfg.t_end, n_steps=cfg.n_steps, nu=cfg.nu)
     grid_times = tg.times()
-    if np.abs(grid_times - times).max() > 1e-9 * max(1.0, tg.t_end):
+    # written so that a NaN time fails the comparison
+    if not np.abs(grid_times - times).max() <= 1e-9 * max(1.0, tg.t_end):
         raise ValueError("stored time column does not match the configured grid")
 
     # the theta = 1 start-up steps of a midpoint run follow from the system

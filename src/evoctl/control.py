@@ -456,19 +456,18 @@ def extract_io(sys: ControlSystem, traj: Trajectory) -> IOSamples:
                 "the (w, y) block of M1 + A is not invertible; input/output "
                 "recovery presupposes its bounded inverse"
             )
-    rec_w = np.zeros((traj.grid.n_steps, nw), dtype=complex)
-    rec_y = np.zeros((traj.grid.n_steps, ny), dtype=complex)
-    deviation = np.zeros(traj.grid.n_steps)
-    B_wy = sys.B[wy]
+    rhs = np.zeros((traj.grid.n_steps, nw + ny), dtype=complex)
+    stored = np.zeros_like(rhs)
+    B_wy, M1A_wy_vz = sys.B[wy], M1A[wy, vz]
     for k, _, xs in traj.steps():
-        rhs = B_wy @ traj.inputs[k] - M1A[wy, vz] @ xs[vz]
-        sol = np.linalg.solve(K, rhs) if K.size else np.zeros(0, dtype=complex)
-        rec_w[k] = sol[:nw]
-        rec_y[k] = sol[nw:]
-        deviation[k] = np.abs(sol - xs[wy]).max() if sol.size else 0.0
+        rhs[k] = B_wy @ traj.inputs[k] - M1A_wy_vz @ xs[vz]
+        stored[k] = xs[wy]
+    # one gufunc call that runs ?gesv per step with one right side, so each
+    # step's solution is bitwise that of a solve of its own
+    sol = np.linalg.solve(K, rhs[:, :, None])[:, :, 0] if K.size else rhs
     return IOSamples(
-        times=traj.sample_times(), w_samples=rec_w, y_samples=rec_y,
-        max_deviation=float(deviation.max()),
+        times=traj.sample_times(), w_samples=sol[:, :nw], y_samples=sol[:, nw:],
+        max_deviation=float(np.abs(sol - stored).max()) if sol.size else 0.0,
     )
 
 

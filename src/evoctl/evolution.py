@@ -41,7 +41,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .errors import HypothesisViolationError, ShapeMismatchError, StepSingularityError
 
@@ -215,9 +214,19 @@ def check_wellposed(M0, M1, nu_max: float) -> WellPosednessReport:
     return WellPosednessReport(ok=c > 0, c=c, nu0=nu_max, witness=witness)
 
 
+def lu_factor(K):
+    """scipy.linalg.lu_factor, imported on first call: the step-matrix
+    factorization is the only user of scipy, so processes that form no
+    step matrix never load it."""
+    from scipy.linalg import lu_factor as _lu_factor
+
+    return _lu_factor(K)
+
+
 def _factor_step_matrix(K, tau):
-    """LU factors of a step matrix K, refused when K is singular or its
-    1-norm condition estimate exceeds 1e14.
+    """LU factors (lu, piv) of a step matrix K with the LAPACK ?getrs that
+    solves with them, refused when K is singular or its 1-norm condition
+    estimate exceeds 1e14.
 
     The estimate is LAPACK's ?gecon on the factors (Higham, Accuracy and
     Stability, sec. 15.3), O(dim^2) where the 2-norm condition number
@@ -232,7 +241,9 @@ def _factor_step_matrix(K, tau):
         raise StepSingularityError(
             "step matrix is singular", cond_estimate=np.inf
         )
-    gecon = get_lapack_funcs("gecon", (lu,))
+    from scipy.linalg import get_lapack_funcs
+
+    gecon, getrs = get_lapack_funcs(("gecon", "getrs"), (lu,))
     rcond, _ = gecon(lu, np.linalg.norm(K, 1), norm="1")
     cond = 1.0 / rcond if rcond > 0 else np.inf
     if cond > 1e14:
@@ -240,7 +251,7 @@ def _factor_step_matrix(K, tau):
             f"step matrix numerically singular (cond ~ {cond:.3e}) at tau = {tau}",
             cond_estimate=cond,
         )
-    return lu, piv
+    return lu, piv, getrs
 
 
 def _sample(f, t, m):
@@ -284,7 +295,8 @@ def solve(sys: EvolutionarySystem, x0, f, grid: TimeGrid, scheme: str) -> Trajec
     f is a callable t -> source sample (length n_inputs) or None for a
     source-free run; it is evaluated only at the sample times.  Each
     step is the theta-step of the module docstring, with theta from
-    theta_schedule.
+    theta_schedule.  A step whose right side is not finite raises
+    ValueError.
     """
     n_init = _init_steps(sys.M0, scheme)
     x0 = np.asarray(x0, dtype=complex)
@@ -309,9 +321,12 @@ def solve(sys: EvolutionarySystem, x0, f, grid: TimeGrid, scheme: str) -> Trajec
                     sys.M0 / tau - (1.0 - theta) * M1A)
             for theta in np.unique(traj.theta)}
     for k, (theta, t) in enumerate(zip(traj.theta, traj.sample_times())):
-        lu, R = step[theta]
+        (lu, piv, getrs), R = step[theta]
         traj.inputs[k] = _sample(f, t, m)
-        traj.states[k + 1] = lu_solve(lu, R @ traj.states[k] + sys.J @ traj.inputs[k])
+        rhs = R @ traj.states[k] + sys.J @ traj.inputs[k]
+        if not np.isfinite(rhs).all():
+            raise ValueError("array must not contain infs or NaNs")
+        traj.states[k + 1] = getrs(lu, piv, rhs)[0]
     return traj
 
 

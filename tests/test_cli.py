@@ -11,10 +11,18 @@ space dimensions equal two, and the per-step ledger residual stays
 within tolerance.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evoctl.cli import load_config, main
+import evoctl
+from evoctl.cli import _fmt, load_config, main, write_csv
 
 
 def run(tmp_path, *args):
@@ -161,6 +169,14 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert code == 1
         assert "ledger defect is not finite at step 0" in out
+
+    def test_non_finite_step_right_side_exits_2(self, tmp_path, capsys):
+        """States that overflow make the next step's right side non-finite;
+        the step solve refuses it and the run is a configuration error."""
+        code = run(tmp_path, "simulate", "--set", "input.kind=sinusoid",
+                   "--set", "input.amplitude=1e308")
+        assert code == 2
+        assert "array must not contain infs or NaNs" in capsys.readouterr().err
 
     def test_rerun_is_byte_identical(self, tmp_path):
         """The same configuration writes the same bytes twice."""
@@ -350,6 +366,15 @@ class TestEnergy:
         assert self.replay(tmp_path, lines) == 2
         assert "number of columns changed" in capsys.readouterr().err
 
+    def test_nan_time_cell_exits_2(self, tmp_path, capsys):
+        """A NaN in the stored time column does not match the grid."""
+        lines = self.simulated_trajectory(tmp_path)
+        first = next(i for i, line in enumerate(lines)
+                     if not line.startswith("# ")) + 1
+        lines[first + 5] = "nan," + lines[first + 5].split(",", 1)[1]
+        assert self.replay(tmp_path, lines) == 2
+        assert "stored time column does not match" in capsys.readouterr().err
+
     def test_header_only_file_exits_2(self, tmp_path, capsys):
         """Comments and a column header without samples are refused."""
         lines = self.simulated_trajectory(tmp_path)
@@ -382,3 +407,82 @@ class TestEnergy:
         assert "scheme=backward_euler" in comments
         assert "scheme=implicit_midpoint" not in comments
         assert "n_euler_init_steps=0" in comments
+
+
+class TestWriteCsv:
+    """One %-format per row writes the text of _fmt per value."""
+
+    SPECIAL = [0, 0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+               np.float64(-0.0), np.float64(np.nan), np.float64(-np.inf), np.int64(-7),
+               2 ** 60 + 1, True]
+
+    @staticmethod
+    def expected(comments, columns, rows):
+        lines = [f"# {line}" for line in comments] + [",".join(columns)]
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        return "".join(line + "\n" for line in lines)
+
+    def check(self, tmp_path, columns, rows):
+        path = tmp_path / "out.csv"
+        write_csv(path, ["seed=1"], columns, iter(rows))
+        assert path.read_bytes() == self.expected(["seed=1"], columns, rows).encode()
+
+    def test_special_values_and_types(self, tmp_path):
+        rng = np.random.default_rng(5)
+        mags = np.sign(rng.standard_normal(40)) * 10.0 ** rng.uniform(-20, 4, 40)
+        row = [*self.SPECIAL, *mags, *mags.tolist(), *mags.astype(np.float32),
+               *np.arange(-3, 4), *range(-3, 4)]
+        rows = [row, row[::-1], [float(v) for v in row]]
+        self.check(tmp_path, [f"c{i}" for i in range(len(row))], rows)
+
+    def test_leading_string_column(self, tmp_path):
+        rows = [(side, 2, j, i, v) for side in ("G", "D") for j in range(2)
+                for i, v in enumerate([0.5, -0.0, 1e-20, np.float64(3.25)])]
+        columns = ["side", "dimension", "basis_index", "point_index", "value"]
+        self.check(tmp_path, columns, rows)
+
+    def test_zero_rows_write_the_header_only(self, tmp_path):
+        self.check(tmp_path, ["t", "x0"], [])
+        assert (tmp_path / "out.csv").read_text() == "# seed=1\nt,x0\n"
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(st.floats() | st.integers(-2 ** 70, 2 ** 70),
+                             min_size=3, max_size=3), max_size=5))
+    def test_random_rows(self, tmp_path_factory, rows):
+        self.check(tmp_path_factory.mktemp("csv"), ["a", "b", "c"], rows)
+
+
+class TestScipyImport:
+    """scipy is imported by the step-matrix factorization only."""
+
+    @staticmethod
+    def scipy_loaded(code):
+        src = Path(evoctl.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        script = f"import sys\n{code}\nprint('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        return proc.stdout.split()[-1] == "True"
+
+    def test_import_leaves_scipy_out(self):
+        assert not self.scipy_loaded("import evoctl")
+
+    @pytest.mark.parametrize("command", ["wellposed", "bdspace"])
+    def test_command_leaves_scipy_out(self, tmp_path, command):
+        argv = [command, "--set", f"outdir={tmp_path}"]
+        assert not self.scipy_loaded(
+            f"from evoctl.cli import main\nassert main({argv!r}) == 0")
+
+    def test_energy_replay_leaves_scipy_out(self, tmp_path):
+        args = ["--set", "time.n_steps=20", "--set", "input.kind=sinusoid"]
+        assert run(tmp_path / "sim", "simulate", *args) == 0
+        argv = ["energy", *args, "--set", f"outdir={tmp_path / 'replay'}",
+                "--trajectory", str(tmp_path / "sim" / "trajectory.csv")]
+        assert not self.scipy_loaded(
+            f"from evoctl.cli import main\nassert main({argv!r}) == 0")
+
+    def test_simulate_loads_scipy(self, tmp_path):
+        """The probe sees an import when one happens."""
+        argv = ["simulate", "--set", "time.n_steps=5", "--set", f"outdir={tmp_path}"]
+        assert self.scipy_loaded(
+            f"from evoctl.cli import main\nassert main({argv!r}) == 0")

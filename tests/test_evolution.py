@@ -240,6 +240,14 @@ class TestSolve:
             solve(sys, np.zeros(2), None, grid, "backward_euler")
         assert exc.value.cond_estimate == pytest.approx(1e17)
 
+    def test_non_finite_sample_refused(self):
+        """A NaN source sample makes the step's right side non-finite, and
+        the step solve refuses it instead of carrying NaN forward."""
+        sys = EvolutionarySystem(M0=np.eye(2), M1=np.eye(2), A=np.zeros((2, 2)), J=np.eye(2))
+        f = lambda t: np.full(2, np.nan) if t > 0.5 else np.ones(2)
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            solve(sys, np.zeros(2), f, TimeGrid(t_end=1.0, n_steps=8), "backward_euler")
+
     def test_unknown_scheme_rejected(self):
         sys = EvolutionarySystem(M0=np.eye(1), M1=np.eye(1), A=np.zeros((1, 1)), J=np.eye(1))
         with pytest.raises(ValueError):
