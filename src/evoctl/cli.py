@@ -52,7 +52,7 @@ import numpy as np
 from .bdspace import compute_bd_space, dot_map
 from .control import extract_io, step_ledger
 from .errors import EvoctlError
-from .evolution import SCHEMES, TimeGrid, Trajectory, check_wellposed, theta_schedule
+from .evolution import SCHEMES, TimeGrid, Trajectory, c_min, check_wellposed, theta_schedule
 from .models import (
     PortHamiltonianSpec,
     WaveSpec,
@@ -63,7 +63,7 @@ from .models import (
     maxwell_lift_solve,
     three_region_indicators,
 )
-from .operators import Grid1D, build_sbp_pair_1d
+from .operators import Grid1D, build_sbp_pair_1d, ibp_defect
 
 PRESETS = ("wave-wt", "wave-mixed", "port-hamiltonian", "maxwell-lift-1d")
 DEFAULT_SEED = 12345
@@ -341,8 +341,7 @@ def cmd_wellposed(cfg: RunConfig, outdir: Path, zero_damping: bool) -> int:
 
     re_m1 = 0.5 * (M1 + M1.conj().T)
     nu_values = [(k + 1) * (2.0 * cfg.nu) / 16.0 for k in range(16)]
-    rows = [(nu, float(np.linalg.eigvalsh(nu * M0 + re_m1)[0]))
-            for nu in nu_values]
+    rows = [(nu, c_min(M0, re_m1, nu)) for nu in nu_values]
     write_csv(outdir / "wellposed.csv", _base_comments(cfg), ("nu", "c_min"), rows)
 
     report = check_wellposed(M0, M1, nu_max=2.0 * cfg.nu)
@@ -492,9 +491,7 @@ def cmd_bdspace(cfg: RunConfig, outdir: Path) -> int:
         dec_grad.append(np.abs(
             pair.G @ v - grad_min @ v - (pair.T.T @ v) / pair.W1
         ).max() / np.linalg.norm(v))
-        lhs = np.vdot(pair.G @ v, pair.W1 * z) + np.vdot(v, pair.W0 * (pair.D @ z))
-        green.append(abs(lhs - np.vdot(v, pair.T @ z))
-                     / (np.linalg.norm(v) * np.linalg.norm(z)))
+        green.append(ibp_defect(pair, v, z) / (np.linalg.norm(v) * np.linalg.norm(z)))
 
     # np.max propagates NaN where the builtin max would skip it
     defect_rows = [

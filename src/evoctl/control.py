@@ -12,10 +12,14 @@ parts of F: assemble_control requires Gmat, which each preset forms
 from its own operators.  All matrices here live in
 coordinates in which the physical weighted inner products are plain dot
 products, so conjugate transposes realize adjoints and A is exactly
-skew.  Control acts only through the boundary data: the input map is
-J = B, stacked from (B0, B1, B2) over the coarse blocks (v | zeta,
-w | y), and a control run's source samples are the control samples u
-themselves; no state source enters.
+skew.
+
+A control system is an evolutionary system (d/dt M0 + M1 + A) x = J f
+(evolution.EvolutionarySystem) in which control acts only through the
+boundary data: the input map is J = B, whose rows over the coarse
+blocks (v | zeta, w | y) are (B0, B1, B2), and a control run's source
+samples are the control samples u themselves; no state source enters.
+evolution.solve integrates a ControlSystem as it stands.
 
 The compatibility conditions
 
@@ -39,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import HypothesisViolationError, ShapeMismatchError
+from .errors import HypothesisViolationError, ShapeMismatchError, require_invertible
 from .evolution import EvolutionarySystem, Trajectory
 
 COMPAT_TOL = 1e-10
@@ -114,53 +118,65 @@ def _expand_blocks(blocks, sizes, name):
     return out
 
 
-@dataclass(frozen=True)
-class ControlSystem:
-    """Assembled boundary control system in flat coordinates.
+def _fine_sizes(partition: BlockPartition, n_w) -> tuple:
+    """Fine block sizes (n_h0, n_zeta, n_w, n_y): the middle block splits
+    into the flux zeta and the boundary values w, so 0 <= n_w <= n_h1."""
+    if not 0 <= n_w <= partition.n_h1:
+        raise ShapeMismatchError(
+            f"n_w must lie in [0, {partition.n_h1}] (the middle block size), got {n_w}"
+        )
+    return (partition.n_h0, partition.n_h1 - n_w, n_w, partition.n_y)
 
-    M0, M1, A are dim x dim; B0/B1/B2 are the control columns per coarse
-    block; Gmat and Cmat are the two constituents of F; Cdual = Cmat^H
-    is the dual map of Cmat appearing in the v-rows of A.  n_zeta + n_w =
-    partition.n_h1 records the fine split of the middle block.  geometry
-    is an optional mapping carrying model data (grid operators, scaling
-    matrices, boundary spaces) for checks that need the physical
-    picture.
+
+@dataclass(frozen=True)
+class ControlSystem(EvolutionarySystem):
+    """An evolutionary system (M0, M1, A, J) whose input map is the
+    control map, J = B, in flat coordinates over a block partition.
+
+    Only what cannot be derived is stored: the partition, the fine split
+    n_w of the middle block, an optional initial state x0 and an
+    optional geometry mapping carrying model data (grid operators,
+    scaling matrices, boundary spaces) for checks that need the
+    physical picture.  The control columns B0/B1/B2 are the rows of J
+    over the coarse blocks, and Gmat and Cmat, the two constituents of
+    F, are read off A; Cdual = Cmat^H is the dual map of Cmat appearing
+    in the v-rows of A.  The base class checks that M0 is Hermitian and
+    A skew-Hermitian.
     """
 
     partition: BlockPartition
-    M0: np.ndarray
-    M1: np.ndarray
-    A: np.ndarray
-    B0: np.ndarray
-    B1: np.ndarray
-    B2: np.ndarray
-    Gmat: np.ndarray
-    Cmat: np.ndarray
-    n_zeta: int
     n_w: int
     x0: np.ndarray = field(default=None)
     geometry: dict = field(default=None)
 
     def __post_init__(self):
+        super().__post_init__()
         p = self.partition
-        if self.n_zeta + self.n_w != p.n_h1:
-            raise ShapeMismatchError("n_zeta + n_w must equal the middle block size")
-        for name, mat in (("M0", self.M0), ("M1", self.M1), ("A", self.A)):
-            if mat.shape != (p.dim, p.dim):
-                raise ShapeMismatchError(f"{name} must be {p.dim}x{p.dim}, got {mat.shape}")
-        for name, mat, rows in (("B0", self.B0, p.n_h0), ("B1", self.B1, p.n_h1),
-                                ("B2", self.B2, p.n_y)):
-            if mat.shape != (rows, p.n_u1):
-                raise ShapeMismatchError(
-                    f"{name} must be {rows}x{p.n_u1}, got {mat.shape}"
-                )
-        scale = max(1.0, np.abs(self.A).max())
-        if np.abs(self.A + self.A.conj().T).max() > 1e-12 * scale:
-            raise HypothesisViolationError("assembled A is not skew-Hermitian")
+        _fine_sizes(p, self.n_w)
+        if self.M0.shape != (p.dim, p.dim):
+            raise ShapeMismatchError(f"M0 must be {p.dim}x{p.dim}, got {self.M0.shape}")
+        if self.J.shape != (p.dim, p.n_u1):
+            raise ShapeMismatchError(f"J must be {p.dim}x{p.n_u1}, got {self.J.shape}")
 
     @property
-    def dim(self) -> int:
-        return self.partition.dim
+    def B0(self) -> np.ndarray:
+        return self.J[self.partition.sl_h0]
+
+    @property
+    def B1(self) -> np.ndarray:
+        return self.J[self.partition.sl_h1]
+
+    @property
+    def B2(self) -> np.ndarray:
+        return self.J[self.partition.sl_y]
+
+    @property
+    def Gmat(self) -> np.ndarray:
+        return -self.A[self.fine_slice(1), self.fine_slice(0)]
+
+    @property
+    def Cmat(self) -> np.ndarray:
+        return self.A[self.fine_slice(2), self.fine_slice(0)]
 
     @property
     def Cdual(self) -> np.ndarray:
@@ -168,7 +184,7 @@ class ControlSystem:
 
     @property
     def fine_sizes(self) -> tuple:
-        return (self.partition.n_h0, self.n_zeta, self.n_w, self.partition.n_y)
+        return _fine_sizes(self.partition, self.n_w)
 
     def fine_offsets(self) -> np.ndarray:
         return np.concatenate([[0], np.cumsum(self.fine_sizes)])
@@ -179,14 +195,6 @@ class ControlSystem:
 
     def m1_block(self, i: int, j: int) -> np.ndarray:
         return self.M1[self.fine_slice(i), self.fine_slice(j)]
-
-    @property
-    def B(self) -> np.ndarray:
-        return np.vstack([self.B0, self.B1, self.B2])
-
-    def as_evolutionary(self) -> EvolutionarySystem:
-        """The system driven by its control columns, J = B."""
-        return EvolutionarySystem(M0=self.M0, M1=self.M1, A=self.A, J=self.B)
 
 
 def assemble_control(
@@ -209,13 +217,11 @@ def assemble_control(
     own operators.  Cmat maps v coordinates to w coordinates (None for
     no boundary coupling); its dual in these coordinates is the
     conjugate transpose.  B_blocks = (B0, B1, B2) over the coarse
-    blocks, each optionally None.
+    blocks, each optionally None, fill the rows of J = B.
     """
     n_w = int(n_w)
-    n_zeta = partition.n_h1 - n_w
-    if n_zeta < 0:
-        raise ShapeMismatchError("n_w exceeds the middle block size")
-    sizes = (partition.n_h0, n_zeta, n_w, partition.n_y)
+    sizes = _fine_sizes(partition, n_w)
+    n_zeta = sizes[1]
 
     Gmat = np.asarray(Gmat, dtype=complex)
     if Gmat.shape != (n_zeta, partition.n_h0):
@@ -230,28 +236,20 @@ def assemble_control(
             f"Cmat must be {n_w}x{partition.n_h0}, got {Cmat.shape}"
         )
 
-    M0 = _expand_blocks(M0_blocks, sizes, "M0_blocks")
-    M1 = _expand_blocks(M1_blocks, sizes, "M1_blocks")
-    scale0 = max(1.0, np.abs(M0).max())
-    if np.abs(M0 - M0.conj().T).max() > 1e-12 * scale0:
-        raise HypothesisViolationError("assembled M0 is not Hermitian")
-
     F = np.vstack([-Gmat, Cmat])
     A = np.zeros((partition.dim, partition.dim), dtype=complex)
     A[partition.sl_h1, partition.sl_h0] = F
     A[partition.sl_h0, partition.sl_h1] = -F.conj().T
 
-    B0, B1, B2 = B_blocks
-    B0 = np.zeros((partition.n_h0, partition.n_u1), dtype=complex) if B0 is None \
-        else np.asarray(B0, dtype=complex).reshape(partition.n_h0, partition.n_u1)
-    B1 = np.zeros((partition.n_h1, partition.n_u1), dtype=complex) if B1 is None \
-        else np.asarray(B1, dtype=complex).reshape(partition.n_h1, partition.n_u1)
-    B2 = np.zeros((partition.n_y, partition.n_u1), dtype=complex) if B2 is None \
-        else np.asarray(B2, dtype=complex).reshape(partition.n_y, partition.n_u1)
+    J = np.zeros((partition.dim, partition.n_u1), dtype=complex)
+    for sl, block in zip((partition.sl_h0, partition.sl_h1, partition.sl_y), B_blocks):
+        if block is not None:
+            J[sl] = np.asarray(block, dtype=complex).reshape(J[sl].shape)
 
     return ControlSystem(
-        partition=partition, M0=M0, M1=M1, A=A, B0=B0, B1=B1, B2=B2,
-        Gmat=Gmat, Cmat=Cmat, n_zeta=n_zeta, n_w=n_w,
+        M0=_expand_blocks(M0_blocks, sizes, "M0_blocks"),
+        M1=_expand_blocks(M1_blocks, sizes, "M1_blocks"), A=A, J=J,
+        partition=partition, n_w=n_w,
         x0=None if x0 is None else np.asarray(x0, dtype=complex),
         geometry=geometry,
     )
@@ -274,12 +272,10 @@ def check_compatibility(sys: ControlSystem):
     My0, My1, Myy = _coarse_m1_blocks(sys)
     if Myy.size == 0:
         raise HypothesisViolationError("observation block is empty")
-    svals = np.linalg.svd(Myy, compute_uv=False)
-    if svals[-1] <= 1e-12 * max(svals[0], 1.0):
-        raise HypothesisViolationError(
-            "observation block M1[y,y] is not invertible; the compatibility "
-            "conditions presuppose its bounded inverse"
-        )
+    require_invertible(
+        Myy, "observation block M1[y,y] is not invertible; the compatibility "
+        "conditions presuppose its bounded inverse"
+    )
     d0 = np.linalg.norm(np.linalg.solve(Myy, My0).conj().T @ sys.B2 - sys.B0, 2)
     d1 = np.linalg.norm(np.linalg.solve(Myy, My1).conj().T @ sys.B2 - sys.B1, 2)
     return float(d0), float(d1)
@@ -383,7 +379,8 @@ def step_ledger(sys: ControlSystem, traj: Trajectory, a=0.0, b=None) -> StepLedg
             f"got {traj.inputs.shape}"
         )
 
-    reM1 = 0.5 * (sys.M1 + sys.M1.conj().T)
+    reM1 = sys.re_m1()
+    B2 = sys.B2
     _, _, Myy = _coarse_m1_blocks(sys)
     Myy_inv = np.linalg.inv(Myy)
     supply_kernel = 0.5 * (Myy_inv + Myy_inv.conj().T)
@@ -393,7 +390,7 @@ def step_ledger(sys: ControlSystem, traj: Trajectory, a=0.0, b=None) -> StepLedg
     dissipation, supply, correction = np.zeros((3, ib - ia))
     for k, theta, xs in islice(traj.steps(), ia, ib):
         dissipation[k - ia] = tau * np.vdot(xs, reM1 @ xs).real
-        bu = sys.B2 @ traj.inputs[k]
+        bu = B2 @ traj.inputs[k]
         supply[k - ia] = tau * np.vdot(bu, supply_kernel @ bu).real
         dx = traj.states[k + 1] - traj.states[k]
         correction[k - ia] = (theta - 0.5) * np.vdot(dx, sys.M0 @ dx).real
@@ -430,7 +427,7 @@ def extract_io(sys: ControlSystem, traj: Trajectory) -> IOSamples:
 
     At each step's scheme-consistent state x the rows
 
-        (M1 + A)[wy, wy] (w; y) = B[wy] u - (M1 + A)[wy, v zeta] x
+        (M1 + A)[wy, wy] (w; y) = J[wy] u - (M1 + A)[wy, v zeta] x
 
     are solved directly and compared with the trajectory's stored
     components.  Refuses when M0 has nonzero (w, y) rows (the rows are
@@ -450,15 +447,13 @@ def extract_io(sys: ControlSystem, traj: Trajectory) -> IOSamples:
     M1A = sys.M1 + sys.A
     K = M1A[wy, wy]
     if K.size:
-        svals = np.linalg.svd(K, compute_uv=False)
-        if svals[-1] <= 1e-12 * max(svals[0], 1.0):
-            raise HypothesisViolationError(
-                "the (w, y) block of M1 + A is not invertible; input/output "
-                "recovery presupposes its bounded inverse"
-            )
+        require_invertible(
+            K, "the (w, y) block of M1 + A is not invertible; input/output "
+            "recovery presupposes its bounded inverse"
+        )
     rhs = np.zeros((traj.grid.n_steps, nw + ny), dtype=complex)
     stored = np.zeros_like(rhs)
-    B_wy, M1A_wy_vz = sys.B[wy], M1A[wy, vz]
+    B_wy, M1A_wy_vz = sys.J[wy], M1A[wy, vz]
     for k, _, xs in traj.steps():
         rhs[k] = B_wy @ traj.inputs[k] - M1A_wy_vz @ xs[vz]
         stored[k] = xs[wy]

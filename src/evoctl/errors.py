@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the invertibility rule."""
+
+import numpy as np
 
 
 class EvoctlError(Exception):
@@ -46,3 +48,12 @@ class StepSingularityError(EvoctlError, RuntimeError):
     def __init__(self, message, cond_estimate=None):
         super().__init__(message)
         self.cond_estimate = cond_estimate
+
+
+def require_invertible(mat, message):
+    """Raise HypothesisViolationError(message) unless mat is numerically
+    invertible: its smallest singular value must exceed 1e-12 max(its
+    largest, 1)."""
+    svals = np.linalg.svd(mat, compute_uv=False)
+    if svals[-1] <= 1e-12 * max(svals[0], 1.0):
+        raise HypothesisViolationError(message)

@@ -84,6 +84,15 @@ def _as_square(name, mat, n=None):
     return mat
 
 
+def _require_hermitian(M0) -> float:
+    """Refuse a non-Hermitian M0; returns the scale max(1, max |M0_ij|)
+    of the test."""
+    scale0 = max(1.0, np.abs(M0).max())
+    if np.abs(M0 - M0.conj().T).max() > 1e-12 * scale0:
+        raise HypothesisViolationError("M0 is not Hermitian")
+    return scale0
+
+
 @dataclass(frozen=True)
 class EvolutionarySystem:
     """Matrices (M0, M1, A, J) of an evolutionary equation.
@@ -107,9 +116,7 @@ class EvolutionarySystem:
             J = J[:, None]
         if J.shape[0] != n:
             raise ShapeMismatchError(f"J must have {n} rows, got {J.shape}")
-        scale0 = max(1.0, np.abs(M0).max())
-        if np.abs(M0 - M0.conj().T).max() > 1e-12 * scale0:
-            raise HypothesisViolationError("M0 is not Hermitian")
+        _require_hermitian(M0)
         scaleA = max(1.0, np.abs(A).max()) if A.size else 1.0
         if A.size and np.abs(A + A.conj().T).max() > 1e-12 * scaleA:
             raise HypothesisViolationError("A is not skew-Hermitian")
@@ -189,6 +196,11 @@ class WellPosednessReport:
     witness: np.ndarray = field(default=None)
 
 
+def c_min(M0, re_m1, nu) -> float:
+    """Coercivity constant lambda_min(nu M0 + Re M1) at weight nu."""
+    return float(np.linalg.eigvalsh(nu * M0 + re_m1)[0])
+
+
 def check_wellposed(M0, M1, nu_max: float) -> WellPosednessReport:
     """Certify c = lambda_min(nu_max M0 + Re M1) > 0.
 
@@ -201,16 +213,14 @@ def check_wellposed(M0, M1, nu_max: float) -> WellPosednessReport:
     M1 = _as_square("M1", M1, M0.shape[0])
     if not nu_max > 0:
         raise ValueError(f"nu_max must be positive, got {nu_max}")
-    scale0 = max(1.0, np.abs(M0).max())
-    if np.abs(M0 - M0.conj().T).max() > 1e-12 * scale0:
-        raise HypothesisViolationError("M0 is not Hermitian")
+    scale0 = _require_hermitian(M0)
     lam0 = float(np.linalg.eigvalsh(M0)[0])
     if lam0 < -1e-12 * scale0:
         return WellPosednessReport(ok=False, c=lam0, nu0=nu_max,
                                    witness=np.linalg.eigh(M0)[1][:, 0])
-    K = nu_max * M0 + 0.5 * (M1 + M1.conj().T)
-    c = float(np.linalg.eigvalsh(K)[0])
-    witness = None if c > 0 else np.linalg.eigh(K)[1][:, 0]
+    re_m1 = 0.5 * (M1 + M1.conj().T)
+    c = c_min(M0, re_m1, nu_max)
+    witness = None if c > 0 else np.linalg.eigh(nu_max * M0 + re_m1)[1][:, 0]
     return WellPosednessReport(ok=c > 0, c=c, nu0=nu_max, witness=witness)
 
 
@@ -296,7 +306,7 @@ def solve(sys: EvolutionarySystem, x0, f, grid: TimeGrid, scheme: str) -> Trajec
     source-free run; it is evaluated only at the sample times.  Each
     step is the theta-step of the module docstring, with theta from
     theta_schedule.  A step whose right side is not finite raises
-    ValueError.
+    ValueError naming the step.
     """
     n_init = _init_steps(sys.M0, scheme)
     x0 = np.asarray(x0, dtype=complex)
@@ -325,7 +335,7 @@ def solve(sys: EvolutionarySystem, x0, f, grid: TimeGrid, scheme: str) -> Trajec
         traj.inputs[k] = _sample(f, t, m)
         rhs = R @ traj.states[k] + sys.J @ traj.inputs[k]
         if not np.isfinite(rhs).all():
-            raise ValueError("array must not contain infs or NaNs")
+            raise ValueError(f"array must not contain infs or NaNs: the right side of step {k}")
         traj.states[k + 1] = getrs(lu, piv, rhs)[0]
     return traj
 

@@ -176,7 +176,8 @@ class TestSimulate:
         code = run(tmp_path, "simulate", "--set", "input.kind=sinusoid",
                    "--set", "input.amplitude=1e308")
         assert code == 2
-        assert "array must not contain infs or NaNs" in capsys.readouterr().err
+        assert ("array must not contain infs or NaNs: the right side of step 18\n"
+                in capsys.readouterr().err)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         """The same configuration writes the same bytes twice."""

@@ -24,7 +24,7 @@ from evoctl.control import (
     step_ledger,
 )
 from evoctl.errors import HypothesisViolationError, ShapeMismatchError
-from evoctl.evolution import TimeGrid, Trajectory
+from evoctl.evolution import EvolutionarySystem, TimeGrid, Trajectory, solve
 from evoctl.models import drive as drive_control
 from evoctl.operators import Grid1D, build_sbp_pair_1d
 
@@ -195,10 +195,22 @@ class TestAdjointStructure:
             worst = max(worst, abs(np.vdot(x, sys.A @ y) + np.vdot(sys.A @ x, y)))
         assert worst < 1e-12, f"skew pairing defect {worst:.2e}"
 
-    def test_as_evolutionary_carries_the_control_columns(self):
-        sys = wave_example_system()
-        evo = sys.as_evolutionary()
-        assert np.array_equal(evo.J, sys.B)
+    def test_is_the_evolutionary_system_with_j_equal_b(self):
+        """A control system is solved as it stands: its input map is its
+        control columns, and solve gives bitwise what it gives for the plain
+        evolutionary system with the same four matrices."""
+        rng = np.random.default_rng(13)
+        sys = random_compatible_system(rng)
+        assert isinstance(sys, EvolutionarySystem)
+        assert sys.J.tobytes() == np.vstack([sys.B0, sys.B1, sys.B2]).tobytes()
+        plain = EvolutionarySystem(sys.M0, sys.M1, sys.A, sys.J)
+        x0 = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
+        u = lambda t: np.array([np.cos(3.0 * t), 0.5j * np.sin(2.0 * t)])
+        for scheme in ("backward_euler", "implicit_midpoint"):
+            grid = TimeGrid(t_end=1.0, n_steps=16)
+            ours, theirs = (solve(s, x0, u, grid, scheme) for s in (sys, plain))
+            assert ours.states.tobytes() == theirs.states.tobytes()
+            assert ours.inputs.tobytes() == theirs.inputs.tobytes()
 
 
 class TestCheckCompatibility:

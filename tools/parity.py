@@ -15,9 +15,9 @@ directories is empty.
 The matrix: every preset under both schemes with a sinusoid input at
 frequency 3 and a sine initial profile (n_cells 24, 16 for the
 port-Hamiltonian chain), an energy replay of each control preset's run,
-wellposed for each preset, and the benchmark's cubic-wave and
-long-horizon configurations (perfbench/workloads.py) at input frequency
-3 and initial mode 2.
+wellposed for each preset, bdspace on the grids of BDSPACE_GRIDS, and the
+benchmark's cubic-wave and long-horizon configurations
+(perfbench/workloads.py) at input frequency 3 and initial mode 2.
 """
 
 import argparse
@@ -34,6 +34,10 @@ PRESETS = {"wave-wt": 24, "wave-mixed": 24, "port-hamiltonian": 16, "maxwell-lif
 CONTROL_PRESETS = ("wave-wt", "wave-mixed", "port-hamiltonian")
 SCHEMES = ("backward_euler", "implicit_midpoint")
 WORKLOAD_PARAMS = {"freq": 3.0, "mode": 2}
+# (case name, grid.a, grid.b, grid.n_cells): the default interval, two cells
+# on a longer one, and an interval off the origin
+BDSPACE_GRIDS = (("bdspace-24", 0, 1, 24), ("bdspace-2-b3", 0, 3, 2),
+                 ("bdspace-24-m2-3", -2, 3, 24))
 
 
 def _sets(*pairs):
@@ -57,6 +61,10 @@ def matrix(out: Path) -> list:
                 case = out / f"energy-{preset}-{scheme}"
                 cases.append((case, ["energy", *common, *_sets(("outdir", case)),
                                      "--trajectory", str(sim / "trajectory.csv")]))
+    for name, a, b, n_cells in BDSPACE_GRIDS:
+        case = out / name
+        cases.append((case, ["bdspace", *_sets(("grid.a", a), ("grid.b", b),
+                                               ("grid.n_cells", n_cells), ("outdir", case))]))
     for workload in ("cubic-wave", "long-horizon"):
         cases += [(inv.outdir, list(inv.argv))
                   for inv in invocations(workload, WORKLOAD_PARAMS, out / workload)]
