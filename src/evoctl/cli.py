@@ -2,7 +2,11 @@
 
 Configuration is a single JSON document passed with --config, with
 dotted overrides via --set key=value (values parsed as JSON when
-possible).  The presets are
+possible).  load_config merges it over DEFAULT_CONFIG, the one place
+that holds each default, and builds the run's Grid1D and TimeGrid once,
+so every command refuses an invalid grid or time grid.  _build_preset
+is the one builder of the four presets and _write_run the one writer of
+the simulate artifacts.  The presets are
 
     wave-wt          wave with boundary observation, every point
                      hyperbolic
@@ -33,7 +37,7 @@ balance of each step against its own identity, which is the quantity
 checked against the tolerance (a non-finite one always fails).  Exit
 status: 0 when every requested defect threshold passes, 1 when a
 threshold or hypothesis fails, 2 for configuration and precondition
-errors.
+errors, a preset whose system matrices are not finite among them.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from .bdspace import compute_bd_space, dot_map
-from .control import extract_io, step_ledger
+from .control import ControlSystem, extract_io, step_ledger
 from .errors import EvoctlError
 from .evolution import SCHEMES, TimeGrid, Trajectory, c_min, check_wellposed, theta_schedule
 from .models import (
@@ -61,6 +65,7 @@ from .models import (
     build_weiss_tucsnak_wave,
     drive,
     maxwell_lift_solve,
+    maxwell_system,
     three_region_indicators,
 )
 from .operators import Grid1D, build_sbp_pair_1d, ibp_defect
@@ -83,15 +88,11 @@ DEFAULT_CONFIG = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration."""
+    """Validated run configuration; grid and time are built once here."""
 
     preset: str
-    a: float
-    b: float
-    n_cells: int
-    t_end: float
-    n_steps: int
-    nu: float
+    grid: Grid1D
+    time: TimeGrid
     scheme: str
     input: dict
     initial: dict
@@ -165,10 +166,10 @@ def load_config(path, overrides, default_tolerance) -> RunConfig:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     return RunConfig(
         preset=data["preset"],
-        a=_number("grid.a", grid["a"]), b=_number("grid.b", grid["b"]),
-        n_cells=_number("grid.n_cells", grid["n_cells"], int),
-        t_end=_number("time.t_end", time["t_end"]), n_steps=n_steps,
-        nu=_number("time.nu", time["nu"]),
+        grid=Grid1D(_number("grid.a", grid["a"]), _number("grid.b", grid["b"]),
+                    _number("grid.n_cells", grid["n_cells"], int)),
+        time=TimeGrid(t_end=_number("time.t_end", time["t_end"]), n_steps=n_steps,
+                      nu=_number("time.nu", time["nu"])),
         scheme=data["scheme"], input=data["input"], initial=data["initial"],
         outdir=str(data["outdir"]), tolerance=tolerance,
     )
@@ -210,19 +211,20 @@ def _base_comments(cfg: RunConfig):
         f"seed={_seed()}",
         f"preset={cfg.preset}",
         f"scheme={cfg.scheme}",
-        f"grid a={_fmt(cfg.a)} b={_fmt(cfg.b)} n_cells={cfg.n_cells}",
-        f"time t_end={_fmt(cfg.t_end)} n_steps={cfg.n_steps} nu={_fmt(cfg.nu)}",
+        f"grid a={_fmt(cfg.grid.a)} b={_fmt(cfg.grid.b)} n_cells={cfg.grid.n_cells}",
+        f"time t_end={_fmt(cfg.time.t_end)} n_steps={cfg.time.n_steps} "
+        f"nu={_fmt(cfg.time.nu)}",
     ]
 
 
 def _initial_profile(cfg: RunConfig, points):
-    kind = cfg.initial.get("kind", "zero")
+    kind = cfg.initial["kind"]
     if kind == "zero":
         return np.zeros(len(points))
     if kind == "sine":
-        amplitude = _number("initial.amplitude", cfg.initial.get("amplitude", 1.0))
-        mode = _number("initial.mode", cfg.initial.get("mode", 1), int)
-        rel = (np.asarray(points) - cfg.a) / (cfg.b - cfg.a)
+        amplitude = _number("initial.amplitude", cfg.initial["amplitude"])
+        mode = _number("initial.mode", cfg.initial["mode"], int)
+        rel = (np.asarray(points) - cfg.grid.a) / (cfg.grid.b - cfg.grid.a)
         return amplitude * np.sin(mode * np.pi * rel)
     raise ValueError(f"unknown initial kind {kind!r}; use zero or sine")
 
@@ -267,13 +269,13 @@ def _table_signal(path, n_inputs):
 
 
 def _control_signal(cfg: RunConfig, n_inputs):
-    kind = cfg.input.get("kind", "zero")
+    kind = cfg.input["kind"]
     if kind == "zero":
         return None
     if kind == "sinusoid":
-        freq = _number("input.freq", cfg.input.get("freq", 1.0))
-        amplitude = _number("input.amplitude", cfg.input.get("amplitude", 1.0))
-        component = _number("input.component", cfg.input.get("component", 0), int)
+        freq = _number("input.freq", cfg.input["freq"])
+        amplitude = _number("input.amplitude", cfg.input["amplitude"])
+        component = _number("input.component", cfg.input["component"], int)
         if not 0 <= component < n_inputs:
             raise ValueError(
                 f"input.component must lie in [0, {n_inputs - 1}], got {component}"
@@ -286,27 +288,27 @@ def _control_signal(cfg: RunConfig, n_inputs):
 
         return u
     if kind == "table":
-        path = cfg.input.get("path")
+        path = cfg.input["path"]
         if not path:
             raise ValueError("input.kind=table needs input.path")
         return _table_signal(path, n_inputs)
     raise ValueError(f"unknown input kind {kind!r}; use zero, sinusoid or table")
 
 
-def _build_control_preset(cfg: RunConfig):
-    grid = Grid1D(cfg.a, cfg.b, cfg.n_cells)
-    if cfg.preset == "wave-wt":
-        z1 = _initial_profile(cfg, grid.nodes())
-        return build_weiss_tucsnak_wave(WaveSpec(grid=grid, z1=z1))
-    if cfg.preset == "wave-mixed":
-        z1 = _initial_profile(cfg, grid.nodes())
-        return build_mixed_type_wave(WaveSpec(grid=grid, z1=z1),
-                                     three_region_indicators(grid))
+def _build_preset(cfg: RunConfig):
+    """The configured preset's system: a ControlSystem for the wave and
+    chain presets, the EvolutionarySystem of the Maxwell pair."""
+    grid = cfg.grid
+    if cfg.preset == "maxwell-lift-1d":
+        return maxwell_system(build_sbp_pair_1d(grid))
+    profile = _initial_profile(cfg, grid.nodes())
     if cfg.preset == "port-hamiltonian":
-        xi1 = _initial_profile(cfg, grid.nodes())[None, :]
         return build_port_hamiltonian(
-            PortHamiltonianSpec(grid=grid, Nmat=[[1.0]], xi1=xi1))
-    raise ValueError(f"preset {cfg.preset!r} does not build a control system")
+            PortHamiltonianSpec(grid=grid, Nmat=[[1.0]], xi1=profile[None, :]))
+    spec = WaveSpec(grid=grid, z1=profile)
+    if cfg.preset == "wave-wt":
+        return build_weiss_tucsnak_wave(spec)
+    return build_mixed_type_wave(spec, three_region_indicators(grid))
 
 
 def _run_comments(cfg: RunConfig, traj: Trajectory):
@@ -317,8 +319,13 @@ def _run_comments(cfg: RunConfig, traj: Trajectory):
 
 
 def _imag_note(states):
-    scale = max(1.0, np.abs(states).max())
-    return f"max_imag={_fmt(np.abs(states.imag).max() / scale)}"
+    """Largest |imaginary part| relative to max(1, max |x|), taken over
+    blocks of rows so that no temporary the size of the states is formed."""
+    rows = 1024
+    blocks = range(0, len(states), rows)
+    scale = max(1.0, np.max([np.abs(states[i:i + rows]).max() for i in blocks]))
+    worst = np.max([np.abs(states[i:i + rows].imag).max() for i in blocks])
+    return f"max_imag={_fmt(worst / scale)}"
 
 
 # ---------------------------------------------------------------------------
@@ -326,25 +333,21 @@ def _imag_note(states):
 
 
 def cmd_wellposed(cfg: RunConfig, outdir: Path, zero_damping: bool) -> int:
-    if cfg.preset == "maxwell-lift-1d":
-        if zero_damping:
+    sys = _build_preset(cfg)
+    M0, M1 = sys.M0, np.array(sys.M1)
+    if zero_damping:
+        if not isinstance(sys, ControlSystem):
             raise ValueError("--zero-damping applies to presets with a Y block")
-        dim = Grid1D(cfg.a, cfg.b, cfg.n_cells).n_nodes + cfg.n_cells
-        M0, M1 = np.eye(dim), np.zeros((dim, dim))
-    else:
-        sys = _build_control_preset(cfg)
-        M0, M1 = sys.M0, np.array(sys.M1)
-        if zero_damping:
-            sl = sys.partition.sl_y
-            M1[sl, :] = 0.0
-            M1[:, sl] = 0.0
+        sl = sys.partition.sl_y
+        M1[sl, :] = 0.0
+        M1[:, sl] = 0.0
 
     re_m1 = 0.5 * (M1 + M1.conj().T)
-    nu_values = [(k + 1) * (2.0 * cfg.nu) / 16.0 for k in range(16)]
+    nu_values = [(k + 1) * (2.0 * cfg.time.nu) / 16.0 for k in range(16)]
     rows = [(nu, c_min(M0, re_m1, nu)) for nu in nu_values]
     write_csv(outdir / "wellposed.csv", _base_comments(cfg), ("nu", "c_min"), rows)
 
-    report = check_wellposed(M0, M1, nu_max=2.0 * cfg.nu)
+    report = check_wellposed(M0, M1, nu_max=2.0 * cfg.time.nu)
     if not report.ok:
         print(f"well-posedness fails: best c = {report.c:.6e} at nu = "
               f"{report.nu0:.6e} (need c > 0)")
@@ -381,73 +384,58 @@ LEDGER_COLUMNS = ("t_a", "t_b", "stored_drop", "dissipation", "supply",
                   "euler_correction", "defect")
 
 
-def _simulate_control(cfg: RunConfig, outdir: Path) -> int:
-    sys = _build_control_preset(cfg)
-    tg = TimeGrid(t_end=cfg.t_end, n_steps=cfg.n_steps, nu=cfg.nu)
-    u_of_t = _control_signal(cfg, sys.partition.n_u1)
-    traj = drive(sys, u_of_t, tg, cfg.scheme)
-    times = tg.times()
-
+def _write_run(cfg: RunConfig, outdir: Path, traj: Trajectory, y, ledger_rows,
+               ledger_note=None):
+    """Write a simulate run: trajectory.csv with the states at traj.times,
+    io.csv with one row (sample time, traj.inputs, y) per step, and
+    ledger.csv, whose header gains ledger_note when one is given."""
     comments = _run_comments(cfg, traj) + [_imag_note(traj.states)]
-    columns = ("t",) + tuple(f"x{i}" for i in range(sys.dim))
+    columns = ("t",) + tuple(f"x{i}" for i in range(traj.states.shape[1]))
     write_csv(outdir / "trajectory.csv", comments, columns,
-              ((t, *x.real.tolist()) for t, x in zip(times, traj.states)))
-
-    io = extract_io(sys, traj)
-    m, ny = sys.partition.n_u1, sys.partition.n_y
-    io_columns = ("t",) + tuple(f"u{i}" for i in range(m)) \
-        + tuple(f"y{i}" for i in range(ny))
+              ((t, *x.real.tolist()) for t, x in zip(traj.times, traj.states)))
+    io_columns = ("t",) + tuple(f"u{i}" for i in range(traj.inputs.shape[1])) \
+        + tuple(f"y{i}" for i in range(y.shape[1]))
     write_csv(outdir / "io.csv", comments, io_columns,
-              ((t, *u.real.tolist(), *y.real.tolist())
-               for t, u, y in zip(io.times, traj.inputs, io.y_samples)))
+              ((t, *u.real.tolist(), *yk.real.tolist())
+               for t, u, yk in zip(traj.sample_times(), traj.inputs, y)))
+    if ledger_note is not None:
+        comments.append(ledger_note)
+    write_csv(outdir / "ledger.csv", comments, LEDGER_COLUMNS, ledger_rows)
 
-    rows, defects = _ledger_rows(step_ledger(sys, traj), times)
-    write_csv(outdir / "ledger.csv", comments, LEDGER_COLUMNS, rows)
+
+def _simulate_control(cfg: RunConfig, outdir: Path) -> int:
+    sys = _build_preset(cfg)
+    traj = drive(sys, _control_signal(cfg, sys.partition.n_u1), cfg.time, cfg.scheme)
+    rows, defects = _ledger_rows(step_ledger(sys, traj), traj.times)
+    _write_run(cfg, outdir, traj, extract_io(sys, traj).y_samples, rows)
     return _verdict("ledger defect", defects, cfg.tolerance)
 
 
 def _simulate_maxwell(cfg: RunConfig, outdir: Path) -> int:
-    grid = Grid1D(cfg.a, cfg.b, cfg.n_cells)
-    pair = build_sbp_pair_1d(grid)
-    tg = TimeGrid(t_end=cfg.t_end, n_steps=cfg.n_steps, nu=cfg.nu)
-    times = tg.times()
+    pair = build_sbp_pair_1d(cfg.grid)
     bdD = compute_bd_space(pair, "D")
-
     u_of_t = _control_signal(cfg, bdD.dim)
-    u_samples = np.zeros((cfg.n_steps + 1, bdD.dim)) if u_of_t is None \
-        else np.stack([u_of_t(t) for t in times])
-    E0 = _initial_profile(cfg, grid.nodes())
+    u_samples = None if u_of_t is None \
+        else np.stack([u_of_t(t) for t in cfg.time.times()])
+    E0 = _initial_profile(cfg, cfg.grid.nodes())
     result = maxwell_lift_solve(pair, None, None, u_samples,
-                                (E0, np.zeros(pair.n_cells)), tg, cfg.scheme)
+                                (E0, np.zeros(pair.n_cells)), cfg.time, cfg.scheme)
     direct, lifted = result.direct, result.lifted
 
-    comments = _run_comments(cfg, direct) + [_imag_note(direct.states)]
-    columns = ("t",) + tuple(f"x{i}" for i in range(pair.n_nodes + pair.n_cells))
-    write_csv(outdir / "trajectory.csv", comments, columns,
-              ((t, *x.real.tolist()) for t, x in zip(times, direct.states)))
-
     nn = pair.n_nodes
-    io_rows = [(t_s, *direct.inputs[k].real, *bdD.project(x[nn:]).real)
-               for (k, _, x), t_s in zip(direct.steps(), direct.sample_times())]
-    io_columns = ("t",) + tuple(f"u{i}" for i in range(bdD.dim)) \
-        + tuple(f"y{i}" for i in range(bdD.dim))
-    write_csv(outdir / "io.csv", comments, io_columns, io_rows)
 
     def energy(x):
         return 0.5 * ((pair.W0 * np.abs(x[:nn]) ** 2).sum()
                       + (pair.W1 * np.abs(x[nn:]) ** 2).sum())
 
-    rows = []
-    gaps = np.zeros(cfg.n_steps)
-    for k in range(cfg.n_steps):
-        gaps[k] = np.abs(lifted.states[k + 1] - direct.states[k + 1]).max()
-        rows.append((times[k], times[k + 1],
-                     energy(direct.states[k]) - energy(direct.states[k + 1]),
-                     0.0, 0.0, 0.0, gaps[k]))
-    write_csv(outdir / "ledger.csv",
-              comments + ["defect column = distance between the lifted and "
-                          "direct routes"],
-              LEDGER_COLUMNS, rows)
+    times = direct.times
+    gaps = np.abs(lifted.states[1:] - direct.states[1:]).max(axis=1)
+    rows = [(times[k], times[k + 1],
+             energy(direct.states[k]) - energy(direct.states[k + 1]),
+             0.0, 0.0, 0.0, gaps[k]) for k in range(cfg.time.n_steps)]
+    y = np.array([bdD.project(x[nn:]) for _, _, x in direct.steps()])
+    _write_run(cfg, outdir, direct, y, rows,
+               "defect column = distance between the lifted and direct routes")
     return _verdict("route gap", gaps, cfg.tolerance)
 
 
@@ -458,8 +446,7 @@ def cmd_simulate(cfg: RunConfig, outdir: Path) -> int:
 
 
 def cmd_bdspace(cfg: RunConfig, outdir: Path) -> int:
-    grid = Grid1D(cfg.a, cfg.b, cfg.n_cells)
-    pair = build_sbp_pair_1d(grid)
+    pair = build_sbp_pair_1d(cfg.grid)
     bdG = compute_bd_space(pair, "G")
     bdD = compute_bd_space(pair, "D")
     comments = _base_comments(cfg)
@@ -546,40 +533,38 @@ def cmd_energy(cfg: RunConfig, outdir: Path, trajectory_path) -> int:
             "the energy command replays control-system presets; the maxwell "
             "preset reports its route gap under simulate"
         )
-    sys = _build_control_preset(cfg)
+    sys = _build_preset(cfg)
+    tg = cfg.time
     path = Path(trajectory_path) if trajectory_path is not None \
         else outdir / "trajectory.csv"
     comments, times, states = _read_trajectory_csv(path)
-    for line in _base_comments(cfg):
-        if line.startswith(("preset=", "grid ")) and line not in comments:
-            raise ValueError(f"stored trajectory {path} lacks '# {line}' of the "
-                             "configured run")
     meta = dict(line.partition("=")[::2] for line in comments)
-    if states.shape != (cfg.n_steps + 1, sys.dim):
+    if states.shape != (tg.n_steps + 1, sys.dim):
         raise ValueError(
             f"stored trajectory has shape {states.shape}, the configured run "
-            f"needs ({cfg.n_steps + 1}, {sys.dim})"
+            f"needs ({tg.n_steps + 1}, {sys.dim})"
         )
     scheme = meta.get("scheme", cfg.scheme)
     if scheme not in SCHEMES:
         raise ValueError(f"stored scheme {scheme!r} is not recognized")
 
-    tg = TimeGrid(t_end=cfg.t_end, n_steps=cfg.n_steps, nu=cfg.nu)
     grid_times = tg.times()
     # written so that a NaN time fails the comparison
     if not np.abs(grid_times - times).max() <= 1e-9 * max(1.0, tg.t_end):
         raise ValueError("stored time column does not match the configured grid")
 
     # the theta = 1 start-up steps of a midpoint run follow from the system
-    theta = theta_schedule(sys.M0, scheme, cfg.n_steps)
+    theta = theta_schedule(sys.M0, scheme, tg.n_steps)
     n_init = int(np.count_nonzero(theta == 1.0)) if scheme == "implicit_midpoint" else 0
     traj = Trajectory(tg, states.astype(complex),
-                      np.zeros((cfg.n_steps, sys.partition.n_u1), dtype=complex),
+                      np.zeros((tg.n_steps, sys.partition.n_u1), dtype=complex),
                       scheme, n_init)
     header = _run_comments(cfg, traj)
-    if header[-1] not in comments:
-        raise ValueError(f"stored trajectory {path} lacks '# {header[-1]}', the "
-                         f"theta schedule of {scheme} on the configured system")
+    for line in header:
+        if line.startswith(("preset=", "grid ", "n_euler_init_steps=")) \
+                and line not in comments:
+            raise ValueError(f"stored trajectory {path} lacks '# {line}' of the "
+                             "configured run")
     u_of_t = _control_signal(cfg, sys.partition.n_u1)
     if u_of_t is not None:
         for k, t in enumerate(traj.sample_times()):

@@ -97,8 +97,8 @@ def _require_hermitian(M0) -> float:
 class EvolutionarySystem:
     """Matrices (M0, M1, A, J) of an evolutionary equation.
 
-    M0 must be Hermitian and A skew-Hermitian (checked on construction);
-    J maps source samples into the state space.
+    M0 must be Hermitian, A skew-Hermitian and every matrix finite
+    (checked on construction); J maps source samples into the state space.
     """
 
     M0: np.ndarray
@@ -116,6 +116,10 @@ class EvolutionarySystem:
             J = J[:, None]
         if J.shape[0] != n:
             raise ShapeMismatchError(f"J must have {n} rows, got {J.shape}")
+        # the tests below compare against tolerances, which NaN passes
+        for name, mat in (("M0", M0), ("M1", M1), ("A", A), ("J", J)):
+            if not np.isfinite(mat).all():
+                raise HypothesisViolationError(f"{name} is not finite")
         _require_hermitian(M0)
         scaleA = max(1.0, np.abs(A).max()) if A.size else 1.0
         if A.size and np.abs(A + A.conj().T).max() > 1e-12 * scaleA:

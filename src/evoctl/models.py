@@ -265,7 +265,6 @@ def build_mixed_type_wave(spec: WaveSpec, indicators) -> ControlSystem:
         "S0": s0,
         "S1": s1,
         "node_basis": V,
-        "u_space": uspace,
         "Cdual_physical": Cdual_physical,
         "region_masks": masks,
     }
@@ -517,13 +516,7 @@ def build_port_hamiltonian(spec: PortHamiltonianSpec) -> ControlSystem:
     ])
 
     partition = BlockPartition(n_h0=ell * nc, n_h1=ell * nn, n_y=n, n_u1=n)
-    geometry = {
-        "pair": pair,
-        "S0": s0,
-        "endpoint_sampler": E,
-        "M32": M32,
-        "M33": M33,
-    }
+    geometry = {"endpoint_sampler": E, "M32": M32}
     return assemble_control(
         partition, M0_blocks, M1_blocks, Gmat, None,
         (None, E.conj().T @ B1, B2), n_w=0, x0=x0, geometry=geometry,
@@ -539,14 +532,14 @@ def endpoint_coupling_defect(sys: ControlSystem, traj: Trajectory) -> np.ndarray
     the boundary coupling the substitution enforced.
     """
     geo = sys.geometry or {}
-    if any(key not in geo for key in ("endpoint_sampler", "M32", "M33")):
+    if any(key not in geo for key in ("endpoint_sampler", "M32")):
         raise HypothesisViolationError(
             "endpoint coupling check needs chain geometry on the system "
-            "(endpoint sampler and the M32, M33 blocks)"
+            "(endpoint sampler and the M32 block)"
         )
     E = geo["endpoint_sampler"]
     M32 = np.asarray(geo["M32"], dtype=complex)
-    M33 = np.asarray(geo["M33"], dtype=complex)
+    M33 = sys.m1_block(3, 3)
     require_invertible(
         M32, "M32 is not invertible; w cannot be recovered from the observation rows"
     )
@@ -622,6 +615,27 @@ def _initial_fields(x0, nn, nc):
     return E0, H0
 
 
+def maxwell_system(pair: GradDivPair, eps=None, mu=None) -> EvolutionarySystem:
+    """The two-field system of the Maxwell-style preset, boundary data aside.
+
+    State (E, H) on (nodes, cells) in length-scaled coordinates with
+    M0 = diag(eps, mu), M1 = 0, A = [[0, -Ghat^H], [Ghat, 0]] where
+    Ghat = S1 G S0^-1, and J the identity.  eps and mu are positive
+    scalars or per-point diagonals (length n_nodes and n_cells), 1 when
+    None.
+    """
+    nn, nc = pair.n_nodes, pair.n_cells
+    Ghat = (pair.G / np.sqrt(pair.W0)[None, :]) * np.sqrt(pair.W1)[:, None]
+    A = np.block([
+        [np.zeros((nn, nn)), -Ghat.conj().T],
+        [Ghat, np.zeros((nc, nc))],
+    ])
+    M0 = np.diag(np.concatenate([_coefficient_diagonal(eps, nn, "eps"),
+                                 _coefficient_diagonal(mu, nc, "mu")]))
+    return EvolutionarySystem(M0=M0, M1=np.zeros((nn + nc, nn + nc)), A=A,
+                              J=np.eye(nn + nc))
+
+
 def maxwell_lift_solve(pair, eps, mu, u_bd, x0, grid, scheme) -> MaxwellLiftResult:
     """Two-field system under boundary data on the flux field, solved twice.
 
@@ -642,8 +656,8 @@ def maxwell_lift_solve(pair, eps, mu, u_bd, x0, grid, scheme) -> MaxwellLiftResu
     nn, nc = pair.n_nodes, pair.n_cells
     s0 = np.sqrt(pair.W0)
     s1 = np.sqrt(pair.W1)
-    eps_d = _coefficient_diagonal(eps, nn, "eps")
-    mu_d = _coefficient_diagonal(mu, nc, "mu")
+    sys = maxwell_system(pair, eps, mu)
+    mu_d = sys.M0.diagonal()[nn:].real
 
     bdD = compute_bd_space(pair, "D")
     m = bdD.dim
@@ -659,18 +673,10 @@ def maxwell_lift_solve(pair, eps, mu, u_bd, x0, grid, scheme) -> MaxwellLiftResu
             )
 
     lift = s1[:, None] * bdD.basis
-    Ghat = (pair.G / s0[None, :]) * s1[:, None]
     Dhat = (pair.D / s1[None, :]) * s0[:, None]
-    Theta = Dhat + Ghat.conj().T
-    A = np.block([
-        [np.zeros((nn, nn)), -Ghat.conj().T],
-        [Ghat, np.zeros((nc, nc))],
-    ])
-    M0 = np.diag(np.concatenate([eps_d, mu_d]))
-    sys = EvolutionarySystem(M0=M0, M1=np.zeros((nn + nc, nn + nc)), A=A,
-                             J=np.eye(nn + nc))
+    Theta = Dhat - sys.A[:nn, nn:]  # the block of A is -Ghat^H
 
-    theta = theta_schedule(M0, scheme, n_steps)
+    theta = theta_schedule(sys.M0, scheme, n_steps)
     step_of = {t: k for k, t in enumerate(grid.sample_times(theta))}
     u_theta = (1.0 - theta)[:, None] * u[:-1] + theta[:, None] * u[1:]
     du = (u[1:] - u[:-1]) / grid.tau

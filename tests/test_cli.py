@@ -53,7 +53,7 @@ class TestConfig:
         """An absent file plus no overrides yields the default run."""
         cfg = load_config(None, [], 1e-9)
         assert cfg.preset == "wave-wt"
-        assert cfg.n_cells == 16
+        assert cfg.grid.n_cells == 16
         assert cfg.scheme == "implicit_midpoint"
         assert cfg.tolerance == 1e-9
 
@@ -61,9 +61,9 @@ class TestConfig:
         """Dotted overrides coerce JSON values and fall back to strings."""
         cfg = load_config(None, ["time.n_steps=50", "preset=wave-mixed",
                                  "grid.a=-1.5"], 1e-9)
-        assert cfg.n_steps == 50 and isinstance(cfg.n_steps, int)
+        assert cfg.time.n_steps == 50 and isinstance(cfg.time.n_steps, int)
         assert cfg.preset == "wave-mixed"
-        assert cfg.a == -1.5
+        assert cfg.grid.a == -1.5
 
     def test_config_file_merges_with_defaults(self, tmp_path):
         """A partial JSON file overrides only the keys it mentions."""
@@ -71,9 +71,9 @@ class TestConfig:
         path.write_text('{"time": {"n_steps": 7}, "scheme": "backward_euler"}',
                         encoding="utf-8")
         cfg = load_config(str(path), [], 1e-9)
-        assert cfg.n_steps == 7
+        assert cfg.time.n_steps == 7
         assert cfg.scheme == "backward_euler"
-        assert cfg.n_cells == 16
+        assert cfg.grid.n_cells == 16
 
     @pytest.mark.parametrize("override,match", [
         ("bogus.key=1", "unknown"),
@@ -92,6 +92,17 @@ class TestConfig:
         """The entry point maps configuration errors to exit status 2."""
         assert run(tmp_path, "simulate", "--set", "preset=bogus") == 2
         assert run(tmp_path, "simulate", "--set", "time.n_steps=0") == 2
+
+    @pytest.mark.parametrize("command,override", [
+        ("wellposed", "time.t_end=0"),
+        ("bdspace", "time.t_end=-1"),
+        ("wellposed", "time.nu=0"),
+    ])
+    def test_time_grid_is_validated_for_every_command(self, tmp_path, capsys,
+                                                      command, override):
+        """Commands that integrate nothing still refuse a bad time grid."""
+        assert run(tmp_path, command, "--set", override) == 2
+        assert "must be positive" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("override", [
@@ -139,6 +150,20 @@ class TestWellposed:
     def test_mixed_preset_is_well_posed(self, tmp_path):
         """The three-region wave still certifies a positive constant."""
         assert run(tmp_path, "wellposed", "--set", "preset=wave-mixed") == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("command,preset", [
+        ("wellposed", "wave-wt"),
+        ("wellposed", "port-hamiltonian"),
+        ("simulate", "wave-wt"),
+    ])
+    def test_non_finite_system_exits_2(self, tmp_path, capsys, command, preset):
+        """On [0, 1e200] the scaled operators overflow; the NaN in A is
+        refused instead of being certified."""
+        assert run(tmp_path, command, "--set", f"preset={preset}",
+                   "--set", "grid.b=1e200") == 2
+        assert "error: A is not finite" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -339,6 +364,17 @@ class TestEnergy:
                    "--trajectory", str(sim / "trajectory.csv"))
         assert code == 2
         assert "grid a=0 b=1 n_cells=16" in capsys.readouterr().err
+
+    def test_trajectory_of_another_preset_is_rejected(self, tmp_path, capsys):
+        """wave-wt and wave-mixed states have the same shape; only the
+        stored preset line tells them apart."""
+        sim = tmp_path / "sim"
+        assert run(sim, "simulate", "--set", "time.n_steps=20") == 0
+        code = run(tmp_path, "energy", "--set", "time.n_steps=20",
+                   "--set", "preset=wave-mixed",
+                   "--trajectory", str(sim / "trajectory.csv"))
+        assert code == 2
+        assert "lacks '# preset=wave-mixed'" in capsys.readouterr().err
 
     def test_mismatched_shape_is_rejected(self, tmp_path):
         """A stored trajectory must match the configured run size."""

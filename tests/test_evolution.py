@@ -50,6 +50,16 @@ class TestEvolutionarySystem:
             EvolutionarySystem(M0=np.eye(2), M1=np.zeros((2, 2)),
                                A=np.eye(2), J=np.eye(2))
 
+    @pytest.mark.parametrize("name", ["M0", "M1", "A", "J"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_matrices(self, name, bad):
+        """A NaN passes every tolerance test, so it is refused up front."""
+        mats = {"M0": np.eye(2), "M1": np.zeros((2, 2)), "A": np.zeros((2, 2)),
+                "J": np.eye(2)}
+        mats[name][1, 1] = bad
+        with pytest.raises(HypothesisViolationError, match=f"^{name} is not finite$"):
+            EvolutionarySystem(**mats)
+
     def test_vector_j_promoted_to_column(self):
         sys = EvolutionarySystem(M0=np.eye(2), M1=np.zeros((2, 2)),
                                  A=np.zeros((2, 2)), J=np.array([1.0, 0.0]))

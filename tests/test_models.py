@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from evoctl.bdspace import build_u_space, compute_bd_space, dot_map
 from evoctl.control import check_compatibility, energy_ledger, extract_io
 from evoctl.errors import (
     HypothesisViolationError,
@@ -171,8 +172,9 @@ class TestWaveBuilder:
 
     def test_control_gram_is_identity_for_defaults(self):
         """The default N map makes the control Gram matrix the identity."""
-        sys = wave_system()
-        gram = sys.geometry["u_space"].gram
+        pair = build_sbp_pair_1d(Grid1D(0.0, 1.0, 24))
+        bdG, bdD = compute_bd_space(pair, "G"), compute_bd_space(pair, "D")
+        gram = build_u_space(bdG, bdD, dot_map(bdG, bdD, pair), pair).gram
         err = np.abs(gram - np.eye(2)).max()
         assert err < 1e-12, f"gram deviates from identity: {err:.2e}"
 
@@ -436,7 +438,8 @@ class TestPortHamiltonian:
         geo = sys.geometry
         rng = np.random.default_rng(11)
         x1_phys = rng.standard_normal(grid.n_nodes)
-        sample = geo["endpoint_sampler"] @ (geo["S0"] * x1_phys)
+        s0 = np.sqrt(build_sbp_pair_1d(grid).W0)
+        sample = geo["endpoint_sampler"] @ (s0 * x1_phys)
         err = np.abs(sample - np.array([x1_phys[-1], x1_phys[0]])).max()
         assert err < 1e-13, f"sampler is not nodal evaluation: {err:.2e}"
 

@@ -15,9 +15,12 @@ directories is empty.
 The matrix: every preset under both schemes with a sinusoid input at
 frequency 3 and a sine initial profile (n_cells 24, 16 for the
 port-Hamiltonian chain), an energy replay of each control preset's run,
-wellposed for each preset, bdspace on the grids of BDSPACE_GRIDS, and the
-benchmark's cubic-wave and long-horizon configurations
-(perfbench/workloads.py) at input frequency 3 and initial mode 2.
+a replay of the backward-Euler chain run under the default (midpoint)
+scheme, a wave-wt run driven by the signal table SIGNAL_TABLE (written
+into its case directory), wellposed for each preset, bdspace on the
+grids of BDSPACE_GRIDS, and the benchmark's cubic-wave and long-horizon
+configurations (perfbench/workloads.py) at input frequency 3 and initial
+mode 2.
 """
 
 import argparse
@@ -39,6 +42,16 @@ WORKLOAD_PARAMS = {"freq": 3.0, "mode": 2}
 BDSPACE_GRIDS = (("bdspace-24", 0, 1, 24), ("bdspace-2-b3", 0, 3, 2),
                  ("bdspace-24-m2-3", -2, 3, 24))
 
+# time, u0, u1 for the two boundary inputs of wave-wt, one '#' line first
+SIGNAL_TABLE = """# piecewise linear boundary signal
+t,u0,u1
+0,0,0
+0.25,0.5,-0.25
+0.5,1,0.5
+0.75,0.25,-1
+1,0,0
+"""
+
 
 def _sets(*pairs):
     return [arg for key, value in pairs for arg in ("--set", f"{key}={value}")]
@@ -46,21 +59,34 @@ def _sets(*pairs):
 
 def matrix(out: Path) -> list:
     """(outdir, argv) of every case in run order; each argv sets its outdir
-    and a replay follows the run it replays."""
+    and a replay follows the run it replays.  Writes SIGNAL_TABLE into the
+    directory of the case that reads it."""
     cases = []
+    drive = (("input.kind", "sinusoid"), ("input.freq", 3), ("initial.kind", "sine"))
     for preset, n_cells in PRESETS.items():
         grid = (("preset", preset), ("grid.n_cells", n_cells))
         case = out / f"wellposed-{preset}"
         cases.append((case, ["wellposed", *_sets(*grid, ("outdir", case))]))
         for scheme in SCHEMES:
-            common = _sets(*grid, ("scheme", scheme), ("input.kind", "sinusoid"),
-                           ("input.freq", 3), ("initial.kind", "sine"))
+            common = _sets(*grid, ("scheme", scheme), *drive)
             sim = out / f"simulate-{preset}-{scheme}"
             cases.append((sim, ["simulate", *common, *_sets(("outdir", sim))]))
             if preset in CONTROL_PRESETS:
                 case = out / f"energy-{preset}-{scheme}"
                 cases.append((case, ["energy", *common, *_sets(("outdir", case)),
                                      "--trajectory", str(sim / "trajectory.csv")]))
+        if preset == "port-hamiltonian":
+            case = out / "energy-port-hamiltonian-backward_euler-as-midpoint"
+            stored = out / "simulate-port-hamiltonian-backward_euler" / "trajectory.csv"
+            cases.append((case, ["energy", *_sets(*grid, *drive, ("outdir", case)),
+                                 "--trajectory", str(stored)]))
+    case = out / "simulate-wave-wt-table"
+    case.mkdir(parents=True)
+    (case / "signal.csv").write_text(SIGNAL_TABLE, encoding="utf-8")
+    cases.append((case, ["simulate", *_sets(
+        ("preset", "wave-wt"), ("grid.n_cells", PRESETS["wave-wt"]),
+        ("input.kind", "table"), ("input.path", case / "signal.csv"),
+        ("initial.kind", "sine"), ("outdir", case))]))
     for name, a, b, n_cells in BDSPACE_GRIDS:
         case = out / name
         cases.append((case, ["bdspace", *_sets(("grid.a", a), ("grid.b", b),
