@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalRankError, PositivityError, ShapeMismatchError
+from .errors import NumericalRankError, PositivityError, ShapeMismatchError, require_shape
 from .operators import GradDivPair
 
 KERNEL_CUTOFF = 1e-8
@@ -134,8 +134,11 @@ def _graph_mgs(columns: np.ndarray, graph: GraphInnerProduct) -> np.ndarray:
             for q in out:
                 v = v - q * graph.inner(q, v)
         nrm = graph.norm(v)
-        if nrm < 1e-12:
-            raise NumericalRankError("kernel basis collapsed during orthonormalization")
+        if not 1e-12 <= nrm < np.inf:  # NaN and inf come from a graph form that overflows
+            raise NumericalRankError(
+                f"kernel basis collapsed or overflowed during orthonormalization "
+                f"(graph norm {nrm:.3e})"
+            )
         out.append(v / nrm)
     return np.column_stack(out)
 
@@ -237,12 +240,7 @@ def build_u_space(
     Raises PositivityError (with a witness direction) when the induced
     form (1/2)(Ddot N + N* Gdot) fails to be positive definite.
     """
-    N_map = np.asarray(N_map, dtype=complex)
-    if N_map.shape != (bdD.dim, bdG.dim):
-        raise ShapeMismatchError(
-            f"N must map node-side coordinates to cell-side ones, expected shape "
-            f"{(bdD.dim, bdG.dim)}, got {N_map.shape}"
-        )
+    N_map = require_shape(N_map, (bdD.dim, bdG.dim), "N_map")
     Q = dot_map(bdG, bdD, pair)
     Qd = dot_map(bdD, bdG, pair)
     gram = 0.5 * (N_map.conj().T @ Q + Q.conj().T @ N_map)

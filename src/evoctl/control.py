@@ -43,7 +43,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import HypothesisViolationError, ShapeMismatchError, require_invertible
+from .errors import (HypothesisViolationError, ShapeMismatchError, negligible, require_geometry,
+                     require_invertible, require_shape)
 from .evolution import EvolutionarySystem, Trajectory
 
 COMPAT_TOL = 1e-10
@@ -223,18 +224,9 @@ def assemble_control(
     sizes = _fine_sizes(partition, n_w)
     n_zeta = sizes[1]
 
-    Gmat = np.asarray(Gmat, dtype=complex)
-    if Gmat.shape != (n_zeta, partition.n_h0):
-        raise ShapeMismatchError(
-            f"F's gradient part must be {n_zeta}x{partition.n_h0}, got {Gmat.shape}"
-        )
-    if Cmat is None:
-        Cmat = np.zeros((n_w, partition.n_h0), dtype=complex)
-    Cmat = np.asarray(Cmat, dtype=complex)
-    if Cmat.shape != (n_w, partition.n_h0):
-        raise ShapeMismatchError(
-            f"Cmat must be {n_w}x{partition.n_h0}, got {Cmat.shape}"
-        )
+    Gmat = require_shape(Gmat, (n_zeta, partition.n_h0), "Gmat")
+    Cmat = require_shape(Cmat, (n_w, partition.n_h0), "Cmat",
+                         default=np.zeros((n_w, partition.n_h0)))
 
     F = np.vstack([-Gmat, Cmat])
     A = np.zeros((partition.dim, partition.dim), dtype=complex)
@@ -347,15 +339,11 @@ def step_ledger(sys: ControlSystem, traj: Trajectory, a=0.0, b=None) -> StepLedg
     dissipation - supply + correction.
     """
     p = sys.partition
-    scale0 = max(1.0, np.abs(sys.M0).max())
-    y_rows = np.abs(sys.M0[p.sl_y, :]).max() if p.n_y else 0.0
-    y_cols = np.abs(sys.M0[:, p.sl_y]).max() if p.n_y else 0.0
-    if max(y_rows, y_cols) > 1e-12 * scale0:
+    if not (negligible(sys.M0[p.sl_y, :], sys.M0) and negligible(sys.M0[:, p.sl_y], sys.M0)):
         raise HypothesisViolationError(
             "energy ledger requires the observation rows and columns of M0 to vanish"
         )
-    scale_a = max(1.0, np.abs(sys.A).max())
-    if p.n_y and np.abs(sys.A[p.sl_y, :]).max() > 1e-12 * scale_a:
+    if not negligible(sys.A[p.sl_y, :], sys.A):
         raise HypothesisViolationError(
             "energy ledger requires the observation rows of A to vanish"
         )
@@ -439,8 +427,7 @@ def extract_io(sys: ControlSystem, traj: Trajectory) -> IOSamples:
     off = sys.fine_offsets()
     wy = slice(off[2], off[4])
     vz = slice(0, off[2])
-    scale0 = max(1.0, np.abs(sys.M0).max())
-    if nw + ny and np.abs(sys.M0[wy, :]).max() > 1e-12 * scale0:
+    if not negligible(sys.M0[wy, :], sys.M0):
         raise HypothesisViolationError(
             "input/output recovery requires the (w, y) rows of M0 to vanish"
         )
@@ -479,17 +466,12 @@ def boundary_equation_defect(sys: ControlSystem, traj: Trajectory) -> np.ndarray
     pair, its cell-side boundary data space and the physical dual map
     of the boundary observation.
     """
-    geo = sys.geometry or {}
-    if any(key not in geo for key in ("pair", "bdD", "Cdual_physical")):
-        raise HypothesisViolationError(
-            "boundary equation check needs wave geometry on the system "
-            "(grad/div pair, cell-side boundary space, physical dual map)"
-        )
+    pair, bdD, Cdual_phys = require_geometry(sys, ("pair", "bdD", "Cdual_physical"),
+                                             "the boundary equation check")
     if sys.n_w == 0 or np.abs(sys.Cmat).max() == 0.0:
         raise HypothesisViolationError(
             "boundary equation check needs a system with boundary coupling"
         )
-    pair, bdD, Cdual_phys = geo["pair"], geo["bdD"], geo["Cdual_physical"]
     s1 = np.sqrt(pair.W1)
     Dmin = pair.minimal_div()
 

@@ -1,4 +1,11 @@
-"""Exception types shared across the package, and the invertibility rule."""
+"""Exception types shared across the package, and the argument rules that
+every public entry states through them:
+
+    require_shape       an array argument has the shape the operation needs
+    negligible          a block is zero up to roundoff next to its matrix
+    require_invertible  a matrix is numerically invertible
+    require_geometry    a check finds the model data it reads on the system
+"""
 
 import numpy as np
 
@@ -57,3 +64,32 @@ def require_invertible(mat, message):
     svals = np.linalg.svd(mat, compute_uv=False)
     if svals[-1] <= 1e-12 * max(svals[0], 1.0):
         raise HypothesisViolationError(message)
+
+
+def require_shape(value, shape, name, default=None) -> np.ndarray:
+    """value, or default when value is None, as a complex array; raises
+    ShapeMismatchError naming the argument unless its shape is shape."""
+    arr = np.asarray(default if value is None else value, dtype=complex)
+    if arr.shape != shape:
+        raise ShapeMismatchError(f"{name} must have shape {shape}, got {arr.shape}")
+    return arr
+
+
+def negligible(part, scale) -> bool:
+    """True when part is empty or max |part_ij| <= 1e-12 max(1, max
+    |scale_ij|): zero up to the roundoff of a matrix of scale's size.  A
+    part holding NaN is never negligible."""
+    part = np.abs(part)
+    return part.size == 0 or bool(part.max() <= 1e-12 * max(1.0, np.abs(scale).max()))
+
+
+def require_geometry(sys, keys, check) -> tuple:
+    """The values of keys in sys.geometry, in key order; raises
+    HypothesisViolationError naming check and every missing key."""
+    geo = sys.geometry or {}
+    missing = [key for key in keys if key not in geo]
+    if missing:
+        raise HypothesisViolationError(
+            f"{check} needs {', '.join(missing)} in the system geometry"
+        )
+    return tuple(geo[key] for key in keys)

@@ -42,7 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HypothesisViolationError, ShapeMismatchError, StepSingularityError
+from .errors import (HypothesisViolationError, ShapeMismatchError, StepSingularityError,
+                     negligible, require_shape)
 
 SCHEMES = ("backward_euler", "implicit_midpoint")
 
@@ -87,10 +88,9 @@ def _as_square(name, mat, n=None):
 def _require_hermitian(M0) -> float:
     """Refuse a non-Hermitian M0; returns the scale max(1, max |M0_ij|)
     of the test."""
-    scale0 = max(1.0, np.abs(M0).max())
-    if np.abs(M0 - M0.conj().T).max() > 1e-12 * scale0:
+    if not negligible(M0 - M0.conj().T, M0):
         raise HypothesisViolationError("M0 is not Hermitian")
-    return scale0
+    return max(1.0, np.abs(M0).max())
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,7 @@ class EvolutionarySystem:
             if not np.isfinite(mat).all():
                 raise HypothesisViolationError(f"{name} is not finite")
         _require_hermitian(M0)
-        scaleA = max(1.0, np.abs(A).max()) if A.size else 1.0
-        if A.size and np.abs(A + A.conj().T).max() > 1e-12 * scaleA:
+        if not negligible(A + A.conj().T, A):
             raise HypothesisViolationError("A is not skew-Hermitian")
         object.__setattr__(self, "M0", M0)
         object.__setattr__(self, "M1", M1)
@@ -313,9 +312,7 @@ def solve(sys: EvolutionarySystem, x0, f, grid: TimeGrid, scheme: str) -> Trajec
     ValueError naming the step.
     """
     n_init = _init_steps(sys.M0, scheme)
-    x0 = np.asarray(x0, dtype=complex)
-    if x0.shape != (sys.dim,):
-        raise ShapeMismatchError(f"x0 must have shape ({sys.dim},), got {x0.shape}")
+    x0 = require_shape(x0, (sys.dim,), "x0")
     tau = grid.tau
     m = sys.n_inputs
 
@@ -350,21 +347,15 @@ def causality_defect(sys, f1, f2, a: float, grid: TimeGrid, scheme: str, x0=None
     Requires f1 and f2 to agree at every sample time <= a (the
     violating sample is reported otherwise); the initial state is shared.
     """
-    m = sys.n_inputs
-    theta = theta_schedule(sys.M0, scheme, grid.n_steps)
-    for t in grid.sample_times(theta):
-        if t <= a + 1e-12 * max(1.0, a):
-            v1 = _sample(f1, t, m)
-            v2 = _sample(f2, t, m)
-            if np.abs(v1 - v2).max() > 1e-13 * max(1.0, np.abs(v1).max()):
-                raise HypothesisViolationError(
-                    f"inputs differ at sample t = {t:.6g} <= a = {a:.6g}"
-                )
     if x0 is None:
         x0 = np.zeros(sys.dim)
     t1 = solve(sys, x0, f1, grid, scheme)
     t2 = solve(sys, x0, f2, grid, scheme)
-    mask = grid.times() <= a + 1e-12 * max(1.0, a)
+    a_tol = a + 1e-12 * max(1.0, a)
+    for t, v1, v2 in zip(t1.sample_times(), t1.inputs, t2.inputs):
+        if t <= a_tol and np.abs(v1 - v2).max() > 1e-13 * max(1.0, np.abs(v1).max()):
+            raise HypothesisViolationError(f"inputs differ at sample t = {t:.6g} <= a = {a:.6g}")
+    mask = grid.times() <= a_tol
     if not np.any(mask):
         return 0.0
     return float(np.abs(t1.states[mask] - t2.states[mask]).max())
@@ -377,10 +368,8 @@ def weighted_norm(traj: Trajectory, component_weights) -> float:
     square root returned.  W must be Hermitian positive semidefinite for
     the result to be a norm; the real part of the quadratic form is used.
     """
-    W = np.asarray(component_weights, dtype=complex)
     n = traj.states.shape[1]
-    if W.shape != (n, n):
-        raise ShapeMismatchError(f"component_weights must be {n}x{n}, got {W.shape}")
+    W = require_shape(component_weights, (n, n), "component_weights")
     t = traj.times
     quad = np.einsum("ki,ij,kj->k", traj.states.conj(), W, traj.states).real
     integrand = np.exp(-2.0 * traj.grid.nu * t) * quad

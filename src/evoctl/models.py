@@ -61,7 +61,7 @@ import numpy as np
 from .bdspace import build_u_space, compute_bd_space, dot_map, dual_projection
 from .control import BlockPartition, ControlSystem, assemble_control
 from .errors import (HypothesisViolationError, PositivityError, ShapeMismatchError,
-                     require_invertible)
+                     negligible, require_geometry, require_invertible, require_shape)
 from .evolution import EvolutionarySystem, TimeGrid, Trajectory, solve, theta_schedule
 from .operators import GradDivPair, Grid1D, build_sbp_pair_1d
 
@@ -196,14 +196,10 @@ def build_mixed_type_wave(spec: WaveSpec, indicators) -> ControlSystem:
 
     bdG = compute_bd_space(pair, "G")
     bdD = compute_bd_space(pair, "D")
-    N_map = dot_map(bdG, bdD, pair) if spec.N_map is None \
-        else np.asarray(spec.N_map, dtype=complex)
+    N_map = dot_map(bdG, bdD, pair) if spec.N_map is None else spec.N_map
     uspace = build_u_space(bdG, bdD, N_map, pair)
     m = uspace.dim
-    b_map = np.eye(m, dtype=complex) if spec.b_map is None \
-        else np.asarray(spec.b_map, dtype=complex)
-    if b_map.shape != (m, m):
-        raise ShapeMismatchError(f"b_map must be {m}x{m}, got {b_map.shape}")
+    b_map = require_shape(spec.b_map, (m, m), "b_map", default=np.eye(m))
     L = np.linalg.cholesky(uspace.gram)
 
     V = deflation_basis(pair)
@@ -246,12 +242,8 @@ def build_mixed_type_wave(spec: WaveSpec, indicators) -> ControlSystem:
     # last bits, which would change every artifact downstream
     Gmat = ((pair.G / s0[None, :]) * s1[:, None]) @ V.astype(complex)
 
-    z1 = np.zeros(pair.n_nodes) if spec.z1 is None else np.asarray(spec.z1, dtype=complex)
-    z0 = np.zeros(pair.n_cells) if spec.z0 is None else np.asarray(spec.z0, dtype=complex)
-    if z1.shape != (pair.n_nodes,):
-        raise ShapeMismatchError(f"z1 must have length {pair.n_nodes}, got {z1.shape}")
-    if z0.shape != (pair.n_cells,):
-        raise ShapeMismatchError(f"z0 must have length {pair.n_cells}, got {z0.shape}")
+    z1 = require_shape(spec.z1, (pair.n_nodes,), "z1", default=np.zeros(pair.n_nodes))
+    z0 = require_shape(spec.z0, (pair.n_cells,), "z0", default=np.zeros(pair.n_cells))
     x0 = np.concatenate([
         V.conj().T @ (s0 * z1),
         s1 * z0,
@@ -290,18 +282,10 @@ def elliptic_residual(sys: ControlSystem, traj: Trajectory) -> np.ndarray:
     shift of the full residual; the defect is therefore measured after
     removing the mean over the eligible nodes.
     """
-    geo = sys.geometry or {}
-    needed = ("pair", "node_basis", "S0", "S1", "Cdual_physical", "region_masks")
-    if any(key not in geo for key in needed):
-        raise HypothesisViolationError(
-            "elliptic residual needs wave geometry on the system "
-            "(pair, node basis, scale vectors, dual coupling, region masks)"
-        )
-    pair = geo["pair"]
-    V = geo["node_basis"]
-    s0, s1 = geo["S0"], geo["S1"]
-    Cdual = geo["Cdual_physical"]
-    nm_e, cm_e = geo["region_masks"]["elliptic"]
+    pair, V, s0, s1, Cdual, masks = require_geometry(
+        sys, ("pair", "node_basis", "S0", "S1", "Cdual_physical", "region_masks"),
+        "the elliptic residual")
+    nm_e, cm_e = masks["elliptic"]
 
     inner = np.arange(1, pair.n_nodes - 1)
     inner = inner[nm_e[inner] & cm_e[inner - 1] & cm_e[inner]]
@@ -368,13 +352,9 @@ def _density_values(Hfun, points, n) -> np.ndarray:
     """Evaluate a pointwise density, checking shape, symmetry, positivity."""
     vals = np.zeros((len(points), n, n), dtype=complex)
     for i, x in enumerate(points):
-        Hx = np.eye(n) if Hfun is None else np.asarray(Hfun(float(x)), dtype=complex)
-        if Hx.shape != (n, n):
-            raise ShapeMismatchError(
-                f"the Hamiltonian density at x = {x:.6g} must be {n}x{n}, "
-                f"got {Hx.shape}"
-            )
-        if np.abs(Hx - Hx.conj().T).max() > 1e-12 * max(1.0, np.abs(Hx).max()):
+        Hx = require_shape(None if Hfun is None else Hfun(float(x)), (n, n),
+                           f"the Hamiltonian density at x = {x:.6g}", default=np.eye(n))
+        if not negligible(Hx - Hx.conj().T, Hx):
             raise HypothesisViolationError(
                 f"the Hamiltonian density at x = {x:.6g} is not selfadjoint"
             )
@@ -390,8 +370,7 @@ def _density_values(Hfun, points, n) -> np.ndarray:
 
 
 def _require_group_diagonal(vals, ell, name):
-    off = max(np.abs(vals[:, :ell, ell:]).max(), np.abs(vals[:, ell:, :ell]).max())
-    if off > 1e-12 * max(1.0, np.abs(vals).max()):
+    if not (negligible(vals[:, :ell, ell:], vals) and negligible(vals[:, ell:, :ell], vals)):
         raise ValueError(
             f"{name} couples the two field groups, which live on different "
             "grids (cells and nodes); only coefficients block-diagonal over "
@@ -440,22 +419,15 @@ def build_port_hamiltonian(spec: PortHamiltonianSpec) -> ControlSystem:
     if spec.P0 is None:
         P0_00 = P0_11 = None
     else:
-        P0 = np.asarray(spec.P0, dtype=complex)
-        if P0.shape != (n, n):
-            raise ShapeMismatchError(f"P0 must be {n}x{n}, got {P0.shape}")
+        P0 = require_shape(spec.P0, (n, n), "P0")
         _require_group_diagonal(P0[None, :, :], ell, "P0")
         P0_00, P0_11 = P0[:ell, :ell], P0[ell:, ell:]
 
-    if spec.M1_lower is None:
-        M22 = np.eye(n, dtype=complex)
-        M23 = np.zeros((n, n), dtype=complex)
-        M32 = np.sqrt(2.0) * np.eye(n, dtype=complex)
-        M33 = np.eye(n, dtype=complex)
-    else:
-        M22, M23, M32, M33 = (np.asarray(blk, dtype=complex) for blk in spec.M1_lower)
-        for name, blk in (("M22", M22), ("M23", M23), ("M32", M32), ("M33", M33)):
-            if blk.shape != (n, n):
-                raise ShapeMismatchError(f"{name} must be {n}x{n}, got {blk.shape}")
+    defaults = {"M22": np.eye(n), "M23": np.zeros((n, n)), "M32": np.sqrt(2.0) * np.eye(n),
+                "M33": np.eye(n)}
+    M22, M23, M32, M33 = (
+        require_shape(blk, (n, n), name, default=defaults[name])
+        for name, blk in zip(defaults, (None,) * 4 if spec.M1_lower is None else spec.M1_lower))
     lower = np.block([[M22, M23], [M32, M33]])
     smallest = np.linalg.eigvalsh(0.5 * (lower + lower.conj().T))[0]
     if smallest <= 0:
@@ -466,17 +438,12 @@ def build_port_hamiltonian(spec: PortHamiltonianSpec) -> ControlSystem:
             RuntimeWarning,
         )
 
-    B2 = -np.eye(n, dtype=complex) if spec.B2 is None \
-        else np.asarray(spec.B2, dtype=complex)
-    if B2.shape != (n, n):
-        raise ShapeMismatchError(f"B2 must be {n}x{n}, got {B2.shape}")
+    B2 = require_shape(spec.B2, (n, n), "B2", default=-np.eye(n))
     if spec.B1 is None:
         require_invertible(M33, "cannot derive a compatible default B1: M33 is not invertible")
         B1 = M32.conj().T @ np.linalg.solve(M33.conj().T, B2)
     else:
-        B1 = np.asarray(spec.B1, dtype=complex)
-        if B1.shape != (n, n):
-            raise ShapeMismatchError(f"B1 must be {n}x{n}, got {B1.shape}")
+        B1 = require_shape(spec.B1, (n, n), "B1")
 
     e_b = np.zeros(nn)
     e_b[-1] = 1.0 / s0[-1]
@@ -503,12 +470,8 @@ def build_port_hamiltonian(spec: PortHamiltonianSpec) -> ControlSystem:
     M1_blocks[3][1] = M32 @ E
     M1_blocks[3][3] = M33
 
-    xi0 = np.zeros((ell, nc)) if spec.xi0 is None else np.asarray(spec.xi0, dtype=complex)
-    xi1 = np.zeros((ell, nn)) if spec.xi1 is None else np.asarray(spec.xi1, dtype=complex)
-    if xi0.shape != (ell, nc):
-        raise ShapeMismatchError(f"xi0 must be ({ell}, {nc}), got {xi0.shape}")
-    if xi1.shape != (ell, nn):
-        raise ShapeMismatchError(f"xi1 must be ({ell}, {nn}), got {xi1.shape}")
+    xi0 = require_shape(spec.xi0, (ell, nc), "xi0", default=np.zeros((ell, nc)))
+    xi1 = require_shape(spec.xi1, (ell, nn), "xi1", default=np.zeros((ell, nn)))
     x0 = np.concatenate([
         (xi0 * s1[None, :]).reshape(-1),
         (xi1 * s0[None, :]).reshape(-1),
@@ -531,14 +494,8 @@ def endpoint_coupling_defect(sys: ControlSystem, traj: Trajectory) -> np.ndarray
     state the recovered w must match the endpoint samples of x1; that is
     the boundary coupling the substitution enforced.
     """
-    geo = sys.geometry or {}
-    if any(key not in geo for key in ("endpoint_sampler", "M32")):
-        raise HypothesisViolationError(
-            "endpoint coupling check needs chain geometry on the system "
-            "(endpoint sampler and the M32 block)"
-        )
-    E = geo["endpoint_sampler"]
-    M32 = np.asarray(geo["M32"], dtype=complex)
+    E, M32 = require_geometry(sys, ("endpoint_sampler", "M32"), "the endpoint coupling check")
+    M32 = np.asarray(M32, dtype=complex)
     M33 = sys.m1_block(3, 3)
     require_invertible(
         M32, "M32 is not invertible; w cannot be recovered from the observation rows"
@@ -662,15 +619,7 @@ def maxwell_lift_solve(pair, eps, mu, u_bd, x0, grid, scheme) -> MaxwellLiftResu
     bdD = compute_bd_space(pair, "D")
     m = bdD.dim
     n_steps = grid.n_steps
-    if u_bd is None:
-        u = np.zeros((n_steps + 1, m), dtype=complex)
-    else:
-        u = np.asarray(u_bd, dtype=complex)
-        if u.shape != (n_steps + 1, m):
-            raise ShapeMismatchError(
-                f"u_bd must be ({n_steps + 1}, {m}) samples on the time grid, "
-                f"got {u.shape}"
-            )
+    u = require_shape(u_bd, (n_steps + 1, m), "u_bd", default=np.zeros((n_steps + 1, m)))
 
     lift = s1[:, None] * bdD.basis
     Dhat = (pair.D / s1[None, :]) * s0[:, None]

@@ -497,6 +497,15 @@ class TestPortHamiltonian:
             build_port_hamiltonian(PortHamiltonianSpec(
                 grid=Grid1D(0.0, 1.0, 8), Nmat=[[1.0]], Hfun=bad))
 
+    def test_nan_density_refused_at_its_point(self):
+        """A NaN density passes no selfadjointness test; the refusal names
+        the first point where it appears."""
+        bad = lambda x: np.diag([1.0, np.nan if x > 0.5 else 1.0])
+        with pytest.raises(HypothesisViolationError,
+                           match="density at x = 0.5625 is not selfadjoint"):
+            build_port_hamiltonian(PortHamiltonianSpec(
+                grid=Grid1D(0.0, 1.0, 8), Nmat=[[1.0]], Hfun=bad))
+
     def test_cross_group_density_rejected(self):
         """Densities coupling the cell and node groups have no pointwise
         realization on the staggered grid."""

@@ -10,7 +10,9 @@ default sampling seed, and writes its artifacts to its own directory
 under OUTDIR beside stdout.txt, stderr.txt and exit_code.txt.  In the
 captured streams the paths of OUTDIR and of the checkout read <outdir>
 and <checkout>.  Two checkouts agree when `diff -r` of their output
-directories is empty.
+directories is empty.  The tool exits 1, naming each case, when a case
+ends with another status than the one the command line documents for
+it, and 0 otherwise.
 
 The matrix: every preset under both schemes with a sinusoid input at
 frequency 3 and a sine initial profile (n_cells 24, 16 for the
@@ -20,7 +22,10 @@ scheme, a wave-wt run driven by the signal table SIGNAL_TABLE (written
 into its case directory), wellposed for each preset, bdspace on the
 grids of BDSPACE_GRIDS, and the benchmark's cubic-wave and long-horizon
 configurations (perfbench/workloads.py) at input frequency 3 and initial
-mode 2.
+mode 2.  All of these exit 0.  Refusals follow, each with the status the
+command line documents for it: a certificate that fails (1, printing its
+witness), and an invalid time grid, a table input without a path and a
+wave-wt trajectory replayed as wave-mixed (2 each).
 """
 
 import argparse
@@ -58,9 +63,9 @@ def _sets(*pairs):
 
 
 def matrix(out: Path) -> list:
-    """(outdir, argv) of every case in run order; each argv sets its outdir
-    and a replay follows the run it replays.  Writes SIGNAL_TABLE into the
-    directory of the case that reads it."""
+    """(outdir, argv, expected exit status) of every case in run order; each
+    argv sets its outdir and a replay follows the run it replays.  Writes
+    SIGNAL_TABLE into the directory of the case that reads it."""
     cases = []
     drive = (("input.kind", "sinusoid"), ("input.freq", 3), ("initial.kind", "sine"))
     for preset, n_cells in PRESETS.items():
@@ -94,6 +99,19 @@ def matrix(out: Path) -> list:
     for workload in ("cubic-wave", "long-horizon"):
         cases += [(inv.outdir, list(inv.argv))
                   for inv in invocations(workload, WORKLOAD_PARAMS, out / workload)]
+    cases = [(case, args, 0) for case, args in cases]
+    replayed = out / "simulate-wave-wt-implicit_midpoint" / "trajectory.csv"
+    for name, status, args in (
+        ("refuse-wellposed-zero-damping", 1, ["wellposed", "--zero-damping"]),
+        ("refuse-wellposed-t_end-0", 2, ["wellposed", *_sets(("time.t_end", 0))]),
+        ("refuse-simulate-table-without-path", 2,
+         ["simulate", *_sets(("input.kind", "table"))]),
+        ("refuse-energy-wave-wt-as-wave-mixed", 2, ["energy", *_sets(
+            ("preset", "wave-mixed"), ("grid.n_cells", PRESETS["wave-wt"]),
+            ("scheme", "implicit_midpoint"), *drive), "--trajectory", str(replayed)]),
+    ):
+        case = out / name
+        cases.append((case, [*args, *_sets(("outdir", case))], status))
     return cases
 
 
@@ -108,7 +126,8 @@ def main(argv=None) -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env.pop("EVOCTL_SEED", None)
-    for case, args in matrix(out):
+    mismatched = []
+    for case, args, expected in matrix(out):
         case.mkdir(parents=True, exist_ok=True)
         proc = subprocess.run([sys.executable, "-m", "evoctl.cli", *args], env=env,
                               capture_output=True, text=True)
@@ -117,7 +136,12 @@ def main(argv=None) -> int:
             (case / name).write_text(text, encoding="utf-8")
         (case / "exit_code.txt").write_text(f"{proc.returncode}\n", encoding="utf-8")
         print(f"{case.relative_to(out)}: exit {proc.returncode}")
-    return 0
+        if proc.returncode != expected:
+            mismatched.append(f"{case.relative_to(out)}: exit {proc.returncode}, "
+                              f"expected {expected}")
+    for line in mismatched:
+        print(f"unexpected exit status: {line}", file=sys.stderr)
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":
