@@ -344,7 +344,7 @@ def cmd_wellposed(cfg: RunConfig, outdir: Path, zero_damping: bool) -> int:
 
     re_m1 = 0.5 * (M1 + M1.conj().T)
     nu_values = [(k + 1) * (2.0 * cfg.time.nu) / 16.0 for k in range(16)]
-    rows = [(nu, c_min(M0, re_m1, nu)) for nu in nu_values]
+    rows = zip(nu_values, c_min(M0, re_m1, nu_values))
     write_csv(outdir / "wellposed.csv", _base_comments(cfg), ("nu", "c_min"), rows)
 
     report = check_wellposed(M0, M1, nu_max=2.0 * cfg.time.nu)

@@ -11,6 +11,9 @@ then c(nu) is nondecreasing, so check_wellposed evaluates it once, at
 nu_max.  The delta source carrying the initial state is realized by
 starting the one-step scheme from x^0 = x0 (solutions vanish for t < 0).
 
+Lowest eigenvalues are taken per connected component of the nonzero
+pattern of M0 and Re M1, with one batched eigvalsh per component size.
+
 Both time schemes are the theta-method with a per-step theta:
 
     (M0/tau + theta (M1+A)) x^{k+1}
@@ -82,6 +85,9 @@ def _as_square(name, mat, n=None):
         raise ShapeMismatchError(f"{name} must be square, got shape {mat.shape}")
     if n is not None and mat.shape[0] != n:
         raise ShapeMismatchError(f"{name} must be {n}x{n}, got {mat.shape}")
+    # the tests that follow compare against tolerances, which NaN passes
+    if not np.isfinite(mat).all():
+        raise HypothesisViolationError(f"{name} is not finite")
     return mat
 
 
@@ -116,10 +122,8 @@ class EvolutionarySystem:
             J = J[:, None]
         if J.shape[0] != n:
             raise ShapeMismatchError(f"J must have {n} rows, got {J.shape}")
-        # the tests below compare against tolerances, which NaN passes
-        for name, mat in (("M0", M0), ("M1", M1), ("A", A), ("J", J)):
-            if not np.isfinite(mat).all():
-                raise HypothesisViolationError(f"{name} is not finite")
+        if not np.isfinite(J).all():
+            raise HypothesisViolationError("J is not finite")
         _require_hermitian(M0)
         if not negligible(A + A.conj().T, A):
             raise HypothesisViolationError("A is not skew-Hermitian")
@@ -190,7 +194,8 @@ class WellPosednessReport:
     c        lambda_min(nu0 M0 + Re M1), or lambda_min(M0) when that is
              negative
     nu0      nu_max, the weight with the best constant on (0, nu_max]
-    witness  eigenvector of the violated direction when not ok
+    witness  eigenvector of the violated direction when not ok, from the
+             lowest-index block (smallest first index) that attains c
     """
 
     ok: bool
@@ -199,9 +204,49 @@ class WellPosednessReport:
     witness: np.ndarray = field(default=None)
 
 
-def c_min(M0, re_m1, nu) -> float:
-    """Coercivity constant lambda_min(nu M0 + Re M1) at weight nu."""
-    return float(np.linalg.eigvalsh(nu * M0 + re_m1)[0])
+def _blocks(*mats) -> list:
+    """Ascending connected components of the nonzero pattern of mats, a (k, s) array per size s."""
+    pattern = sum(mat != 0 for mat in mats)
+    rows, cols = np.nonzero(pattern + pattern.T)
+    nbrs = np.split(cols, np.searchsorted(rows, np.arange(1, len(pattern))))
+    seen, by_size = set(), {}
+    for root in range(len(pattern)):
+        if root not in seen:
+            stack, component = [root], {root}
+            while stack:
+                new = set(nbrs[stack.pop()].tolist()) - component
+                component |= new
+                stack += new
+            seen |= component
+            by_size.setdefault(len(component), []).append(sorted(component))
+    return [np.array(by_size[size]) for size in sorted(by_size)]
+
+
+def _stacks(mat, blocks) -> list:
+    """The (k, s, s) stack of the diagonal blocks of mat for each size."""
+    return [mat[idx[:, :, None], idx[:, None, :]] for idx in blocks]
+
+
+def _lowest(stacks) -> tuple:
+    """lambda_min of the matrix with these diagonal blocks, and the lowest of each block."""
+    lows = [np.linalg.eigvalsh(stack)[:, 0] for stack in stacks]
+    return float(min(low.min() for low in lows)), lows
+
+
+def _witness(stacks, blocks, lows, lam) -> np.ndarray:
+    """Eigenvector for lam of the lowest-index block attaining it, in the full space."""
+    _, g, r = min((idx[r, 0], g, r) for g, (idx, low) in enumerate(zip(blocks, lows))
+                  for r in np.flatnonzero(low == lam))
+    vec = np.zeros(sum(idx.size for idx in blocks), dtype=complex)
+    vec[blocks[g][r]] = np.linalg.eigh(stacks[g][r])[1][:, 0]
+    return vec
+
+
+def c_min(M0, re_m1, nu) -> np.ndarray:
+    """Coercivity constants lambda_min(nu M0 + Re M1), one per weight in nu."""
+    blocks = _blocks(M0, re_m1)
+    m0, m1 = _stacks(M0, blocks), _stacks(re_m1, blocks)
+    return np.array([_lowest([w * a + b for a, b in zip(m0, m1)])[0] for w in np.ravel(nu)])
 
 
 def check_wellposed(M0, M1, nu_max: float) -> WellPosednessReport:
@@ -217,13 +262,16 @@ def check_wellposed(M0, M1, nu_max: float) -> WellPosednessReport:
     if not nu_max > 0:
         raise ValueError(f"nu_max must be positive, got {nu_max}")
     scale0 = _require_hermitian(M0)
-    lam0 = float(np.linalg.eigvalsh(M0)[0])
+    re_m1 = 0.5 * (M1 + M1.conj().T)
+    blocks = _blocks(M0, re_m1)
+    m0 = _stacks(M0, blocks)
+    lam0, lows = _lowest(m0)
     if lam0 < -1e-12 * scale0:
         return WellPosednessReport(ok=False, c=lam0, nu0=nu_max,
-                                   witness=np.linalg.eigh(M0)[1][:, 0])
-    re_m1 = 0.5 * (M1 + M1.conj().T)
-    c = c_min(M0, re_m1, nu_max)
-    witness = None if c > 0 else np.linalg.eigh(nu_max * M0 + re_m1)[1][:, 0]
+                                   witness=_witness(m0, blocks, lows, lam0))
+    stacks = [nu_max * a + b for a, b in zip(m0, _stacks(re_m1, blocks))]
+    c, lows = _lowest(stacks)
+    witness = None if c > 0 else _witness(stacks, blocks, lows, c)
     return WellPosednessReport(ok=c > 0, c=c, nu0=nu_max, witness=witness)
 
 
@@ -283,7 +331,8 @@ def _init_steps(M0, scheme) -> int:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if scheme != "implicit_midpoint":
         return 0
-    eigs = np.abs(np.linalg.eigvalsh(M0))
+    stacks = _stacks(M0, _blocks(M0))
+    eigs = np.abs(np.concatenate([np.linalg.eigvalsh(stack).ravel() for stack in stacks]))
     return int(eigs.min() <= 1e-12 * max(eigs.max(), 1.0))
 
 

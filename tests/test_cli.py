@@ -147,6 +147,15 @@ class TestWellposed:
         assert code == 1
         assert "witness" in out
 
+    def test_zero_damping_witness_is_lowest_index_block(self, tmp_path, capsys):
+        """c = 0 is attained at indices 34 and 35 of the dim-36 system; the
+        witness is the lowest-index block's, e_34 with sign +1."""
+        assert run(tmp_path, "wellposed", "--zero-damping") == 1
+        witness = capsys.readouterr().out.splitlines()[-1]
+        assert witness.startswith("witness direction: [")
+        assert witness[len("witness direction: ["):-1].split(", ") == \
+            ["0"] * 34 + ["1", "0"]
+
     def test_mixed_preset_is_well_posed(self, tmp_path):
         """The three-region wave still certifies a positive constant."""
         assert run(tmp_path, "wellposed", "--set", "preset=wave-mixed") == 0

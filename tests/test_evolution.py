@@ -3,7 +3,7 @@ checker, causality, and the weighted space-time norm."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -11,6 +11,7 @@ from evoctl.errors import HypothesisViolationError, ShapeMismatchError, StepSing
 from evoctl.evolution import (
     EvolutionarySystem,
     TimeGrid,
+    c_min,
     causality_defect,
     check_wellposed,
     solve,
@@ -82,6 +83,69 @@ def psd_pencils(draw):
     return B @ B.conj().T, M1, nu_max, nu
 
 
+def _hermitian_blocks(draw, sizes, perm):
+    """Hermitian matrix with diagonal blocks of these sizes, drawn entries
+    in [-3, 3], under the symmetric permutation perm."""
+    n = sum(sizes)
+    entries = st.floats(-3.0, 3.0)
+    S = np.zeros((n, n), dtype=complex)
+    start = 0
+    for size in sizes:
+        B = draw(hnp.arrays(float, (size, size), elements=entries)) \
+            + 1j * draw(hnp.arrays(float, (size, size), elements=entries))
+        S[start:start + size, start:start + size] = 0.5 * (B + B.conj().T)
+        start += size
+    return S[np.ix_(perm, perm)]
+
+
+@st.composite
+def permuted_block_pencils(draw):
+    """(M0, Re M1, weights): two Hermitian matrices with the same diagonal
+    blocks of sizes 1 to 8 under one random symmetric permutation."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    perm = draw(st.permutations(range(sum(sizes))))
+    nus = draw(st.lists(st.floats(1e-2, 1e2), min_size=1, max_size=4))
+    return _hermitian_blocks(draw, sizes, perm), _hermitian_blocks(draw, sizes, perm), nus
+
+
+def _dense_pencil(n=12):
+    rng = np.random.default_rng(7)
+    M0, M1 = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
+    return 0.5 * (M0 + M0.conj().T), 0.5 * (M1 + M1.conj().T), [0.5, 2.0, 16.0]
+
+
+class TestBlockSpectra:
+    """The lowest eigenvalues taken block by block agree with the dense ones."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(permuted_block_pencils())
+    @example(_dense_pencil())
+    def test_split_matches_dense(self, pencil):
+        M0, re_m1, nus = pencil
+        c = c_min(M0, re_m1, nus)
+        for nu, c_nu in zip(nus, c):
+            S = nu * M0 + re_m1
+            dense = np.linalg.eigvalsh(S)[0]
+            assert abs(c_nu - dense) <= 1e-14 * max(1.0, np.linalg.norm(S, 2))
+            assert c_nu == c_min(M0, re_m1, [nu])[0]
+
+    @pytest.mark.parametrize("pair,single,expected", [
+        ((0, 3), 2, [1.0, 0.0, 0.0, 1.0]),
+        ((1, 3), 0, [1.0, 0.0, 0.0, 0.0]),
+    ])
+    def test_degenerate_minimum_takes_lowest_index_block(self, pair, single, expected):
+        """c = -3 is attained by a 2-block on pair and a 1-block on single;
+        the witness comes from the block whose smallest index is smallest."""
+        S = np.diag([5.0] * 4)
+        S[np.ix_(pair, pair)] = [[-2.0, -1.0], [-1.0, -2.0]]
+        S[single, single] = -3.0
+        rep = check_wellposed(np.zeros((4, 4)), S, nu_max=1.0)
+        assert rep.c == -3.0 and not rep.ok
+        phase = rep.witness[np.flatnonzero(rep.witness)[0]]
+        expected = np.array(expected) / np.linalg.norm(expected)
+        np.testing.assert_allclose(rep.witness / phase * abs(phase), expected, atol=1e-15)
+
+
 class TestCheckWellposed:
     def test_identity_mass(self):
         """M0 = I, M1 = 0: c(nu) = nu, maximized at nu_max."""
@@ -134,6 +198,15 @@ class TestCheckWellposed:
     def test_rejects_nonhermitian_m0(self):
         with pytest.raises(HypothesisViolationError):
             check_wellposed(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)), 1.0)
+
+    @pytest.mark.parametrize("name,entry", [("M0", (1, 1)), ("M1", (0, 2)), ("M1", (3, 3))])
+    def test_rejects_non_finite_matrices(self, name, entry):
+        """A NaN in a 1x1 block would make c NaN, so it is refused up front,
+        with the words EvolutionarySystem uses."""
+        mats = {"M0": np.eye(4), "M1": np.eye(4)}
+        mats[name][entry] = np.nan
+        with pytest.raises(HypothesisViolationError, match=f"^{name} is not finite$"):
+            check_wellposed(mats["M0"], mats["M1"], nu_max=1.0)
 
 
 class TestSolve:
