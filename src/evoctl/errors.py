@@ -49,7 +49,9 @@ class HypothesisViolationError(EvoctlError, ValueError):
 class StepSingularityError(EvoctlError, RuntimeError):
     """The implicit step matrix is singular or numerically unusable.
 
-    Carries a condition-number estimate in ``cond_estimate``.
+    ``cond_estimate`` holds the exact 1-norm condition number
+    |K|_1 |K^-1|_1 of the refused step matrix (inf when K is singular);
+    the attribute keeps its name for API stability.
     """
 
     def __init__(self, message, cond_estimate=None):

@@ -505,7 +505,7 @@ class TestWriteCsv:
 
 
 class TestScipyImport:
-    """scipy is imported by the step-matrix factorization only."""
+    """No command loads scipy: numpy is the one runtime dependency."""
 
     @staticmethod
     def scipy_loaded(code):
@@ -525,6 +525,15 @@ class TestScipyImport:
         assert not self.scipy_loaded(
             f"from evoctl.cli import main\nassert main({argv!r}) == 0")
 
+    @pytest.mark.parametrize("preset", ["wave-wt", "maxwell-lift-1d"])
+    def test_simulate_leaves_scipy_out(self, tmp_path, preset):
+        """The step matrices are inverted with numpy alone, on the control
+        path and on both Maxwell routes."""
+        argv = ["simulate", "--set", f"preset={preset}", "--set", "scheme=implicit_midpoint",
+                "--set", "time.n_steps=5", "--set", f"outdir={tmp_path}"]
+        assert not self.scipy_loaded(
+            f"from evoctl.cli import main\nassert main({argv!r}) == 0")
+
     def test_energy_replay_leaves_scipy_out(self, tmp_path):
         args = ["--set", "time.n_steps=20", "--set", "input.kind=sinusoid"]
         assert run(tmp_path / "sim", "simulate", *args) == 0
@@ -533,8 +542,6 @@ class TestScipyImport:
         assert not self.scipy_loaded(
             f"from evoctl.cli import main\nassert main({argv!r}) == 0")
 
-    def test_simulate_loads_scipy(self, tmp_path):
-        """The probe sees an import when one happens."""
-        argv = ["simulate", "--set", "time.n_steps=5", "--set", f"outdir={tmp_path}"]
-        assert self.scipy_loaded(
-            f"from evoctl.cli import main\nassert main({argv!r}) == 0")
+    def test_probe_sees_an_import(self):
+        """The probe reports True when scipy is imported."""
+        assert self.scipy_loaded("import scipy.linalg")

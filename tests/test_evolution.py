@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from evoctl import evolution
 from evoctl.errors import HypothesisViolationError, ShapeMismatchError, StepSingularityError
 from evoctl.evolution import (
     EvolutionarySystem,
@@ -322,6 +323,29 @@ class TestSolve:
         with pytest.raises(StepSingularityError, match="numerically singular") as exc:
             solve(sys, np.zeros(2), None, grid, "backward_euler")
         assert exc.value.cond_estimate == pytest.approx(1e17)
+
+    def test_overflowing_step_matrix_raises(self):
+        """M0/tau overflows to inf, so kappa_1 is NaN and the step matrix
+        is refused before any step is taken."""
+        sys = EvolutionarySystem(M0=1e308 * np.eye(2), M1=np.zeros((2, 2)),
+                                 A=np.zeros((2, 2)), J=np.eye(2))
+        grid = TimeGrid(t_end=1.0, n_steps=4)
+        f = lambda t: pytest.fail("a step was taken")
+        with pytest.raises(StepSingularityError, match="numerically singular") as exc, \
+                pytest.warns(RuntimeWarning):
+            solve(sys, np.zeros(2), f, grid, "backward_euler")
+        assert not exc.value.cond_estimate <= 1e14
+
+    def test_reported_condition_is_exact(self):
+        """The condition number the step matrix reports is the exact
+        kappa_1, not a lower bound on it."""
+        rng = np.random.default_rng(7)
+        n = 12
+        K = 4 * n * np.eye(n) + rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert np.linalg.cond(K, 1) < 10
+        P, cond = evolution._factor_step_matrix(K, 0.25)
+        assert np.array_equal(P, np.linalg.inv(K))
+        assert cond == pytest.approx(np.linalg.cond(K, 1), rel=1e-12)
 
     def test_non_finite_sample_refused(self):
         """A NaN source sample makes the step's right side non-finite, and
