@@ -56,7 +56,8 @@ import numpy as np
 from .bdspace import compute_bd_space, dot_map
 from .control import ControlSystem, extract_io, step_ledger
 from .errors import EvoctlError
-from .evolution import SCHEMES, TimeGrid, Trajectory, c_min, check_wellposed, theta_schedule
+from .evolution import (SCHEMES, TimeGrid, Trajectory, c_min, check_wellposed, row_blocks,
+                        sample_source, theta_schedule)
 from .models import (
     PortHamiltonianSpec,
     WaveSpec,
@@ -320,11 +321,10 @@ def _run_comments(cfg: RunConfig, traj: Trajectory):
 
 def _imag_note(states):
     """Largest |imaginary part| relative to max(1, max |x|), taken over
-    blocks of rows so that no temporary the size of the states is formed."""
-    rows = 1024
-    blocks = range(0, len(states), rows)
-    scale = max(1.0, np.max([np.abs(states[i:i + rows]).max() for i in blocks]))
-    worst = np.max([np.abs(states[i:i + rows].imag).max() for i in blocks])
+    row blocks so that no temporary the size of the states is formed."""
+    blocks = [states[lo:hi] for lo, hi in row_blocks(0, len(states))]
+    scale = max(1.0, np.max([np.abs(block).max() for block in blocks]))
+    worst = np.max([np.abs(block.imag).max() for block in blocks])
     return f"max_imag={_fmt(worst / scale)}"
 
 
@@ -433,7 +433,7 @@ def _simulate_maxwell(cfg: RunConfig, outdir: Path) -> int:
     rows = [(times[k], times[k + 1],
              energy(direct.states[k]) - energy(direct.states[k + 1]),
              0.0, 0.0, 0.0, gaps[k]) for k in range(cfg.time.n_steps)]
-    y = np.array([bdD.project(x[nn:]) for _, _, x in direct.steps()])
+    y = direct.x_theta(0, cfg.time.n_steps)[:, nn:] @ bdD.projector.T
     _write_run(cfg, outdir, direct, y, rows,
                "defect column = distance between the lifted and direct routes")
     return _verdict("route gap", gaps, cfg.tolerance)
@@ -566,9 +566,7 @@ def cmd_energy(cfg: RunConfig, outdir: Path, trajectory_path) -> int:
             raise ValueError(f"stored trajectory {path} lacks '# {line}' of the "
                              "configured run")
     u_of_t = _control_signal(cfg, sys.partition.n_u1)
-    if u_of_t is not None:
-        for k, t in enumerate(traj.sample_times()):
-            traj.inputs[k] = u_of_t(t)
+    traj.inputs[:] = sample_source(u_of_t, traj.sample_times(), sys.partition.n_u1)
 
     led = step_ledger(sys, traj)
     rows, defects = _ledger_rows(led, grid_times)

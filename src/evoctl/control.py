@@ -33,19 +33,21 @@ accumulated internal dissipation minus the boundary supply
 <B2 u|Re(M1_yy^{-1}) B2 u>.  A theta-step with theta > 1/2 (backward
 Euler, theta = 1) adds the nonnegative numerical dissipation
 (theta - 1/2)<dx|M0 dx>, which step_ledger reports per step.
+
+step_ledger and extract_io work on row blocks of steps: one matrix
+product per block and term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (HypothesisViolationError, ShapeMismatchError, negligible, require_geometry,
                      require_invertible, require_shape)
-from .evolution import EvolutionarySystem, Trajectory
+from .evolution import EvolutionarySystem, Trajectory, row_blocks
 
 COMPAT_TOL = 1e-10
 
@@ -327,6 +329,11 @@ def _grid_index(grid, t, what):
     return k
 
 
+def _quad(X, M) -> np.ndarray:
+    """Re <x|M x> of every row x of X."""
+    return np.vecdot(X, X @ M.T).real
+
+
 def step_ledger(sys: ControlSystem, traj: Trajectory, a=0.0, b=None) -> StepLedger:
     """Stored energy, dissipation, supply and numerical dissipation of
     every step of a controlled trajectory over [a, b].
@@ -368,20 +375,18 @@ def step_ledger(sys: ControlSystem, traj: Trajectory, a=0.0, b=None) -> StepLedg
         )
 
     reM1 = sys.re_m1()
-    B2 = sys.B2
     _, _, Myy = _coarse_m1_blocks(sys)
     Myy_inv = np.linalg.inv(Myy)
     supply_kernel = 0.5 * (Myy_inv + Myy_inv.conj().T)
 
-    tau = traj.grid.tau
-    energy = np.array([0.5 * np.vdot(x, sys.M0 @ x).real for x in traj.states[ia:ib + 1]])
-    dissipation, supply, correction = np.zeros((3, ib - ia))
-    for k, theta, xs in islice(traj.steps(), ia, ib):
-        dissipation[k - ia] = tau * np.vdot(xs, reM1 @ xs).real
-        bu = B2 @ traj.inputs[k]
-        supply[k - ia] = tau * np.vdot(bu, supply_kernel @ bu).real
-        dx = traj.states[k + 1] - traj.states[k]
-        correction[k - ia] = (theta - 0.5) * np.vdot(dx, sys.M0 @ dx).real
+    tau, theta, states = traj.grid.tau, traj.theta, traj.states
+    energy = np.concatenate([0.5 * _quad(states[lo:hi], sys.M0)
+                             for lo, hi in row_blocks(ia, ib + 1)])
+    dissipation, supply, correction = np.hstack([
+        (tau * _quad(traj.x_theta(lo, hi), reM1),
+         tau * _quad(traj.inputs[lo:hi] @ sys.B2.T, supply_kernel),
+         (theta[lo:hi] - 0.5) * _quad(states[lo + 1:hi + 1] - states[lo:hi], sys.M0))
+        for lo, hi in row_blocks(ia, ib)])
     return StepLedger(ia, energy, dissipation, supply, correction)
 
 
@@ -441,9 +446,10 @@ def extract_io(sys: ControlSystem, traj: Trajectory) -> IOSamples:
     rhs = np.zeros((traj.grid.n_steps, nw + ny), dtype=complex)
     stored = np.zeros_like(rhs)
     B_wy, M1A_wy_vz = sys.J[wy], M1A[wy, vz]
-    for k, _, xs in traj.steps():
-        rhs[k] = B_wy @ traj.inputs[k] - M1A_wy_vz @ xs[vz]
-        stored[k] = xs[wy]
+    for lo, hi in row_blocks(0, traj.grid.n_steps):
+        xs = traj.x_theta(lo, hi)
+        rhs[lo:hi] = traj.inputs[lo:hi] @ B_wy.T - xs[:, vz] @ M1A_wy_vz.T
+        stored[lo:hi] = xs[:, wy]
     # one gufunc call that runs ?gesv per step with one right side, so each
     # step's solution is bitwise that of a solve of its own
     sol = np.linalg.solve(K, rhs[:, :, None])[:, :, 0] if K.size else rhs

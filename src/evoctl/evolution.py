@@ -33,6 +33,9 @@ scheme's own, except that a midpoint run on singular M0 (algebraic
 constraints present) takes its first step with theta = 1, which
 initializes the algebraic components consistently.
 
+solve samples the whole source first and forms J f_k as one product per
+row block of _ROWS steps; Trajectory.x_theta gives x_theta per block.
+
 Every theta-step is causal by construction; causality_defect measures this
 numerically.  weighted_norm evaluates the exponentially weighted
 space-time norm used by the underlying solution theory.
@@ -49,6 +52,13 @@ from .errors import (HypothesisViolationError, ShapeMismatchError, StepSingulari
                      negligible, require_shape)
 
 SCHEMES = ("backward_euler", "implicit_midpoint")
+# steps per row block: level-3 products whose temporaries stay near 70 KB at dim 67
+_ROWS = 64
+
+
+def row_blocks(lo, hi):
+    """(start, stop) of consecutive blocks of at most _ROWS rows covering range(lo, hi)."""
+    return [(i, min(i + _ROWS, hi)) for i in range(lo, hi, _ROWS)]
 
 
 @dataclass(frozen=True)
@@ -179,11 +189,15 @@ class Trajectory:
         """Time at which each step samples its source."""
         return self.grid.sample_times(self.theta)
 
+    def x_theta(self, lo, hi) -> np.ndarray:
+        """The (hi - lo, dim) array of x_theta = (1 - theta_k) x^k + theta_k
+        x^{k+1} of the steps lo <= k < hi, where the algebraic rows hold."""
+        theta = self.theta[lo:hi, None]
+        return (1.0 - theta) * self.states[lo:hi] + theta * self.states[lo + 1:hi + 1]
+
     def steps(self):
-        """Yield (k, theta_k, x_theta) per step, where the algebraic rows
-        hold at x_theta = (1 - theta_k) x^k + theta_k x^{k+1}."""
-        for k, theta in enumerate(self.theta):
-            yield k, theta, (1.0 - theta) * self.states[k] + theta * self.states[k + 1]
+        """(k, theta_k, x_theta) per step."""
+        return zip(range(self.grid.n_steps), self.theta, self.x_theta(0, self.grid.n_steps))
 
 
 @dataclass(frozen=True)
@@ -305,13 +319,16 @@ def _factor_step_matrix(K, tau):
     return P, cond
 
 
-def _sample(f, t, m):
-    if f is None:
-        return np.zeros(m, dtype=complex)
-    val = np.atleast_1d(np.asarray(f(t), dtype=complex))
-    if val.shape != (m,):
-        raise ShapeMismatchError(f"input sampler returned shape {val.shape}, expected ({m},)")
-    return val
+def sample_source(f, times, m) -> np.ndarray:
+    """The (len(times), m) array of the samples f(t), zero when f is None;
+    a sample of another shape than (m,) is refused."""
+    out = np.zeros((len(times), m), dtype=complex)
+    for k, t in enumerate(times if f is not None else ()):
+        val = np.atleast_1d(np.asarray(f(t), dtype=complex))
+        if val.shape != (m,):
+            raise ShapeMismatchError(f"input sampler returned shape {val.shape}, expected ({m},)")
+        out[k] = val
+    return out
 
 
 def _init_steps(M0, scheme) -> int:
@@ -345,15 +362,14 @@ def solve(sys: EvolutionarySystem, x0, f, grid: TimeGrid, scheme: str) -> Trajec
     """Integrate the system from x^0 = x0 with the chosen scheme.
 
     f is a callable t -> source sample (length n_inputs) or None for a
-    source-free run; it is evaluated only at the sample times.  Each
-    step is the theta-step of the module docstring, with theta from
-    theta_schedule.  A step whose right side is not finite raises
-    ValueError naming the step.
+    source-free run; it is evaluated only at the sample times, all of
+    them before the first step.  Each step is the theta-step of the
+    module docstring, with theta from theta_schedule.  A step whose
+    right side is not finite raises ValueError naming the step.
     """
     n_init = _init_steps(sys.M0, scheme)
     x0 = require_shape(x0, (sys.dim,), "x0")
     tau = grid.tau
-    m = sys.n_inputs
 
     report = check_wellposed(sys.M0, sys.M1, nu_max=1.0 / tau)
     if not report.ok:
@@ -363,21 +379,24 @@ def solve(sys: EvolutionarySystem, x0, f, grid: TimeGrid, scheme: str) -> Trajec
             RuntimeWarning,
         )
 
-    traj = Trajectory(grid, np.zeros((grid.n_steps + 1, sys.dim), dtype=complex),
-                      np.zeros((grid.n_steps, m), dtype=complex), scheme, n_init)
-    traj.states[0] = x0
+    theta = _theta(scheme, grid.n_steps, n_init)
     M1A = sys.M1 + sys.A
-    step = {theta: (_factor_step_matrix(sys.M0 / tau + theta * M1A, tau),
-                    sys.M0 / tau - (1.0 - theta) * M1A)
-            for theta in np.unique(traj.theta)}
-    for k, (theta, t) in enumerate(zip(traj.theta, traj.sample_times())):
-        (P, _), R = step[theta]
-        traj.inputs[k] = _sample(f, t, m)
-        rhs = R @ traj.states[k] + sys.J @ traj.inputs[k]
+    step = {th: (_factor_step_matrix(sys.M0 / tau + th * M1A, tau)[0],
+                 sys.M0 / tau - (1.0 - th) * M1A)
+            for th in np.unique(theta)}
+    u = sample_source(f, grid.sample_times(theta), sys.n_inputs)
+    states = np.zeros((grid.n_steps + 1, sys.dim), dtype=complex)
+    states[0] = x0
+    # states[k + 1] holds the source term J f_k until step k overwrites it
+    for lo, hi in row_blocks(0, grid.n_steps):
+        states[lo + 1:hi + 1] = u[lo:hi] @ sys.J.T
+    for k, th in enumerate(theta):
+        P, R = step[th]
+        rhs = R @ states[k] + states[k + 1]
         if not np.isfinite(rhs).all():
             raise ValueError(f"array must not contain infs or NaNs: the right side of step {k}")
-        traj.states[k + 1] = P @ rhs
-    return traj
+        states[k + 1] = P @ rhs
+    return Trajectory(grid, states, u, scheme, n_init)
 
 
 def causality_defect(sys, f1, f2, a: float, grid: TimeGrid, scheme: str, x0=None) -> float:

@@ -24,7 +24,8 @@ from evoctl.control import (
     step_ledger,
 )
 from evoctl.errors import HypothesisViolationError, ShapeMismatchError
-from evoctl.evolution import EvolutionarySystem, TimeGrid, Trajectory, solve
+from evoctl.evolution import (_ROWS, EvolutionarySystem, TimeGrid, Trajectory, solve,
+                              theta_schedule)
 from evoctl.models import drive as drive_control
 from evoctl.operators import Grid1D, build_sbp_pair_1d
 
@@ -372,7 +373,8 @@ class TestEnergyLedger:
         assert np.abs(residual).max() < 1e-11 * scale
         dx = np.diff(traj.states, axis=0)
         increments = np.array([np.vdot(d, sys.M0 @ d).real for d in dx])
-        assert np.array_equal(steps.correction, (traj.theta - 0.5) * increments)
+        assert np.all(np.abs(steps.correction - (traj.theta - 0.5) * increments)
+                      <= 1e-14 * np.maximum(1.0, np.abs(increments)))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), sizes=st.tuples(*[st.integers(1, 3)] * 5),
@@ -396,7 +398,8 @@ class TestEnergyLedger:
         assert np.abs(residual).max() < 1e-11 * scale
         dx = np.diff(traj.states, axis=0)
         increments = np.array([np.vdot(d, sys.M0 @ d).real for d in dx])
-        assert np.array_equal(steps.correction, (traj.theta - 0.5) * increments)
+        assert np.all(np.abs(steps.correction - (traj.theta - 0.5) * increments)
+                      <= 1e-14 * np.maximum(1.0, np.abs(increments)))
 
     def test_interval_ledger_sums_the_steps(self):
         """energy_ledger over [a, b] is the step ledger summed over it."""
@@ -594,6 +597,110 @@ class TestExtractIO:
                           scheme="backward_euler")
         with pytest.raises(HypothesisViolationError, match="rows of M0"):
             extract_io(sys, traj)
+
+
+def reference_ledger(sys, traj, ia, ib):
+    """Per-step loop of the ledger terms of steps ia..ib-1, one np.vdot each."""
+    Myy = sys.M1[sys.partition.sl_y, sys.partition.sl_y]
+    inv = np.linalg.inv(Myy)
+    kernel, reM1, tau = 0.5 * (inv + inv.conj().T), sys.re_m1(), traj.grid.tau
+    x = traj.states
+    energy = [0.5 * np.vdot(x[k], sys.M0 @ x[k]).real for k in range(ia, ib + 1)]
+    terms = []
+    for k in range(ia, ib):
+        theta = traj.theta[k]
+        xs = (1.0 - theta) * x[k] + theta * x[k + 1]
+        bu, dx = sys.B2 @ traj.inputs[k], x[k + 1] - x[k]
+        terms.append((tau * np.vdot(xs, reM1 @ xs).real, tau * np.vdot(bu, kernel @ bu).real,
+                      (theta - 0.5) * np.vdot(dx, sys.M0 @ dx).real))
+    return np.array(energy), *np.array(terms).T
+
+
+def reference_io(sys, traj):
+    """Per-step loop of extract_io: w, y and the largest deviation from
+    the stored (w, y) components."""
+    off = sys.fine_offsets()
+    wy, vz = slice(off[2], off[4]), slice(0, off[2])
+    M1A = sys.M1 + sys.A
+    sol, dev = [], 0.0
+    for k, theta in enumerate(traj.theta):
+        xs = (1.0 - theta) * traj.states[k] + theta * traj.states[k + 1]
+        rhs = sys.J[wy] @ traj.inputs[k] - M1A[wy, vz] @ xs[vz]
+        sol.append(np.linalg.solve(M1A[wy, wy], rhs))
+        dev = max(dev, np.abs(sol[-1] - xs[wy]).max())
+    sol = np.array(sol)
+    return sol[:, :sys.n_w], sol[:, sys.n_w:], dev
+
+
+def rel_close(a, b, tol=1e-14):
+    return np.abs(np.asarray(a) - b).max() <= tol * np.abs(b).max()
+
+
+class TestRowBlocks:
+    """Runs of 2 * _ROWS + 3 steps, so that the ledger, the I/O recovery and
+    the step sources cross two block boundaries and end in a short block.
+    A midpoint run on these systems (singular M0) starts with a theta = 1
+    step in the first block."""
+
+    n_steps = 2 * _ROWS + 3
+
+    def run(self, scheme, seed=41):
+        rng = np.random.default_rng(seed)
+        sys = random_compatible_system(rng)
+        grid = TimeGrid(t_end=1.0, n_steps=self.n_steps)
+        x0 = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
+        u = lambda t: np.array([np.cos(3.0 * t), 0.5j * np.sin(2.0 * t)])
+        return sys, drive(sys, u, x0, grid, scheme)
+
+    @pytest.mark.parametrize("scheme", ["backward_euler", "implicit_midpoint"])
+    @pytest.mark.parametrize("ia,ib", [(0, None), (_ROWS - 27, 2 * _ROWS + 1)])
+    def test_ledger_matches_the_step_loop(self, scheme, ia, ib):
+        """Every ledger term agrees with a per-step loop within 1e-14
+        relative, over [0, T] and over a sub-interval whose start is not
+        a multiple of _ROWS."""
+        sys, traj = self.run(scheme)
+        ib = self.n_steps if ib is None else ib
+        times = traj.grid.times()
+        led = step_ledger(sys, traj, a=times[ia], b=times[ib])
+        assert led.ia == ia and led.energy.shape == (ib - ia + 1,)
+        if scheme == "implicit_midpoint":
+            assert traj.n_euler_init_steps == 1
+        for ours, ref in zip(led[1:], reference_ledger(sys, traj, ia, ib)):
+            assert rel_close(ours, ref)
+
+    @pytest.mark.parametrize("scheme", ["backward_euler", "implicit_midpoint"])
+    def test_io_matches_the_step_loop(self, scheme):
+        """w and y agree with per-step solves within 1e-14 relative, and
+        max_deviation, a roundoff-sized distance, within 1e-14 of the
+        scale of the samples it measures."""
+        sys, traj = self.run(scheme)
+        io = extract_io(sys, traj)
+        w, y, dev = reference_io(sys, traj)
+        assert rel_close(io.w_samples, w) and rel_close(io.y_samples, y)
+        scale = max(np.abs(w).max(), np.abs(y).max())
+        assert abs(io.max_deviation - dev) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("scheme", ["backward_euler", "implicit_midpoint"])
+    def test_every_step_solves_its_theta_equation(self, scheme):
+        """The step sources J u_k, formed per block, enter every step:
+        (M0/tau + theta (M1+A)) x^{k+1} = (M0/tau - (1-theta)(M1+A)) x^k + J u_k."""
+        sys, traj = self.run(scheme)
+        tau, M1A, x = traj.grid.tau, sys.M1 + sys.A, traj.states
+        for k, theta in enumerate(traj.theta):
+            lhs = (sys.M0 / tau + theta * M1A) @ x[k + 1]
+            rhs = (sys.M0 / tau - (1.0 - theta) * M1A) @ x[k] + sys.J @ traj.inputs[k]
+            assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max(), k
+
+    @pytest.mark.parametrize("scheme", ["backward_euler", "implicit_midpoint"])
+    def test_nan_sample_names_its_step(self, scheme):
+        """A NaN sample in the second block is refused at its own step."""
+        sys, _ = self.run(scheme)
+        grid = TimeGrid(t_end=1.0, n_steps=self.n_steps)
+        bad = grid.sample_times(theta_schedule(sys.M0, scheme, self.n_steps))[_ROWS + 7]
+        u = lambda t: np.full(2, np.nan) if t == bad else np.ones(2)
+        with pytest.raises(ValueError, match="must not contain infs or NaNs: "
+                                             f"the right side of step {_ROWS + 7}$"):
+            solve(sys, np.zeros(sys.dim), u, grid, scheme)
 
 
 @pytest.fixture(scope="module")
