@@ -56,8 +56,8 @@ import numpy as np
 from .bdspace import compute_bd_space, dot_map
 from .control import ControlSystem, extract_io, step_ledger
 from .errors import EvoctlError
-from .evolution import (SCHEMES, TimeGrid, Trajectory, c_min, check_wellposed, row_blocks,
-                        sample_source, theta_schedule)
+from .evolution import (SCHEMES, TimeGrid, Trajectory, c_min, check_wellposed, m0_spectrum,
+                        n_euler_init_steps, row_blocks, sample_source)
 from .models import (
     PortHamiltonianSpec,
     WaveSpec,
@@ -414,13 +414,10 @@ def _simulate_control(cfg: RunConfig, outdir: Path) -> int:
 def _simulate_maxwell(cfg: RunConfig, outdir: Path) -> int:
     pair = build_sbp_pair_1d(cfg.grid)
     bdD = compute_bd_space(pair, "D")
-    u_of_t = _control_signal(cfg, bdD.dim)
-    u_samples = None if u_of_t is None \
-        else np.stack([u_of_t(t) for t in cfg.time.times()])
+    u_samples = sample_source(_control_signal(cfg, bdD.dim), cfg.time.times(), bdD.dim)
     E0 = _initial_profile(cfg, cfg.grid.nodes())
-    result = maxwell_lift_solve(pair, None, None, u_samples,
-                                (E0, np.zeros(pair.n_cells)), cfg.time, cfg.scheme)
-    direct, lifted = result.direct, result.lifted
+    lifted, direct = maxwell_lift_solve(pair, None, None, u_samples,
+                                        (E0, np.zeros(pair.n_cells)), cfg.time, cfg.scheme, bdD)
 
     nn = pair.n_nodes
 
@@ -554,8 +551,7 @@ def cmd_energy(cfg: RunConfig, outdir: Path, trajectory_path) -> int:
         raise ValueError("stored time column does not match the configured grid")
 
     # the theta = 1 start-up steps of a midpoint run follow from the system
-    theta = theta_schedule(sys.M0, scheme, tg.n_steps)
-    n_init = int(np.count_nonzero(theta == 1.0)) if scheme == "implicit_midpoint" else 0
+    n_init = n_euler_init_steps(scheme, m0_spectrum(sys.M0, sys.re_m1()))
     traj = Trajectory(tg, states.astype(complex),
                       np.zeros((tg.n_steps, sys.partition.n_u1), dtype=complex),
                       scheme, n_init)

@@ -28,13 +28,13 @@ and with E = (1/2)<x|M0 x> every step satisfies
 
 because A drops out of the real pairing; the last term, the numerical
 dissipation, is zero for the midpoint rule and (1/2)<dx|M0 dx> >= 0
-for backward Euler.  theta_schedule gives the theta of every step: the
-scheme's own, except that a midpoint run on singular M0 (algebraic
-constraints present) takes its first step with theta = 1, which
-initializes the algebraic components consistently.
+for backward Euler.  theta is the scheme's own, except that a midpoint
+run on singular M0 (n_euler_init_steps) takes its first step with
+theta = 1, which initializes the algebraic components consistently.
 
-solve samples the whole source first and forms J f_k as one product per
-row block of _ROWS steps; Trajectory.x_theta gives x_theta per block.
+prepare certifies a system and inverts each distinct step matrix once;
+the plan's run steps through any number of source arrays, forming J f_k
+per row block of _ROWS steps.  solve is prepare, sample, run.
 
 Every theta-step is causal by construction; causality_defect measures this
 numerically.  weighted_norm evaluates the exponentially weighted
@@ -204,18 +204,20 @@ class Trajectory:
 class WellPosednessReport:
     """Well-posedness certificate of (M0, M1) at the largest weight.
 
-    ok       whether M0 >= 0 and c > 0
-    c        lambda_min(nu0 M0 + Re M1), or lambda_min(M0) when that is
-             negative
-    nu0      nu_max, the weight with the best constant on (0, nu_max]
-    witness  eigenvector of the violated direction when not ok, from the
-             lowest-index block (smallest first index) that attains c
+    ok        whether M0 >= 0 and c > 0
+    c         lambda_min(nu0 M0 + Re M1), or lambda_min(M0) when that is
+              negative
+    nu0       nu_max, the weight with the best constant on (0, nu_max]
+    witness   eigenvector of the violated direction when not ok, from the
+              lowest-index block (smallest first index) that attains c
+    spectrum  the eigenvalues of M0 that the M0 >= 0 test read, m0_spectrum(M0, Re M1)
     """
 
     ok: bool
     c: float
     nu0: float
     witness: np.ndarray = field(default=None)
+    spectrum: list = field(default=None)
 
 
 def _blocks(*mats) -> list:
@@ -242,9 +244,10 @@ def _stacks(mat, blocks) -> list:
 
 
 def _lowest(stacks) -> tuple:
-    """lambda_min of the matrix with these diagonal blocks, and the lowest of each block."""
-    lows = [np.linalg.eigvalsh(stack)[:, 0] for stack in stacks]
-    return float(min(low.min() for low in lows)), lows
+    """lambda_min over these diagonal blocks, and the lowest and all eigenvalues of each."""
+    eigs = [np.linalg.eigvalsh(stack) for stack in stacks]
+    lows = [block[:, 0] for block in eigs]
+    return float(min(low.min() for low in lows)), lows, eigs
 
 
 def _witness(stacks, blocks, lows, lam) -> np.ndarray:
@@ -254,6 +257,11 @@ def _witness(stacks, blocks, lows, lam) -> np.ndarray:
     vec = np.zeros(sum(idx.size for idx in blocks), dtype=complex)
     vec[blocks[g][r]] = np.linalg.eigh(stacks[g][r])[1][:, 0]
     return vec
+
+
+def m0_spectrum(M0, *mats) -> list:
+    """Eigenvalues of M0 per component of the pattern of M0 and mats, a (k, s) array per size."""
+    return _lowest(_stacks(M0, _blocks(M0, *mats)))[2]
 
 
 def c_min(M0, re_m1, nu) -> np.ndarray:
@@ -269,7 +277,7 @@ def check_wellposed(M0, M1, nu_max: float) -> WellPosednessReport:
     Positivity at all large nu needs M0 >= 0; an M0 with a negative
     eigenvalue fails with that eigenvalue as c.  For M0 >= 0, c(nu) is
     nondecreasing, so nu_max gives the best constant.  The report
-    carries the violating eigendirection when not ok.
+    carries the violating eigendirection when not ok, and m0_spectrum.
     """
     M0 = _as_square("M0", M0)
     M1 = _as_square("M1", M1, M0.shape[0])
@@ -279,14 +287,14 @@ def check_wellposed(M0, M1, nu_max: float) -> WellPosednessReport:
     re_m1 = 0.5 * (M1 + M1.conj().T)
     blocks = _blocks(M0, re_m1)
     m0 = _stacks(M0, blocks)
-    lam0, lows = _lowest(m0)
+    lam0, lows, spectrum = _lowest(m0)
     if lam0 < -1e-12 * scale0:
         return WellPosednessReport(ok=False, c=lam0, nu0=nu_max,
-                                   witness=_witness(m0, blocks, lows, lam0))
+                                   witness=_witness(m0, blocks, lows, lam0), spectrum=spectrum)
     stacks = [nu_max * a + b for a, b in zip(m0, _stacks(re_m1, blocks))]
-    c, lows = _lowest(stacks)
+    c, lows, _ = _lowest(stacks)
     witness = None if c > 0 else _witness(stacks, blocks, lows, c)
-    return WellPosednessReport(ok=c > 0, c=c, nu0=nu_max, witness=witness)
+    return WellPosednessReport(ok=c > 0, c=c, nu0=nu_max, witness=witness, spectrum=spectrum)
 
 
 def lu_factor(K):
@@ -331,15 +339,14 @@ def sample_source(f, times, m) -> np.ndarray:
     return out
 
 
-def _init_steps(M0, scheme) -> int:
-    """Number of theta = 1 steps a run starts with: one for a midpoint
-    run on singular M0, none otherwise."""
+def n_euler_init_steps(scheme, spectrum) -> int:
+    """The singular-M0 rule: a midpoint run starts with one theta = 1 step when
+    an eigenvalue of M0 (m0_spectrum) is at most 1e-12 max(1, largest) in modulus."""
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if scheme != "implicit_midpoint":
         return 0
-    stacks = _stacks(M0, _blocks(M0))
-    eigs = np.abs(np.concatenate([np.linalg.eigvalsh(stack).ravel() for stack in stacks]))
+    eigs = np.abs(np.concatenate([block.ravel() for block in spectrum]))
     return int(eigs.min() <= 1e-12 * max(eigs.max(), 1.0))
 
 
@@ -350,53 +357,70 @@ def _theta(scheme, n_steps, n_init) -> np.ndarray:
 
 
 def theta_schedule(M0, scheme, n_steps) -> np.ndarray:
-    """theta of each step of a run of scheme on mass matrix M0.
+    """theta of each step of a run of scheme on mass matrix M0 (n_euler_init_steps).
 
     theta = 1 on backward_euler steps and on the initialization step of
     an implicit_midpoint run on singular M0; theta = 1/2 otherwise.
     """
-    return _theta(scheme, n_steps, _init_steps(M0, scheme))
+    return _theta(scheme, n_steps, n_euler_init_steps(scheme, m0_spectrum(M0)))
+
+
+@dataclass(frozen=True)
+class StepPlan:
+    """A system prepared for one time grid and scheme.  steps[theta] = (P, kappa, R)
+    per distinct theta: P = K^-1 for K = M0/tau + theta (M1 + A), kappa =
+    |K|_1 |P|_1, and R = M0/tau - (1 - theta)(M1 + A)."""
+
+    sys: EvolutionarySystem
+    grid: TimeGrid
+    scheme: str
+    n_init: int
+    theta: np.ndarray
+    times: np.ndarray
+    report: WellPosednessReport
+    steps: dict
+
+    def run(self, x0, F) -> Trajectory:
+        """Step from x^0 = x0 through the (n_steps, n_inputs) source samples F;
+        a step whose right side is not finite raises ValueError naming it."""
+        sys, n_steps = self.sys, self.grid.n_steps
+        states = np.zeros((n_steps + 1, sys.dim), dtype=complex)
+        states[0] = require_shape(x0, (sys.dim,), "x0")
+        F = require_shape(F, (n_steps, sys.n_inputs), "F")
+        # states[k + 1] holds the source term J f_k until step k overwrites it
+        for lo, hi in row_blocks(0, n_steps):
+            states[lo + 1:hi + 1] = F[lo:hi] @ sys.J.T
+        for k, th in enumerate(self.theta):
+            P, _, R = self.steps[th]
+            rhs = R @ states[k] + states[k + 1]
+            if not np.isfinite(rhs).all():
+                raise ValueError(f"array must not contain infs or NaNs: the right side of step {k}")
+            states[k + 1] = P @ rhs
+        return Trajectory(self.grid, states, F, self.scheme, self.n_init)
+
+
+def prepare(sys: EvolutionarySystem, grid: TimeGrid, scheme: str) -> StepPlan:
+    """Certify the system at nu_max = 1/tau (warning when that fails) and
+    invert the step matrix of each distinct theta once."""
+    tau = grid.tau
+    report = check_wellposed(sys.M0, sys.M1, nu_max=1.0 / tau)
+    if not report.ok:
+        warnings.warn("system not certified well-posed for any nu <= 1/tau "
+                      f"(best c = {report.c:.3e}); proceeding", RuntimeWarning)
+    n_init = n_euler_init_steps(scheme, report.spectrum)
+    theta = _theta(scheme, grid.n_steps, n_init)
+    M1A = sys.M1 + sys.A
+    steps = {th: (*_factor_step_matrix(sys.M0 / tau + th * M1A, tau),
+                  sys.M0 / tau - (1.0 - th) * M1A) for th in np.unique(theta)}
+    return StepPlan(sys, grid, scheme, n_init, theta, grid.sample_times(theta), report, steps)
 
 
 def solve(sys: EvolutionarySystem, x0, f, grid: TimeGrid, scheme: str) -> Trajectory:
-    """Integrate the system from x^0 = x0 with the chosen scheme.
-
-    f is a callable t -> source sample (length n_inputs) or None for a
-    source-free run; it is evaluated only at the sample times, all of
-    them before the first step.  Each step is the theta-step of the
-    module docstring, with theta from theta_schedule.  A step whose
-    right side is not finite raises ValueError naming the step.
-    """
-    n_init = _init_steps(sys.M0, scheme)
-    x0 = require_shape(x0, (sys.dim,), "x0")
-    tau = grid.tau
-
-    report = check_wellposed(sys.M0, sys.M1, nu_max=1.0 / tau)
-    if not report.ok:
-        warnings.warn(
-            "system not certified well-posed for any nu <= 1/tau "
-            f"(best c = {report.c:.3e}); proceeding",
-            RuntimeWarning,
-        )
-
-    theta = _theta(scheme, grid.n_steps, n_init)
-    M1A = sys.M1 + sys.A
-    step = {th: (_factor_step_matrix(sys.M0 / tau + th * M1A, tau)[0],
-                 sys.M0 / tau - (1.0 - th) * M1A)
-            for th in np.unique(theta)}
-    u = sample_source(f, grid.sample_times(theta), sys.n_inputs)
-    states = np.zeros((grid.n_steps + 1, sys.dim), dtype=complex)
-    states[0] = x0
-    # states[k + 1] holds the source term J f_k until step k overwrites it
-    for lo, hi in row_blocks(0, grid.n_steps):
-        states[lo + 1:hi + 1] = u[lo:hi] @ sys.J.T
-    for k, th in enumerate(theta):
-        P, R = step[th]
-        rhs = R @ states[k] + states[k + 1]
-        if not np.isfinite(rhs).all():
-            raise ValueError(f"array must not contain infs or NaNs: the right side of step {k}")
-        states[k + 1] = P @ rhs
-    return Trajectory(grid, states, u, scheme, n_init)
+    """Integrate the system from x^0 = x0 with the chosen scheme.  f is a
+    callable t -> source sample (length n_inputs) or None for a source-free
+    run, evaluated at the plan's sample times before the first step."""
+    plan = prepare(sys, grid, scheme)
+    return plan.run(x0, sample_source(f, plan.times, sys.n_inputs))
 
 
 def causality_defect(sys, f1, f2, a: float, grid: TimeGrid, scheme: str, x0=None) -> float:
@@ -407,10 +431,10 @@ def causality_defect(sys, f1, f2, a: float, grid: TimeGrid, scheme: str, x0=None
     """
     if x0 is None:
         x0 = np.zeros(sys.dim)
-    t1 = solve(sys, x0, f1, grid, scheme)
-    t2 = solve(sys, x0, f2, grid, scheme)
+    plan = prepare(sys, grid, scheme)
+    t1, t2 = (plan.run(x0, sample_source(f, plan.times, sys.n_inputs)) for f in (f1, f2))
     a_tol = a + 1e-12 * max(1.0, a)
-    for t, v1, v2 in zip(t1.sample_times(), t1.inputs, t2.inputs):
+    for t, v1, v2 in zip(plan.times, t1.inputs, t2.inputs):
         if t <= a_tol and np.abs(v1 - v2).max() > 1e-13 * max(1.0, np.abs(v1).max()):
             raise HypothesisViolationError(f"inputs differ at sample t = {t:.6g} <= a = {a:.6g}")
     mask = grid.times() <= a_tol

@@ -62,7 +62,7 @@ from .bdspace import build_u_space, compute_bd_space, dot_map, dual_projection
 from .control import BlockPartition, ControlSystem, assemble_control
 from .errors import (HypothesisViolationError, PositivityError, ShapeMismatchError,
                      negligible, require_geometry, require_invertible, require_shape)
-from .evolution import EvolutionarySystem, TimeGrid, Trajectory, solve, theta_schedule
+from .evolution import EvolutionarySystem, TimeGrid, Trajectory, prepare, solve
 from .operators import GradDivPair, Grid1D, build_sbp_pair_1d
 
 REGION_LABELS = ("hyperbolic", "parabolic", "elliptic")
@@ -593,22 +593,23 @@ def maxwell_system(pair: GradDivPair, eps=None, mu=None) -> EvolutionarySystem:
                               J=np.eye(nn + nc))
 
 
-def maxwell_lift_solve(pair, eps, mu, u_bd, x0, grid, scheme) -> MaxwellLiftResult:
+def maxwell_lift_solve(pair, eps, mu, u_bd, x0, grid, scheme, bdD=None) -> MaxwellLiftResult:
     """Two-field system under boundary data on the flux field, solved twice.
 
     State (E, H) on (nodes, cells) with A = [[0, -Ghat^H], [Ghat, 0]] in
     length-scaled coordinates and M0 = diag(eps, mu); u_bd holds samples
-    of the boundary data of H in cell-side boundary coordinates, one row
-    per grid time.  Step k of the theta-method sees the data as
-    u_theta = (1 - theta_k) u^k + theta_k u^{k+1} and its change as
-    du = (u^{k+1} - u^k) / tau.  The lifted route substitutes
+    of the boundary data of H in the coordinates of bdD (the cell-side
+    boundary space, built when None), one row per grid time.  Step k sees
+    the data as u_theta = (1 - theta_k) u^k + theta_k u^{k+1} and its
+    change as du = (u^{k+1} - u^k) / tau.  The lifted route substitutes
     H = Htilde + P u with P the boundary representative, producing the
     sources -Dhat P u_theta on the E-rows and -mu P du on the H-rows; the
     direct route keeps the data in the divergence rows through the
     boundary pairing part Theta = Dhat + Ghat^H.  With the shift taken at
     the step's own u_theta and du, the theta-step commutes with it, so the
-    routes agree to roundoff under both schemes.  Both come back in
-    physical units with the lift undone, their inputs holding u_theta.
+    routes, run through one plan, agree to roundoff under both schemes.
+    Both come back in physical units with the lift undone, their inputs
+    holding u_theta.
     """
     nn, nc = pair.n_nodes, pair.n_cells
     s0 = np.sqrt(pair.W0)
@@ -616,7 +617,7 @@ def maxwell_lift_solve(pair, eps, mu, u_bd, x0, grid, scheme) -> MaxwellLiftResu
     sys = maxwell_system(pair, eps, mu)
     mu_d = sys.M0.diagonal()[nn:].real
 
-    bdD = compute_bd_space(pair, "D")
+    bdD = compute_bd_space(pair, "D") if bdD is None else bdD
     m = bdD.dim
     n_steps = grid.n_steps
     u = require_shape(u_bd, (n_steps + 1, m), "u_bd", default=np.zeros((n_steps + 1, m)))
@@ -625,24 +626,23 @@ def maxwell_lift_solve(pair, eps, mu, u_bd, x0, grid, scheme) -> MaxwellLiftResu
     Dhat = (pair.D / s1[None, :]) * s0[:, None]
     Theta = Dhat - sys.A[:nn, nn:]  # the block of A is -Ghat^H
 
-    theta = theta_schedule(sys.M0, scheme, n_steps)
-    step_of = {t: k for k, t in enumerate(grid.sample_times(theta))}
+    plan = prepare(sys, grid, scheme)
+    theta = plan.theta
     u_theta = (1.0 - theta)[:, None] * u[:-1] + theta[:, None] * u[1:]
     du = (u[1:] - u[:-1]) / grid.tau
-
-    def f_lifted(t):
-        k = step_of[t]
-        return np.concatenate([-(Dhat @ (lift @ u_theta[k])), -mu_d * (lift @ du[k])])
-
-    def f_direct(t):
-        return np.concatenate([-(Theta @ (lift @ u_theta[step_of[t]])), np.zeros(nc)])
+    F_lifted = np.zeros((n_steps, nn + nc), dtype=complex)
+    F_direct = np.zeros((n_steps, nn + nc), dtype=complex)
+    for k in range(n_steps):
+        F_lifted[k, :nn] = -(Dhat @ (lift @ u_theta[k]))
+        F_lifted[k, nn:] = -mu_d * (lift @ du[k])
+        F_direct[k, :nn] = -(Theta @ (lift @ u_theta[k]))
 
     E0, H0 = _initial_fields(x0, nn, nc)
     x_direct = np.concatenate([s0 * E0, s1 * H0])
     x_lifted = np.concatenate([s0 * E0, s1 * H0 - lift @ u[0]])
 
-    raw_lifted = solve(sys, x_lifted, f_lifted, grid, scheme)
-    raw_direct = solve(sys, x_direct, f_direct, grid, scheme)
+    raw_lifted = plan.run(x_lifted, F_lifted)
+    raw_direct = plan.run(x_direct, F_direct)
 
     def physical(raw, undo_lift):
         states = raw.states.copy()

@@ -310,6 +310,16 @@ class TestSimulate:
         gap = rows[:, header.index("defect")].max()
         assert gap <= 1e-12, f"route gap under backward Euler: {gap:.2e}"
 
+    def test_maxwell_run_builds_its_boundary_space_and_certificate_once(self, tmp_path,
+                                                                          calls_to):
+        """The command line and both routes share one cell-side boundary space
+        and one certificate."""
+        from evoctl import cli, evolution, models
+        spaces = [calls_to(module, "compute_bd_space") for module in (cli, models)]
+        certs = [calls_to(module, "check_wellposed") for module in (cli, evolution)]
+        assert run(tmp_path, "simulate", "--set", "preset=maxwell-lift-1d") == 0
+        assert sum(map(len, spaces)) == 1 and sum(map(len, certs)) == 1
+
     def test_out_of_memory_is_a_configuration_error(self, tmp_path, monkeypatch, capsys):
         """A run too large to allocate exits 2 with a message, not a traceback."""
         def allocate(*args, **kwargs):

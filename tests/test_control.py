@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import qr
 
+from evoctl import evolution
 from evoctl.bdspace import compute_bd_space, dual_projection
 from evoctl.control import (
     BlockPartition,
@@ -24,8 +25,11 @@ from evoctl.control import (
     step_ledger,
 )
 from evoctl.errors import HypothesisViolationError, ShapeMismatchError
-from evoctl.evolution import (_ROWS, EvolutionarySystem, TimeGrid, Trajectory, solve,
-                              theta_schedule)
+from evoctl.evolution import (_ROWS, EvolutionarySystem, TimeGrid, Trajectory, causality_defect,
+                              prepare, sample_source, solve, theta_schedule)
+from evoctl.models import (PortHamiltonianSpec, WaveSpec, build_mixed_type_wave,
+                           build_port_hamiltonian, build_weiss_tucsnak_wave, maxwell_system,
+                           three_region_indicators)
 from evoctl.models import drive as drive_control
 from evoctl.operators import Grid1D, build_sbp_pair_1d
 
@@ -809,3 +813,103 @@ class TestBoundaryEquationDefect:
         x = np.zeros(sys.dim, dtype=complex)
         with pytest.raises(HypothesisViolationError, match="coupling"):
             boundary_equation_defect(sys, self.constant_trajectory(sys, x))
+
+
+def shipped_systems():
+    """The systems of the four presets on small grids."""
+    grid = Grid1D(0.0, 1.0, 8)
+    spec = WaveSpec(grid=grid, z1=np.sin(np.pi * grid.nodes()))
+    return [build_weiss_tucsnak_wave(spec),
+            build_mixed_type_wave(spec, three_region_indicators(grid)),
+            build_port_hamiltonian(PortHamiltonianSpec(grid=Grid1D(0.0, 1.0, 4), Nmat=[[1.0]])),
+            maxwell_system(build_sbp_pair_1d(grid))]
+
+
+class TestStepPlan:
+    """solve is prepare, sample and run; one plan serves any number of runs."""
+
+    @pytest.mark.parametrize("scheme", ["backward_euler", "implicit_midpoint"])
+    def test_solve_equals_prepare_then_run(self, scheme):
+        """Bitwise, on a random compatible system, whose M0 is singular so that
+        a midpoint run starts with a theta = 1 step, and on every preset."""
+        rng = np.random.default_rng(71)
+        grid = TimeGrid(t_end=1.0, n_steps=_ROWS + 9)
+        for sys in [random_compatible_system(rng)] + shipped_systems():
+            x0 = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
+            weights = rng.standard_normal(sys.n_inputs)
+            f = lambda t: np.cos(3.0 * t) * weights
+            traj = solve(sys, x0, f, grid, scheme)
+            plan = prepare(sys, grid, scheme)
+            again = plan.run(x0, sample_source(f, plan.times, sys.n_inputs))
+            assert np.array_equal(traj.states, again.states)
+            assert np.array_equal(traj.inputs, again.inputs)
+            assert traj.n_euler_init_steps == again.n_euler_init_steps == plan.n_init
+            assert np.array_equal(plan.theta, theta_schedule(sys.M0, scheme, grid.n_steps))
+            assert np.array_equal(plan.times, traj.sample_times())
+        singular = random_compatible_system(rng)
+        assert prepare(singular, grid, scheme).n_init == (scheme == "implicit_midpoint")
+
+    def test_one_plan_runs_many_sources(self):
+        """Each run of a plan equals a fresh solve of its own source."""
+        rng = np.random.default_rng(72)
+        sys = random_compatible_system(rng)
+        grid = TimeGrid(t_end=1.0, n_steps=30)
+        plan = prepare(sys, grid, "implicit_midpoint")
+        for freq in (1.0, 2.0, 5.0):
+            f = lambda t: np.sin(freq * t) * np.ones(sys.n_inputs)
+            run = plan.run(np.zeros(sys.dim), sample_source(f, plan.times, sys.n_inputs))
+            fresh = solve(sys, np.zeros(sys.dim), f, grid, "implicit_midpoint")
+            assert np.array_equal(run.states, fresh.states)
+
+    def test_run_refuses_a_source_of_the_wrong_shape(self):
+        sys = random_compatible_system(np.random.default_rng(73))
+        plan = prepare(sys, TimeGrid(t_end=1.0, n_steps=4), "backward_euler")
+        with pytest.raises(ShapeMismatchError, match="F must have shape"):
+            plan.run(np.zeros(sys.dim), np.zeros((3, sys.n_inputs)))
+        with pytest.raises(ShapeMismatchError, match="x0 must have shape"):
+            plan.run(np.zeros(sys.dim + 1), np.zeros((4, sys.n_inputs)))
+
+    @pytest.mark.parametrize("scheme,distinct", [("backward_euler", 1),
+                                                 ("implicit_midpoint", 2)])
+    def test_causality_defect_prepares_once(self, calls_to, scheme, distinct):
+        """Both runs of causality_defect step through one plan: one
+        certificate and one inverse per distinct theta."""
+        sys = random_compatible_system(np.random.default_rng(74))
+        certs = calls_to(evolution, "check_wellposed")
+        inverses = calls_to(evolution, "lu_factor")
+        f1 = lambda t: np.ones(sys.n_inputs)
+        f2 = lambda t: np.ones(sys.n_inputs) * (1.0 + (t > 0.5))
+        defect = causality_defect(sys, f1, f2, 0.5, TimeGrid(1.0, 16), scheme)
+        assert defect <= 1e-12
+        assert len(certs) == 1 and len(inverses) == distinct
+
+    @pytest.mark.parametrize("scheme", ["backward_euler", "implicit_midpoint"])
+    def test_plan_keeps_the_exact_condition_number(self, scheme):
+        """kappa of every distinct theta is the exact 1-norm condition number
+        of that theta's step matrix."""
+        rng = np.random.default_rng(75)
+        n = 10
+        M1 = 0.5 * np.eye(n) + 0.1 * rng.standard_normal((n, n))
+        S = rng.standard_normal((n, n))
+        sys = EvolutionarySystem(M0=np.diag([1.0] * (n - 2) + [0.0, 0.0]), M1=M1,
+                                 A=S - S.T, J=np.eye(n))
+        grid = TimeGrid(t_end=1.0, n_steps=8)
+        plan = prepare(sys, grid, scheme)
+        assert sorted(plan.steps) == sorted(set(plan.theta))
+        for theta, (P, kappa, R) in plan.steps.items():
+            K = sys.M0 / grid.tau + theta * (sys.M1 + sys.A)
+            assert np.linalg.cond(K, 1) < 1e3
+            assert kappa == pytest.approx(np.linalg.cond(K, 1), rel=1e-12)
+            assert np.array_equal(P, np.linalg.inv(K))
+            assert np.array_equal(R, sys.M0 / grid.tau - (1.0 - theta) * (sys.M1 + sys.A))
+
+    def test_midpoint_plan_diagonalizes_m0_once(self, calls_to):
+        """The singular-M0 test and the M0 >= 0 test read one spectrum of M0:
+        a midpoint plan makes a single eigvalsh call whose argument is made
+        of entries of M0 alone."""
+        sys = random_compatible_system(np.random.default_rng(76))
+        calls = calls_to(np.linalg, "eigvalsh")
+        plan = prepare(sys, TimeGrid(t_end=1.0, n_steps=8), "implicit_midpoint")
+        on_m0 = [args[0] for args in calls if np.isin(args[0], sys.M0).all()]
+        assert len(on_m0) == 1 and plan.n_init == 1
+        assert np.array_equal(plan.report.spectrum[0], np.linalg.eigvalsh(on_m0[0]))

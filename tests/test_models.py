@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from evoctl import evolution
 from evoctl.bdspace import build_u_space, compute_bd_space, dot_map
 from evoctl.control import check_compatibility, energy_ledger, extract_io
 from evoctl.errors import (
@@ -681,6 +682,18 @@ class TestMaxwellLift:
         with pytest.raises(ValueError, match="diagonal"):
             maxwell_lift_solve(self.pair, full, None, None, None, tg,
                                "backward_euler")
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_routes_share_one_plan(self, calls_to, scheme):
+        """Both routes step through one plan: one certificate, and one
+        inverse per distinct theta (M0 is definite, so one theta)."""
+        certs = calls_to(evolution, "check_wellposed")
+        inverses = calls_to(evolution, "lu_factor")
+        tg = TimeGrid(t_end=1.0, n_steps=20, nu=1.0)
+        u = np.stack([np.array([np.sin(3.0 * t), t]) for t in tg.times()])
+        res = maxwell_lift_solve(self.pair, None, None, u, (self.E0, self.H0), tg, scheme)
+        assert len(certs) == 1 and len(inverses) == 1
+        assert res.lifted.n_euler_init_steps == res.direct.n_euler_init_steps == 0
 
     def test_data_shape_validation(self):
         tg = TimeGrid(t_end=0.5, n_steps=10, nu=1.0)
