@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalRankError, PositivityError, ShapeMismatchError, require_shape
+from .errors import NumericalRankError, PositivityError, ShapeMismatchError, as_array, require_shape
 from .operators import GradDivPair
 
 KERNEL_CUTOFF = 1e-8
@@ -125,11 +125,11 @@ def _graph_mgs(columns: np.ndarray, graph: GraphInnerProduct) -> np.ndarray:
     """Orthonormalize columns in the graph inner product.
 
     Modified Gram-Schmidt with one reorthogonalization pass, which keeps
-    the orthonormality defect near roundoff.
+    the orthonormality defect near roundoff.  The basis has the dtype of
+    the columns and the graph form, so a real kernel gives a real basis.
     """
-    cols = [np.array(columns[:, j], dtype=complex) for j in range(columns.shape[1])]
     out = []
-    for v in cols:
+    for v in as_array(columns).T:
         for _ in range(2):
             for q in out:
                 v = v - q * graph.inner(q, v)
@@ -278,10 +278,6 @@ def boundary_triple_defect(
         bdG = compute_bd_space(pair, "G")
     if bdD is None:
         bdD = compute_bd_space(pair, "D")
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    x2 = np.asarray(x2, dtype=complex)
-    y2 = np.asarray(y2, dtype=complex)
 
     def star(xa, ya):
         return -1j * (pair.D @ ya), -1j * (pair.G @ xa)

@@ -57,7 +57,7 @@ from .bdspace import compute_bd_space, dot_map
 from .control import ControlSystem, extract_io, step_ledger
 from .errors import EvoctlError
 from .evolution import (SCHEMES, TimeGrid, Trajectory, c_min, check_wellposed, m0_spectrum,
-                        n_euler_init_steps, row_blocks, sample_source)
+                        n_euler_init_steps, row_blocks, sample_source, theta_steps)
 from .models import (
     PortHamiltonianSpec,
     WaveSpec,
@@ -312,11 +312,10 @@ def _build_preset(cfg: RunConfig):
     return build_mixed_type_wave(spec, three_region_indicators(grid))
 
 
-def _run_comments(cfg: RunConfig, traj: Trajectory):
-    """Header of a run's files; the scheme is the trajectory's, which an
-    energy replay takes from the stored file, not from the configuration."""
-    return _base_comments(replace(cfg, scheme=traj.scheme)) + [
-        f"n_euler_init_steps={traj.n_euler_init_steps}"]
+def _run_comments(cfg: RunConfig, scheme, n_init):
+    """Header of a run's files; the scheme is the run's, which an energy
+    replay takes from the stored file, not from the configuration."""
+    return _base_comments(replace(cfg, scheme=scheme)) + [f"n_euler_init_steps={n_init}"]
 
 
 def _imag_note(states):
@@ -389,7 +388,7 @@ def _write_run(cfg: RunConfig, outdir: Path, traj: Trajectory, y, ledger_rows,
     """Write a simulate run: trajectory.csv with the states at traj.times,
     io.csv with one row (sample time, traj.inputs, y) per step, and
     ledger.csv, whose header gains ledger_note when one is given."""
-    comments = _run_comments(cfg, traj) + [_imag_note(traj.states)]
+    comments = _run_comments(cfg, traj.scheme, traj.n_euler_init_steps) + [_imag_note(traj.states)]
     columns = ("t",) + tuple(f"x{i}" for i in range(traj.states.shape[1]))
     write_csv(outdir / "trajectory.csv", comments, columns,
               ((t, *x.real.tolist()) for t, x in zip(traj.times, traj.states)))
@@ -552,17 +551,16 @@ def cmd_energy(cfg: RunConfig, outdir: Path, trajectory_path) -> int:
 
     # the theta = 1 start-up steps of a midpoint run follow from the system
     n_init = n_euler_init_steps(scheme, m0_spectrum(sys.M0, sys.re_m1()))
-    traj = Trajectory(tg, states.astype(complex),
-                      np.zeros((tg.n_steps, sys.partition.n_u1), dtype=complex),
-                      scheme, n_init)
-    header = _run_comments(cfg, traj)
+    header = _run_comments(cfg, scheme, n_init)
     for line in header:
         if line.startswith(("preset=", "grid ", "n_euler_init_steps=")) \
                 and line not in comments:
             raise ValueError(f"stored trajectory {path} lacks '# {line}' of the "
                              "configured run")
-    u_of_t = _control_signal(cfg, sys.partition.n_u1)
-    traj.inputs[:] = sample_source(u_of_t, traj.sample_times(), sys.partition.n_u1)
+    n_u1 = sys.partition.n_u1
+    u = sample_source(_control_signal(cfg, n_u1),
+                      tg.sample_times(theta_steps(scheme, tg.n_steps, n_init)), n_u1)
+    traj = Trajectory(tg, states, u, scheme, n_init)
 
     led = step_ledger(sys, traj)
     rows, defects = _ledger_rows(led, grid_times)
@@ -616,21 +614,24 @@ def _build_parser():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        cfg = load_config(args.config, args.overrides,
-                          DEFAULT_TOLERANCES[args.command])
-        outdir = Path(cfg.outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        if args.command == "wellposed":
-            return cmd_wellposed(cfg, outdir, args.zero_damping)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, outdir)
-        if args.command == "bdspace":
-            return cmd_bdspace(cfg, outdir)
-        return cmd_energy(cfg, outdir, args.trajectory)
-    except (EvoctlError, ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # one 'warning: <message>' line per warning, without the source line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=_sys.stderr)
+        try:
+            cfg = load_config(args.config, args.overrides,
+                              DEFAULT_TOLERANCES[args.command])
+            outdir = Path(cfg.outdir)
+            outdir.mkdir(parents=True, exist_ok=True)
+            if args.command == "wellposed":
+                return cmd_wellposed(cfg, outdir, args.zero_damping)
+            if args.command == "simulate":
+                return cmd_simulate(cfg, outdir)
+            if args.command == "bdspace":
+                return cmd_bdspace(cfg, outdir)
+            return cmd_energy(cfg, outdir, args.trajectory)
+        except (EvoctlError, ValueError, OSError, MemoryError) as exc:
+            print(f"error: {exc}", file=_sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

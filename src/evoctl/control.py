@@ -45,8 +45,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (HypothesisViolationError, ShapeMismatchError, negligible, require_geometry,
-                     require_invertible, require_shape)
+from .errors import (HypothesisViolationError, ShapeMismatchError, as_array, negligible,
+                     require_geometry, require_invertible, require_shape)
 from .evolution import EvolutionarySystem, Trajectory, row_blocks
 
 COMPAT_TOL = 1e-10
@@ -92,13 +92,14 @@ def _expand_blocks(blocks, sizes, name):
     """Assemble a square matrix from a nested list over the fine blocks.
 
     Entries may be None (zero block), a scalar (scaled identity when the
-    block is square), or a matrix of matching shape.
+    block is square), or a matrix of matching shape, in the dtype they promote to.
     """
     k = len(sizes)
     if len(blocks) != k or any(len(row) != k for row in blocks):
         raise ShapeMismatchError(f"{name} must be a {k}x{k} nested block list")
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    out = np.zeros((offsets[-1], offsets[-1]), dtype=complex)
+    out = np.zeros((offsets[-1], offsets[-1]), dtype=np.result_type(np.float64, *{
+        np.asarray(entry).dtype for row in blocks for entry in row if entry is not None}))
     for i in range(k):
         for j in range(k):
             entry = blocks[i][j]
@@ -110,9 +111,9 @@ def _expand_blocks(blocks, sizes, name):
                     raise ShapeMismatchError(
                         f"{name}[{i}][{j}] is scalar but the block is {shape}"
                     )
-                block = complex(entry) * np.eye(sizes[i])
+                block = entry * np.eye(sizes[i])
             else:
-                block = np.asarray(entry, dtype=complex)
+                block = as_array(entry)
                 if block.shape != shape:
                     raise ShapeMismatchError(
                         f"{name}[{i}][{j}] has shape {block.shape}, expected {shape}"
@@ -231,20 +232,21 @@ def assemble_control(
                          default=np.zeros((n_w, partition.n_h0)))
 
     F = np.vstack([-Gmat, Cmat])
-    A = np.zeros((partition.dim, partition.dim), dtype=complex)
+    A = np.zeros((partition.dim, partition.dim), dtype=F.dtype)
     A[partition.sl_h1, partition.sl_h0] = F
     A[partition.sl_h0, partition.sl_h1] = -F.conj().T
 
-    J = np.zeros((partition.dim, partition.n_u1), dtype=complex)
+    J = np.zeros((partition.dim, partition.n_u1), dtype=np.result_type(
+        np.float64, *(np.asarray(block) for block in B_blocks if block is not None)))
     for sl, block in zip((partition.sl_h0, partition.sl_h1, partition.sl_y), B_blocks):
         if block is not None:
-            J[sl] = np.asarray(block, dtype=complex).reshape(J[sl].shape)
+            J[sl] = np.reshape(block, J[sl].shape)
 
     return ControlSystem(
         M0=_expand_blocks(M0_blocks, sizes, "M0_blocks"),
         M1=_expand_blocks(M1_blocks, sizes, "M1_blocks"), A=A, J=J,
         partition=partition, n_w=n_w,
-        x0=None if x0 is None else np.asarray(x0, dtype=complex),
+        x0=None if x0 is None else as_array(x0),
         geometry=geometry,
     )
 
@@ -443,9 +445,10 @@ def extract_io(sys: ControlSystem, traj: Trajectory) -> IOSamples:
             K, "the (w, y) block of M1 + A is not invertible; input/output "
             "recovery presupposes its bounded inverse"
         )
-    rhs = np.zeros((traj.grid.n_steps, nw + ny), dtype=complex)
-    stored = np.zeros_like(rhs)
     B_wy, M1A_wy_vz = sys.J[wy], M1A[wy, vz]
+    rhs = np.zeros((traj.grid.n_steps, nw + ny),
+                   dtype=np.result_type(traj.inputs, traj.states, B_wy, M1A_wy_vz))
+    stored = np.zeros_like(rhs)
     for lo, hi in row_blocks(0, traj.grid.n_steps):
         xs = traj.x_theta(lo, hi)
         rhs[lo:hi] = traj.inputs[lo:hi] @ B_wy.T - xs[:, vz] @ M1A_wy_vz.T

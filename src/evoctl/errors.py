@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the argument rules that
 every public entry states through them:
 
+    as_array            the one conversion rule: the dtype follows the data
     require_shape       an array argument has the shape the operation needs
     negligible          a block is zero up to roundoff next to its matrix
     require_invertible  a matrix is numerically invertible
@@ -68,10 +69,17 @@ def require_invertible(mat, message):
         raise HypothesisViolationError(message)
 
 
+def as_array(value) -> np.ndarray:
+    """value as an array of dtype np.result_type(value, float64), so float64
+    unless its type is complex: the dtype follows the types, never the values."""
+    arr = np.asarray(value)
+    return arr.astype(np.result_type(arr, np.float64), copy=False)
+
+
 def require_shape(value, shape, name, default=None) -> np.ndarray:
-    """value, or default when value is None, as a complex array; raises
+    """value, or default when value is None, through as_array; raises
     ShapeMismatchError naming the argument unless its shape is shape."""
-    arr = np.asarray(default if value is None else value, dtype=complex)
+    arr = as_array(default if value is None else value)
     if arr.shape != shape:
         raise ShapeMismatchError(f"{name} must have shape {shape}, got {arr.shape}")
     return arr

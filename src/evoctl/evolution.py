@@ -36,6 +36,9 @@ prepare certifies a system and inverts each distinct step matrix once;
 the plan's run steps through any number of source arrays, forming J f_k
 per row block of _ROWS steps.  solve is prepare, sample, run.
 
+The dtype follows the data (errors.as_array): a real system steps in
+float64, and a complex matrix, source or state makes the run complex128.
+
 Every theta-step is causal by construction; causality_defect measures this
 numerically.  weighted_norm evaluates the exponentially weighted
 space-time norm used by the underlying solution theory.
@@ -49,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (HypothesisViolationError, ShapeMismatchError, StepSingularityError,
-                     negligible, require_shape)
+                     as_array, negligible, require_shape)
 
 SCHEMES = ("backward_euler", "implicit_midpoint")
 # steps per row block: level-3 products whose temporaries stay near 70 KB at dim 67
@@ -90,7 +93,7 @@ class TimeGrid:
 
 
 def _as_square(name, mat, n=None):
-    mat = np.asarray(mat, dtype=complex)
+    mat = as_array(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeMismatchError(f"{name} must be square, got shape {mat.shape}")
     if n is not None and mat.shape[0] != n:
@@ -127,7 +130,7 @@ class EvolutionarySystem:
         n = M0.shape[0]
         M1 = _as_square("M1", self.M1, n)
         A = _as_square("A", self.A, n)
-        J = np.asarray(self.J, dtype=complex)
+        J = as_array(self.J)
         if J.ndim == 1:
             J = J[:, None]
         if J.shape[0] != n:
@@ -183,7 +186,7 @@ class Trajectory:
     @property
     def theta(self) -> np.ndarray:
         """theta of every step."""
-        return _theta(self.scheme, self.grid.n_steps, self.n_euler_init_steps)
+        return theta_steps(self.scheme, self.grid.n_steps, self.n_euler_init_steps)
 
     def sample_times(self) -> np.ndarray:
         """Time at which each step samples its source."""
@@ -254,7 +257,7 @@ def _witness(stacks, blocks, lows, lam) -> np.ndarray:
     """Eigenvector for lam of the lowest-index block attaining it, in the full space."""
     _, g, r = min((idx[r, 0], g, r) for g, (idx, low) in enumerate(zip(blocks, lows))
                   for r in np.flatnonzero(low == lam))
-    vec = np.zeros(sum(idx.size for idx in blocks), dtype=complex)
+    vec = np.zeros(sum(idx.size for idx in blocks), dtype=stacks[g].dtype)
     vec[blocks[g][r]] = np.linalg.eigh(stacks[g][r])[1][:, 0]
     return vec
 
@@ -328,15 +331,15 @@ def _factor_step_matrix(K, tau):
 
 
 def sample_source(f, times, m) -> np.ndarray:
-    """The (len(times), m) array of the samples f(t), zero when f is None;
-    a sample of another shape than (m,) is refused."""
-    out = np.zeros((len(times), m), dtype=complex)
-    for k, t in enumerate(times if f is not None else ()):
-        val = np.atleast_1d(np.asarray(f(t), dtype=complex))
+    """The (len(times), m) array of the samples f(t) in the dtype they promote
+    to, zero when f is None; a sample of another shape than (m,) is refused."""
+    out = []
+    for t in times if f is not None else ():
+        val = np.atleast_1d(as_array(f(t)))
         if val.shape != (m,):
             raise ShapeMismatchError(f"input sampler returned shape {val.shape}, expected ({m},)")
-        out[k] = val
-    return out
+        out.append(val)
+    return np.array(out) if out else np.zeros((len(times), m))
 
 
 def n_euler_init_steps(scheme, spectrum) -> int:
@@ -350,7 +353,8 @@ def n_euler_init_steps(scheme, spectrum) -> int:
     return int(eigs.min() <= 1e-12 * max(eigs.max(), 1.0))
 
 
-def _theta(scheme, n_steps, n_init) -> np.ndarray:
+def theta_steps(scheme, n_steps, n_init) -> np.ndarray:
+    """theta of the n_steps steps of a scheme run whose first n_init steps take theta = 1."""
     theta = np.full(n_steps, 0.5 if scheme == "implicit_midpoint" else 1.0)
     theta[:n_init] = 1.0
     return theta
@@ -362,7 +366,7 @@ def theta_schedule(M0, scheme, n_steps) -> np.ndarray:
     theta = 1 on backward_euler steps and on the initialization step of
     an implicit_midpoint run on singular M0; theta = 1/2 otherwise.
     """
-    return _theta(scheme, n_steps, n_euler_init_steps(scheme, m0_spectrum(M0)))
+    return theta_steps(scheme, n_steps, n_euler_init_steps(scheme, m0_spectrum(M0)))
 
 
 @dataclass(frozen=True)
@@ -382,11 +386,14 @@ class StepPlan:
 
     def run(self, x0, F) -> Trajectory:
         """Step from x^0 = x0 through the (n_steps, n_inputs) source samples F;
-        a step whose right side is not finite raises ValueError naming it."""
+        a step whose right side is not finite raises ValueError naming it.  The
+        states take the dtype that x0, F, J and every P and R promote to."""
         sys, n_steps = self.sys, self.grid.n_steps
-        states = np.zeros((n_steps + 1, sys.dim), dtype=complex)
-        states[0] = require_shape(x0, (sys.dim,), "x0")
+        x0 = require_shape(x0, (sys.dim,), "x0")
         F = require_shape(F, (n_steps, sys.n_inputs), "F")
+        mats = [mat for P, _, R in self.steps.values() for mat in (P, R)]
+        states = np.zeros((n_steps + 1, sys.dim), dtype=np.result_type(x0, F, sys.J, *mats))
+        states[0] = x0
         # states[k + 1] holds the source term J f_k until step k overwrites it
         for lo, hi in row_blocks(0, n_steps):
             states[lo + 1:hi + 1] = F[lo:hi] @ sys.J.T
@@ -408,7 +415,7 @@ def prepare(sys: EvolutionarySystem, grid: TimeGrid, scheme: str) -> StepPlan:
         warnings.warn("system not certified well-posed for any nu <= 1/tau "
                       f"(best c = {report.c:.3e}); proceeding", RuntimeWarning)
     n_init = n_euler_init_steps(scheme, report.spectrum)
-    theta = _theta(scheme, grid.n_steps, n_init)
+    theta = theta_steps(scheme, grid.n_steps, n_init)
     M1A = sys.M1 + sys.A
     steps = {th: (*_factor_step_matrix(sys.M0 / tau + th * M1A, tau),
                   sys.M0 / tau - (1.0 - th) * M1A) for th in np.unique(theta)}

@@ -60,7 +60,7 @@ import numpy as np
 
 from .bdspace import build_u_space, compute_bd_space, dot_map, dual_projection
 from .control import BlockPartition, ControlSystem, assemble_control
-from .errors import (HypothesisViolationError, PositivityError, ShapeMismatchError,
+from .errors import (HypothesisViolationError, PositivityError, ShapeMismatchError, as_array,
                      negligible, require_geometry, require_invertible, require_shape)
 from .evolution import EvolutionarySystem, TimeGrid, Trajectory, prepare, solve
 from .operators import GradDivPair, Grid1D, build_sbp_pair_1d
@@ -238,9 +238,7 @@ def build_mixed_type_wave(spec: WaveSpec, indicators) -> ControlSystem:
     B1 = np.vstack([np.zeros((pair.n_cells, m)), -np.sqrt(2.0) * np.eye(m)])
     B_blocks = (None, B1, -np.eye(m))
 
-    # a complex product on purpose: the real one rounds differently in the
-    # last bits, which would change every artifact downstream
-    Gmat = ((pair.G / s0[None, :]) * s1[:, None]) @ V.astype(complex)
+    Gmat = ((pair.G / s0[None, :]) * s1[:, None]) @ V
 
     z1 = require_shape(spec.z1, (pair.n_nodes,), "z1", default=np.zeros(pair.n_nodes))
     z0 = require_shape(spec.z0, (pair.n_cells,), "z0", default=np.zeros(pair.n_cells))
@@ -337,7 +335,7 @@ class PortHamiltonianSpec:
     xi1: np.ndarray = None
 
     def __post_init__(self):
-        Nmat = np.atleast_2d(np.asarray(self.Nmat, dtype=complex))
+        Nmat = np.atleast_2d(as_array(self.Nmat))
         if Nmat.ndim != 2 or Nmat.shape[0] != Nmat.shape[1]:
             raise ShapeMismatchError(f"Nmat must be square, got shape {Nmat.shape}")
         require_invertible(Nmat, "Nmat must be invertible for the chain to be of full order")
@@ -350,8 +348,8 @@ class PortHamiltonianSpec:
 
 def _density_values(Hfun, points, n) -> np.ndarray:
     """Evaluate a pointwise density, checking shape, symmetry, positivity."""
-    vals = np.zeros((len(points), n, n), dtype=complex)
-    for i, x in enumerate(points):
+    vals = []
+    for x in points:
         Hx = require_shape(None if Hfun is None else Hfun(float(x)), (n, n),
                            f"the Hamiltonian density at x = {x:.6g}", default=np.eye(n))
         if not negligible(Hx - Hx.conj().T, Hx):
@@ -365,8 +363,8 @@ def _density_values(Hfun, points, n) -> np.ndarray:
                 f"eigenvalue {evals[0]:.3e}",
                 witness=evecs[:, 0],
             )
-        vals[i] = Hx
-    return vals
+        vals.append(Hx)
+    return np.array(vals)
 
 
 def _require_group_diagonal(vals, ell, name):
@@ -381,7 +379,7 @@ def _require_group_diagonal(vals, ell, name):
 def _pointwise_operator(vals) -> np.ndarray:
     """Stack pointwise matrices into an operator on per-field blocks."""
     npts, nf = vals.shape[0], vals.shape[1]
-    out = np.zeros((nf * npts, nf * npts), dtype=complex)
+    out = np.zeros((nf * npts, nf * npts), dtype=vals.dtype)
     for i in range(nf):
         for j in range(nf):
             out[i * npts:(i + 1) * npts, j * npts:(j + 1) * npts] = \
@@ -495,7 +493,7 @@ def endpoint_coupling_defect(sys: ControlSystem, traj: Trajectory) -> np.ndarray
     the boundary coupling the substitution enforced.
     """
     E, M32 = require_geometry(sys, ("endpoint_sampler", "M32"), "the endpoint coupling check")
-    M32 = np.asarray(M32, dtype=complex)
+    M32 = as_array(M32)
     M33 = sys.m1_block(3, 3)
     require_invertible(
         M32, "M32 is not invertible; w cannot be recovered from the observation rows"
@@ -527,7 +525,7 @@ def _coefficient_diagonal(value, npts, name) -> np.ndarray:
         return np.ones(npts)
     arr = np.asarray(value)
     if arr.ndim == 0:
-        arr = np.full(npts, complex(arr))
+        arr = np.full(npts, arr)
     if arr.ndim == 2:
         if arr.shape != (npts, npts):
             raise ShapeMismatchError(
@@ -550,26 +548,15 @@ def _coefficient_diagonal(value, npts, name) -> np.ndarray:
 
 
 def _initial_fields(x0, nn, nc):
+    """(E0, H0) from a pair of fields or a flat state; zero when x0 is None."""
     if x0 is None:
-        return np.zeros(nn, dtype=complex), np.zeros(nc, dtype=complex)
-    if isinstance(x0, (tuple, list)):
-        if len(x0) != 2:
-            raise ShapeMismatchError("x0 must be (E0, H0) or a flat state")
-        E0 = np.asarray(x0[0], dtype=complex)
-        H0 = np.asarray(x0[1], dtype=complex)
-    else:
-        flat = np.asarray(x0, dtype=complex)
-        if flat.shape != (nn + nc,):
-            raise ShapeMismatchError(
-                f"flat x0 must have length {nn + nc}, got {flat.shape}"
-            )
-        E0, H0 = flat[:nn], flat[nn:]
-    if E0.shape != (nn,) or H0.shape != (nc,):
-        raise ShapeMismatchError(
-            f"initial fields must have lengths {nn} and {nc}, got "
-            f"{E0.shape} and {H0.shape}"
-        )
-    return E0, H0
+        return np.zeros(nn), np.zeros(nc)
+    if not isinstance(x0, (tuple, list)):
+        flat = require_shape(x0, (nn + nc,), "flat x0")
+        return flat[:nn], flat[nn:]
+    if len(x0) != 2:
+        raise ShapeMismatchError("x0 must be (E0, H0) or a flat state")
+    return require_shape(x0[0], (nn,), "E0"), require_shape(x0[1], (nc,), "H0")
 
 
 def maxwell_system(pair: GradDivPair, eps=None, mu=None) -> EvolutionarySystem:
@@ -630,8 +617,8 @@ def maxwell_lift_solve(pair, eps, mu, u_bd, x0, grid, scheme, bdD=None) -> Maxwe
     theta = plan.theta
     u_theta = (1.0 - theta)[:, None] * u[:-1] + theta[:, None] * u[1:]
     du = (u[1:] - u[:-1]) / grid.tau
-    F_lifted = np.zeros((n_steps, nn + nc), dtype=complex)
-    F_direct = np.zeros((n_steps, nn + nc), dtype=complex)
+    F_lifted = np.zeros((n_steps, nn + nc), dtype=np.result_type(u, lift, Theta))
+    F_direct = np.zeros_like(F_lifted)
     for k in range(n_steps):
         F_lifted[k, :nn] = -(Dhat @ (lift @ u_theta[k]))
         F_lifted[k, nn:] = -mu_d * (lift @ du[k])
@@ -665,5 +652,5 @@ def drive(sys: ControlSystem, u_of_t, grid: TimeGrid, scheme: str,
     inputs are the control samples, one row of length n_u1 per step.
     """
     if x0 is None:
-        x0 = sys.x0 if sys.x0 is not None else np.zeros(sys.dim, dtype=complex)
+        x0 = sys.x0 if sys.x0 is not None else np.zeros(sys.dim)
     return solve(sys, x0, u_of_t, grid, scheme)

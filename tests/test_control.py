@@ -7,13 +7,15 @@ satisfies the compatibility conditions exactly, so the midpoint energy
 ledger closes to machine precision once the Euler start-up step is past.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import qr
 
-from evoctl import evolution
+from evoctl import cli, evolution
 from evoctl.bdspace import compute_bd_space, dual_projection
 from evoctl.control import (
     BlockPartition,
@@ -913,3 +915,61 @@ class TestStepPlan:
         on_m0 = [args[0] for args in calls if np.isin(args[0], sys.M0).all()]
         assert len(on_m0) == 1 and plan.n_init == 1
         assert np.array_equal(plan.report.spectrum[0], np.linalg.eigvalsh(on_m0[0]))
+
+
+class TestDtypeFollowsTheData:
+    """The dtype of a system and its runs follows the data (errors.as_array):
+    the shipped presets are real and step in float64, a complex system
+    stays complex128, and the real run agrees with the complex one."""
+
+    @pytest.mark.parametrize("preset", cli.PRESETS)
+    def test_every_preset_assembles_float64(self, preset):
+        sys = cli._build_preset(cli.load_config(None, [f"preset={preset}"], 1e-9))
+        assert [m.dtype for m in (sys.M0, sys.M1, sys.A, sys.J)] == [np.float64] * 4
+
+    @pytest.mark.parametrize("preset", cli.PRESETS)
+    def test_simulate_steps_in_float64(self, tmp_path, calls_to, preset):
+        """The trajectory a simulate run writes holds float64 states."""
+        runs = calls_to(cli, "_write_run")
+        assert cli.main(["simulate", "--set", f"preset={preset}", "--set", f"outdir={tmp_path}",
+                         "--set", "input.kind=sinusoid", "--set", "initial.kind=sine",
+                         "--set", "time.n_steps=20"]) == 0
+        traj = runs[0][2]
+        assert traj.states.dtype == traj.inputs.dtype == np.float64
+
+    def test_complex_system_stays_complex(self):
+        """A random complex system steps, ledgers and recovers its I/O in
+        complex128, also under a real source; a complex source promotes a
+        real system."""
+        sys = random_compatible_system(np.random.default_rng(81))
+        assert [m.dtype for m in (sys.M0, sys.M1, sys.A, sys.J)] == [np.complex128] * 4
+        grid = TimeGrid(t_end=1.0, n_steps=12)
+        traj = drive(sys, lambda t: np.array([np.sin(t), np.cos(t)]), np.zeros(sys.dim),
+                     grid, "implicit_midpoint")
+        assert traj.inputs.dtype == np.float64 and traj.states.dtype == np.complex128
+        assert extract_io(sys, traj).y_samples.dtype == np.complex128
+        assert np.isfinite(step_ledger(sys, traj).energy).all()
+        real = shipped_systems()[0]
+        traj = solve(real, real.x0, lambda t: np.full(real.n_inputs, 1j * t), grid,
+                     "backward_euler")
+        assert traj.inputs.dtype == traj.states.dtype == np.complex128
+
+    @pytest.mark.parametrize("scheme", ["backward_euler", "implicit_midpoint"])
+    @pytest.mark.parametrize("index", range(3))
+    def test_real_run_matches_the_complex_run(self, scheme, index):
+        """A control preset's float64 run agrees with the run of the same
+        matrices cast to complex within 1e-13 relative: states, every
+        ledger term and the recovered I/O."""
+        real = shipped_systems()[index]
+        cplx = replace(real, M0=real.M0.astype(complex), M1=real.M1.astype(complex),
+                       A=real.A.astype(complex), J=real.J.astype(complex),
+                       x0=real.x0.astype(complex))
+        grid = TimeGrid(t_end=1.0, n_steps=_ROWS + 9)
+        u = lambda t: np.cos(3.0 * t) * np.arange(1.0, real.n_inputs + 1.0)
+        ref, ours = (drive_control(sys, u, grid, scheme) for sys in (cplx, real))
+        assert ours.states.dtype == np.float64 and ref.states.dtype == np.complex128
+        assert rel_close(ours.states, ref.states, 1e-13)
+        for term, ref_term in zip(step_ledger(real, ours)[1:], step_ledger(cplx, ref)[1:]):
+            assert rel_close(term, ref_term, 1e-13)
+        io, ref_io = (np.hstack(list(extract_io(*run))) for run in ((real, ours), (cplx, ref)))
+        assert rel_close(io, ref_io, 1e-13)

@@ -9,21 +9,42 @@ import pytest
 from evoctl.errors import (
     HypothesisViolationError,
     ShapeMismatchError,
+    as_array,
     negligible,
     require_geometry,
     require_shape,
 )
 
 
+class TestAsArray:
+    def test_keeps_an_array_of_its_own_dtype(self):
+        """A float64 or complex128 array comes back as itself, uncopied."""
+        for arr in (np.ones(3), np.ones(3, dtype=complex)):
+            assert as_array(arr) is arr
+
+    def test_python_scalars_follow_their_type(self):
+        assert as_array(2).dtype == np.float64
+        assert as_array(2.0).dtype == np.float64
+        assert as_array(2 + 0j).dtype == np.complex128
+
+
 class TestRequireShape:
-    def test_returns_a_complex_array(self):
+    def test_dtype_follows_the_data(self):
+        """Integers, booleans and reals become float64 and complex values
+        complex128, whatever the values: a zero imaginary part stays."""
         out = require_shape([[1, 2], [3, 4]], (2, 2), "P0")
-        assert out.dtype == complex
+        assert out.dtype == np.float64
         np.testing.assert_array_equal(out, [[1, 2], [3, 4]])
+        assert require_shape([True, False], (2,), "mask").dtype == np.float64
+        assert require_shape(np.ones(2, dtype=np.float32), (2,), "x").dtype == np.float64
+        out = require_shape([1 + 0j, 2], (2,), "x")
+        assert out.dtype == np.complex128
+        np.testing.assert_array_equal(out, [1, 2])
+        assert require_shape(np.ones(2, dtype=np.complex64), (2,), "x").dtype == np.complex128
 
     def test_default_replaces_only_none(self):
         out = require_shape(None, (3,), "z1", default=np.zeros(3))
-        assert out.dtype == complex
+        assert out.dtype == np.float64
         np.testing.assert_array_equal(out, np.zeros(3))
         given = require_shape(np.ones(3), (3,), "z1", default=np.zeros(3))
         np.testing.assert_array_equal(given, np.ones(3))
