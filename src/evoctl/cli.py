@@ -26,8 +26,11 @@ Commands
     energy      recompute the per-step ledger from a stored
                 trajectory.csv
 
-Files are UTF-8 with LF line endings; fields are comma-separated with
-17 significant digits and '.' as the decimal mark.  Header comments
+Files are UTF-8 with LF line endings; fields are comma-separated, each
+number exactly as '%.17g' % float(value) writes it: by the digits of |v|
+scaled in longdouble where they are provably exact (_format17), else by
+'%.17g' itself (zeros, non-finite values, near-ties, and every value
+where longdouble is float64).  Header comments
 record the sampling seed (env EVOCTL_SEED, default 12345) and the run
 parameters, so identical configurations produce byte-identical output.
 A theta-step dissipates the extra quadratic (theta - 1/2)<dx|M0 dx>
@@ -43,6 +46,7 @@ errors, a preset whose system matrices are not finite among them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -181,30 +185,120 @@ def _seed() -> int:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
     return format(float(value), ".17g")
 
 
-def write_csv(path: Path, comments, columns, rows):
-    """Write comments, header and rows; rows is consumed one row at a time.
+# Each finite nonzero v is written from N = round(|v| 10^(16 - k)), its 17
+# significant digits, scaled in longdouble.  Two roundings of half an ulp (the
+# power of ten, the product) put the computed s within
+# s eps (1 + eps/4) / (1 - eps/2)^2 < 10^17 eps (1 + 2 eps) = _MARGIN of the
+# exact value, so N is exact wherever s lies farther than _MARGIN from a
+# half-integer and from the 10^16 and 10^17 edges.  Every other lane (zero,
+# non-finite, near a tie or an edge, and all lanes where longdouble is float64,
+# whose _MARGIN exceeds 1/2) is written by '%.17g' itself.
+_EPS = float(np.finfo(np.longdouble).eps)
+_MARGIN = 1e17 * _EPS * (1 + 2 * _EPS)
+_WIDTH = 32          # bytes of one value: its text, NUL-padded, then the separator
+_CELLS = 4096        # values per written block, about 1 MB of temporaries
 
-    Column types are fixed by the first row: a column whose first value
-    is a str is written as is, every other column as _fmt writes a
-    number.  One %-format per row then writes the same text as _fmt per
-    value.
+
+@functools.cache
+def _tables():
+    """Powers of ten 10^-300 .. 10^350 (parsed, so correctly rounded) and the
+    byte words, NUL-padded, that the formatted values are built of."""
+    with np.errstate(all="ignore"):
+        pow10 = np.array([f"1e{m}" for m in range(-300, 351)]).astype(np.longdouble)
+    # four digits, as they are and with their trailing zeros NUL
+    i = np.arange(10000, dtype=np.int32)[:, None]
+    digits = (i // np.array([1000, 100, 10, 1], np.int32) % 10 + 48).astype(np.uint8)
+    kept = i % np.array([10000, 1000, 100, 10], np.int32) != 0
+    groups = np.stack([digits, digits * kept]).view(np.uint32).ravel()
+    # sign, the '0.000' of a fixed-point value below 1, first digit and its point
+    head = np.array([b"-" * minus + b"0.000"[:zeros + 1] * (zeros > 0) + b"%d" % d + b"." * point
+                     for zeros in range(5) for minus in (0, 1) for point in (0, 1)
+                     for d in range(10)], dtype="S8").view(np.uint64)
+    # the exponent of decimal exponent k at k + 400, none where %g writes fixed point
+    tail = np.array([(b"" if -4 <= k <= 16 else b"e%+03d" % k).ljust(7, b"\0") + b","
+                     for k in range(-400, 400)], dtype="S8").view(np.uint64)
+    return pow10, groups, head, tail
+
+
+def _format17(v) -> np.ndarray:
+    """(v.size, _WIDTH) uint8: the bytes of '%.17g' % x for each x in the
+    float64 array v, NUL-padded, and a ',' in the last slot of each row."""
+    pow10, groups, head, tail = _tables()
+    v = v.ravel()
+    ok = np.isfinite(v) & (v != 0)
+    a = np.where(ok, np.abs(v), 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    with np.errstate(all="ignore"):
+        s = a.astype(np.longdouble) * pow10[316 - k]
+        # the edges move out by a second margin, which covers their own
+        # rounding; a k that log10 misjudged falls back here
+        ok &= s > np.longdouble(10 ** 16) + 2 * _MARGIN
+        ok &= s < np.longdouble(10 ** 17) - 0.5 - 2 * _MARGIN
+        s[~ok] = 10 ** 16
+        N = s.astype(np.int64)
+        frac = (s - N).astype(np.float64)
+    ok &= np.abs(frac - 0.5) > _MARGIN
+    N += frac > 0.5
+    # N = d0 g1 g2 g3 g4 in groups of four digits; a group whose successors are
+    # all zero loses its own trailing zeros
+    d0, r = N // 10 ** 16, N % 10 ** 16
+    g = [r // 10 ** 12, r // 10 ** 8 % 10000, r // 10000 % 10000, r % 10000]
+    fixed = (k >= -4) & (k <= 16)
+    zeros = np.where(k < 0, -k, 0) * fixed
+    point0 = (r != 0) & ((k == 0) | ~fixed)
+    out = np.empty((v.size, _WIDTH), np.uint8)
+    out.view(np.uint64)[:, 0] = head[((zeros * 2 + (v < 0)) * 2 + point0) * 10 + d0]
+    out.view(np.uint64)[:, 3] = tail[k + 400]
+    stripped = np.ones(v.size, bool)
+    for i in (3, 2, 1, 0):
+        out.view(np.uint32)[:, 2 + i] = groups[g[i] + 10000 * stripped]
+        stripped &= g[i] == 0
+    rows = np.flatnonzero(fixed & (k > 0))
+    if rows.size:
+        # digits 1..k move one slot left, into the last slot of the head, with
+        # the integer zeros that stripping took; the point follows digit k
+        kr, text = k[rows, None], out[rows, 7:25]
+        ints = np.where(text[:, 1:] == 0, 48, text[:, 1:])
+        point = 46 * (N[rows, None] % 10 ** (16 - kr) != 0)
+        j = np.arange(17)
+        out[rows, 7:24] = np.where(j < kr, ints, np.where(j == kr, point, text[:, :17]))
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        text = [b"%.17g" % x for x in v[slow].tolist()]
+        out[slow, :-1] = np.array(text, f"S{_WIDTH - 1}").view(np.uint8).reshape(-1, _WIDTH - 1)
+    return out
+
+
+def _text(values) -> np.ndarray:
+    """(rows, bytes) uint8: each field of the rows of a column or block of
+    columns, NUL-padded and ended by a ','; a str column as UTF-8."""
+    if values.dtype.kind == "U":
+        text = np.strings.add(np.strings.encode(values), b",")
+        return text.view(np.uint8).reshape(len(values), -1)
+    values = np.asarray(values, dtype=np.float64)
+    return _format17(values).reshape(len(values), values[:1].size * _WIDTH)
+
+
+def write_csv(path: Path, comments, columns, data):
+    """Write the comments, the header and the rows of data, a sequence of
+    columns (1-D) and blocks of columns (2-D) with one row per entry.
+
+    A str column is written as is, every other value as '%.17g' writes
+    float(value), by _format17.  The file is written _CELLS values at a
+    time, each block as one bytes object with its NUL slots deleted.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        fmt = None
-        for row in rows:
-            row = tuple(row)
-            if fmt is None:
-                fmt = ",".join("%s" if isinstance(v, str) else "%.17g"
-                               for v in row) + "\n"
-            fh.write(fmt % row)
+    fields = [np.asarray(values) for values in data]
+    rows = max(1, _CELLS // max(1, sum(f[:1].size for f in fields)))
+    with open(path, "wb") as fh:
+        fh.write("".join([f"# {line}\n" for line in comments]
+                         + [",".join(columns), "\n"]).encode("utf-8"))
+        for lo in range(0, len(fields[0]), rows):
+            text = np.concatenate([_text(f[lo:lo + rows]) for f in fields], axis=1)
+            text[:, -1] = 10
+            fh.write(text.tobytes().translate(None, b"\0"))
 
 
 def _base_comments(cfg: RunConfig):
@@ -343,8 +437,8 @@ def cmd_wellposed(cfg: RunConfig, outdir: Path, zero_damping: bool) -> int:
 
     re_m1 = 0.5 * (M1 + M1.conj().T)
     nu_values = [(k + 1) * (2.0 * cfg.time.nu) / 16.0 for k in range(16)]
-    rows = zip(nu_values, c_min(M0, re_m1, nu_values))
-    write_csv(outdir / "wellposed.csv", _base_comments(cfg), ("nu", "c_min"), rows)
+    write_csv(outdir / "wellposed.csv", _base_comments(cfg), ("nu", "c_min"),
+              [nu_values, c_min(M0, re_m1, nu_values)])
 
     report = check_wellposed(M0, M1, nu_max=2.0 * cfg.time.nu)
     if not report.ok:
@@ -371,42 +465,39 @@ def _verdict(label, values, tolerance) -> int:
     return 0 if worst <= tolerance else 1
 
 
-def _ledger_rows(led, times):
+def _ledger_columns(led, times):
     drop = led.energy[:-1] - led.energy[1:]
     defect = drop - (led.dissipation - led.supply) - led.correction
-    rows = zip(times[:-1], times[1:], drop, led.dissipation, led.supply, led.correction,
-               defect)
-    return rows, defect
+    return [times[:-1], times[1:], drop, led.dissipation, led.supply, led.correction,
+            defect], defect
 
 
 LEDGER_COLUMNS = ("t_a", "t_b", "stored_drop", "dissipation", "supply",
                   "euler_correction", "defect")
 
 
-def _write_run(cfg: RunConfig, outdir: Path, traj: Trajectory, y, ledger_rows,
+def _write_run(cfg: RunConfig, outdir: Path, traj: Trajectory, y, ledger,
                ledger_note=None):
     """Write a simulate run: trajectory.csv with the states at traj.times,
     io.csv with one row (sample time, traj.inputs, y) per step, and
     ledger.csv, whose header gains ledger_note when one is given."""
     comments = _run_comments(cfg, traj.scheme, traj.n_euler_init_steps) + [_imag_note(traj.states)]
     columns = ("t",) + tuple(f"x{i}" for i in range(traj.states.shape[1]))
-    write_csv(outdir / "trajectory.csv", comments, columns,
-              ((t, *x.real.tolist()) for t, x in zip(traj.times, traj.states)))
+    write_csv(outdir / "trajectory.csv", comments, columns, [traj.times, traj.states.real])
     io_columns = ("t",) + tuple(f"u{i}" for i in range(traj.inputs.shape[1])) \
         + tuple(f"y{i}" for i in range(y.shape[1]))
     write_csv(outdir / "io.csv", comments, io_columns,
-              ((t, *u.real.tolist(), *yk.real.tolist())
-               for t, u, yk in zip(traj.sample_times(), traj.inputs, y)))
+              [traj.sample_times(), traj.inputs.real, y.real])
     if ledger_note is not None:
         comments.append(ledger_note)
-    write_csv(outdir / "ledger.csv", comments, LEDGER_COLUMNS, ledger_rows)
+    write_csv(outdir / "ledger.csv", comments, LEDGER_COLUMNS, ledger)
 
 
 def _simulate_control(cfg: RunConfig, outdir: Path) -> int:
     sys = _build_preset(cfg)
     traj = drive(sys, _control_signal(cfg, sys.partition.n_u1), cfg.time, cfg.scheme)
-    rows, defects = _ledger_rows(step_ledger(sys, traj), traj.times)
-    _write_run(cfg, outdir, traj, extract_io(sys, traj).y_samples, rows)
+    ledger, defects = _ledger_columns(step_ledger(sys, traj), traj.times)
+    _write_run(cfg, outdir, traj, extract_io(sys, traj).y_samples, ledger)
     return _verdict("ledger defect", defects, cfg.tolerance)
 
 
@@ -419,18 +510,15 @@ def _simulate_maxwell(cfg: RunConfig, outdir: Path) -> int:
                                         (E0, np.zeros(pair.n_cells)), cfg.time, cfg.scheme, bdD)
 
     nn = pair.n_nodes
-
-    def energy(x):
-        return 0.5 * ((pair.W0 * np.abs(x[:nn]) ** 2).sum()
-                      + (pair.W1 * np.abs(x[nn:]) ** 2).sum())
-
+    x = direct.states
+    energy = 0.5 * ((pair.W0 * np.abs(x[:, :nn]) ** 2).sum(axis=1)
+                    + (pair.W1 * np.abs(x[:, nn:]) ** 2).sum(axis=1))
     times = direct.times
     gaps = np.abs(lifted.states[1:] - direct.states[1:]).max(axis=1)
-    rows = [(times[k], times[k + 1],
-             energy(direct.states[k]) - energy(direct.states[k + 1]),
-             0.0, 0.0, 0.0, gaps[k]) for k in range(cfg.time.n_steps)]
+    zero = np.zeros(cfg.time.n_steps)
     y = direct.x_theta(0, cfg.time.n_steps)[:, nn:] @ bdD.projector.T
-    _write_run(cfg, outdir, direct, y, rows,
+    _write_run(cfg, outdir, direct, y,
+               [times[:-1], times[1:], energy[:-1] - energy[1:], zero, zero, zero, gaps],
                "defect column = distance between the lifted and direct routes")
     return _verdict("route gap", gaps, cfg.tolerance)
 
@@ -447,14 +535,13 @@ def cmd_bdspace(cfg: RunConfig, outdir: Path) -> int:
     bdD = compute_bd_space(pair, "D")
     comments = _base_comments(cfg)
 
-    basis_rows = []
-    for side, space in (("G", bdG), ("D", bdD)):
-        for j in range(space.dim):
-            for i, value in enumerate(space.basis[:, j]):
-                basis_rows.append((side, space.dim, j, i, float(np.real(value))))
+    # one row per point i of each basis vector j
+    parts = [(np.full(space.basis.size, side), np.full(space.basis.size, space.dim),
+              *np.divmod(np.arange(space.basis.size), space.basis.shape[0]),
+              space.basis.real.T.ravel()) for side, space in (("G", bdG), ("D", bdD))]
     write_csv(outdir / "bd_basis.csv", comments,
               ("side", "dimension", "basis_index", "point_index", "value"),
-              basis_rows)
+              [np.concatenate(column) for column in zip(*parts)])
 
     rng = np.random.default_rng(_seed())
     Q = dot_map(bdG, bdD, pair)
@@ -484,8 +571,8 @@ def cmd_bdspace(cfg: RunConfig, outdir: Path) -> int:
         ("decomposition_grad", bdG.dim, np.max(dec_grad)),
         ("green_identity", bdG.dim, np.max(green)),
     ]
-    write_csv(outdir / "bd_defects.csv", comments,
-              ("check", "dimension", "defect"), defect_rows)
+    write_csv(outdir / "bd_defects.csv", comments, ("check", "dimension", "defect"),
+              list(zip(*defect_rows)))
 
     worst = np.max([row[2] for row in defect_rows])
     print(f"boundary space dimensions: G = {bdG.dim}, D = {bdD.dim}; "
@@ -563,9 +650,8 @@ def cmd_energy(cfg: RunConfig, outdir: Path, trajectory_path) -> int:
     traj = Trajectory(tg, states, u, scheme, n_init)
 
     led = step_ledger(sys, traj)
-    rows, defects = _ledger_rows(led, grid_times)
-    write_csv(outdir / "ledger.csv", header + [f"source={path.name}"],
-              LEDGER_COLUMNS, rows)
+    ledger, defects = _ledger_columns(led, grid_times)
+    write_csv(outdir / "ledger.csv", header + [f"source={path.name}"], LEDGER_COLUMNS, ledger)
     total = led.summed(grid_times, n_init)
     print(f"stored drop {total.stored_drop:.6e}, dissipation {total.dissipation:.6e},"
           f" supply {total.supply:.6e} over {total.interval}")

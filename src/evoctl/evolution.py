@@ -332,14 +332,22 @@ def _factor_step_matrix(K, tau):
 
 def sample_source(f, times, m) -> np.ndarray:
     """The (len(times), m) array of the samples f(t) in the dtype they promote
-    to, zero when f is None; a sample of another shape than (m,) is refused."""
-    out = []
-    for t in times if f is not None else ():
-        val = np.atleast_1d(as_array(f(t)))
-        if val.shape != (m,):
-            raise ShapeMismatchError(f"input sampler returned shape {val.shape}, expected ({m},)")
-        out.append(val)
-    return np.array(out) if out else np.zeros((len(times), m))
+    to, zero when f is None; a sample of another shape than (m,) is refused.
+    The samples are converted and checked once, stacked."""
+    if f is None:
+        return np.zeros((len(times), m))
+    samples = [f(t) for t in times]
+    try:
+        out = as_array(samples)
+    except ValueError:  # samples of different shapes do not stack
+        out = np.empty(0)
+    if out.shape not in ((len(times), m), (len(times),) * (m == 1)):  # (n,): scalar samples
+        for sample in samples:
+            if (np.shape(sample) or (1,)) != (m,):
+                raise ShapeMismatchError(f"input sampler returned shape "
+                                         f"{np.shape(sample) or (1,)}, expected ({m},)")
+        out = as_array([np.reshape(sample, m) for sample in samples])  # scalars beside (1,)s
+    return out.reshape(len(times), m)
 
 
 def n_euler_init_steps(scheme, spectrum) -> int:

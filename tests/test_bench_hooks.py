@@ -15,7 +15,8 @@ from workloads import TINY_SIZES, invocations  # noqa: E402
 
 from evoctl import cli  # noqa: E402
 
-HOOKS = ("evolution.solve", "evolution.lu_factor", "evolution.check_wellposed")
+HOOKS = ("evolution.solve", "evolution.lu_factor", "evolution.check_wellposed",
+         "cli.write_csv")
 
 
 def ancestors(spans, index):
@@ -42,3 +43,6 @@ def test_traced_workload_reaches_every_hook(workload, tmp_path):
     simulates = sum(span[0] == "cli.cmd_simulate" for span in tracer.spans)
     assert simulates == 1
     assert sum("cli.cmd_simulate" in names for names in certificates) == simulates
+    written = sum(path.stat().st_size for path in tmp_path.rglob("*.csv"))
+    assert written > 0
+    assert tracer.csv_bytes == written, "a CSV was written outside the traced write_csv"

@@ -14,6 +14,7 @@ within tolerance.
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evoctl
-from evoctl.cli import _fmt, load_config, main, write_csv
+from evoctl import cli
+from evoctl.cli import load_config, main, write_csv
 
 
 def run(tmp_path, *args):
@@ -475,46 +477,149 @@ class TestEnergy:
 
 
 class TestWriteCsv:
-    """One %-format per row writes the text of _fmt per value."""
+    """write_csv writes every value of its columns and 2-D blocks as '%.17g'
+    writes it and every str value as it is, one row per entry."""
 
     SPECIAL = [0, 0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
                np.float64(-0.0), np.float64(np.nan), np.float64(-np.inf), np.int64(-7),
                2 ** 60 + 1, True]
 
     @staticmethod
-    def expected(comments, columns, rows):
+    def expected(comments, columns, data):
+        rows = zip(*[[list(row) for row in item] if np.ndim(item) == 2 else [[v] for v in item]
+                     for item in data])
         lines = [f"# {line}" for line in comments] + [",".join(columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        lines += [",".join(v if isinstance(v, str) else "%.17g" % v
+                           for field in row for v in field) for row in rows]
         return "".join(line + "\n" for line in lines)
 
-    def check(self, tmp_path, columns, rows):
+    def check(self, tmp_path, columns, data):
         path = tmp_path / "out.csv"
-        write_csv(path, ["seed=1"], columns, iter(rows))
-        assert path.read_bytes() == self.expected(["seed=1"], columns, rows).encode()
+        write_csv(path, ["seed=1"], columns, data)
+        assert path.read_bytes() == self.expected(["seed=1"], columns, data).encode()
 
     def test_special_values_and_types(self, tmp_path):
         rng = np.random.default_rng(5)
         mags = np.sign(rng.standard_normal(40)) * 10.0 ** rng.uniform(-20, 4, 40)
-        row = [*self.SPECIAL, *mags, *mags.tolist(), *mags.astype(np.float32),
+        col = [*self.SPECIAL, *mags, *mags.tolist(), *mags.astype(np.float32),
                *np.arange(-3, 4), *range(-3, 4)]
-        rows = [row, row[::-1], [float(v) for v in row]]
-        self.check(tmp_path, [f"c{i}" for i in range(len(row))], rows)
+        tiled = np.tile(mags, 4)[:len(col)]
+        data = [col, col[::-1], [float(v) for v in col], tiled, tiled.astype(np.float32),
+                np.arange(len(col)) - 70, np.arange(len(col)) % 3 == 0,
+                np.column_stack([tiled, -tiled])]
+        self.check(tmp_path, [f"c{i}" for i in range(9)], data)
 
     def test_leading_string_column(self, tmp_path):
         rows = [(side, 2, j, i, v) for side in ("G", "D") for j in range(2)
                 for i, v in enumerate([0.5, -0.0, 1e-20, np.float64(3.25)])]
-        columns = ["side", "dimension", "basis_index", "point_index", "value"]
-        self.check(tmp_path, columns, rows)
+        columns = ["side", "dimension", "basis_index", "point_index", "value", "x0", "x1"]
+        block = np.arange(2 * len(rows)).reshape(-1, 2) * 0.1
+        self.check(tmp_path, columns, [*map(list, zip(*rows)), block])
+
+    def test_str_columns_of_any_width_between_numbers(self, tmp_path):
+        names = ["unitarity_node_to_cell", "", "g", "decomposition_grad" * 3]
+        data = [[1.5, -2.0, 3e-300, np.nan], names, ["ν", "x", "", "ü"],
+                [np.inf, 0.0, 1e22, -1e-5]]
+        self.check(tmp_path, ["a", "check", "name", "b"], data)
 
     def test_zero_rows_write_the_header_only(self, tmp_path):
-        self.check(tmp_path, ["t", "x0"], [])
-        assert (tmp_path / "out.csv").read_text() == "# seed=1\nt,x0\n"
+        self.check(tmp_path, ["t", "x0", "x1"], [np.zeros(0), np.zeros((0, 2))])
+        assert (tmp_path / "out.csv").read_text() == "# seed=1\nt,x0,x1\n"
+
+    def test_rows_span_several_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CELLS", 5)
+        rng = np.random.default_rng(7)
+        self.check(tmp_path, ["t", "x0", "x1", "x2"],
+                   [np.arange(23) * 0.1, np.zeros((23, 0)), rng.standard_normal((23, 3))])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(st.lists(st.floats() | st.integers(-2 ** 70, 2 ** 70),
                              min_size=3, max_size=3), max_size=5))
     def test_random_rows(self, tmp_path_factory, rows):
-        self.check(tmp_path_factory.mktemp("csv"), ["a", "b", "c"], rows)
+        columns = [[row[i] for row in rows] for i in range(3)]
+        self.check(tmp_path_factory.mktemp("csv"), ["a", "b", "c"], columns)
+
+
+class TestFormat17:
+    """The block kernel behind write_csv writes the bytes of '%.17g' % v for
+    every float64 v, whether it takes the scaled-integer lane or falls back
+    to '%.17g' itself."""
+
+    @staticmethod
+    def check(tmp_path, values):
+        values = np.asarray(values, dtype=np.float64)
+        path = tmp_path / "v.csv"
+        write_csv(path, [], ["v"], [values])
+        expected = "v\n" + "".join("%.17g\n" % v for v in values.tolist())
+        assert path.read_bytes() == expected.encode()
+
+    @staticmethod
+    def bit_patterns(n, seed=2024):
+        """n float64 values of uniformly random bits: every exponent, NaN
+        payloads, infinities and subnormals."""
+        bits = np.random.default_rng(seed).integers(0, 2 ** 64, n, dtype=np.uint64)
+        return np.concatenate([bits.view(np.float64), [np.nan, -np.nan, np.inf, -np.inf]])
+
+    @staticmethod
+    def edges():
+        """Subnormals and zeros, every power of two, the powers of ten and
+        their neighbours, and the %g switch points with theirs."""
+        tiny = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         np.nextafter(2.2250738585072014e-308, 0)])
+        subnormals = np.ldexp(np.arange(1, 2 ** 12, 7.0), -1074)
+        twos = np.ldexp(1.0, np.arange(-1074, 1024))
+        tens = np.array([f"1e{m}" for m in range(-323, 309)], dtype=np.float64)
+        switch = np.array([1e-5, 1e-4, 1e16, 1e17, 9.9999999999999995e-5, 99999999999999999.0])
+        out = [tiny, subnormals, twos, tens, switch]
+        for around in (tens, switch):
+            up = down = around
+            for _ in range(3):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, 0)
+                out += [up, down]
+        out = np.concatenate(out)
+        return np.concatenate([out, -out])
+
+    def test_random_bit_patterns(self, tmp_path):
+        self.check(tmp_path, self.bit_patterns(10 ** 6))
+
+    def test_edges(self, tmp_path):
+        self.check(tmp_path, self.edges())
+
+    def test_exact_tie_rounds_half_to_even(self, tmp_path):
+        """2^-25 = 2.98023223876953125e-08 has 18 digits, the last a 5."""
+        write_csv(tmp_path / "v.csv", [], ["v"], [[2.0 ** -25, -(2.0 ** -25)]])
+        assert (tmp_path / "v.csv").read_text() == \
+            "v\n2.9802322387695312e-08\n-2.9802322387695312e-08\n"
+
+    def test_special_values_of_every_type(self, tmp_path):
+        values = TestWriteCsv.SPECIAL + [np.float32(0.1), np.float32(-3.4e38), False,
+                                         np.int64(2 ** 62 + 1), np.uint8(255)]
+        write_csv(tmp_path / "v.csv", [], ["v"], [values])
+        expected = "v\n" + "".join("%.17g\n" % v for v in values)
+        assert (tmp_path / "v.csv").read_text() == expected
+
+    def test_every_lane_falls_back_at_half_margin(self, tmp_path, monkeypatch):
+        """A margin of 1/2, as where longdouble is float64, leaves no lane to
+        the scaled integers: with their digit tables made garbage, the bytes
+        still do not change."""
+        values = np.concatenate([self.bit_patterns(20000, seed=3), self.edges()])
+        self.check(tmp_path, values)
+        pow10, *words = cli._tables()
+        garbage = [np.full_like(w, int.from_bytes(b"?" * w.itemsize, "little")) for w in words]
+        monkeypatch.setattr(cli, "_tables", lambda: (pow10, *garbage))
+        if cli._MARGIN < 0.5:
+            with pytest.raises(AssertionError):
+                self.check(tmp_path, values)
+        monkeypatch.setattr(cli, "_MARGIN", 0.5)
+        self.check(tmp_path, values)
+
+    def test_powers_of_ten_are_correctly_rounded(self):
+        """The margin assumes each power of ten is within half an ulp."""
+        pow10 = cli._tables()[0]
+        for m, p in zip(range(-300, 351), pow10):
+            if np.isfinite(p) and p > 0:  # where longdouble is float64, 1e309 is inf
+                error = Fraction(*p.as_integer_ratio()) - Fraction(10) ** m
+                assert abs(error) <= Fraction(*np.spacing(p).as_integer_ratio()) / 2, m
 
 
 class TestScipyImport:

@@ -1,6 +1,8 @@
 """Tests for the evolutionary-equation steppers, the well-posedness
 checker, causality, and the weighted space-time norm."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -360,6 +362,34 @@ class TestSolve:
         sys = EvolutionarySystem(M0=np.eye(1), M1=np.eye(1), A=np.zeros((1, 1)), J=np.eye(1))
         with pytest.raises(ValueError):
             solve(sys, np.zeros(1), None, TimeGrid(1.0, 4), "leapfrog")
+
+
+class TestSampleSource:
+    """The samples of an input sampler are stacked, converted and checked once."""
+
+    TIMES = np.linspace(0.0, 1.0, 9)
+
+    def test_samples_keep_their_bits_and_promoted_dtype(self):
+        out = evolution.sample_source(lambda t: np.array([np.sin(3 * t), 1j * t]), self.TIMES, 2)
+        assert out.dtype == np.complex128
+        assert out.tobytes() == np.array([[np.sin(3 * t), 1j * t] for t in self.TIMES]).tobytes()
+        assert evolution.sample_source(lambda t: [1, 2], self.TIMES, 2).dtype == np.float64
+
+    @pytest.mark.parametrize("f", [lambda t: np.sin(t), lambda t: [np.sin(t)],
+                                   lambda t: np.sin(t) if t < 0.5 else np.array([np.sin(t)])])
+    def test_scalar_and_length_one_samples_for_one_input(self, f):
+        out = evolution.sample_source(f, self.TIMES, 1)
+        assert out.shape == (9, 1) and np.array_equal(out[:, 0], np.sin(self.TIMES))
+
+    @pytest.mark.parametrize("f, shape", [(lambda t: np.zeros(3), (3,)),
+                                          (lambda t: np.zeros(2 if t < 0.5 else 3), (3,)),
+                                          (lambda t: np.zeros((1, 2)), (1, 2)),
+                                          (lambda t: 1.0, (1,))])
+    def test_wrong_or_ragged_samples_are_refused_naming_the_shape(self, f, shape):
+        with pytest.raises(ShapeMismatchError,
+                           match=rf"input sampler returned shape {re.escape(str(shape))}, "
+                                 r"expected \(2,\)"):
+            evolution.sample_source(f, self.TIMES, 2)
 
 
 class TestCausality:
