@@ -27,10 +27,10 @@ Commands
                 trajectory.csv
 
 Files are UTF-8 with LF line endings; fields are comma-separated, each
-number exactly as '%.17g' % float(value) writes it: by the digits of |v|
-scaled in longdouble where they are provably exact (_format17), else by
-'%.17g' itself (zeros, non-finite values, near-ties, and every value
-where longdouble is float64).  Header comments
+number exactly as '%.17g' % float(value) writes it, by one _format17 call
+per block of rows: the digits of |v| scaled in longdouble where they are
+provably exact, a zero from its fixed word, else '%.17g' itself (non-finite
+values, near-ties, every value where longdouble is float64).  Header comments
 record the sampling seed (env EVOCTL_SEED, default 12345) and the run
 parameters, so identical configurations produce byte-identical output.
 A theta-step dissipates the extra quadratic (theta - 1/2)<dx|M0 dx>
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -193,13 +194,16 @@ def _fmt(value) -> str:
 # power of ten, the product) put the computed s within
 # s eps (1 + eps/4) / (1 - eps/2)^2 < 10^17 eps (1 + 2 eps) = _MARGIN of the
 # exact value, so N is exact wherever s lies farther than _MARGIN from a
-# half-integer and from the 10^16 and 10^17 edges.  Every other lane (zero,
-# non-finite, near a tie or an edge, and all lanes where longdouble is float64,
-# whose _MARGIN exceeds 1/2) is written by '%.17g' itself.
+# half-integer and from the 10^16 and 10^17 edges.  A zero is written from its
+# fixed word in _ZEROS, and every other lane (non-finite, near a tie or an edge,
+# and all lanes where longdouble is float64, whose _MARGIN exceeds 1/2) by
+# '%.17g' itself.
 _EPS = float(np.finfo(np.longdouble).eps)
 _MARGIN = 1e17 * _EPS * (1 + 2 * _EPS)
 _WIDTH = 32          # bytes of one value: its text, NUL-padded, then the separator
 _CELLS = 4096        # values per written block, about 1 MB of temporaries
+# the text of '%.17g' % 0.0 and % -0.0, NUL-padded as _format17 lays a value out
+_ZEROS = np.array([b"0", b"-0"], f"S{_WIDTH - 1}").view(np.uint8).reshape(2, _WIDTH - 1)
 
 
 @functools.cache
@@ -265,7 +269,8 @@ def _format17(v) -> np.ndarray:
         point = 46 * (N[rows, None] % 10 ** (16 - kr) != 0)
         j = np.arange(17)
         out[rows, 7:24] = np.where(j < kr, ints, np.where(j == kr, point, text[:, :17]))
-    slow = np.flatnonzero(~ok)
+    out[v == 0, :-1] = _ZEROS[np.signbit(v[v == 0]).view(np.uint8)]
+    slow = np.flatnonzero(~ok & (v != 0))
     if slow.size:
         text = [b"%.17g" % x for x in v[slow].tolist()]
         out[slow, :-1] = np.array(text, f"S{_WIDTH - 1}").view(np.uint8).reshape(-1, _WIDTH - 1)
@@ -273,8 +278,8 @@ def _format17(v) -> np.ndarray:
 
 
 def _text(values) -> np.ndarray:
-    """(rows, bytes) uint8: each field of the rows of a column or block of
-    columns, NUL-padded and ended by a ','; a str column as UTF-8."""
+    """(rows, bytes) uint8: each field of the rows of a block of columns,
+    NUL-padded and ended by a ','; str columns as UTF-8."""
     if values.dtype.kind == "U":
         text = np.strings.add(np.strings.encode(values), b",")
         return text.view(np.uint8).reshape(len(values), -1)
@@ -287,16 +292,18 @@ def write_csv(path: Path, comments, columns, data):
     columns (1-D) and blocks of columns (2-D) with one row per entry.
 
     A str column is written as is, every other value as '%.17g' writes
-    float(value), by _format17.  The file is written _CELLS values at a
-    time, each block as one bytes object with its NUL slots deleted.
+    float(value), by one _format17 call per block of _CELLS values and run of
+    fields between str fields; each block is written without its NUL slots.
     """
     fields = [np.asarray(values) for values in data]
+    runs = [list(run) for _, run in itertools.groupby(fields, lambda f: f.dtype.kind == "U")]
     rows = max(1, _CELLS // max(1, sum(f[:1].size for f in fields)))
     with open(path, "wb") as fh:
         fh.write("".join([f"# {line}\n" for line in comments]
                          + [",".join(columns), "\n"]).encode("utf-8"))
         for lo in range(0, len(fields[0]), rows):
-            text = np.concatenate([_text(f[lo:lo + rows]) for f in fields], axis=1)
+            parts = [_text(np.column_stack([f[lo:lo + rows] for f in run])) for run in runs]
+            text = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
             text[:, -1] = 10
             fh.write(text.tobytes().translate(None, b"\0"))
 

@@ -34,7 +34,8 @@ theta = 1, which initializes the algebraic components consistently.
 
 prepare certifies a system and inverts each distinct step matrix once;
 the plan's run steps through any number of source arrays, forming J f_k
-per row block of _ROWS steps.  solve is prepare, sample, run.
+and testing finiteness once per row block of _ROWS steps.  solve is
+prepare, sample, run.
 
 The dtype follows the data (errors.as_array): a real system steps in
 float64, and a complex matrix, source or state makes the run complex128.
@@ -405,13 +406,34 @@ class StepPlan:
         # states[k + 1] holds the source term J f_k until step k overwrites it
         for lo, hi in row_blocks(0, n_steps):
             states[lo + 1:hi + 1] = F[lo:hi] @ sys.J.T
-        for k, th in enumerate(self.theta):
-            P, _, R = self.steps[th]
-            rhs = R @ states[k] + states[k + 1]
-            if not np.isfinite(rhs).all():
-                raise ValueError(f"array must not contain infs or NaNs: the right side of step {k}")
-            states[k + 1] = P @ rhs
+        rhs, matmul = np.empty(sys.dim, states.dtype), np.matmul
+        # blocks of at most _ROWS steps, split where theta changes
+        cuts = sorted({*range(0, n_steps, _ROWS), n_steps, *np.diff(self.theta).nonzero()[0] + 1})
+        for lo, hi in zip(cuts, cuts[1:]):
+            P, _, R = self.steps[self.theta[lo]]
+            src = states[lo + 1:hi + 1].copy()
+            # a non-finite state warns when its step is replayed below
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                for k in range(lo, hi):
+                    matmul(R, states[k], out=rhs)
+                    rhs += states[k + 1]
+                    matmul(P, rhs, out=states[k + 1])
+            if not np.isfinite(states[lo:hi + 1]).all():
+                _refuse(states, src, lo, P, R)
         return Trajectory(self.grid, states, F, self.scheme, self.n_init)
+
+
+def _refuse(states, src, lo, P, R):
+    """Replay the steps from lo with the source terms src, raising at the first
+    non-finite right side."""
+    # as a test after every step would: states[lo] is finite unless lo = 0, and
+    # when P maps a finite right side past the largest float, the next block's
+    # replay refuses the step after it
+    for k in range(lo, lo + len(src)):
+        rhs = R @ states[k] + src[k - lo]
+        if not np.isfinite(rhs).all():
+            raise ValueError(f"array must not contain infs or NaNs: the right side of step {k}")
+        states[k + 1] = P @ rhs
 
 
 def prepare(sys: EvolutionarySystem, grid: TimeGrid, scheme: str) -> StepPlan:
@@ -426,7 +448,7 @@ def prepare(sys: EvolutionarySystem, grid: TimeGrid, scheme: str) -> StepPlan:
     theta = theta_steps(scheme, grid.n_steps, n_init)
     M1A = sys.M1 + sys.A
     steps = {th: (*_factor_step_matrix(sys.M0 / tau + th * M1A, tau),
-                  sys.M0 / tau - (1.0 - th) * M1A) for th in np.unique(theta)}
+                  sys.M0 / tau - (1.0 - th) * M1A) for th in sorted(set(theta.tolist()))}
     return StepPlan(sys, grid, scheme, n_init, theta, grid.sample_times(theta), report, steps)
 
 

@@ -527,10 +527,15 @@ class TestWriteCsv:
         assert (tmp_path / "out.csv").read_text() == "# seed=1\nt,x0,x1\n"
 
     def test_rows_span_several_blocks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_CELLS", 5)
+        """The same bytes at every block size, one row or less per block
+        included, with a str field between two runs of numeric fields."""
         rng = np.random.default_rng(7)
-        self.check(tmp_path, ["t", "x0", "x1", "x2"],
-                   [np.arange(23) * 0.1, np.zeros((23, 0)), rng.standard_normal((23, 3))])
+        names = np.array(["", "a", "bc", "ν"])[np.arange(23) % 4]
+        data = [np.arange(23) * 0.1, np.zeros((23, 0)), rng.standard_normal((23, 3)), names,
+                np.arange(23) % 3 == 0, -rng.standard_normal((23, 2))]
+        for cells in (1, 5, cli._CELLS):
+            monkeypatch.setattr(cli, "_CELLS", cells)
+            self.check(tmp_path, ["t", "x0", "x1", "x2", "name", "flag", "y0", "y1"], data)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(st.lists(st.floats() | st.integers(-2 ** 70, 2 ** 70),
@@ -623,25 +628,27 @@ class TestFormat17:
 
 
 class TestScipyImport:
-    """No command loads scipy: numpy is the one runtime dependency."""
+    """No command loads scipy, and none loads numpy.ma: numpy is the one
+    runtime dependency, and numpy.ma costs an import and its memory."""
 
     @staticmethod
-    def scipy_loaded(code):
+    def loaded(code):
+        """Which of scipy and numpy.ma a fresh interpreter holds after code."""
         src = Path(evoctl.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
-        script = f"import sys\n{code}\nprint('scipy' in sys.modules)"
+        script = (f"import sys\n{code}\n"
+                  "print(*(m for m in ('scipy', 'numpy.ma') if m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, check=True)
-        return proc.stdout.split()[-1] == "True"
+        return set(proc.stdout.splitlines()[-1].split())
 
     def test_import_leaves_scipy_out(self):
-        assert not self.scipy_loaded("import evoctl")
+        assert not self.loaded("import evoctl")
 
     @pytest.mark.parametrize("command", ["wellposed", "bdspace"])
     def test_command_leaves_scipy_out(self, tmp_path, command):
         argv = [command, "--set", f"outdir={tmp_path}"]
-        assert not self.scipy_loaded(
-            f"from evoctl.cli import main\nassert main({argv!r}) == 0")
+        assert not self.loaded(f"from evoctl.cli import main\nassert main({argv!r}) == 0")
 
     @pytest.mark.parametrize("preset", ["wave-wt", "maxwell-lift-1d"])
     def test_simulate_leaves_scipy_out(self, tmp_path, preset):
@@ -649,17 +656,16 @@ class TestScipyImport:
         path and on both Maxwell routes."""
         argv = ["simulate", "--set", f"preset={preset}", "--set", "scheme=implicit_midpoint",
                 "--set", "time.n_steps=5", "--set", f"outdir={tmp_path}"]
-        assert not self.scipy_loaded(
-            f"from evoctl.cli import main\nassert main({argv!r}) == 0")
+        assert not self.loaded(f"from evoctl.cli import main\nassert main({argv!r}) == 0")
 
     def test_energy_replay_leaves_scipy_out(self, tmp_path):
         args = ["--set", "time.n_steps=20", "--set", "input.kind=sinusoid"]
         assert run(tmp_path / "sim", "simulate", *args) == 0
         argv = ["energy", *args, "--set", f"outdir={tmp_path / 'replay'}",
                 "--trajectory", str(tmp_path / "sim" / "trajectory.csv")]
-        assert not self.scipy_loaded(
-            f"from evoctl.cli import main\nassert main({argv!r}) == 0")
+        assert not self.loaded(f"from evoctl.cli import main\nassert main({argv!r}) == 0")
 
     def test_probe_sees_an_import(self):
-        """The probe reports True when scipy is imported."""
-        assert self.scipy_loaded("import scipy.linalg")
+        """The probe reports each module once it is imported."""
+        assert self.loaded("import numpy.ma") == {"numpy.ma"}
+        assert "scipy" in self.loaded("import scipy.linalg")

@@ -697,15 +697,20 @@ class TestRowBlocks:
             rhs = (sys.M0 / tau - (1.0 - theta) * M1A) @ x[k] + sys.J @ traj.inputs[k]
             assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max(), k
 
-    @pytest.mark.parametrize("scheme", ["backward_euler", "implicit_midpoint"])
-    def test_nan_sample_names_its_step(self, scheme):
-        """A NaN sample in the second block is refused at its own step."""
+    @pytest.mark.parametrize("scheme,step", [
+        ("backward_euler", _ROWS + 7), ("implicit_midpoint", _ROWS + 7),
+        ("backward_euler", _ROWS - 1), ("implicit_midpoint", _ROWS - 1)],
+        ids=["backward_euler", "implicit_midpoint", "backward_euler-block-end",
+             "implicit_midpoint-block-end"])
+    def test_nan_sample_names_its_step(self, scheme, step):
+        """A NaN sample inside the second block, or at the last step of the
+        first, is refused at its own step."""
         sys, _ = self.run(scheme)
         grid = TimeGrid(t_end=1.0, n_steps=self.n_steps)
-        bad = grid.sample_times(theta_schedule(sys.M0, scheme, self.n_steps))[_ROWS + 7]
+        bad = grid.sample_times(theta_schedule(sys.M0, scheme, self.n_steps))[step]
         u = lambda t: np.full(2, np.nan) if t == bad else np.ones(2)
         with pytest.raises(ValueError, match="must not contain infs or NaNs: "
-                                             f"the right side of step {_ROWS + 7}$"):
+                                             f"the right side of step {step}$"):
             solve(sys, np.zeros(sys.dim), u, grid, scheme)
 
 

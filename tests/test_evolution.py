@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from evoctl import evolution
 from evoctl.errors import HypothesisViolationError, ShapeMismatchError, StepSingularityError
 from evoctl.evolution import (
+    _ROWS,
     EvolutionarySystem,
     TimeGrid,
     c_min,
@@ -357,6 +358,24 @@ class TestSolve:
         with pytest.raises(ValueError,
                            match="must not contain infs or NaNs: the right side of step 4$"):
             solve(sys, np.zeros(2), f, TimeGrid(t_end=1.0, n_steps=8), "backward_euler")
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
+    @pytest.mark.parametrize("x0,amplitude,n_steps,step", [
+        ([np.nan, 0.0], 1.0, 8, 0), ([0.0, 0.0], 1.5e308, 8, 5),
+        ([0.0, 0.0], 1.5e308, 2 * _ROWS, _ROWS)], ids=["nan-x0", "overflow", "overflow-block-end"])
+    def test_non_finite_state_names_its_step(self, x0, amplitude, n_steps, step):
+        """Finiteness is tested once per block of steps, and the refusal names
+        the step whose right side is not finite: step 0 for a NaN x0, and the
+        step after the first source of 1.5e308, a finite right side that P = 2
+        maps past the largest float (backward Euler, K = n_steps + M1 = 1/2),
+        also when that step starts the next block."""
+        M1 = (0.5 - n_steps) * np.eye(2)
+        sys = EvolutionarySystem(M0=np.eye(2), M1=M1, A=np.zeros((2, 2)), J=np.eye(2))
+        # step k samples at (k + 1) / n_steps: the source is large from step - 1 on
+        f = lambda t: np.full(2, amplitude) if t * n_steps > step - 0.5 else np.zeros(2)
+        with pytest.raises(ValueError,
+                           match=f"must not contain infs or NaNs: the right side of step {step}$"):
+            solve(sys, np.array(x0), f, TimeGrid(t_end=1.0, n_steps=n_steps), "backward_euler")
 
     def test_unknown_scheme_rejected(self):
         sys = EvolutionarySystem(M0=np.eye(1), M1=np.eye(1), A=np.zeros((1, 1)), J=np.eye(1))
