@@ -30,9 +30,10 @@ Files are UTF-8 with LF line endings; fields are comma-separated, each
 number exactly as '%.17g' % float(value) writes it, by one _format17 call
 per block of rows: the digits of |v| scaled in longdouble where they are
 provably exact, a zero from its fixed word, else '%.17g' itself (non-finite
-values, near-ties, every value where longdouble is float64).  Header comments
-record the sampling seed (env EVOCTL_SEED, default 12345) and the run
-parameters, so identical configurations produce byte-identical output.
+values, near-ties, fixed-point values of 10 and more, every value where
+longdouble is float64).  Header comments record the sampling seed (env
+EVOCTL_SEED, default 12345) and the run parameters, so identical
+configurations produce byte-identical output.
 A theta-step dissipates the extra quadratic (theta - 1/2)<dx|M0 dx>
 by construction (theta = 1 on backward Euler steps); ledger rows expose
 it in the euler_correction column and the defect column holds the
@@ -62,7 +63,7 @@ from .bdspace import compute_bd_space, dot_map
 from .control import ControlSystem, extract_io, step_ledger
 from .errors import EvoctlError
 from .evolution import (SCHEMES, TimeGrid, Trajectory, c_min, check_wellposed, m0_spectrum,
-                        n_euler_init_steps, row_blocks, sample_source, theta_steps)
+                        n_euler_init_steps, sample_source, theta_steps)
 from .models import (
     PortHamiltonianSpec,
     WaveSpec,
@@ -196,8 +197,8 @@ def _fmt(value) -> str:
 # exact value, so N is exact wherever s lies farther than _MARGIN from a
 # half-integer and from the 10^16 and 10^17 edges.  A zero is written from its
 # fixed word in _ZEROS, and every other lane (non-finite, near a tie or an edge,
-# and all lanes where longdouble is float64, whose _MARGIN exceeds 1/2) by
-# '%.17g' itself.
+# fixed point at 10 and above, and all lanes where longdouble is float64, whose
+# _MARGIN exceeds 1/2) by '%.17g' itself.
 _EPS = float(np.finfo(np.longdouble).eps)
 _MARGIN = 1e17 * _EPS * (1 + 2 * _EPS)
 _WIDTH = 32          # bytes of one value: its text, NUL-padded, then the separator
@@ -235,6 +236,7 @@ def _format17(v) -> np.ndarray:
     ok = np.isfinite(v) & (v != 0)
     a = np.where(ok, np.abs(v), 1.0)
     k = np.floor(np.log10(a)).astype(np.int64)
+    ok &= (k <= 0) | (k > 16)  # a run writes few fixed-point values of 10 and more
     with np.errstate(all="ignore"):
         s = a.astype(np.longdouble) * pow10[316 - k]
         # the edges move out by a second margin, which covers their own
@@ -250,9 +252,9 @@ def _format17(v) -> np.ndarray:
     # all zero loses its own trailing zeros
     d0, r = N // 10 ** 16, N % 10 ** 16
     g = [r // 10 ** 12, r // 10 ** 8 % 10000, r // 10000 % 10000, r % 10000]
-    fixed = (k >= -4) & (k <= 16)
-    zeros = np.where(k < 0, -k, 0) * fixed
-    point0 = (r != 0) & ((k == 0) | ~fixed)
+    small = (k >= -4) & (k < 0)  # '%g' writes '0.', then -k - 1 zeros, then the digits
+    zeros = -k * small
+    point0 = (r != 0) & ~small
     out = np.empty((v.size, _WIDTH), np.uint8)
     out.view(np.uint64)[:, 0] = head[((zeros * 2 + (v < 0)) * 2 + point0) * 10 + d0]
     out.view(np.uint64)[:, 3] = tail[k + 400]
@@ -260,15 +262,6 @@ def _format17(v) -> np.ndarray:
     for i in (3, 2, 1, 0):
         out.view(np.uint32)[:, 2 + i] = groups[g[i] + 10000 * stripped]
         stripped &= g[i] == 0
-    rows = np.flatnonzero(fixed & (k > 0))
-    if rows.size:
-        # digits 1..k move one slot left, into the last slot of the head, with
-        # the integer zeros that stripping took; the point follows digit k
-        kr, text = k[rows, None], out[rows, 7:25]
-        ints = np.where(text[:, 1:] == 0, 48, text[:, 1:])
-        point = 46 * (N[rows, None] % 10 ** (16 - kr) != 0)
-        j = np.arange(17)
-        out[rows, 7:24] = np.where(j < kr, ints, np.where(j == kr, point, text[:, :17]))
     out[v == 0, :-1] = _ZEROS[np.signbit(v[v == 0]).view(np.uint8)]
     slow = np.flatnonzero(~ok & (v != 0))
     if slow.size:
@@ -281,8 +274,8 @@ def _text(values) -> np.ndarray:
     """(rows, bytes) uint8: each field of the rows of a block of columns,
     NUL-padded and ended by a ','; str columns as UTF-8."""
     if values.dtype.kind == "U":
-        text = np.strings.add(np.strings.encode(values), b",")
-        return text.view(np.uint8).reshape(len(values), -1)
+        text = np.strings.encode(values)[..., None].view(np.uint8)  # NUL-padded bytes
+        return np.pad(text, ((0, 0), (0, 0), (0, 1)), constant_values=44).reshape(len(values), -1)
     values = np.asarray(values, dtype=np.float64)
     return _format17(values).reshape(len(values), values[:1].size * _WIDTH)
 
@@ -419,15 +412,6 @@ def _run_comments(cfg: RunConfig, scheme, n_init):
     return _base_comments(replace(cfg, scheme=scheme)) + [f"n_euler_init_steps={n_init}"]
 
 
-def _imag_note(states):
-    """Largest |imaginary part| relative to max(1, max |x|), taken over
-    row blocks so that no temporary the size of the states is formed."""
-    blocks = [states[lo:hi] for lo, hi in row_blocks(0, len(states))]
-    scale = max(1.0, np.max([np.abs(block).max() for block in blocks]))
-    worst = np.max([np.abs(block.imag).max() for block in blocks])
-    return f"max_imag={_fmt(worst / scale)}"
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -452,7 +436,7 @@ def cmd_wellposed(cfg: RunConfig, outdir: Path, zero_damping: bool) -> int:
         print(f"well-posedness fails: best c = {report.c:.6e} at nu = "
               f"{report.nu0:.6e} (need c > 0)")
         if report.witness is not None:
-            witness = ", ".join(_fmt(v) for v in np.real_if_close(report.witness))
+            witness = ", ".join(_fmt(v) for v in report.witness)
             print(f"witness direction: [{witness}]")
         return 1
     print(f"well-posed with c = {report.c:.6e} at nu = {report.nu0:.6e}")
@@ -488,13 +472,14 @@ def _write_run(cfg: RunConfig, outdir: Path, traj: Trajectory, y, ledger,
     """Write a simulate run: trajectory.csv with the states at traj.times,
     io.csv with one row (sample time, traj.inputs, y) per step, and
     ledger.csv, whose header gains ledger_note when one is given."""
-    comments = _run_comments(cfg, traj.scheme, traj.n_euler_init_steps) + [_imag_note(traj.states)]
+    # every command-line run is real (all presets, sources and profiles are)
+    comments = _run_comments(cfg, traj.scheme, traj.n_euler_init_steps) + ["max_imag=0"]
     columns = ("t",) + tuple(f"x{i}" for i in range(traj.states.shape[1]))
-    write_csv(outdir / "trajectory.csv", comments, columns, [traj.times, traj.states.real])
+    write_csv(outdir / "trajectory.csv", comments, columns, [traj.times, traj.states])
     io_columns = ("t",) + tuple(f"u{i}" for i in range(traj.inputs.shape[1])) \
         + tuple(f"y{i}" for i in range(y.shape[1]))
     write_csv(outdir / "io.csv", comments, io_columns,
-              [traj.sample_times(), traj.inputs.real, y.real])
+              [traj.sample_times(), traj.inputs, y])
     if ledger_note is not None:
         comments.append(ledger_note)
     write_csv(outdir / "ledger.csv", comments, LEDGER_COLUMNS, ledger)
@@ -545,7 +530,7 @@ def cmd_bdspace(cfg: RunConfig, outdir: Path) -> int:
     # one row per point i of each basis vector j
     parts = [(np.full(space.basis.size, side), np.full(space.basis.size, space.dim),
               *np.divmod(np.arange(space.basis.size), space.basis.shape[0]),
-              space.basis.real.T.ravel()) for side, space in (("G", bdG), ("D", bdD))]
+              space.basis.T.ravel()) for side, space in (("G", bdG), ("D", bdD))]
     write_csv(outdir / "bd_basis.csv", comments,
               ("side", "dimension", "basis_index", "point_index", "value"),
               [np.concatenate(column) for column in zip(*parts)])

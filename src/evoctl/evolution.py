@@ -35,14 +35,16 @@ theta = 1, which initializes the algebraic components consistently.
 prepare certifies a system and inverts each distinct step matrix once;
 the plan's run steps through any number of source arrays, forming J f_k
 and testing finiteness once per row block of _ROWS steps.  solve is
-prepare, sample, run.
+prepare, sample, run.  StepPlan.run's theta recursion and its replay in
+_refuse are the only loops over steps; every per-step check and source is
+an array kernel over Trajectory.x_theta (a Trajectory has no step iterator).
 
 The dtype follows the data (errors.as_array): a real system steps in
 float64, and a complex matrix, source or state makes the run complex128.
 
 Every theta-step is causal by construction; causality_defect measures this
-numerically.  weighted_norm evaluates the exponentially weighted
-space-time norm used by the underlying solution theory.
+numerically, testing the samples <= a in one masked comparison.
+weighted_norm evaluates the exponentially weighted space-time norm.
 """
 
 from __future__ import annotations
@@ -198,10 +200,6 @@ class Trajectory:
         x^{k+1} of the steps lo <= k < hi, where the algebraic rows hold."""
         theta = self.theta[lo:hi, None]
         return (1.0 - theta) * self.states[lo:hi] + theta * self.states[lo + 1:hi + 1]
-
-    def steps(self):
-        """(k, theta_k, x_theta) per step."""
-        return zip(range(self.grid.n_steps), self.theta, self.x_theta(0, self.grid.n_steps))
 
 
 @dataclass(frozen=True)
@@ -471,9 +469,10 @@ def causality_defect(sys, f1, f2, a: float, grid: TimeGrid, scheme: str, x0=None
     plan = prepare(sys, grid, scheme)
     t1, t2 = (plan.run(x0, sample_source(f, plan.times, sys.n_inputs)) for f in (f1, f2))
     a_tol = a + 1e-12 * max(1.0, a)
-    for t, v1, v2 in zip(plan.times, t1.inputs, t2.inputs):
-        if t <= a_tol and np.abs(v1 - v2).max() > 1e-13 * max(1.0, np.abs(v1).max()):
-            raise HypothesisViolationError(f"inputs differ at sample t = {t:.6g} <= a = {a:.6g}")
+    scale = 1e-13 * np.maximum(1.0, np.abs(t1.inputs).max(axis=1))
+    bad = plan.times[(plan.times <= a_tol) & (np.abs(t1.inputs - t2.inputs).max(axis=1) > scale)]
+    if bad.size:
+        raise HypothesisViolationError(f"inputs differ at sample t = {bad[0]:.6g} <= a = {a:.6g}")
     mask = grid.times() <= a_tol
     if not np.any(mask):
         return 0.0

@@ -48,6 +48,10 @@ derivative) and keeping the data in the divergence rows through the
 boundary pairing.  Each step takes the shift at the theta-average
 u_theta of the data and its derivative as the step's difference
 quotient, so the two routes agree to roundoff under both schemes.
+
+The per-step diagnostics and the lift's sources are array kernels over
+Trajectory.x_theta or the data samples; the Hamiltonian density, a user
+callable, is called point by point.
 """
 
 from __future__ import annotations
@@ -290,17 +294,11 @@ def elliptic_residual(sys: ControlSystem, traj: Trajectory) -> np.ndarray:
     if inner.size == 0:
         raise ValueError("the partition has no interior elliptic nodes to evaluate")
 
-    div_min = pair.minimal_div()
     off = sys.fine_offsets()
-    out = np.zeros(traj.grid.n_steps)
-    for k, _, x in traj.steps():
-        v = (V @ x[off[0]:off[1]]) / s0
-        zeta = x[off[1]:off[2]] / s1
-        w = x[off[2]:off[3]]
-        r = (v - div_min @ zeta - Cdual @ w)[inner]
-        r -= r.mean()
-        out[k] = np.abs(r).max()
-    return out
+    X = traj.x_theta(0, traj.grid.n_steps)
+    r = ((X[:, off[0]:off[1]] @ V.T) / s0 - (X[:, off[1]:off[2]] / s1) @ pair.minimal_div().T
+         - X[:, off[2]:off[3]] @ Cdual.T)[:, inner]
+    return np.abs(r - r.mean(axis=1, keepdims=True)).max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +377,9 @@ def _require_group_diagonal(vals, ell, name):
 def _pointwise_operator(vals) -> np.ndarray:
     """Stack pointwise matrices into an operator on per-field blocks."""
     npts, nf = vals.shape[0], vals.shape[1]
-    out = np.zeros((nf * npts, nf * npts), dtype=vals.dtype)
-    for i in range(nf):
-        for j in range(nf):
-            out[i * npts:(i + 1) * npts, j * npts:(j + 1) * npts] = \
-                np.diag(vals[:, i, j])
-    return out
+    out = np.zeros((nf, npts, nf, npts), dtype=vals.dtype)
+    out[:, np.arange(npts), :, np.arange(npts)] = vals  # block (i, j) is diag(vals[:, i, j])
+    return out.reshape(nf * npts, nf * npts)
 
 
 def build_port_hamiltonian(spec: PortHamiltonianSpec) -> ControlSystem:
@@ -499,14 +494,11 @@ def endpoint_coupling_defect(sys: ControlSystem, traj: Trajectory) -> np.ndarray
         M32, "M32 is not invertible; w cannot be recovered from the observation rows"
     )
     off = sys.fine_offsets()
-    B2 = sys.B2
-    out = np.zeros(traj.grid.n_steps)
-    for k, _, x in traj.steps():
-        x1 = x[off[1]:off[2]]
-        y = x[off[3]:off[4]]
-        w = np.linalg.solve(M32, B2 @ traj.inputs[k] - M33 @ y)
-        out[k] = np.abs(E @ x1 - w).max()
-    return out
+    X = traj.x_theta(0, traj.grid.n_steps)[:, :, None]
+    # stacked products and one gufunc solve run one GEMV and one ?gesv per
+    # step, so each step's value is bitwise that of its own products
+    w = np.linalg.solve(M32, sys.B2 @ traj.inputs[:, :, None] - M33 @ X[:, off[3]:off[4]])
+    return np.abs(E @ X[:, off[1]:off[2]] - w).max(axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -617,12 +609,10 @@ def maxwell_lift_solve(pair, eps, mu, u_bd, x0, grid, scheme, bdD=None) -> Maxwe
     theta = plan.theta
     u_theta = (1.0 - theta)[:, None] * u[:-1] + theta[:, None] * u[1:]
     du = (u[1:] - u[:-1]) / grid.tau
-    F_lifted = np.zeros((n_steps, nn + nc), dtype=np.result_type(u, lift, Theta))
-    F_direct = np.zeros_like(F_lifted)
-    for k in range(n_steps):
-        F_lifted[k, :nn] = -(Dhat @ (lift @ u_theta[k]))
-        F_lifted[k, nn:] = -mu_d * (lift @ du[k])
-        F_direct[k, :nn] = -(Theta @ (lift @ u_theta[k]))
+    # stacked over [:, :, None], each product runs one GEMV per step
+    P_theta = lift @ u_theta[:, :, None]
+    F_lifted = np.hstack([-(Dhat @ P_theta)[:, :, 0], -mu_d * (lift @ du[:, :, None])[:, :, 0]])
+    F_direct = np.hstack([-(Theta @ P_theta)[:, :, 0], np.zeros((n_steps, nc), F_lifted.dtype)])
 
     E0, H0 = _initial_fields(x0, nn, nc)
     x_direct = np.concatenate([s0 * E0, s1 * H0])

@@ -356,7 +356,7 @@ class TestAcceptance:
         for _ in range(3):
             traj = drive(sys, random_wave_input(rng), tg, "implicit_midpoint")
             us = traj.inputs
-            samples = {k: x for k, _, x in traj.steps()}
+            samples = traj.x_theta(0, tg.n_steps)
 
             def stored(i):
                 return 0.5 * np.vdot(traj.states[i], sys.M0 @ traj.states[i]).real

@@ -521,6 +521,8 @@ class TestWriteCsv:
         data = [[1.5, -2.0, 3e-300, np.nan], names, ["ν", "x", "", "ü"],
                 [np.inf, 0.0, 1e22, -1e-5]]
         self.check(tmp_path, ["a", "check", "name", "b"], data)
+        # a trailing str column whose entries differ in length
+        self.check(tmp_path, ["a", "name"], [[1.0, 2.0], ["ab", "a"]])
 
     def test_zero_rows_write_the_header_only(self, tmp_path):
         self.check(tmp_path, ["t", "x0", "x1"], [np.zeros(0), np.zeros((0, 2))])

@@ -806,6 +806,22 @@ class TestBoundaryEquationDefect:
         defects = boundary_equation_defect(sys, self.constant_trajectory(sys, x))
         assert defects.max() > 0.1, f"boundary flux went unnoticed {defects.max():.2e}"
 
+    def test_matches_a_least_squares_solve_per_state(self, geometry):
+        """The defect of every state of a random trajectory agrees with one
+        least-squares solve per state, the lift of its own w."""
+        pair, _, bdD, cdual_phys = geometry
+        rng = np.random.default_rng(54)
+        sys = self.build_system(geometry)
+        states = rng.standard_normal((8, sys.dim)) + 1j * rng.standard_normal((8, sys.dim))
+        traj = Trajectory(grid=TimeGrid(t_end=1.0, n_steps=7), states=states,
+                          inputs=np.zeros((7, 2)), scheme="backward_euler")
+        reference = np.array([np.linalg.norm(bdD.projector @ (
+            x[sys.fine_slice(1)] / np.sqrt(pair.W1)
+            + np.linalg.lstsq(pair.minimal_div(), cdual_phys @ x[sys.fine_slice(2)],
+                              rcond=1e-10)[0])) for x in states])
+        err = np.abs(boundary_equation_defect(sys, traj) - reference).max()
+        assert err <= 1e-13 * max(1.0, reference.max()), f"off the per-state solve by {err:.2e}"
+
     def test_refuses_without_geometry(self):
         sys = wave_example_system()
         grid = TimeGrid(t_end=1.0, n_steps=2)

@@ -453,6 +453,25 @@ class TestCausality:
         with pytest.raises(HypothesisViolationError, match="differ at sample"):
             causality_defect(sys, f1, f2, 0.5, grid, "backward_euler")
 
+    @pytest.mark.parametrize("scheme", ["backward_euler", "implicit_midpoint"])
+    @pytest.mark.parametrize("start", [0.0, 0.24, 0.31, 0.45])
+    def test_disagreement_reported_at_the_first_sample(self, scheme, start):
+        """The reported sample is the first one <= a at which the inputs
+        differ beyond 1e-13 max(1, |f1|), as a test sample by sample finds it."""
+        rng = np.random.default_rng(seed=44)
+        sys = self.make_system(rng)
+        f1 = lambda t: 3.0 * np.cos(t) * np.ones(5)
+        # below the tolerance before start, above it after
+        f2 = lambda t: f1(t) + (1e-14 if t < start else 1e-11) * np.arange(5)
+        grid = TimeGrid(t_end=1.0, n_steps=10)
+        a = 0.5
+        times = grid.sample_times(evolution.theta_schedule(sys.M0, scheme, grid.n_steps))
+        first = next(t for t in times if t <= a + 1e-12 and np.abs(f1(t) - f2(t)).max()
+                     > 1e-13 * max(1.0, np.abs(f1(t)).max()))
+        with pytest.raises(HypothesisViolationError,
+                           match=re.escape(f"inputs differ at sample t = {first:.6g} <= a = 0.5")):
+            causality_defect(sys, f1, f2, a, grid, scheme)
+
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 3),
@@ -519,7 +538,7 @@ class TestThetaSchedule:
         times = grid.times()
         assert np.allclose(traj.sample_times(), times[:-1] + traj.theta * grid.tau)
         assert np.allclose(traj.inputs[:, 0], traj.sample_times())
-        for k, theta, x in traj.steps():
+        for k, (theta, x) in enumerate(zip(traj.theta, traj.x_theta(0, 6))):
             expected = (1 - theta) * traj.states[k] + theta * traj.states[k + 1]
             assert np.array_equal(x, expected)
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from evoctl import evolution
+from evoctl import evolution, models
 from evoctl.bdspace import build_u_space, compute_bd_space, dot_map
 from evoctl.control import check_compatibility, energy_ledger, extract_io
 from evoctl.errors import (
@@ -41,6 +41,7 @@ from evoctl.models import (
     elliptic_residual,
     endpoint_coupling_defect,
     maxwell_lift_solve,
+    maxwell_system,
     three_region_indicators,
 )
 from evoctl.operators import Grid1D, build_sbp_pair_1d
@@ -252,7 +253,7 @@ class TestWaveBuilder:
         traj = drive(sys, two_tone, tg, scheme)
         us = traj.inputs
         worst = 0.0
-        for k, _, x in traj.steps():
+        for k, x in enumerate(traj.x_theta(0, tg.n_steps)):
             v = x[sys.fine_slice(0)]
             w = x[sys.fine_slice(2)]
             y = x[sys.fine_slice(3)]
@@ -275,7 +276,7 @@ class TestWaveBuilder:
         traj = drive(sys, two_tone, tg, "implicit_midpoint")
         us = traj.inputs
         flux = 0.0
-        for k, _, x in traj.steps():
+        for k, x in enumerate(traj.x_theta(0, tg.n_steps)):
             if k < traj.n_euler_init_steps:
                 continue
             y = x[sys.fine_slice(3)]
@@ -303,7 +304,7 @@ class TestWaveBuilder:
         us = traj.inputs
         full = reduced = 0.0
         worst = 0.0
-        for k, _, x in traj.steps():
+        for k, x in enumerate(traj.x_theta(0, tg.n_steps)):
             if k < traj.n_euler_init_steps:
                 continue
             w = x[sys.fine_slice(2)]
@@ -383,6 +384,19 @@ class TestMixedTypeWave:
         res = elliptic_residual(sys, traj)
         assert res.shape == (tg.n_steps,)
         assert res.max() < 1e-10, f"elliptic residual: {res.max():.2e}"
+        # against the residual formed state by state
+        geo, off = sys.geometry, sys.fine_offsets()
+        pair, (nm_e, cm_e) = geo["pair"], geo["region_masks"]["elliptic"]
+        inner = np.arange(1, pair.n_nodes - 1)
+        inner = inner[nm_e[inner] & cm_e[inner - 1] & cm_e[inner]]
+        reference = []
+        for x in traj.x_theta(0, tg.n_steps):
+            r = ((geo["node_basis"] @ x[off[0]:off[1]]) / geo["S0"]
+                 - pair.minimal_div() @ (x[off[1]:off[2]] / geo["S1"])
+                 - geo["Cdual_physical"] @ x[off[2]:off[3]])[inner]
+            reference.append(np.abs(r - r.mean()).max())
+        err = np.abs(res - reference).max()
+        assert err <= 1e-13 * max(1.0, max(reference)), f"off the per-step form by {err:.2e}"
 
     def test_elliptic_residual_needs_elliptic_interior(self):
         sys = wave_system(n_cells=12)
@@ -432,6 +446,13 @@ class TestPortHamiltonian:
         traj = drive(sys, u, tg, scheme)
         defects = endpoint_coupling_defect(sys, traj)
         assert defects.max() < 1e-9, f"endpoint coupling broken: {defects.max():.2e}"
+        # bitwise the defect of one solve per step
+        E, M32 = sys.geometry["endpoint_sampler"], sys.geometry["M32"]
+        off = sys.fine_offsets()
+        reference = [np.abs(E @ x[off[1]:off[2]] - np.linalg.solve(
+            M32, sys.B2 @ u_k - sys.m1_block(3, 3) @ x[off[3]:off[4]])).max()
+            for x, u_k in zip(traj.x_theta(0, tg.n_steps), traj.inputs)]
+        assert np.array_equal(defects, reference)
 
     def test_recovered_w_is_physical_endpoint_value(self):
         """The sampler really reads x1 at (b, a) in physical units."""
@@ -492,6 +513,19 @@ class TestPortHamiltonian:
         ref = 1.0 / (2.0 + np.sin(3.0 * grid.cells()))
         err = np.abs(m00 - ref).max()
         assert err < 1e-14, f"pointwise density lost: {err:.2e}"
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_pointwise_operator_places_diagonal_blocks(self, dtype):
+        """Block (i, j) of the stacked operator is diag(vals[:, i, j]), bitwise."""
+        rng = np.random.default_rng(12)
+        vals = rng.standard_normal((7, 3, 3)) + (dtype is complex) * 1j * rng.standard_normal(
+            (7, 3, 3))
+        reference = np.zeros((21, 21), dtype=vals.dtype)
+        for i in range(3):
+            for j in range(3):
+                reference[7 * i:7 * (i + 1), 7 * j:7 * (j + 1)] = np.diag(vals[:, i, j])
+        out = models._pointwise_operator(vals)
+        assert out.dtype == vals.dtype and np.array_equal(out, reference)
 
     def test_indefinite_density_rejected(self):
         bad = lambda x: np.diag([1.0, 2.0 * x - 1.0])
@@ -695,6 +729,31 @@ class TestMaxwellLift:
         res = maxwell_lift_solve(self.pair, None, None, u, (self.E0, self.H0), tg, scheme)
         assert len(certs) == 1 and len(inverses) == 1
         assert res.lifted.n_euler_init_steps == res.direct.n_euler_init_steps == 0
+
+    @pytest.mark.parametrize("n_cells", [8, 24, 128])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_sources_are_those_of_each_step(self, calls_to, n_cells, scheme):
+        """The sources both routes step through equal, bitwise, the products
+        of each step's own u_theta and difference quotient."""
+        runs = calls_to(evolution.StepPlan, "run")
+        pair = build_sbp_pair_1d(Grid1D(0.0, 1.0, n_cells))
+        nn, nc = pair.n_nodes, pair.n_cells
+        rng = np.random.default_rng(n_cells)
+        mu = rng.uniform(0.5, 2.0, nc)
+        tg = TimeGrid(t_end=1.0, n_steps=30, nu=1.0)
+        u = rng.standard_normal((tg.n_steps + 1, 2))
+        res = maxwell_lift_solve(pair, None, mu, u, None, tg, scheme)
+        (_, _, F_lifted), (_, _, F_direct) = runs
+        s0, s1 = np.sqrt(pair.W0), np.sqrt(pair.W1)
+        lift = s1[:, None] * compute_bd_space(pair, "D").basis
+        Dhat = (pair.D / s1[None, :]) * s0[:, None]
+        Theta = Dhat - maxwell_system(pair).A[:nn, nn:]
+        du = (u[1:] - u[:-1]) / tg.tau
+        for k, u_theta in enumerate(res.direct.inputs):
+            assert np.array_equal(F_lifted[k, :nn], -(Dhat @ (lift @ u_theta)))
+            assert np.array_equal(F_lifted[k, nn:], -mu * (lift @ du[k]))
+            assert np.array_equal(F_direct[k], np.concatenate([-(Theta @ (lift @ u_theta)),
+                                                               np.zeros(nc)]))
 
     def test_data_shape_validation(self):
         tg = TimeGrid(t_end=0.5, n_steps=10, nu=1.0)
