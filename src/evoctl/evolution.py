@@ -33,11 +33,11 @@ run on singular M0 (n_euler_init_steps) takes its first step with
 theta = 1, which initializes the algebraic components consistently.
 
 prepare certifies a system and inverts each distinct step matrix once;
-the plan's run steps through any number of source arrays, forming J f_k
-and testing finiteness once per row block of _ROWS steps.  solve is
-prepare, sample, run.  StepPlan.run's theta recursion and its replay in
-_refuse are the only loops over steps; every per-step check and source is
-an array kernel over Trajectory.x_theta (a Trajectory has no step iterator).
+the plan's run steps through any number of source arrays in row blocks of
+_ROWS steps, forming J f_k and testing the states once per block; the first
+non-finite state names the step, with no numpy warning.  solve is prepare,
+sample, run.  StepPlan.run's theta recursion is the only loop over steps;
+every per-step check and source is an array kernel over Trajectory.x_theta.
 
 The dtype follows the data (errors.as_array): a real system steps in
 float64, and a complex matrix, source or state makes the run complex128.
@@ -76,12 +76,12 @@ class TimeGrid:
     nu: float = 1.0
 
     def __post_init__(self):
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if int(self.n_steps) != self.n_steps or self.n_steps < 1:
+        for name, value in (("t_end", self.t_end), ("nu", self.nu)):
+            if not 0 < value < np.inf:
+                rule = "finite" if value > 0 else "positive"
+                raise ValueError(f"{name} must be {rule}, got {value}")
+        if not 1 <= self.n_steps < np.inf or int(self.n_steps) != self.n_steps:
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")
-        if not self.nu > 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
 
     @property
     def tau(self) -> float:
@@ -378,18 +378,23 @@ def theta_schedule(M0, scheme, n_steps) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StepPlan:
-    """A system prepared for one time grid and scheme.  steps[theta] = (P, kappa, R)
-    per distinct theta: P = K^-1 for K = M0/tau + theta (M1 + A), kappa =
-    |K|_1 |P|_1, and R = M0/tau - (1 - theta)(M1 + A)."""
+    """A system prepared for one grid and scheme; theta and sample_times() derive
+    from n_init as in Trajectory.  steps[theta] = (P, kappa, R) per distinct theta:
+    P = K^-1, K = M0/tau + theta (M1+A), kappa = |K|_1 |P|_1, R = M0/tau - (1-theta)(M1+A)."""
 
     sys: EvolutionarySystem
     grid: TimeGrid
     scheme: str
     n_init: int
-    theta: np.ndarray
-    times: np.ndarray
     report: WellPosednessReport
     steps: dict
+
+    @property
+    def theta(self) -> np.ndarray:
+        return theta_steps(self.scheme, self.grid.n_steps, self.n_init)
+
+    def sample_times(self) -> np.ndarray:
+        return self.grid.sample_times(self.theta)
 
     def run(self, x0, F) -> Trajectory:
         """Step from x^0 = x0 through the (n_steps, n_inputs) source samples F;
@@ -401,37 +406,30 @@ class StepPlan:
         mats = [mat for P, _, R in self.steps.values() for mat in (P, R)]
         states = np.zeros((n_steps + 1, sys.dim), dtype=np.result_type(x0, F, sys.J, *mats))
         states[0] = x0
-        # states[k + 1] holds the source term J f_k until step k overwrites it
-        for lo, hi in row_blocks(0, n_steps):
-            states[lo + 1:hi + 1] = F[lo:hi] @ sys.J.T
-        rhs, matmul = np.empty(sys.dim, states.dtype), np.matmul
-        # blocks of at most _ROWS steps, split where theta changes
-        cuts = sorted({*range(0, n_steps, _ROWS), n_steps, *np.diff(self.theta).nonzero()[0] + 1})
-        for lo, hi in zip(cuts, cuts[1:]):
-            P, _, R = self.steps[self.theta[lo]]
-            src = states[lo + 1:hi + 1].copy()
-            # a non-finite state warns when its step is replayed below
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        theta, rhs, matmul = self.theta.tolist(), np.empty(sys.dim, states.dtype), np.matmul
+        # a non-finite state is refused by its step's ValueError, not by numpy warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for lo, hi in row_blocks(0, n_steps):
+                src = F[lo:hi] @ sys.J.T
                 for k in range(lo, hi):
+                    P, _, R = self.steps[theta[k]]
                     matmul(R, states[k], out=rhs)
-                    rhs += states[k + 1]
+                    rhs += src[k - lo]
                     matmul(P, rhs, out=states[k + 1])
-            if not np.isfinite(states[lo:hi + 1]).all():
-                _refuse(states, src, lo, P, R)
+                finite = np.isfinite(states[lo:hi + 1]).all(axis=1)
+                if not finite.all():
+                    # x^s is the first non-finite state (x^0 names step 0), so the
+                    # right sides before step s - 1 were finite; when that of step
+                    # s - 1 is finite too, P carried it past the largest float and
+                    # step s's is not, unless s = n_steps and no step follows
+                    s = lo + int(finite.argmin())
+                    if s and not np.isfinite(self.steps[theta[s - 1]][2] @ states[s - 1]
+                                             + src[s - 1 - lo]).all():
+                        s -= 1
+                    if s < n_steps:
+                        raise ValueError("array must not contain infs or NaNs: "
+                                         f"the right side of step {s}")
         return Trajectory(self.grid, states, F, self.scheme, self.n_init)
-
-
-def _refuse(states, src, lo, P, R):
-    """Replay the steps from lo with the source terms src, raising at the first
-    non-finite right side."""
-    # as a test after every step would: states[lo] is finite unless lo = 0, and
-    # when P maps a finite right side past the largest float, the next block's
-    # replay refuses the step after it
-    for k in range(lo, lo + len(src)):
-        rhs = R @ states[k] + src[k - lo]
-        if not np.isfinite(rhs).all():
-            raise ValueError(f"array must not contain infs or NaNs: the right side of step {k}")
-        states[k + 1] = P @ rhs
 
 
 def prepare(sys: EvolutionarySystem, grid: TimeGrid, scheme: str) -> StepPlan:
@@ -447,7 +445,7 @@ def prepare(sys: EvolutionarySystem, grid: TimeGrid, scheme: str) -> StepPlan:
     M1A = sys.M1 + sys.A
     steps = {th: (*_factor_step_matrix(sys.M0 / tau + th * M1A, tau),
                   sys.M0 / tau - (1.0 - th) * M1A) for th in sorted(set(theta.tolist()))}
-    return StepPlan(sys, grid, scheme, n_init, theta, grid.sample_times(theta), report, steps)
+    return StepPlan(sys, grid, scheme, n_init, report, steps)
 
 
 def solve(sys: EvolutionarySystem, x0, f, grid: TimeGrid, scheme: str) -> Trajectory:
@@ -455,7 +453,7 @@ def solve(sys: EvolutionarySystem, x0, f, grid: TimeGrid, scheme: str) -> Trajec
     callable t -> source sample (length n_inputs) or None for a source-free
     run, evaluated at the plan's sample times before the first step."""
     plan = prepare(sys, grid, scheme)
-    return plan.run(x0, sample_source(f, plan.times, sys.n_inputs))
+    return plan.run(x0, sample_source(f, plan.sample_times(), sys.n_inputs))
 
 
 def causality_defect(sys, f1, f2, a: float, grid: TimeGrid, scheme: str, x0=None) -> float:
@@ -467,16 +465,16 @@ def causality_defect(sys, f1, f2, a: float, grid: TimeGrid, scheme: str, x0=None
     if x0 is None:
         x0 = np.zeros(sys.dim)
     plan = prepare(sys, grid, scheme)
-    t1, t2 = (plan.run(x0, sample_source(f, plan.times, sys.n_inputs)) for f in (f1, f2))
+    times = plan.sample_times()
+    t1, t2 = (plan.run(x0, sample_source(f, times, sys.n_inputs)) for f in (f1, f2))
     a_tol = a + 1e-12 * max(1.0, a)
-    scale = 1e-13 * np.maximum(1.0, np.abs(t1.inputs).max(axis=1))
-    bad = plan.times[(plan.times <= a_tol) & (np.abs(t1.inputs - t2.inputs).max(axis=1) > scale)]
+    # initial=0.0: the maximum over no inputs (J with no columns) or no times (a < 0) is 0
+    scale = 1e-13 * np.maximum(1.0, np.abs(t1.inputs).max(axis=1, initial=0.0))
+    bad = times[(times <= a_tol) & (np.abs(t1.inputs - t2.inputs).max(axis=1, initial=0.0) > scale)]
     if bad.size:
         raise HypothesisViolationError(f"inputs differ at sample t = {bad[0]:.6g} <= a = {a:.6g}")
     mask = grid.times() <= a_tol
-    if not np.any(mask):
-        return 0.0
-    return float(np.abs(t1.states[mask] - t2.states[mask]).max())
+    return float(np.abs(t1.states[mask] - t2.states[mask]).max(initial=0.0))
 
 
 def weighted_norm(traj: Trajectory, component_weights) -> float:

@@ -44,8 +44,8 @@ class Grid1D:
     n_cells: int
 
     def __post_init__(self):
-        if not np.isfinite(self.a) or not np.isfinite(self.b):
-            raise InvalidGridError("interval endpoints must be finite")
+        if not np.isfinite([self.a, self.b, self.n_cells]).all():
+            raise InvalidGridError(f"need finite a, b, n_cells, got {self.a, self.b, self.n_cells}")
         if not self.b > self.a:
             raise InvalidGridError(f"need a < b, got [{self.a}, {self.b}]")
         if int(self.n_cells) != self.n_cells or self.n_cells < 2:
@@ -138,8 +138,6 @@ def build_sbp_pair_1d(grid: Grid1D) -> GradDivPair:
 
     with T supported on the first and last node rows.
     """
-    if grid.n_cells < 2:
-        raise InvalidGridError("gradient/divergence pair needs n_cells >= 2")
     n = grid.n_cells
     h = grid.h
 

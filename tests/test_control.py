@@ -863,12 +863,12 @@ class TestStepPlan:
             f = lambda t: np.cos(3.0 * t) * weights
             traj = solve(sys, x0, f, grid, scheme)
             plan = prepare(sys, grid, scheme)
-            again = plan.run(x0, sample_source(f, plan.times, sys.n_inputs))
+            again = plan.run(x0, sample_source(f, plan.sample_times(), sys.n_inputs))
             assert np.array_equal(traj.states, again.states)
             assert np.array_equal(traj.inputs, again.inputs)
             assert traj.n_euler_init_steps == again.n_euler_init_steps == plan.n_init
             assert np.array_equal(plan.theta, theta_schedule(sys.M0, scheme, grid.n_steps))
-            assert np.array_equal(plan.times, traj.sample_times())
+            assert np.array_equal(plan.sample_times(), traj.sample_times())
         singular = random_compatible_system(rng)
         assert prepare(singular, grid, scheme).n_init == (scheme == "implicit_midpoint")
 
@@ -880,7 +880,7 @@ class TestStepPlan:
         plan = prepare(sys, grid, "implicit_midpoint")
         for freq in (1.0, 2.0, 5.0):
             f = lambda t: np.sin(freq * t) * np.ones(sys.n_inputs)
-            run = plan.run(np.zeros(sys.dim), sample_source(f, plan.times, sys.n_inputs))
+            run = plan.run(np.zeros(sys.dim), sample_source(f, plan.sample_times(), sys.n_inputs))
             fresh = solve(sys, np.zeros(sys.dim), f, grid, "implicit_midpoint")
             assert np.array_equal(run.states, fresh.states)
 

@@ -1,6 +1,7 @@
 """Tests for the evolutionary-equation steppers, the well-posedness
 checker, causality, and the weighted space-time norm."""
 
+import itertools
 import re
 
 import numpy as np
@@ -18,6 +19,7 @@ from evoctl.evolution import (
     c_min,
     causality_defect,
     check_wellposed,
+    row_blocks,
     solve,
     theta_schedule,
     weighted_norm,
@@ -38,7 +40,11 @@ class TestTimeGrid:
         assert g.times()[0] == 0.0 and g.times()[-1] == 2.0
 
     @pytest.mark.parametrize("kw", [dict(t_end=0.0, n_steps=4), dict(t_end=1.0, n_steps=0),
-                                    dict(t_end=1.0, n_steps=4, nu=0.0)])
+                                    dict(t_end=1.0, n_steps=4, nu=0.0),
+                                    dict(t_end=np.inf, n_steps=10), dict(t_end=np.nan, n_steps=10),
+                                    dict(t_end=1.0, n_steps=10, nu=np.inf),
+                                    dict(t_end=1.0, n_steps=float("inf")),
+                                    dict(t_end=1.0, n_steps=float("nan"))])
     def test_rejects_bad_parameters(self, kw):
         with pytest.raises(ValueError):
             TimeGrid(**kw)
@@ -359,7 +365,7 @@ class TestSolve:
                            match="must not contain infs or NaNs: the right side of step 4$"):
             solve(sys, np.zeros(2), f, TimeGrid(t_end=1.0, n_steps=8), "backward_euler")
 
-    @pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("x0,amplitude,n_steps,step", [
         ([np.nan, 0.0], 1.0, 8, 0), ([0.0, 0.0], 1.5e308, 8, 5),
         ([0.0, 0.0], 1.5e308, 2 * _ROWS, _ROWS)], ids=["nan-x0", "overflow", "overflow-block-end"])
@@ -381,6 +387,77 @@ class TestSolve:
         sys = EvolutionarySystem(M0=np.eye(1), M1=np.eye(1), A=np.zeros((1, 1)), J=np.eye(1))
         with pytest.raises(ValueError):
             solve(sys, np.zeros(1), None, TimeGrid(1.0, 4), "leapfrog")
+
+
+def refusal(step):
+    return f"array must not contain infs or NaNs: the right side of step {step}"
+
+
+class TestRunRefusal:
+    """StepPlan.run against a per-step reference recursion on runs of
+    3 _ROWS + 5 steps: a non-finite run refuses the reference's step, and a
+    finite run keeps every bit of the reference's states."""
+
+    N = 3 * _ROWS + 5
+    # (M0, scheme); a midpoint run on the singular M0 takes theta = 1 at step 0
+    SYSTEMS = {"backward_euler": (np.eye(2), "backward_euler"),
+               "implicit_midpoint": (np.eye(2), "implicit_midpoint"),
+               "implicit_midpoint-singular": (np.diag([1.0, 0.0]), "implicit_midpoint")}
+    # a source sample of step k, and the step refused: NaN, inf and a J f_k of
+    # 2e308 make step k's right side non-finite; J f_k = (1e308, 1e308) keeps
+    # it finite, and P, of norm 2 to 8 at tau = 4 (M0/tau + theta M1 is 1/8 to
+    # 1/2), carries it past the largest float, so that step k + 1's right side
+    # is the first non-finite one
+    BAD = {"nan": ([np.nan, 0.0], 0), "inf": ([np.inf, 0.0], 0),
+           "overflow-source": ([1e308, 1e308], 0), "overflow-P": ([0.0, 1e308], 1)}
+    CASES = [("finite", None), ("nan-x0", 0),
+             *itertools.product(BAD, (0, 1, _ROWS - 1, _ROWS, N - 1))]
+
+    @staticmethod
+    def reference(plan, x0, F):
+        """x^{k+1} = P (R x^k + J f_k), refused at the first non-finite right
+        side; J f_k is formed in row blocks, as the run forms it."""
+        states = [x0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            src = np.concatenate([F[lo:hi] @ plan.sys.J.T for lo, hi in row_blocks(0, len(F))])
+            for k, theta in enumerate(plan.theta.tolist()):
+                P, _, R = plan.steps[theta]
+                rhs = R @ states[k] + src[k]
+                if not np.isfinite(rhs).all():
+                    raise ValueError(refusal(k))
+                states.append(P @ rhs)
+        return np.array(states)
+
+    @staticmethod
+    def outcome(run):
+        """The states of a run, or the text of its ValueError."""
+        try:
+            return run()
+        except ValueError as exc:
+            return str(exc)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad,step", CASES)
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_run_refuses_or_matches_the_reference(self, system, bad, step):
+        M0, scheme = self.SYSTEMS[system]
+        sys = EvolutionarySystem(M0=M0, M1=0.25 * np.eye(2), A=np.array([[0.0, 0.1], [-0.1, 0.0]]),
+                                 J=np.array([[1.0, 1.0], [0.0, 1.0]]))
+        plan = evolution.prepare(sys, TimeGrid(t_end=4.0 * self.N, n_steps=self.N), scheme)
+        assert plan.n_init == system.endswith("singular")
+        k = np.arange(self.N)[:, None]
+        F = np.hstack([np.sin(0.1 * k), np.cos(0.3 * k)])
+        x0 = np.array([np.nan if bad == "nan-x0" else 1.0, -0.5])
+        if bad in self.BAD:
+            F[step], shift = self.BAD[bad]
+            step += shift
+        expected = self.outcome(lambda: self.reference(plan, x0, F))
+        got = self.outcome(lambda: plan.run(x0, F).states)
+        if step is None or step == self.N:  # the last state overflows, and no step follows
+            assert not isinstance(expected, str) and got.tobytes() == expected.tobytes()
+            assert np.isfinite(got).all() == (step is None)
+        else:
+            assert expected == refusal(step) and got == expected
 
 
 class TestSampleSource:
@@ -443,6 +520,14 @@ class TestCausality:
         f2 = lambda t: -np.ones(5)
         grid = TimeGrid(t_end=1.0, n_steps=8)
         assert causality_defect(sys, f1, f2, 0.0, grid, "backward_euler") == 0.0
+
+    @pytest.mark.parametrize("x0", [None, np.ones(2)])
+    def test_system_without_inputs_compares_states(self, x0):
+        """A system with J of shape (2, 0) has empty input rows; its runs
+        are compared state by state."""
+        sys = EvolutionarySystem(np.eye(2), np.eye(2), np.zeros((2, 2)), np.zeros((2, 0)))
+        grid = TimeGrid(1.0, 4)
+        assert causality_defect(sys, None, None, 0.5, grid, "backward_euler", x0) == 0.0
 
     def test_early_disagreement_reported(self):
         rng = np.random.default_rng(seed=43)

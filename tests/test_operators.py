@@ -59,6 +59,10 @@ class TestGrid1D:
             Grid1D(0.0, 1.0, 1)
         with pytest.raises(InvalidGridError):
             Grid1D(0.0, np.inf, 4)
+        with pytest.raises(InvalidGridError):
+            Grid1D(0.0, 1.0, np.inf)
+        with pytest.raises(InvalidGridError):
+            Grid1D(0.0, 1.0, np.nan)
 
 
 class TestSummationByParts:

@@ -24,8 +24,10 @@ grids of BDSPACE_GRIDS, and the benchmark's cubic-wave and long-horizon
 configurations (perfbench/workloads.py) at input frequency 3 and initial
 mode 2.  All of these exit 0.  Refusals follow, each with the status the
 command line documents for it: a certificate that fails (1, printing its
-witness), and an invalid time grid, a table input without a path and a
-wave-wt trajectory replayed as wave-mixed (2 each).
+witness), and an invalid time grid, a table input without a path, a
+wave-wt trajectory replayed as wave-mixed and a port-Hamiltonian run whose
+sinusoid input of amplitude 1e308 overflows the states, refused naming
+the step whose right side is not finite (2 each).
 """
 
 import argparse
@@ -109,6 +111,9 @@ def matrix(out: Path) -> list:
         ("refuse-energy-wave-wt-as-wave-mixed", 2, ["energy", *_sets(
             ("preset", "wave-mixed"), ("grid.n_cells", PRESETS["wave-wt"]),
             ("scheme", "implicit_midpoint"), *drive), "--trajectory", str(replayed)]),
+        ("refuse-simulate-overflow", 2, ["simulate", *_sets(
+            ("preset", "port-hamiltonian"), ("grid.n_cells", PRESETS["port-hamiltonian"]),
+            ("input.kind", "sinusoid"), ("input.amplitude", 1e308))]),
     ):
         case = out / name
         cases.append((case, [*args, *_sets(("outdir", case))], status))
