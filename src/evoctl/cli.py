@@ -34,14 +34,15 @@ values, near-ties, fixed-point values of 10 and more, every value where
 longdouble is float64).  Header comments record the sampling seed (env
 EVOCTL_SEED, default 12345) and the run parameters, so identical
 configurations produce byte-identical output.
-A theta-step dissipates the extra quadratic (theta - 1/2)<dx|M0 dx>
-by construction (theta = 1 on backward Euler steps); ledger rows expose
-it in the euler_correction column and the defect column holds the
-balance of each step against its own identity, which is the quantity
-checked against the tolerance (a non-finite one always fails).  Exit
-status: 0 when every requested defect threshold passes, 1 when a
-threshold or hypothesis fails, 2 for configuration and precondition
-errors, a preset whose system matrices are not finite among them.
+A theta-step dissipates the extra (theta - 1/2)<dx|M0 dx> (theta = 1 on
+backward Euler steps), shown in the euler_correction column; the defect
+column balances each step against its own identity.  simulate, energy and
+bdspace share one rule, _verdict: a check passes when its largest |value|
+is within the tolerance; a non-finite value fails, the first named by step
+or by row.  wellposed certifies c > 0 and reads no tolerance.  Exit status:
+0 when every requested defect threshold passes, 1 when a threshold or
+hypothesis fails, 2 for configuration and precondition errors, a preset
+whose system matrices are not finite among them.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class RunConfig:
     input: dict
     initial: dict
     outdir: str
-    tolerance: float
+    tolerance: float | None  # None for wellposed, which reads none
 
 
 def _merge(base, override, path="config"):
@@ -169,7 +170,7 @@ def load_config(path, overrides, default_tolerance) -> RunConfig:
         raise ValueError(f"unknown scheme {data['scheme']!r}; choose from {SCHEMES}")
     tolerance = data["tolerance"]
     tolerance = default_tolerance if tolerance is None else _number("tolerance", tolerance)
-    if tolerance <= 0:
+    if tolerance is not None and tolerance <= 0:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     return RunConfig(
         preset=data["preset"],
@@ -443,17 +444,19 @@ def cmd_wellposed(cfg: RunConfig, outdir: Path, zero_damping: bool) -> int:
     return 0
 
 
-def _verdict(label, values, tolerance) -> int:
-    """Print the largest |value| and return the exit status.  A non-finite
-    value fails whatever the tolerance, and the first one is named."""
-    values = np.abs(values)
-    worst = values.max()
-    print(f"{label} max = {worst:.6e} (tolerance {tolerance:.0e})")
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        print(f"{label} is not finite at step {bad[0]}")
-        return 1
-    return 0 if worst <= tolerance else 1
+def _verdict(checks, summary=None) -> int:
+    """Exit status of the (label, values, tolerance) checks, 1 unless each
+    largest |value| is within its tolerance.  Prints summary (by default each
+    largest |value|) and names the first non-finite value (and step) if any."""
+    worst = [np.abs(values).max() for _, values, _ in checks]
+    print(summary or "\n".join(f"{label} max = {top:.6e} (tolerance {tolerance:.0e})"
+                               for (label, _, tolerance), top in zip(checks, worst)))
+    for label, values, _ in checks:
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            print(f"{label} is not finite" + (f" at step {bad[0]}" if np.ndim(values) else ""))
+            break
+    return 0 if all(top <= tolerance for top, (_, _, tolerance) in zip(worst, checks)) else 1
 
 
 def _ledger_columns(led, times):
@@ -490,7 +493,7 @@ def _simulate_control(cfg: RunConfig, outdir: Path) -> int:
     traj = drive(sys, _control_signal(cfg, sys.partition.n_u1), cfg.time, cfg.scheme)
     ledger, defects = _ledger_columns(step_ledger(sys, traj), traj.times)
     _write_run(cfg, outdir, traj, extract_io(sys, traj).y_samples, ledger)
-    return _verdict("ledger defect", defects, cfg.tolerance)
+    return _verdict([("ledger defect", defects, cfg.tolerance)])
 
 
 def _simulate_maxwell(cfg: RunConfig, outdir: Path) -> int:
@@ -512,7 +515,7 @@ def _simulate_maxwell(cfg: RunConfig, outdir: Path) -> int:
     _write_run(cfg, outdir, direct, y,
                [times[:-1], times[1:], energy[:-1] - energy[1:], zero, zero, zero, gaps],
                "defect column = distance between the lifted and direct routes")
-    return _verdict("route gap", gaps, cfg.tolerance)
+    return _verdict([("route gap", gaps, cfg.tolerance)])
 
 
 def cmd_simulate(cfg: RunConfig, outdir: Path) -> int:
@@ -566,17 +569,13 @@ def cmd_bdspace(cfg: RunConfig, outdir: Path) -> int:
     write_csv(outdir / "bd_defects.csv", comments, ("check", "dimension", "defect"),
               list(zip(*defect_rows)))
 
-    worst = np.max([row[2] for row in defect_rows])
-    print(f"boundary space dimensions: G = {bdG.dim}, D = {bdD.dim}; "
-          f"worst defect = {worst:.6e} (tolerance {cfg.tolerance:.0e})")
+    summary = (f"boundary space dimensions: G = {bdG.dim}, D = {bdD.dim}; worst defect = "
+               f"{np.max([row[2] for row in defect_rows]):.6e} (tolerance {cfg.tolerance:.0e})")
     if bdG.dim != bdD.dim:
-        print("dimension mismatch between the node and cell sides")
+        print(f"{summary}\ndimension mismatch between the node and cell sides")
         return 1
-    for check, _, defect in defect_rows:
-        if not np.isfinite(defect):
-            print(f"{check} defect is not finite")
-            return 1
-    return 0 if worst <= cfg.tolerance else 1
+    return _verdict([(f"{row} defect", defect, cfg.tolerance)
+                     for row, _, defect in defect_rows], summary)
 
 
 def _read_trajectory_csv(path):
@@ -647,7 +646,7 @@ def cmd_energy(cfg: RunConfig, outdir: Path, trajectory_path) -> int:
     total = led.summed(grid_times, n_init)
     print(f"stored drop {total.stored_drop:.6e}, dissipation {total.dissipation:.6e},"
           f" supply {total.supply:.6e} over {total.interval}")
-    return _verdict("ledger defect", defects, cfg.tolerance)
+    return _verdict([("ledger defect", defects, cfg.tolerance)])
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +654,6 @@ def cmd_energy(cfg: RunConfig, outdir: Path, trajectory_path) -> int:
 
 
 DEFAULT_TOLERANCES = {
-    "wellposed": 1e-8,
     "simulate": 1e-9,
     "energy": 1e-9,
     "bdspace": 1e-10,
@@ -697,7 +695,7 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=_sys.stderr)
         try:
             cfg = load_config(args.config, args.overrides,
-                              DEFAULT_TOLERANCES[args.command])
+                              DEFAULT_TOLERANCES.get(args.command))
             outdir = Path(cfg.outdir)
             outdir.mkdir(parents=True, exist_ok=True)
             if args.command == "wellposed":

@@ -609,10 +609,12 @@ def maxwell_lift_solve(pair, eps, mu, u_bd, x0, grid, scheme, bdD=None) -> Maxwe
     theta = plan.theta
     u_theta = (1.0 - theta)[:, None] * u[:-1] + theta[:, None] * u[1:]
     du = (u[1:] - u[:-1]) / grid.tau
-    # stacked over [:, :, None], each product runs one GEMV per step
-    P_theta = lift @ u_theta[:, :, None]
-    F_lifted = np.hstack([-(Dhat @ P_theta)[:, :, 0], -mu_d * (lift @ du[:, :, None])[:, :, 0]])
-    F_direct = np.hstack([-(Theta @ P_theta)[:, :, 0], np.zeros((n_steps, nc), F_lifted.dtype)])
+    # stacked over [:, :, None], each product runs one GEMV per step; a source
+    # that overflows is refused by plan.run, naming its step
+    with np.errstate(over="ignore", invalid="ignore"):
+        P_theta = lift @ u_theta[:, :, None]
+        F_lifted = np.hstack([-(Dhat @ P_theta)[..., 0], -mu_d * (lift @ du[:, :, None])[..., 0]])
+        F_direct = np.hstack([-(Theta @ P_theta)[..., 0], np.zeros((n_steps, nc), F_lifted.dtype)])
 
     E0, H0 = _initial_fields(x0, nn, nc)
     x_direct = np.concatenate([s0 * E0, s1 * H0])

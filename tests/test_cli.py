@@ -11,7 +11,9 @@ space dimensions equal two, and the per-step ledger residual stays
 within tolerance.
 """
 
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -90,6 +92,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             load_config(None, [override], 1e-9)
 
+    def test_command_without_default_tolerance(self):
+        """wellposed has no default tolerance; a configured one is still
+        validated."""
+        assert load_config(None, [], None).tolerance is None
+        assert load_config(None, ["tolerance=1e-3"], None).tolerance == 1e-3
+        with pytest.raises(ValueError, match="tolerance"):
+            load_config(None, ["tolerance=0"], None)
+
     def test_invalid_configuration_exits_2(self, tmp_path):
         """The entry point maps configuration errors to exit status 2."""
         assert run(tmp_path, "simulate", "--set", "preset=bogus") == 2
@@ -137,10 +147,12 @@ class TestWellposed:
         assert err < 1e-13, f"c(nu) = nu fails for the undamped preset: {err:.2e}"
 
     def test_certificate_is_reported_at_nu_max(self, tmp_path, capsys):
-        """The default wave certifies 1 - 1/sqrt(2) at nu_max = 2 time.nu."""
-        assert run(tmp_path, "wellposed") == 0
-        assert capsys.readouterr().out == \
-            "well-posed with c = 2.928932e-01 at nu = 2.000000e+00\n"
+        """The default wave certifies 1 - 1/sqrt(2) at nu_max = 2 time.nu; the
+        certificate asks c > 0, so a configured tolerance changes nothing."""
+        for extra in ((), ("--set", "tolerance=1e-300")):
+            assert run(tmp_path, "wellposed", *extra) == 0
+            assert capsys.readouterr().out == \
+                "well-posed with c = 2.928932e-01 at nu = 2.000000e+00\n"
 
     def test_zero_damping_fails_with_witness(self, tmp_path, capsys):
         """Removing the observation damping breaks positivity."""
@@ -474,6 +486,82 @@ class TestEnergy:
         assert "scheme=backward_euler" in comments
         assert "scheme=implicit_midpoint" not in comments
         assert "n_euler_init_steps=0" in comments
+
+
+class TestVerdict:
+    """The words and exit status of each tolerance verdict.  Only exact
+    values are pinned to the digit: the roundoff digits of a defect move
+    with the number of BLAS threads."""
+
+    DRIVE = ("--set", "input.kind=sinusoid", "--set", "input.freq=3",
+             "--set", "initial.kind=sine", "--set", "grid.n_cells=24")
+    MAX_LINE = r"max = \d\.\d{6}e[-+]\d\d \(tolerance 1e-30\)"
+
+    def test_simulate_over_tolerance(self, tmp_path, capsys):
+        """A ledger defect above the tolerance fails with its max line alone."""
+        assert run(tmp_path, "simulate", *self.DRIVE, "--set", "tolerance=1e-30") == 1
+        assert re.fullmatch(f"ledger defect {self.MAX_LINE}\n", capsys.readouterr().out)
+
+    def test_energy_over_tolerance(self, tmp_path, capsys):
+        """The replay of a passing run fails under a tighter tolerance."""
+        assert run(tmp_path, "simulate", *self.DRIVE) == 0
+        capsys.readouterr()
+        assert run(tmp_path, "energy", *self.DRIVE, "--set", "tolerance=1e-30") == 1
+        totals, verdict = capsys.readouterr().out.splitlines()
+        assert totals.startswith("stored drop ")
+        assert re.fullmatch(f"ledger defect {self.MAX_LINE}", verdict)
+
+    def test_maxwell_route_gap_over_tolerance(self, tmp_path, capsys):
+        """The Maxwell route gap is judged by the same rule."""
+        assert run(tmp_path, "simulate", "--set", "preset=maxwell-lift-1d", *self.DRIVE,
+                   "--set", "tolerance=1e-30") == 1
+        assert re.fullmatch(f"route gap {self.MAX_LINE}\n", capsys.readouterr().out)
+
+    def test_bdspace_over_tolerance(self, tmp_path, capsys):
+        """On [0, 0.01] with 64 cells the unitarity defect exceeds 1e-10."""
+        assert run(tmp_path, "bdspace", "--set", "grid.b=0.01",
+                   "--set", "grid.n_cells=64") == 1
+        assert re.fullmatch(r"boundary space dimensions: G = 2, D = 2; worst defect = "
+                            r"\d\.\d{6}e-\d\d \(tolerance 1e-10\)\n",
+                            capsys.readouterr().out)
+
+    def test_bdspace_non_finite_defect_is_named(self, tmp_path, capsys, monkeypatch):
+        """A NaN defect row fails and is named by its row."""
+        monkeypatch.setattr(cli, "ibp_defect", lambda *args: np.nan)
+        assert run(tmp_path, "bdspace") == 1
+        assert capsys.readouterr().out == (
+            "boundary space dimensions: G = 2, D = 2; worst defect = nan (tolerance 1e-10)\n"
+            "green_identity defect is not finite\n")
+
+    def test_bdspace_dimension_mismatch(self, tmp_path, capsys, monkeypatch):
+        """Boundary spaces of different dimensions fail, whatever the defects."""
+        build = cli.compute_bd_space
+
+        def widened(pair, side):
+            space = build(pair, side)
+            if side == "G":
+                return space
+            return dataclasses.replace(space, basis=np.hstack([space.basis, space.basis[:, :1]]),
+                                       projector=np.vstack([space.projector,
+                                                            space.projector[:1]]))
+
+        monkeypatch.setattr(cli, "compute_bd_space", widened)
+        assert run(tmp_path, "bdspace") == 1
+        summary, mismatch = capsys.readouterr().out.splitlines()
+        assert summary.startswith("boundary space dimensions: G = 2, D = 3; worst defect = ")
+        assert mismatch == "dimension mismatch between the node and cell sides"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scheme,step", [("implicit_midpoint", 15),
+                                             ("backward_euler", 16)])
+    def test_overflowing_maxwell_run_is_refused_without_warnings(self, tmp_path, capsys,
+                                                                scheme, step):
+        """The Maxwell sources overflow silently; the step refusal alone speaks."""
+        assert run(tmp_path, "simulate", "--set", "preset=maxwell-lift-1d",
+                   "--set", "grid.n_cells=16", "--set", f"scheme={scheme}",
+                   "--set", "input.kind=sinusoid", "--set", "input.amplitude=1e308") == 2
+        assert capsys.readouterr().err == ("error: array must not contain infs or NaNs: "
+                                           f"the right side of step {step}\n")
 
 
 class TestWriteCsv:

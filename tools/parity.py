@@ -22,12 +22,18 @@ scheme, a wave-wt run driven by the signal table SIGNAL_TABLE (written
 into its case directory), wellposed for each preset, bdspace on the
 grids of BDSPACE_GRIDS, and the benchmark's cubic-wave and long-horizon
 configurations (perfbench/workloads.py) at input frequency 3 and initial
-mode 2.  All of these exit 0.  Refusals follow, each with the status the
-command line documents for it: a certificate that fails (1, printing its
-witness), and an invalid time grid, a table input without a path, a
-wave-wt trajectory replayed as wave-mixed and a port-Hamiltonian run whose
-sinusoid input of amplitude 1e308 overflows the states, refused naming
-the step whose right side is not finite (2 each).
+mode 2.  All of these exit 0.  Failing verdicts follow, each exiting 1:
+the driven wave-wt run, its energy replay and the driven Maxwell run
+under tolerance 1e-30 (each printing its max line), bdspace on [0, 0.01]
+with 64 cells, whose unitarity defect exceeds 1e-10, and a
+port-Hamiltonian run whose sinusoid input of amplitude 1e300 overflows
+the ledger, naming its first non-finite step.  Refusals close the matrix,
+each with the status the command line documents for it: a certificate
+that fails (1, printing its witness), and an invalid time grid, a table
+input without a path, a wave-wt trajectory replayed as wave-mixed and a
+port-Hamiltonian run whose sinusoid input of amplitude 1e308 overflows
+the states, refused naming the step whose right side is not finite (2
+each).
 """
 
 import argparse
@@ -103,7 +109,21 @@ def matrix(out: Path) -> list:
                   for inv in invocations(workload, WORKLOAD_PARAMS, out / workload)]
     cases = [(case, args, 0) for case, args in cases]
     replayed = out / "simulate-wave-wt-implicit_midpoint" / "trajectory.csv"
+    # the driven wave-wt and Maxwell runs (both on 24 cells) under a tolerance
+    # that their roundoff exceeds
+    tight = (("grid.n_cells", 24), *drive, ("tolerance", 1e-30))
+    failed = out / "fail-simulate-wave-wt-tolerance" / "trajectory.csv"
     for name, status, args in (
+        ("fail-simulate-wave-wt-tolerance", 1, ["simulate", *_sets(*tight)]),
+        ("fail-energy-wave-wt-tolerance", 1,
+         ["energy", *_sets(*tight), "--trajectory", str(failed)]),
+        ("fail-simulate-maxwell-lift-1d-tolerance", 1,
+         ["simulate", *_sets(("preset", "maxwell-lift-1d"), *tight)]),
+        ("fail-bdspace-b0.01-64", 1,
+         ["bdspace", *_sets(("grid.b", 0.01), ("grid.n_cells", 64))]),
+        ("fail-simulate-ledger-not-finite", 1, ["simulate", *_sets(
+            ("preset", "port-hamiltonian"), ("grid.n_cells", PRESETS["port-hamiltonian"]),
+            ("input.kind", "sinusoid"), ("input.amplitude", 1e300))]),
         ("refuse-wellposed-zero-damping", 1, ["wellposed", "--zero-damping"]),
         ("refuse-wellposed-t_end-0", 2, ["wellposed", *_sets(("time.t_end", 0))]),
         ("refuse-simulate-table-without-path", 2,
