@@ -33,7 +33,11 @@ provably exact, a zero from its fixed word, else '%.17g' itself (non-finite
 values, near-ties, fixed-point values of 10 and more, every value where
 longdouble is float64).  Header comments record the sampling seed (env
 EVOCTL_SEED, default 12345) and the run parameters, so identical
-configurations produce byte-identical output.
+configurations produce byte-identical output.  write_csv is the one writer
+of this layout and _read_csv its one reader, of a table input and of the
+trajectory an energy replay takes: a line that starts with '#' is a
+comment wherever it stands, blank lines are skipped, the first other line
+names the columns and np.loadtxt parses the rows.
 A theta-step dissipates the extra (theta - 1/2)<dx|M0 dx> (theta = 1 on
 backward Euler steps), shown in the euler_correction column; the defect
 column balances each step against its own identity.  simulate, energy and
@@ -325,24 +329,40 @@ def _initial_profile(cfg: RunConfig, points):
     raise ValueError(f"unknown initial kind {kind!r}; use zero or sine")
 
 
+def _read_csv(path, what):
+    """The comments (the text after each '#', stripped), the rows (2-D) and
+    the file line number of each row of a file in write_csv's layout; the
+    refusal of a file without rows or with a ragged or non-numeric row
+    names the file as 'what path'."""
+    comments, linenos = [], []
+
+    def rows(fh):
+        header = None
+        for lineno, line in enumerate(fh, 1):
+            if line.startswith("#"):
+                comments.append(line[1:].strip())
+            elif line.strip() and header is None:
+                header = line
+            elif line.strip():
+                linenos.append(lineno)
+                yield line
+
+    try:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            # a file without rows is refused below, not warned about
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(rows(fh), delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{what} {path}: {exc}") from None
+    if table.size == 0:
+        raise ValueError(f"{what} {path} holds no samples")
+    return comments, table, linenos
+
+
 def _table_signal(path, n_inputs):
     """Interpolating sampler of a CSV table; every value must be finite
     and the time column strictly increasing."""
-    rows, linenos = [], []
-    with open(path, encoding="utf-8") as fh:
-        header = None
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            rows.append([float(v) for v in line.split(",")])
-            linenos.append(lineno)
-    if header is None or not rows:
-        raise ValueError(f"signal table {path} is empty")
-    table = np.asarray(rows)
+    _, table, linenos = _read_csv(path, "signal table")
     if table.shape[1] != n_inputs + 1:
         raise ValueError(
             f"signal table {path} must have 1 + {n_inputs} columns, "
@@ -578,29 +598,6 @@ def cmd_bdspace(cfg: RunConfig, outdir: Path) -> int:
                      for row, _, defect in defect_rows], summary)
 
 
-def _read_trajectory_csv(path):
-    """The '# ' comment lines, time column and states of a stored
-    trajectory; a file without samples or with a ragged or non-numeric
-    row is refused."""
-    comments = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("# "):
-                comments.append(line[2:].strip())
-            elif line.strip():
-                break  # the column header
-        try:
-            with warnings.catch_warnings():
-                # an empty table is refused below, not warned about
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"trajectory file {path}: {exc}") from None
-    if table.size == 0:
-        raise ValueError(f"trajectory file {path} holds no samples")
-    return comments, table[:, 0], table[:, 1:]
-
-
 def cmd_energy(cfg: RunConfig, outdir: Path, trajectory_path) -> int:
     if cfg.preset == "maxwell-lift-1d":
         raise ValueError(
@@ -611,7 +608,8 @@ def cmd_energy(cfg: RunConfig, outdir: Path, trajectory_path) -> int:
     tg = cfg.time
     path = Path(trajectory_path) if trajectory_path is not None \
         else outdir / "trajectory.csv"
-    comments, times, states = _read_trajectory_csv(path)
+    comments, table, _ = _read_csv(path, "trajectory file")
+    times, states = table[:, 0], table[:, 1:]
     meta = dict(line.partition("=")[::2] for line in comments)
     if states.shape != (tg.n_steps + 1, sys.dim):
         raise ValueError(

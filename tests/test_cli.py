@@ -11,7 +11,9 @@ space dimensions equal two, and the per-step ledger residual stays
 within tolerance.
 """
 
+import contextlib
 import dataclasses
+import io
 import os
 import re
 import subprocess
@@ -27,6 +29,9 @@ from hypothesis import strategies as st
 import evoctl
 from evoctl import cli
 from evoctl.cli import load_config, main, write_csv
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import parity  # noqa: E402
 
 
 def run(tmp_path, *args):
@@ -127,6 +132,32 @@ class TestConfig:
         """Null, boolean and non-integral values are refused, not coerced."""
         assert run(tmp_path, "simulate", "--set", override) == 2
         assert override.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,message", [
+        (("simulate", "--set", "grid=5"), "config.grid must be an object"),
+        (("simulate", "--set", "preset=wave-wt", "--set", "preset.x=1"),
+         "cannot override below non-object key 'preset'"),
+        (("simulate", "--set", "grid.a"), "--set expects key=value, got 'grid.a'"),
+        (("simulate", "--set", "initial.kind=cosine"),
+         "unknown initial kind 'cosine'; use zero or sine"),
+        (("simulate", "--set", "input.kind=sinusoid", "--set", "input.component=2"),
+         "input.component must lie in [0, 1], got 2"),
+        (("simulate", "--set", "input.kind=step"),
+         "unknown input kind 'step'; use zero, sinusoid or table"),
+        (("wellposed", "--zero-damping", "--set", "preset=maxwell-lift-1d"),
+         "--zero-damping applies to presets with a Y block"),
+    ])
+    def test_refusal_words(self, tmp_path, capsys, args, message):
+        """Each malformed configuration exits 2 with its own words."""
+        assert run(tmp_path, *args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_configuration_file_must_hold_an_object(self, tmp_path, capsys):
+        path = tmp_path / "conf.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        assert run(tmp_path, "simulate", "--config", str(path)) == 2
+        assert capsys.readouterr().err == \
+            "error: the configuration file must hold a JSON object\n"
 
 class TestWellposed:
     def test_wave_sweep_matches_min_formula(self, tmp_path):
@@ -282,6 +313,22 @@ class TestSimulate:
         sig.write_text("t,u0\n0,0\n1,1\n", encoding="utf-8")
         assert run(tmp_path, "simulate", "--set", "input.kind=table",
                    "--set", f"input.path={sig}") == 2
+
+    @pytest.mark.parametrize("text,words", [
+        ("t,u0,u1\n0,0,0\n0.5,1\n1,0,0\n",
+         ": the number of columns changed from 3 to 2 at row 2;"),
+        ("t,u0,u1\n0,0,0\n1_000,1,0\n",
+         ": could not convert string '1_000' to float64 at row 1, column 1."),
+        ("# no rows\nt,u0,u1\n\n", " holds no samples\n"),
+        ("", " holds no samples\n"),
+    ])
+    def test_unreadable_table_is_named(self, tmp_path, capsys, text, words):
+        """A ragged, non-numeric or empty table is refused naming its file."""
+        sig = tmp_path / "sig.csv"
+        sig.write_text(text, encoding="utf-8")
+        assert run(tmp_path, "simulate", "--set", "input.kind=table",
+                   "--set", f"input.path={sig}") == 2
+        assert capsys.readouterr().err.startswith(f"error: signal table {sig}{words}")
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_table_exits_2(self, tmp_path, capsys, value):
@@ -462,6 +509,31 @@ class TestEnergy:
         assert self.replay(tmp_path, header) == 2
         assert "holds no samples" in capsys.readouterr().err
 
+    def test_unknown_stored_scheme_exits_2(self, tmp_path, capsys):
+        lines = self.simulated_trajectory(tmp_path)
+        lines[lines.index("# scheme=implicit_midpoint\n")] = "# scheme=crank_nicolson\n"
+        assert self.replay(tmp_path, lines) == 2
+        assert capsys.readouterr().err == \
+            "error: stored scheme 'crank_nicolson' is not recognized\n"
+
+    def test_hash_line_before_header_replays_the_same_ledger(self, tmp_path):
+        """The parity case energy-hash-comment: the wave-wt midpoint run's
+        trajectory with '#note' before its column header replays to the
+        plain replay's ledger.csv, byte for byte."""
+        cases = {case.name: (case, args, prepare)
+                 for case, args, _, prepare in parity.matrix(tmp_path)}
+        for name in ("simulate-wave-wt-implicit_midpoint", "energy-wave-wt-implicit_midpoint",
+                     "energy-hash-comment"):
+            case, args, prepare = cases[name]
+            case.mkdir(parents=True, exist_ok=True)
+            if prepare is not None:
+                prepare()
+            assert main(args) == 0, name
+        edited = (tmp_path / "energy-hash-comment" / "trajectory.csv").read_text(encoding="utf-8")
+        assert "# max_imag=0\n#note\nt,x0," in edited
+        assert (tmp_path / "energy-hash-comment" / "ledger.csv").read_bytes() == \
+            (tmp_path / "energy-wave-wt-implicit_midpoint" / "ledger.csv").read_bytes()
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_theta_schedule_header_is_checked(self, tmp_path, capsys, value):
         """The midpoint wave on singular M0 starts with one theta = 1 step;
@@ -486,6 +558,143 @@ class TestEnergy:
         assert "scheme=backward_euler" in comments
         assert "scheme=implicit_midpoint" not in comments
         assert "n_euler_init_steps=0" in comments
+
+
+@st.composite
+def mutated(draw, text):
+    """The bytes of a file in write_csv's layout under one to three
+    mutations: a dropped or duplicated comment line, a '#note' line anywhere,
+    a row that loses or gains a field, two columns swapped, two time cells
+    swapped or one made NaN, a byte that is not UTF-8, or the file cut at a
+    byte or emptied."""
+    lines = text.splitlines(True)
+    for _ in range(draw(st.integers(1, 3))):
+        comments = [i for i, line in enumerate(lines) if line.startswith(b"#")]
+        body = [i for i, line in enumerate(lines) if line.strip() and i not in comments]
+        rows = body[1:]
+        kind = draw(st.sampled_from(["drop comment", "duplicate comment", "note", "ragged",
+                                     "swap columns", "swap times", "nan time", "not utf-8",
+                                     "cut", "empty"]))
+        if kind == "drop comment" and comments:
+            del lines[draw(st.sampled_from(comments))]
+        elif kind == "duplicate comment" and comments:
+            i = draw(st.sampled_from(comments))
+            lines.insert(i, lines[i])
+        elif kind == "note":
+            lines.insert(draw(st.integers(0, len(lines))), b"#note\n")
+        elif kind == "ragged" and rows:
+            i = draw(st.sampled_from(rows))
+            row = lines[i].rstrip(b"\n")
+            lines[i] = (row.rpartition(b",")[0] if draw(st.booleans()) else row + b",0") + b"\n"
+        elif kind == "swap columns" and body:
+            fields = [lines[i].rstrip(b"\n").split(b",") for i in body]
+            a, b = draw(st.lists(st.integers(0, min(map(len, fields)) - 1), min_size=2,
+                                 max_size=2))
+            for i, row in zip(body, fields):
+                row[a], row[b] = row[b], row[a]
+                lines[i] = b",".join(row) + b"\n"
+        elif kind == "swap times" and len(rows) > 1:
+            i, j = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2, unique=True))
+            (ti, _, ri), (tj, _, rj) = lines[i].partition(b","), lines[j].partition(b",")
+            lines[i], lines[j] = tj + b"," + ri, ti + b"," + rj
+        elif kind == "nan time" and rows:
+            i = draw(st.sampled_from(rows))
+            lines[i] = b"nan," + lines[i].partition(b",")[2]
+        elif kind == "not utf-8" and lines:
+            i = draw(st.integers(0, len(lines) - 1))
+            at = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + b"\xff" + lines[i][at:]
+        elif kind == "cut":
+            whole = b"".join(lines)
+            lines = whole[:draw(st.integers(0, len(whole)))].splitlines(True)
+        elif kind == "empty":
+            lines = []
+    return b"".join(lines)
+
+
+def comments_added(text, edited):
+    """Whether edited is UTF-8 and holds the lines of text with comment
+    lines added, so that a reader must take the same rows from both."""
+    try:
+        lines = edited.decode("utf-8").splitlines(True)
+    except UnicodeDecodeError:
+        return False
+    base = text.decode("utf-8").splitlines(True)
+    rest = [line for line in lines if not line.startswith("#")]
+    return rest == [line for line in base if not line.startswith("#")] and set(base) <= set(lines)
+
+
+class TestReaderFuzz:
+    """Mutated copies of a stored trajectory, replayed by energy, and of a
+    signal table, read by simulate, end with a documented status: 0, 1 or 2,
+    no exception out of main and no traceback or source line on stderr, and
+    0 only with finite artifacts.  A copy that only gains comment lines
+    gives the unmutated file's artifacts, byte for byte."""
+
+    RUN = ("--set", "grid.n_cells=4", "--set", "time.n_steps=8",
+           "--set", "input.kind=sinusoid", "--set", "initial.kind=sine")
+    TABLE = parity.SIGNAL_TABLE.encode()
+
+    @staticmethod
+    def checked_run(outdir, args, names):
+        """The exit status of one checked run and, when it is 0, the bytes of
+        its named artifacts, each of them finite."""
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            status = run(outdir, *args)
+        assert status in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue() and ".py:" not in stderr.getvalue()
+        if status:
+            return status, None
+        for name in names:
+            assert np.isfinite(read_table(outdir / name)[2]).all(), name
+        return status, {name: (outdir / name).read_bytes() for name in names}
+
+    def replay(self, outdir, text):
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "trajectory.csv").write_bytes(text)
+        return self.checked_run(outdir, ("energy", *self.RUN, "--trajectory",
+                                         str(outdir / "trajectory.csv")), ["ledger.csv"])
+
+    def simulate(self, outdir, text):
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "signal.csv").write_bytes(text)
+        return self.checked_run(outdir, ("simulate", *self.RUN, "--set", "input.kind=table",
+                                         "--set", f"input.path={outdir / 'signal.csv'}"),
+                                ["ledger.csv", "io.csv"])
+
+    @pytest.fixture(scope="class")
+    def stored(self, tmp_path_factory):
+        """A stored trajectory and the artifacts of its replay."""
+        out = tmp_path_factory.mktemp("stored")
+        assert run(out, "simulate", *self.RUN) == 0
+        text = (out / "trajectory.csv").read_bytes()
+        status, artifacts = self.replay(out / "replay", text)
+        assert status == 0
+        return text, artifacts
+
+    @pytest.fixture(scope="class")
+    def driven(self, tmp_path_factory):
+        """The artifacts of the run driven by the unmutated table."""
+        status, artifacts = self.simulate(tmp_path_factory.mktemp("table"), self.TABLE)
+        assert status == 0
+        return artifacts
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_trajectory(self, tmp_path_factory, stored, data):
+        text, plain = stored
+        edited = data.draw(mutated(text))
+        result = self.replay(tmp_path_factory.mktemp("replay"), edited)
+        if comments_added(text, edited):
+            assert result == (0, plain)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(edited=mutated(TABLE))
+    def test_mutated_signal_table(self, tmp_path_factory, driven, edited):
+        result = self.simulate(tmp_path_factory.mktemp("table"), edited)
+        if comments_added(self.TABLE, edited):
+            assert result == (0, driven)
 
 
 class TestVerdict:

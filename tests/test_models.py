@@ -21,7 +21,7 @@ from hypothesis.extra import numpy as hnp
 
 from evoctl import evolution, models
 from evoctl.bdspace import build_u_space, compute_bd_space, dot_map
-from evoctl.control import check_compatibility, energy_ledger, extract_io
+from evoctl.control import check_compatibility, energy_ledger, extract_io, step_ledger
 from evoctl.errors import (
     HypothesisViolationError,
     PositivityError,
@@ -567,6 +567,26 @@ class TestPortHamiltonian:
         delta = shifted.m1_block(1, 1) - base.m1_block(1, 1)
         err = np.abs(delta - 0.2 * np.eye(grid.n_nodes)).max()
         assert err < 1e-12, f"node-group P0 misfolded: {err:.2e}"
+
+    def test_boundary_damping_m23_couples_x1_to_y(self):
+        """A nonzero M23 enters M1 as the (x1, y) block E^H M23; the default
+        B1 stays compatible and every step of both schemes closes."""
+        grid = Grid1D(0.0, 1.0, 8)
+        eye = np.eye(2)
+        sys = build_port_hamiltonian(PortHamiltonianSpec(
+            grid=grid, Nmat=[[1.0]], M1_lower=(eye, 0.1 * eye, RT2 * eye, eye),
+            xi1=np.sin(np.pi * grid.nodes())[None, :]))
+        E = sys.geometry["endpoint_sampler"]
+        block = sys.m1_block(1, 3)
+        assert np.array_equal(block, E.conj().T @ (0.1 * eye))
+        assert np.abs(block).max() == 0.4
+        assert check_compatibility(sys) == (0.0, 0.0)
+        for scheme in SCHEMES:
+            traj = drive(sys, two_tone, TimeGrid(t_end=1.0, n_steps=40), scheme)
+            steps = step_ledger(sys, traj)
+            drop = steps.energy[:-1] - steps.energy[1:]
+            residual = drop - (steps.dissipation - steps.supply) - steps.correction
+            assert np.abs(residual).max() <= 1e-14 * max(1.0, steps.energy.max()), scheme
 
     def test_indefinite_lower_block_warns(self):
         spec = PortHamiltonianSpec(

@@ -18,9 +18,12 @@ The matrix: every preset under both schemes with a sinusoid input at
 frequency 3 and a sine initial profile (n_cells 24, 16 for the
 port-Hamiltonian chain), an energy replay of each control preset's run,
 a replay of the backward-Euler chain run under the default (midpoint)
-scheme, a wave-wt run driven by the signal table SIGNAL_TABLE (written
-into its case directory), wellposed for each preset, bdspace on the
-grids of BDSPACE_GRIDS, and the benchmark's cubic-wave and long-horizon
+scheme, energy-hash-comment (the replay of the wave-wt midpoint run with
+a '#note' line inserted before the column header of its trajectory,
+whose ledger.csv is the plain replay's byte for byte), a wave-wt run
+driven by the signal table SIGNAL_TABLE (written into its case
+directory), wellposed for each preset, bdspace on the grids of
+BDSPACE_GRIDS, and the benchmark's cubic-wave and long-horizon
 configurations (perfbench/workloads.py) at input frequency 3 and initial
 mode 2.  All of these exit 0.  Failing verdicts follow, each exiting 1:
 the driven wave-wt run, its energy replay and the driven Maxwell run
@@ -30,13 +33,15 @@ port-Hamiltonian run whose sinusoid input of amplitude 1e300 overflows
 the ledger, naming its first non-finite step.  Refusals close the matrix,
 each with the status the command line documents for it: a certificate
 that fails (1, printing its witness), and an invalid time grid, a table
-input without a path, a wave-wt trajectory replayed as wave-mixed and a
-port-Hamiltonian run whose sinusoid input of amplitude 1e308 overflows
-the states, refused naming the step whose right side is not finite (2
-each).
+input without a path, refuse-simulate-table-ragged (SIGNAL_TABLE with a
+field missing from one row), a wave-wt trajectory replayed as wave-mixed
+and a port-Hamiltonian run whose sinusoid input of amplitude 1e308
+overflows the states, refused naming the step whose right side is not
+finite (2 each).
 """
 
 import argparse
+import functools
 import os
 import subprocess
 import sys
@@ -70,10 +75,19 @@ def _sets(*pairs):
     return [arg for key, value in pairs for arg in ("--set", f"{key}={value}")]
 
 
+def note_before_header(stored: Path, edited: Path):
+    """Write stored to edited with a '#note' line before its column header."""
+    lines = stored.read_text(encoding="utf-8").splitlines(True)
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    edited.write_text("".join(lines[:header] + ["#note\n"] + lines[header:]), encoding="utf-8")
+
+
 def matrix(out: Path) -> list:
-    """(outdir, argv, expected exit status) of every case in run order; each
-    argv sets its outdir and a replay follows the run it replays.  Writes
-    SIGNAL_TABLE into the directory of the case that reads it."""
+    """(outdir, argv, expected exit status, prepare) of every case in run
+    order; each argv sets its outdir and a replay follows the run it
+    replays.  prepare is None or writes, just before its case runs, the
+    input file that the case derives from an earlier case's output.  Writes
+    the signal tables into the directories of the cases that read them."""
     cases = []
     drive = (("input.kind", "sinusoid"), ("input.freq", 3), ("initial.kind", "sine"))
     for preset, n_cells in PRESETS.items():
@@ -93,13 +107,15 @@ def matrix(out: Path) -> list:
             stored = out / "simulate-port-hamiltonian-backward_euler" / "trajectory.csv"
             cases.append((case, ["energy", *_sets(*grid, *drive, ("outdir", case)),
                                  "--trajectory", str(stored)]))
+    tables = {"simulate-wave-wt-table": SIGNAL_TABLE,
+              "refuse-simulate-table-ragged": SIGNAL_TABLE.replace("0.5,1,0.5", "0.5,1")}
+    for name, text in tables.items():
+        (out / name).mkdir(parents=True)
+        (out / name / "signal.csv").write_text(text, encoding="utf-8")
+    table = (("preset", "wave-wt"), ("grid.n_cells", PRESETS["wave-wt"]), ("input.kind", "table"))
     case = out / "simulate-wave-wt-table"
-    case.mkdir(parents=True)
-    (case / "signal.csv").write_text(SIGNAL_TABLE, encoding="utf-8")
-    cases.append((case, ["simulate", *_sets(
-        ("preset", "wave-wt"), ("grid.n_cells", PRESETS["wave-wt"]),
-        ("input.kind", "table"), ("input.path", case / "signal.csv"),
-        ("initial.kind", "sine"), ("outdir", case))]))
+    cases.append((case, ["simulate", *_sets(*table, ("input.path", case / "signal.csv"),
+                                            ("initial.kind", "sine"), ("outdir", case))]))
     for name, a, b, n_cells in BDSPACE_GRIDS:
         case = out / name
         cases.append((case, ["bdspace", *_sets(("grid.a", a), ("grid.b", b),
@@ -107,12 +123,20 @@ def matrix(out: Path) -> list:
     for workload in ("cubic-wave", "long-horizon"):
         cases += [(inv.outdir, list(inv.argv))
                   for inv in invocations(workload, WORKLOAD_PARAMS, out / workload)]
-    cases = [(case, args, 0) for case, args in cases]
+    cases = [(case, args, 0, None) for case, args in cases]
     replayed = out / "simulate-wave-wt-implicit_midpoint" / "trajectory.csv"
+    # the ledger names its source by file name, so the edited copy keeps it
+    case = out / "energy-hash-comment"
+    edited = case / "trajectory.csv"
+    cases.append((case, ["energy", *_sets(("grid.n_cells", PRESETS["wave-wt"]),
+                                          ("scheme", "implicit_midpoint"), *drive,
+                                          ("outdir", case)), "--trajectory", str(edited)],
+                  0, functools.partial(note_before_header, replayed, edited)))
     # the driven wave-wt and Maxwell runs (both on 24 cells) under a tolerance
     # that their roundoff exceeds
     tight = (("grid.n_cells", 24), *drive, ("tolerance", 1e-30))
     failed = out / "fail-simulate-wave-wt-tolerance" / "trajectory.csv"
+    ragged = out / "refuse-simulate-table-ragged" / "signal.csv"
     for name, status, args in (
         ("fail-simulate-wave-wt-tolerance", 1, ["simulate", *_sets(*tight)]),
         ("fail-energy-wave-wt-tolerance", 1,
@@ -128,6 +152,8 @@ def matrix(out: Path) -> list:
         ("refuse-wellposed-t_end-0", 2, ["wellposed", *_sets(("time.t_end", 0))]),
         ("refuse-simulate-table-without-path", 2,
          ["simulate", *_sets(("input.kind", "table"))]),
+        ("refuse-simulate-table-ragged", 2,
+         ["simulate", *_sets(*table, ("input.path", ragged))]),
         ("refuse-energy-wave-wt-as-wave-mixed", 2, ["energy", *_sets(
             ("preset", "wave-mixed"), ("grid.n_cells", PRESETS["wave-wt"]),
             ("scheme", "implicit_midpoint"), *drive), "--trajectory", str(replayed)]),
@@ -136,7 +162,7 @@ def matrix(out: Path) -> list:
             ("input.kind", "sinusoid"), ("input.amplitude", 1e308))]),
     ):
         case = out / name
-        cases.append((case, [*args, *_sets(("outdir", case))], status))
+        cases.append((case, [*args, *_sets(("outdir", case))], status, None))
     return cases
 
 
@@ -152,8 +178,10 @@ def main(argv=None) -> int:
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env.pop("EVOCTL_SEED", None)
     mismatched = []
-    for case, args, expected in matrix(out):
+    for case, args, expected, prepare in matrix(out):
         case.mkdir(parents=True, exist_ok=True)
+        if prepare is not None:
+            prepare()
         proc = subprocess.run([sys.executable, "-m", "evoctl.cli", *args], env=env,
                               capture_output=True, text=True)
         for name, text in (("stdout.txt", proc.stdout), ("stderr.txt", proc.stderr)):
