@@ -46,7 +46,6 @@ from .evolution import (
     causality_defect,
     check_wellposed,
     solve,
-    theta_schedule,
     weighted_norm,
 )
 from .models import (
@@ -65,60 +64,5 @@ from .models import (
     three_region_indicators,
 )
 from .operators import Grid1D, GradDivPair, build_sbp_pair_1d, ibp_defect, minimal_projector
-
-__all__ = [
-    "EvoctlError",
-    "HypothesisViolationError",
-    "InvalidGridError",
-    "NumericalRankError",
-    "PositivityError",
-    "ShapeMismatchError",
-    "StepSingularityError",
-    "Grid1D",
-    "GradDivPair",
-    "build_sbp_pair_1d",
-    "ibp_defect",
-    "minimal_projector",
-    "BoundaryDataSpace",
-    "USpace",
-    "boundary_triple_defect",
-    "build_u_space",
-    "compute_bd_space",
-    "dot_map",
-    "dual_projection",
-    "riesz_map",
-    "EvolutionarySystem",
-    "TimeGrid",
-    "Trajectory",
-    "WellPosednessReport",
-    "causality_defect",
-    "check_wellposed",
-    "solve",
-    "theta_schedule",
-    "weighted_norm",
-    "BlockPartition",
-    "ControlSystem",
-    "EnergyLedger",
-    "IOSamples",
-    "assemble_control",
-    "boundary_equation_defect",
-    "check_compatibility",
-    "energy_ledger",
-    "extract_io",
-    "step_ledger",
-    "MaxwellLiftResult",
-    "PortHamiltonianSpec",
-    "WaveSpec",
-    "all_hyperbolic_indicators",
-    "build_mixed_type_wave",
-    "build_port_hamiltonian",
-    "build_weiss_tucsnak_wave",
-    "deflation_basis",
-    "drive",
-    "elliptic_residual",
-    "endpoint_coupling_defect",
-    "maxwell_lift_solve",
-    "three_region_indicators",
-]
 
 __version__ = "0.1.0"

@@ -75,17 +75,15 @@ class BoundaryDataSpace:
                product.
     projector  coordinate map, basis^H times the graph form matrix.
     graph      the inner product the basis is orthonormal for.
-    embedding  coordinates back to vectors; the basis itself.
+
+    basis maps coordinates back to vectors: basis @ project(u) is the
+    boundary-data component of u.
     """
 
     side: str
     basis: np.ndarray
     projector: np.ndarray
     graph: GraphInnerProduct
-
-    @property
-    def embedding(self) -> np.ndarray:
-        return self.basis
 
     @property
     def dim(self) -> int:
@@ -198,10 +196,10 @@ def dot_map(bd_from: BoundaryDataSpace, bd_to: BoundaryDataSpace, pair: GradDivP
 def riesz_map(pair: GradDivPair) -> np.ndarray:
     """Riesz isomorphism (1 + G*G)^-1 of the node graph space.
 
-    G* is the weight-adjoint W0^-1 G^T W1.  The result maps a node
-    vector z, read as the functional <z|.>_W0, to its representer in the
-    graph inner product; equivalently it is the inverse of the graph
-    form read as an operator on the W0 space.
+    G* is the weight-adjoint W0^-1 G^T W1, that is -pair.minimal_div().
+    The result maps a node vector z, read as the functional <z|.>_W0, to
+    its representer in the graph inner product; equivalently it is the
+    inverse of the graph form read as an operator on the W0 space.
     """
     graph = GraphInnerProduct(W=pair.W0, O=pair.G, W_out=pair.W1)
     form = graph.matrix()
@@ -219,10 +217,10 @@ def dual_projection(
     Maps boundary coordinates c to the node vector that represents the
     corresponding boundary functional against the W0 inner product:
 
-        pi_dual = embedding_G - Ddot . embedding_D . Gdot,
+        pi_dual = basis_G - Ddot . basis_D . Gdot,
 
     with Ddot the minimal divergence (the boundary pairing stripped from
-    D).  Composing with the Riesz map recovers the plain embedding.
+    D).  Composing with the Riesz map recovers basis_G.
     """
     Q = dot_map(bdG, bdD, pair)
     return bdG.basis - pair.minimal_div() @ (bdD.basis @ Q)

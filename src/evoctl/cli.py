@@ -57,6 +57,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys as _sys
 import warnings
 from dataclasses import dataclass, replace
@@ -333,7 +334,7 @@ def _read_csv(path, what):
     """The comments (the text after each '#', stripped), the rows (2-D) and
     the file line number of each row of a file in write_csv's layout; the
     refusal of a file without rows or with a ragged or non-numeric row
-    names the file as 'what path'."""
+    names the file as 'what path', and the bad row by its file line."""
     comments, linenos = [], []
 
     def rows(fh):
@@ -353,7 +354,12 @@ def _read_csv(path, what):
             warnings.simplefilter("ignore", UserWarning)
             table = np.loadtxt(rows(fh), delimiter=",", ndmin=2)
     except ValueError as exc:
-        raise ValueError(f"{what} {path}: {exc}") from None
+        # loadtxt counts rows, from 1 when the column count changes and from 0
+        # when a value does not convert; the refusal names the file line
+        first = 1 if "columns changed" in str(exc) else 0
+        message = re.sub(r"at row (\d+)", lambda m: f"at line {linenos[int(m[1]) - first]}",
+                         str(exc))
+        raise ValueError(f"{what} {path}: {message}") from None
     if table.size == 0:
         raise ValueError(f"{what} {path} holds no samples")
     return comments, table, linenos
@@ -492,13 +498,13 @@ LEDGER_COLUMNS = ("t_a", "t_b", "stored_drop", "dissipation", "supply",
 
 def _write_run(cfg: RunConfig, outdir: Path, traj: Trajectory, y, ledger,
                ledger_note=None):
-    """Write a simulate run: trajectory.csv with the states at traj.times,
+    """Write a simulate run: trajectory.csv with the states at traj.grid.times(),
     io.csv with one row (sample time, traj.inputs, y) per step, and
     ledger.csv, whose header gains ledger_note when one is given."""
     # every command-line run is real (all presets, sources and profiles are)
     comments = _run_comments(cfg, traj.scheme, traj.n_euler_init_steps) + ["max_imag=0"]
     columns = ("t",) + tuple(f"x{i}" for i in range(traj.states.shape[1]))
-    write_csv(outdir / "trajectory.csv", comments, columns, [traj.times, traj.states])
+    write_csv(outdir / "trajectory.csv", comments, columns, [traj.grid.times(), traj.states])
     io_columns = ("t",) + tuple(f"u{i}" for i in range(traj.inputs.shape[1])) \
         + tuple(f"y{i}" for i in range(y.shape[1]))
     write_csv(outdir / "io.csv", comments, io_columns,
@@ -511,7 +517,7 @@ def _write_run(cfg: RunConfig, outdir: Path, traj: Trajectory, y, ledger,
 def _simulate_control(cfg: RunConfig, outdir: Path) -> int:
     sys = _build_preset(cfg)
     traj = drive(sys, _control_signal(cfg, sys.partition.n_u1), cfg.time, cfg.scheme)
-    ledger, defects = _ledger_columns(step_ledger(sys, traj), traj.times)
+    ledger, defects = _ledger_columns(step_ledger(sys, traj), traj.grid.times())
     _write_run(cfg, outdir, traj, extract_io(sys, traj).y_samples, ledger)
     return _verdict([("ledger defect", defects, cfg.tolerance)])
 
@@ -528,7 +534,7 @@ def _simulate_maxwell(cfg: RunConfig, outdir: Path) -> int:
     x = direct.states
     energy = 0.5 * ((pair.W0 * np.abs(x[:, :nn]) ** 2).sum(axis=1)
                     + (pair.W1 * np.abs(x[:, nn:]) ** 2).sum(axis=1))
-    times = direct.times
+    times = direct.grid.times()
     gaps = np.abs(lifted.states[1:] - direct.states[1:]).max(axis=1)
     zero = np.zeros(cfg.time.n_steps)
     y = direct.x_theta(0, cfg.time.n_steps)[:, nn:] @ bdD.projector.T

@@ -402,19 +402,14 @@ def energy_ledger(sys: ControlSystem, traj: Trajectory, a=0.0, b=None) -> Energy
 class IOSamples:
     """Boundary input/output samples recovered from the algebraic rows.
 
-    Iterating yields (w_samples, y_samples) so the result unpacks as a
-    pair; times are the scheme-consistent sample times and
-    max_deviation is the largest distance between the recovered values
-    and the trajectory's stored (w, y) components.
+    Row k of w_samples and y_samples belongs to step k, taken at
+    traj.sample_times()[k]; max_deviation is the largest distance between
+    the recovered values and the trajectory's stored (w, y) components.
     """
 
-    times: np.ndarray
     w_samples: np.ndarray
     y_samples: np.ndarray
     max_deviation: float
-
-    def __iter__(self):
-        return iter((self.w_samples, self.y_samples))
 
 
 def extract_io(sys: ControlSystem, traj: Trajectory) -> IOSamples:
@@ -457,7 +452,7 @@ def extract_io(sys: ControlSystem, traj: Trajectory) -> IOSamples:
     # step's solution is bitwise that of a solve of its own
     sol = np.linalg.solve(K, rhs[:, :, None])[:, :, 0] if K.size else rhs
     return IOSamples(
-        times=traj.sample_times(), w_samples=sol[:, :nw], y_samples=sol[:, nw:],
+        w_samples=sol[:, :nw], y_samples=sol[:, nw:],
         max_deviation=float(np.abs(sol - stored).max()) if sol.size else 0.0,
     )
 

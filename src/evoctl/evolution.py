@@ -162,12 +162,12 @@ class EvolutionarySystem:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States x^0..x^n on a time grid plus the source samples used.
+    """States x^0..x^n at grid.times() plus the source samples used.
 
     inputs[k] is the sample consumed by step k -> k+1, taken at
     sample_times()[k].  n_euler_init_steps counts the theta = 1 steps
     that start a midpoint run on singular M0; together with scheme it
-    fixes theta, the per-step schedule of theta_schedule.
+    fixes theta, the per-step schedule (theta_steps).
     """
 
     grid: TimeGrid
@@ -181,10 +181,6 @@ class Trajectory:
             raise ShapeMismatchError("states must hold n_steps + 1 rows")
         if self.inputs.shape[0] != self.grid.n_steps:
             raise ShapeMismatchError("inputs must hold one sample per step")
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.times()
 
     @property
     def theta(self) -> np.ndarray:
@@ -367,15 +363,6 @@ def theta_steps(scheme, n_steps, n_init) -> np.ndarray:
     return theta
 
 
-def theta_schedule(M0, scheme, n_steps) -> np.ndarray:
-    """theta of each step of a run of scheme on mass matrix M0 (n_euler_init_steps).
-
-    theta = 1 on backward_euler steps and on the initialization step of
-    an implicit_midpoint run on singular M0; theta = 1/2 otherwise.
-    """
-    return theta_steps(scheme, n_steps, n_euler_init_steps(scheme, m0_spectrum(M0)))
-
-
 @dataclass(frozen=True)
 class StepPlan:
     """A system prepared for one grid and scheme; theta and sample_times() derive
@@ -486,7 +473,7 @@ def weighted_norm(traj: Trajectory, component_weights) -> float:
     """
     n = traj.states.shape[1]
     W = require_shape(component_weights, (n, n), "component_weights")
-    t = traj.times
+    t = traj.grid.times()
     quad = np.einsum("ki,ij,kj->k", traj.states.conj(), W, traj.states).real
     integrand = np.exp(-2.0 * traj.grid.nu * t) * quad
     total = float(np.trapezoid(integrand, t))

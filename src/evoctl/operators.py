@@ -20,10 +20,10 @@ two-dimensional on every grid, the discrete counterpart of the
 two-parameter solution family of u'' = u.  Both kernels consist of
 sampled growing/decaying exponentials.
 
-The weighted adjoints ``W0^-1 G^T W1`` and ``W1^-1 D^T W0`` give the
-"minimal" versions of the two operators (derivatives with the boundary
-pairing removed); they agree with ``D`` and ``G`` on vectors carrying no
-boundary data.
+The negated weighted adjoints ``-W0^-1 G^T W1`` and ``-W1^-1 D^T W0`` are
+the "minimal" versions of the two operators (derivatives with the boundary
+pairing removed, ``minimal_div`` and ``minimal_grad``); they agree with
+``D`` and ``G`` on vectors carrying no boundary data.
 """
 
 from __future__ import annotations
@@ -91,25 +91,19 @@ class GradDivPair:
     def n_cells(self) -> int:
         return self.grid.n_cells
 
-    def grad_adjoint(self) -> np.ndarray:
-        """W-weighted adjoint of G: W0^-1 G^T W1, cells -> nodes."""
-        return (self.G.T * self.W1[None, :]) / self.W0[:, None]
-
-    def div_adjoint(self) -> np.ndarray:
-        """W-weighted adjoint of D: W1^-1 D^T W0, nodes -> cells."""
-        return (self.D.T * self.W0[None, :]) / self.W1[:, None]
-
     def minimal_div(self) -> np.ndarray:
-        """Divergence with the boundary pairing removed: D - W0^-1 T.
+        """Divergence with the boundary pairing removed: D - W0^-1 T,
+        cells -> nodes.
 
-        Equals -grad_adjoint(); agrees with D on cell vectors v with
-        T v = 0, i.e. vectors carrying no boundary data.
+        The negated weighted adjoint of G, -W0^-1 G^T W1; agrees with D on
+        cell vectors v with T v = 0, i.e. vectors carrying no boundary data.
         """
-        return -self.grad_adjoint()
+        return -((self.G.T * self.W1[None, :]) / self.W0[:, None])
 
     def minimal_grad(self) -> np.ndarray:
-        """Gradient with the boundary pairing removed: G - W1^-1 T^T."""
-        return -self.div_adjoint()
+        """Gradient with the boundary pairing removed: G - W1^-1 T^T,
+        nodes -> cells; the negated weighted adjoint of D, -W1^-1 D^T W0."""
+        return -((self.D.T * self.W0[None, :]) / self.W1[:, None])
 
     def node_inner(self, u, v):
         """Weighted node inner product <u|v>_W0 (conjugate-linear in u)."""

@@ -111,7 +111,7 @@ class TestAcceptance:
             bdD = compute_bd_space(pair, "D")
             dims_ok = dims_ok and bdG.dim == 2 and bdD.dim == 2
             u = np.exp(pair.grid.nodes())
-            errs.append(bdG.graph.norm(u - bdG.embedding @ bdG.project(u)))
+            errs.append(bdG.graph.norm(u - bdG.basis @ bdG.project(u)))
         ratios = [c / f for c, f in zip(errs, errs[1:])]
         ratios_ok = all(2.8 < r < 5.2 for r in ratios)
         assert report(2, dims_ok and ratios_ok,
@@ -144,7 +144,7 @@ class TestAcceptance:
         worst = 0.0
         for _ in range(100):
             u = cplx(rng, pair.n_nodes)
-            ub = bdG.embedding @ bdG.project(u)
+            ub = bdG.basis @ bdG.project(u)
             umin = u - ub
             cross = max(abs(bdG.graph.inner(bdG.basis[:, k], umin))
                         for k in range(bdG.dim))

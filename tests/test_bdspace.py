@@ -101,7 +101,7 @@ class TestComputeBdSpace:
             pair = build_sbp_pair_1d(Grid1D(0.0, 1.0, n))
             bd = compute_bd_space(pair, "G")
             u = np.exp(pair.grid.nodes())
-            err = bd.graph.norm(u - bd.embedding @ bd.project(u))
+            err = bd.graph.norm(u - bd.basis @ bd.project(u))
             errs.append(err)
         for coarse, fine in zip(errs, errs[1:]):
             ratio = coarse / fine
@@ -113,7 +113,7 @@ class TestComputeBdSpace:
         rng = np.random.default_rng(seed=55)
         for _ in range(20):
             u = rng.standard_normal(17) + 1j * rng.standard_normal(17)
-            ub = bdG.embedding @ bdG.project(u)
+            ub = bdG.basis @ bdG.project(u)
             umin = u - ub
             assert abs(umin[0]) < 1e-10 and abs(umin[-1]) < 1e-10
             for k in range(bdG.dim):
@@ -151,8 +151,8 @@ class TestDotMap:
         Q = dot_map(bdG, bdD, pair16)
         rng = np.random.default_rng(seed=8)
         c = rng.standard_normal(2)
-        u = bdG.embedding @ c
-        v = bdD.embedding @ (Q @ c)
+        u = bdG.basis @ c
+        v = bdD.basis @ (Q @ c)
         assert np.max(np.abs(v - pair16.G @ u)) < 1e-10
 
     def test_parity_flip_on_symmetric_interval(self):
@@ -168,7 +168,7 @@ class TestDotMap:
         assert np.linalg.norm(even) > 1e-3
         assert np.max(np.abs(flip_nodes @ even - even)) < 1e-12
         Q = dot_map(bdG, bdD, pair)
-        v = bdD.embedding @ (Q @ bdG.project(even))
+        v = bdD.basis @ (Q @ bdG.project(even))
         assert np.max(np.abs(flip_cells @ v + v)) < 1e-10, "transported vector is not odd"
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -193,7 +193,7 @@ class TestDotMap:
 class TestRieszMap:
     def test_inverse_of_graph_operator(self, pair16):
         R = riesz_map(pair16)
-        Gstar = pair16.grad_adjoint()
+        Gstar = -pair16.minimal_div()
         op = np.eye(17) + Gstar @ pair16.G
         assert np.max(np.abs(R @ op - np.eye(17))) < 1e-10
 
@@ -223,7 +223,7 @@ class TestDualProjection:
         bdG, bdD = spaces16
         P = dual_projection(bdG, bdD, pair16)
         R = riesz_map(pair16)
-        err = np.max(np.abs(R @ P - bdG.embedding))
+        err = np.max(np.abs(R @ P - bdG.basis))
         assert err < 1e-10, f"dual projection mismatch: {err:.2e}"
 
     def test_pairing_normalization(self, pair16, spaces16):
@@ -307,7 +307,7 @@ class TestGreenIdentity:
         x[0] = x[-1] = 0.0
         y = rng.standard_normal(16) + 0j
         # cell vector with no boundary data: kill its T-pairing
-        y = y - bdD.embedding @ bdD.project(y)
+        y = y - bdD.basis @ bdD.project(y)
         x2 = np.zeros(17, dtype=complex)
         y2 = np.zeros(16, dtype=complex)
         d = boundary_triple_defect(pair16, x, y, x2, y2, bdG, bdD)

@@ -307,6 +307,10 @@ class TestSimulate:
         err = np.abs(rows[:, header.index("u0")] - hat).max()
         assert err < 1e-12, f"table interpolation deviates: {err:.2e}"
 
+    def test_table_input_needs_a_path(self, tmp_path, capsys):
+        assert run(tmp_path, "simulate", "--set", "input.kind=table") == 2
+        assert capsys.readouterr().err == "error: input.kind=table needs input.path\n"
+
     def test_malformed_table_exits_2(self, tmp_path):
         """A table with the wrong column count is a configuration error."""
         sig = tmp_path / "sig.csv"
@@ -316,9 +320,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("text,words", [
         ("t,u0,u1\n0,0,0\n0.5,1\n1,0,0\n",
-         ": the number of columns changed from 3 to 2 at row 2;"),
+         ": the number of columns changed from 3 to 2 at line 3;"),
         ("t,u0,u1\n0,0,0\n1_000,1,0\n",
-         ": could not convert string '1_000' to float64 at row 1, column 1."),
+         ": could not convert string '1_000' to float64 at line 3, column 1."),
         ("# no rows\nt,u0,u1\n\n", " holds no samples\n"),
         ("", " holds no samples\n"),
     ])

@@ -7,6 +7,7 @@ satisfies the compatibility conditions exactly, so the midpoint energy
 ledger closes to machine precision once the Euler start-up step is past.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from evoctl.control import (
 )
 from evoctl.errors import HypothesisViolationError, ShapeMismatchError
 from evoctl.evolution import (_ROWS, EvolutionarySystem, TimeGrid, Trajectory, causality_defect,
-                              prepare, sample_source, solve, theta_schedule)
+                              prepare, sample_source, solve)
 from evoctl.models import (PortHamiltonianSpec, WaveSpec, build_mixed_type_wave,
                            build_port_hamiltonian, build_weiss_tucsnak_wave, maxwell_system,
                            three_region_indicators)
@@ -168,6 +169,44 @@ class TestAssembleControl:
             assemble_control(part, M0b, M1b, np.zeros((2, 2)), np.zeros((3, 2)),
                              (None, None, None), n_w=1)
 
+    @staticmethod
+    def assemble(M0_blocks, n_w=1):
+        """Fine sizes (1, 2, 1, 1) at n_w = 1 and an identity observation block."""
+        M1b = empty_blocks()
+        M1b[3][3] = 1.0
+        return assemble_control(BlockPartition(n_h0=1, n_h1=3, n_y=1, n_u1=1), M0_blocks, M1b,
+                                np.zeros((2, 1)), None, (None, None, None), n_w=n_w)
+
+    def test_rejects_a_block_list_of_the_wrong_size(self):
+        with pytest.raises(ShapeMismatchError,
+                           match=re.escape("M0_blocks must be a 4x4 nested block list")):
+            self.assemble(empty_blocks()[:3])
+
+    @pytest.mark.parametrize("entry, words", [
+        (1.0, "M0_blocks[0][1] is scalar but the block is (1, 2)"),
+        (np.ones((2, 2)), "M0_blocks[0][1] has shape (2, 2), expected (1, 2)"),
+    ], ids=["scalar", "matrix"])
+    def test_rejects_an_entry_of_the_wrong_shape(self, entry, words):
+        M0b = empty_blocks()
+        M0b[0][1] = entry
+        with pytest.raises(ShapeMismatchError, match=re.escape(words)):
+            self.assemble(M0b)
+
+    @pytest.mark.parametrize("n_w", [-1, 4])
+    def test_rejects_n_w_outside_the_middle_block(self, n_w):
+        with pytest.raises(ShapeMismatchError, match=re.escape(
+                f"n_w must lie in [0, 3] (the middle block size), got {n_w}")):
+            self.assemble(empty_blocks(), n_w=n_w)
+
+    @pytest.mark.parametrize("mats, words", [
+        ({"M0": np.eye(5), "M1": np.zeros((5, 5)), "A": np.zeros((5, 5)), "J": np.zeros((5, 1))},
+         "M0 must be 4x4, got (5, 5)"),
+        ({"J": np.zeros((4, 2))}, "J must be 4x1, got (4, 2)"),
+    ], ids=["M0", "J"])
+    def test_control_system_checks_its_matrices_against_the_partition(self, mats, words):
+        with pytest.raises(ShapeMismatchError, match=re.escape(words)):
+            replace(wave_example_system(), **mats)
+
     def test_drive_rejects_a_control_of_the_wrong_length(self):
         """A control signal must have one entry per control input."""
         sys = wave_example_system()
@@ -299,6 +338,15 @@ class TestCheckCompatibility:
         r0, r1 = check_compatibility(rotated)
         assert abs(r0 - d0) < 1e-11, f"rotation moved first defect by {abs(r0 - d0):.2e}"
         assert abs(r1 - d1) < 1e-11, f"rotation moved second defect by {abs(r1 - d1):.2e}"
+
+    def test_empty_observation_block_is_refused(self):
+        part = BlockPartition(n_h0=1, n_h1=2, n_y=0, n_u1=1)
+        M1b = empty_blocks()
+        M1b[2][2] = 1.0
+        sys = assemble_control(part, empty_blocks(), M1b, np.zeros((1, 1)), None,
+                               (None, None, None), n_w=1)
+        with pytest.raises(HypothesisViolationError, match="^observation block is empty$"):
+            check_compatibility(sys)
 
     def test_singular_observation_block_is_refused(self):
         part = BlockPartition(n_h0=1, n_h1=2, n_y=1, n_u1=1)
@@ -484,6 +532,30 @@ class TestEnergyLedger:
         with pytest.raises(HypothesisViolationError, match="compatibility"):
             energy_ledger(broken, traj)
 
+    @staticmethod
+    def zero_trajectory(n_inputs=1):
+        return Trajectory(grid=TimeGrid(t_end=1.0, n_steps=2),
+                          states=np.zeros((3, 4)), inputs=np.zeros((2, n_inputs)),
+                          scheme="backward_euler")
+
+    def test_refuses_coupling_on_observation_rows(self):
+        sys = wave_example_system()
+        A = sys.A.copy()
+        A[3, 0], A[0, 3] = 1.0, -1.0
+        with pytest.raises(HypothesisViolationError,
+                           match="requires the observation rows of A to vanish"):
+            energy_ledger(replace(sys, A=A), self.zero_trajectory())
+
+    @pytest.mark.parametrize("a, b, indices", [(0.5, 0.5, "1, 1"), (1.0, 0.5, "2, 1")])
+    def test_rejects_an_empty_interval(self, a, b, indices):
+        with pytest.raises(ValueError, match=f"need a < b on the grid, got indices {indices}$"):
+            energy_ledger(wave_example_system(), self.zero_trajectory(), a=a, b=b)
+
+    def test_rejects_control_samples_of_the_wrong_shape(self):
+        with pytest.raises(ShapeMismatchError,
+                           match=re.escape("control samples must be (2, 1), got (2, 2)")):
+            energy_ledger(wave_example_system(), self.zero_trajectory(n_inputs=2))
+
     def test_rejects_off_grid_interval(self):
         rng = np.random.default_rng(36)
         sys = wave_example_system()
@@ -523,7 +595,8 @@ class TestExtractIO:
         grid = TimeGrid(t_end=2.0, n_steps=32)
         x0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         traj = drive(sys, self.u_signal(1), x0, grid, "implicit_midpoint")
-        w, y = extract_io(sys, traj)
+        io = extract_io(sys, traj)
+        w, y = io.w_samples, io.y_samples
         u_used = traj.inputs
         worst_in = worst_out = 0.0
         for k in range(1, grid.n_steps):
@@ -534,16 +607,6 @@ class TestExtractIO:
         assert worst_in < 1e-10, f"input relation defect {worst_in:.2e}"
         assert worst_out < 1e-10, f"output relation defect {worst_out:.2e}"
 
-    def test_unpacks_as_pair(self):
-        rng = np.random.default_rng(43)
-        sys = wave_example_system()
-        grid = TimeGrid(t_end=0.5, n_steps=4)
-        x0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        traj = drive(sys, self.u_signal(1), x0, grid, "backward_euler")
-        io = extract_io(sys, traj)
-        w, y = io
-        assert w is io.w_samples and y is io.y_samples
-
     def test_sample_times_follow_the_scheme(self):
         """Euler start-up samples sit at t_1, midpoint ones at midpoints."""
         rng = np.random.default_rng(44)
@@ -551,10 +614,10 @@ class TestExtractIO:
         grid = TimeGrid(t_end=1.0, n_steps=4)
         x0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         traj = drive(sys, self.u_signal(1), x0, grid, "implicit_midpoint")
-        io = extract_io(sys, traj)
+        sample_times = traj.sample_times()
         times = grid.times()
-        assert io.times[0] == times[1]
-        assert np.allclose(io.times[1:], times[1:-1] + 0.5 * grid.tau)
+        assert sample_times[0] == times[1]
+        assert np.allclose(sample_times[1:], times[1:-1] + 0.5 * grid.tau)
 
     def test_non_finite_state_poisons_the_deviation(self):
         """A NaN anywhere in the states shows up in max_deviation."""
@@ -707,7 +770,7 @@ class TestRowBlocks:
         first, is refused at its own step."""
         sys, _ = self.run(scheme)
         grid = TimeGrid(t_end=1.0, n_steps=self.n_steps)
-        bad = grid.sample_times(theta_schedule(sys.M0, scheme, self.n_steps))[step]
+        bad = prepare(sys, grid, scheme).sample_times()[step]
         u = lambda t: np.full(2, np.nan) if t == bad else np.ones(2)
         with pytest.raises(ValueError, match="must not contain infs or NaNs: "
                                              f"the right side of step {step}$"):
@@ -802,7 +865,7 @@ class TestBoundaryEquationDefect:
         pair, _, bdD, _ = geometry
         sys = self.build_system(geometry)
         x = np.zeros(sys.dim, dtype=complex)
-        x[sys.fine_slice(1)] = np.sqrt(pair.W1) * bdD.embedding[:, 0]
+        x[sys.fine_slice(1)] = np.sqrt(pair.W1) * bdD.basis[:, 0]
         defects = boundary_equation_defect(sys, self.constant_trajectory(sys, x))
         assert defects.max() > 0.1, f"boundary flux went unnoticed {defects.max():.2e}"
 
@@ -867,7 +930,13 @@ class TestStepPlan:
             assert np.array_equal(traj.states, again.states)
             assert np.array_equal(traj.inputs, again.inputs)
             assert traj.n_euler_init_steps == again.n_euler_init_steps == plan.n_init
-            assert np.array_equal(plan.theta, theta_schedule(sys.M0, scheme, grid.n_steps))
+            # theta = 1 on Euler steps and on the start-up step of a midpoint
+            # run on singular M0, 1/2 otherwise
+            eigs = np.abs(np.linalg.eigvalsh(sys.M0))
+            midpoint = scheme == "implicit_midpoint"
+            expected = np.full(grid.n_steps, 0.5 if midpoint else 1.0)
+            expected[:int(midpoint and eigs.min() <= 1e-12 * max(eigs.max(), 1.0))] = 1.0
+            assert np.array_equal(plan.theta, expected)
             assert np.array_equal(plan.sample_times(), traj.sample_times())
         singular = random_compatible_system(rng)
         assert prepare(singular, grid, scheme).n_init == (scheme == "implicit_midpoint")
@@ -992,5 +1061,6 @@ class TestDtypeFollowsTheData:
         assert rel_close(ours.states, ref.states, 1e-13)
         for term, ref_term in zip(step_ledger(real, ours)[1:], step_ledger(cplx, ref)[1:]):
             assert rel_close(term, ref_term, 1e-13)
-        io, ref_io = (np.hstack(list(extract_io(*run))) for run in ((real, ours), (cplx, ref)))
+        io, ref_io = (np.hstack([io.w_samples, io.y_samples])
+                      for io in (extract_io(real, ours), extract_io(cplx, ref)))
         assert rel_close(io, ref_io, 1e-13)

@@ -20,8 +20,8 @@ from evoctl.evolution import (
     causality_defect,
     check_wellposed,
     row_blocks,
+    prepare,
     solve,
-    theta_schedule,
     weighted_norm,
 )
 from evoctl.models import WaveSpec, build_weiss_tucsnak_wave
@@ -70,6 +70,16 @@ class TestEvolutionarySystem:
         mats[name][1, 1] = bad
         with pytest.raises(HypothesisViolationError, match=f"^{name} is not finite$"):
             EvolutionarySystem(**mats)
+
+    @pytest.mark.parametrize("mats, words", [
+        ({"M0": np.ones((2, 3))}, "M0 must be square, got shape (2, 3)"),
+        ({"M1": np.zeros((3, 3))}, "M1 must be 2x2, got (3, 3)"),
+        ({"J": np.zeros((3, 1))}, "J must have 2 rows, got (3, 1)"),
+    ], ids=["M0-square", "M1-size", "J-rows"])
+    def test_rejects_matrices_of_the_wrong_shape(self, mats, words):
+        base = {"M0": np.eye(2), "M1": np.zeros((2, 2)), "A": np.zeros((2, 2)), "J": np.eye(2)}
+        with pytest.raises(ShapeMismatchError, match=f"^{re.escape(words)}$"):
+            EvolutionarySystem(**{**base, **mats})
 
     def test_vector_j_promoted_to_column(self):
         sys = EvolutionarySystem(M0=np.eye(2), M1=np.zeros((2, 2)),
@@ -204,6 +214,11 @@ class TestCheckWellposed:
         assert abs(rep.c - np.linalg.eigvalsh(nu_max * M0 + re_m1)[0]) <= 1e-12 * scale
         assert rep.c >= np.linalg.eigvalsh(nu * M0 + re_m1)[0] - 1e-10 * scale
         assert rep.ok == (rep.c > 0)
+
+    @pytest.mark.parametrize("nu_max", [0.0, -1.0, np.nan])
+    def test_rejects_a_weight_that_is_not_positive(self, nu_max):
+        with pytest.raises(ValueError, match=f"^nu_max must be positive, got {nu_max}$"):
+            check_wellposed(np.eye(2), np.eye(2), nu_max)
 
     def test_rejects_nonhermitian_m0(self):
         with pytest.raises(HypothesisViolationError):
@@ -383,6 +398,15 @@ class TestSolve:
                            match=f"must not contain infs or NaNs: the right side of step {step}$"):
             solve(sys, np.array(x0), f, TimeGrid(t_end=1.0, n_steps=n_steps), "backward_euler")
 
+    @pytest.mark.parametrize("n_states, n_inputs, words", [
+        (3, 3, "states must hold n_steps + 1 rows"),
+        (4, 4, "inputs must hold one sample per step"),
+    ], ids=["states", "inputs"])
+    def test_trajectory_rejects_rows_off_its_grid(self, n_states, n_inputs, words):
+        with pytest.raises(ShapeMismatchError, match=f"^{re.escape(words)}$"):
+            evolution.Trajectory(TimeGrid(t_end=1.0, n_steps=3), np.zeros((n_states, 2)),
+                                 np.zeros((n_inputs, 1)), "backward_euler")
+
     def test_unknown_scheme_rejected(self):
         sys = EvolutionarySystem(M0=np.eye(1), M1=np.eye(1), A=np.zeros((1, 1)), J=np.eye(1))
         with pytest.raises(ValueError):
@@ -550,7 +574,7 @@ class TestCausality:
         f2 = lambda t: f1(t) + (1e-14 if t < start else 1e-11) * np.arange(5)
         grid = TimeGrid(t_end=1.0, n_steps=10)
         a = 0.5
-        times = grid.sample_times(evolution.theta_schedule(sys.M0, scheme, grid.n_steps))
+        times = prepare(sys, grid, scheme).sample_times()
         first = next(t for t in times if t <= a + 1e-12 and np.abs(f1(t) - f2(t)).max()
                      > 1e-13 * max(1.0, np.abs(f1(t)).max()))
         with pytest.raises(HypothesisViolationError,
@@ -604,22 +628,26 @@ class TestThetaSchedule:
     def test_schedule(self, M0, scheme, first, rest):
         """theta is 1 on Euler steps and on the start-up step of a
         midpoint run on singular M0, and 1/2 otherwise."""
-        theta = theta_schedule(M0, scheme, 5)
+        theta = prepare(self.system(M0), TimeGrid(t_end=1.0, n_steps=5), scheme).theta
         assert theta[0] == first and np.all(theta[1:] == rest)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="scheme"):
-            theta_schedule(np.eye(2), "crank_nicolson", 3)
+            prepare(self.system(np.eye(2)), TimeGrid(t_end=1.0, n_steps=3), "crank_nicolson")
+
+    @staticmethod
+    def system(M0):
+        n = len(M0)
+        return EvolutionarySystem(M0=M0, M1=np.eye(n), A=np.zeros((n, n)), J=np.eye(n))
 
     @pytest.mark.parametrize("scheme", ["backward_euler", "implicit_midpoint"])
     def test_trajectory_reads_back_the_schedule(self, scheme):
         """A solved trajectory carries the schedule, samples its source at
         t_k + theta tau and yields x_theta = (1 - theta) x^k + theta x^{k+1}."""
-        M0 = np.diag([1.0, 1.0, 0.0])
-        sys = EvolutionarySystem(M0=M0, M1=np.eye(3), A=np.zeros((3, 3)), J=np.eye(3))
+        sys = self.system(np.diag([1.0, 1.0, 0.0]))
         grid = TimeGrid(t_end=1.0, n_steps=6)
         traj = solve(sys, np.ones(3), lambda t: t * np.ones(3), grid, scheme)
-        assert np.array_equal(traj.theta, theta_schedule(M0, scheme, 6))
+        assert np.array_equal(traj.theta, prepare(sys, grid, scheme).theta)
         times = grid.times()
         assert np.allclose(traj.sample_times(), times[:-1] + traj.theta * grid.tau)
         assert np.allclose(traj.inputs[:, 0], traj.sample_times())

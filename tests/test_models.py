@@ -12,6 +12,7 @@ through the boundary pairing rows side by side.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,15 @@ class TestIndicators:
         ind = all_hyperbolic_indicators(grid)
         ind["dispersive"] = ind.pop("elliptic")
         with pytest.raises(ValueError, match="keys"):
+            build_mixed_type_wave(WaveSpec(grid=grid), ind)
+
+    def test_masks_of_the_wrong_shape_rejected(self):
+        grid = Grid1D(0.0, 1.0, 6)
+        ind = all_hyperbolic_indicators(grid)
+        ind["hyperbolic"] = (ind["hyperbolic"][0][:-1], ind["hyperbolic"][1])
+        with pytest.raises(ShapeMismatchError, match=re.escape(
+                "indicator 'hyperbolic' must be boolean masks of shapes (7,) and (6,), "
+                "got (6,) and (6,)")):
             build_mixed_type_wave(WaveSpec(grid=grid), ind)
 
     def test_overlap_and_gap_rejected(self):
@@ -596,6 +606,11 @@ class TestPortHamiltonian:
         with pytest.warns(RuntimeWarning, match="damping"):
             build_port_hamiltonian(spec)
 
+    def test_non_square_nmat_rejected(self):
+        with pytest.raises(ShapeMismatchError,
+                           match=re.escape("Nmat must be square, got shape (1, 2)")):
+            PortHamiltonianSpec(grid=Grid1D(0.0, 1.0, 8), Nmat=[[1.0, 2.0]])
+
     def test_singular_nmat_rejected(self):
         with pytest.raises(HypothesisViolationError):
             PortHamiltonianSpec(grid=Grid1D(0.0, 1.0, 8),
@@ -737,6 +752,11 @@ class TestMaxwellLift:
         with pytest.raises(ValueError, match="diagonal"):
             maxwell_lift_solve(self.pair, full, None, None, None, tg,
                                "backward_euler")
+        for eps, mu, words in (
+                (np.eye(3), None, "eps must be 33x33 or a length-33 diagonal, got (3, 3)"),
+                (None, np.ones(3), "mu must be a scalar or a length-32 diagonal, got (3,)")):
+            with pytest.raises(ShapeMismatchError, match=re.escape(words)):
+                maxwell_lift_solve(self.pair, eps, mu, None, None, tg, "backward_euler")
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_routes_share_one_plan(self, calls_to, scheme):
@@ -783,3 +803,7 @@ class TestMaxwellLift:
         with pytest.raises(ShapeMismatchError):
             maxwell_lift_solve(self.pair, None, None, None,
                                np.zeros(5), tg, "backward_euler")
+        with pytest.raises(ShapeMismatchError,
+                           match=re.escape("x0 must be (E0, H0) or a flat state")):
+            maxwell_lift_solve(self.pair, None, None, None,
+                               (self.E0, self.H0, self.H0), tg, "backward_euler")

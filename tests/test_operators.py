@@ -181,8 +181,10 @@ class TestKernelDimensions:
 
 class TestMinimalOperators:
     def test_minimal_div_is_minus_grad_adjoint(self):
+        """minimal_div is -W0^-1 G^T W1, bit for bit."""
         pair = build_sbp_pair_1d(Grid1D(0.0, 1.0, 9))
-        err = np.max(np.abs(pair.minimal_div() + pair.grad_adjoint()))
+        grad_adjoint = (pair.G.T * pair.W1[None, :]) / pair.W0[:, None]
+        err = np.max(np.abs(pair.minimal_div() + grad_adjoint))
         assert err == 0.0
 
     def test_minimal_div_agrees_with_div_off_boundary_pairing(self):
@@ -213,6 +215,16 @@ class TestMinimalOperators:
         lhs = pair.cell_inner(pair.minimal_grad() @ u, v)
         rhs = pair.node_inner(u, -(pair.D @ v))
         assert abs(lhs - rhs) < 1e-12
+
+
+    @pytest.mark.parametrize("inner, u, v, words", [
+        ("node_inner", 9, 10, "node vectors must have length n_nodes"),
+        ("cell_inner", 9, 8, "cell vectors must have length n_cells"),
+    ], ids=["node", "cell"])
+    def test_inner_products_check_lengths(self, inner, u, v, words):
+        pair = build_sbp_pair_1d(Grid1D(0.0, 1.0, 8))
+        with pytest.raises(ShapeMismatchError, match=f"^{words}$"):
+            getattr(pair, inner)(np.zeros(u), np.zeros(v))
 
 
 class TestMinimalProjector:
