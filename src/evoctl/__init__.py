@@ -57,7 +57,6 @@ from .models import (
     build_port_hamiltonian,
     build_weiss_tucsnak_wave,
     deflation_basis,
-    drive,
     elliptic_residual,
     endpoint_coupling_defect,
     maxwell_lift_solve,

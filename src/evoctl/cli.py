@@ -69,14 +69,13 @@ from .bdspace import compute_bd_space, dot_map
 from .control import ControlSystem, extract_io, step_ledger
 from .errors import EvoctlError
 from .evolution import (SCHEMES, TimeGrid, Trajectory, c_min, check_wellposed, m0_spectrum,
-                        n_euler_init_steps, sample_source, theta_steps)
+                        n_euler_init_steps, sample_source, solve, theta_steps)
 from .models import (
     PortHamiltonianSpec,
     WaveSpec,
     build_mixed_type_wave,
     build_port_hamiltonian,
     build_weiss_tucsnak_wave,
-    drive,
     maxwell_lift_solve,
     maxwell_system,
     three_region_indicators,
@@ -145,7 +144,10 @@ def _number(name, value, kind=float):
     """A finite float or int; null, bool and fractional counts are refused."""
     if value is None or isinstance(value, (bool, list, dict)):
         raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
     if not math.isfinite(number) or kind(number) != number:
         raise ValueError(f"{name} must be a finite {kind.__name__}, got {value}")
     return kind(number)
@@ -411,6 +413,9 @@ def _control_signal(cfg: RunConfig, n_inputs):
         return u
     if kind == "table":
         path = cfg.input["path"]
+        # open() takes an int for a file descriptor: 1 would read and close stdout
+        if path is not None and not isinstance(path, str):
+            raise ValueError(f"input.path must be a path string, got {json.dumps(path)}")
         if not path:
             raise ValueError("input.kind=table needs input.path")
         return _table_signal(path, n_inputs)
@@ -445,20 +450,22 @@ def _run_comments(cfg: RunConfig, scheme, n_init):
 
 def cmd_wellposed(cfg: RunConfig, outdir: Path, zero_damping: bool) -> int:
     sys = _build_preset(cfg)
-    M0, M1 = sys.M0, np.array(sys.M1)
+    re_m1 = sys.re_m1()
     if zero_damping:
         if not isinstance(sys, ControlSystem):
             raise ValueError("--zero-damping applies to presets with a Y block")
+        # zeroing the y rows and columns of M1 zeroes those of Re M1
         sl = sys.partition.sl_y
-        M1[sl, :] = 0.0
-        M1[:, sl] = 0.0
+        re_m1[sl, :] = 0.0
+        re_m1[:, sl] = 0.0
 
-    re_m1 = 0.5 * (M1 + M1.conj().T)
+    # Re M1 is Hermitian, so check_wellposed takes it for M1: its real part is
+    # itself, bit for bit.  An infinite nu_max is refused before the sweep.
+    report = check_wellposed(sys.M0, re_m1, nu_max=2.0 * cfg.time.nu)
     nu_values = [(k + 1) * (2.0 * cfg.time.nu) / 16.0 for k in range(16)]
     write_csv(outdir / "wellposed.csv", _base_comments(cfg), ("nu", "c_min"),
-              [nu_values, c_min(M0, re_m1, nu_values)])
+              [nu_values, c_min(sys.M0, re_m1, nu_values)])
 
-    report = check_wellposed(M0, M1, nu_max=2.0 * cfg.time.nu)
     if not report.ok:
         print(f"well-posedness fails: best c = {report.c:.6e} at nu = "
               f"{report.nu0:.6e} (need c > 0)")
@@ -516,7 +523,7 @@ def _write_run(cfg: RunConfig, outdir: Path, traj: Trajectory, y, ledger,
 
 def _simulate_control(cfg: RunConfig, outdir: Path) -> int:
     sys = _build_preset(cfg)
-    traj = drive(sys, _control_signal(cfg, sys.partition.n_u1), cfg.time, cfg.scheme)
+    traj = solve(sys, sys.x0, _control_signal(cfg, sys.partition.n_u1), cfg.time, cfg.scheme)
     ledger, defects = _ledger_columns(step_ledger(sys, traj), traj.grid.times())
     _write_run(cfg, outdir, traj, extract_io(sys, traj).y_samples, ledger)
     return _verdict([("ledger defect", defects, cfg.tolerance)])

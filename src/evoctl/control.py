@@ -433,14 +433,13 @@ def extract_io(sys: ControlSystem, traj: Trajectory) -> IOSamples:
         raise HypothesisViolationError(
             "input/output recovery requires the (w, y) rows of M0 to vanish"
         )
-    M1A = sys.M1 + sys.A
-    K = M1A[wy, wy]
+    K = sys.M1[wy, wy] + sys.A[wy, wy]
     if K.size:
         require_invertible(
             K, "the (w, y) block of M1 + A is not invertible; input/output "
             "recovery presupposes its bounded inverse"
         )
-    B_wy, M1A_wy_vz = sys.J[wy], M1A[wy, vz]
+    B_wy, M1A_wy_vz = sys.J[wy], sys.M1[wy, vz] + sys.A[wy, vz]
     rhs = np.zeros((traj.grid.n_steps, nw + ny),
                    dtype=np.result_type(traj.inputs, traj.states, B_wy, M1A_wy_vz))
     stored = np.zeros_like(rhs)

@@ -49,6 +49,7 @@ weighted_norm evaluates the exponentially weighted space-time norm.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -220,8 +221,8 @@ class WellPosednessReport:
 
 def _blocks(*mats) -> list:
     """Ascending connected components of the nonzero pattern of mats, a (k, s) array per size s."""
-    pattern = sum(mat != 0 for mat in mats)
-    rows, cols = np.nonzero(pattern + pattern.T)
+    pattern = functools.reduce(np.logical_or, (mat != 0 for mat in mats))
+    rows, cols = np.nonzero(pattern | pattern.T)
     nbrs = np.split(cols, np.searchsorted(rows, np.arange(1, len(pattern))))
     seen, by_size = set(), {}
     for root in range(len(pattern)):
@@ -279,8 +280,8 @@ def check_wellposed(M0, M1, nu_max: float) -> WellPosednessReport:
     """
     M0 = _as_square("M0", M0)
     M1 = _as_square("M1", M1, M0.shape[0])
-    if not nu_max > 0:
-        raise ValueError(f"nu_max must be positive, got {nu_max}")
+    if not 0 < nu_max < np.inf:
+        raise ValueError(f"nu_max must be {'finite' if nu_max > 0 else 'positive'}, got {nu_max}")
     scale0 = _require_hermitian(M0)
     re_m1 = 0.5 * (M1 + M1.conj().T)
     blocks = _blocks(M0, re_m1)
@@ -384,11 +385,12 @@ class StepPlan:
         return self.grid.sample_times(self.theta)
 
     def run(self, x0, F) -> Trajectory:
-        """Step from x^0 = x0 through the (n_steps, n_inputs) source samples F;
-        a step whose right side is not finite raises ValueError naming it.  The
-        states take the dtype that x0, F, J and every P and R promote to."""
+        """Step from x^0 = x0 (the zero state when None) through the (n_steps,
+        n_inputs) source samples F; a step whose right side is not finite raises
+        ValueError naming it.  The states take the dtype that x0, F, J and every
+        P and R promote to."""
         sys, n_steps = self.sys, self.grid.n_steps
-        x0 = require_shape(x0, (sys.dim,), "x0")
+        x0 = require_shape(x0, (sys.dim,), "x0", default=np.zeros(sys.dim))
         F = require_shape(F, (n_steps, sys.n_inputs), "F")
         mats = [mat for P, _, R in self.steps.values() for mat in (P, R)]
         states = np.zeros((n_steps + 1, sys.dim), dtype=np.result_type(x0, F, sys.J, *mats))
@@ -436,7 +438,8 @@ def prepare(sys: EvolutionarySystem, grid: TimeGrid, scheme: str) -> StepPlan:
 
 
 def solve(sys: EvolutionarySystem, x0, f, grid: TimeGrid, scheme: str) -> Trajectory:
-    """Integrate the system from x^0 = x0 with the chosen scheme.  f is a
+    """Integrate the system from x^0 = x0 (the zero state when None; a
+    ControlSystem passes its stored sys.x0) with the chosen scheme.  f is a
     callable t -> source sample (length n_inputs) or None for a source-free
     run, evaluated at the plan's sample times before the first step."""
     plan = prepare(sys, grid, scheme)
@@ -447,10 +450,9 @@ def causality_defect(sys, f1, f2, a: float, grid: TimeGrid, scheme: str, x0=None
     """Maximum deviation of the two solutions on grid times <= a.
 
     Requires f1 and f2 to agree at every sample time <= a (the
-    violating sample is reported otherwise); the initial state is shared.
+    violating sample is reported otherwise); the initial state x0 (zero
+    when None) is shared.
     """
-    if x0 is None:
-        x0 = np.zeros(sys.dim)
     plan = prepare(sys, grid, scheme)
     times = plan.sample_times()
     t1, t2 = (plan.run(x0, sample_source(f, times, sys.n_inputs)) for f in (f1, f2))

@@ -66,7 +66,7 @@ from .bdspace import build_u_space, compute_bd_space, dot_map, dual_projection
 from .control import BlockPartition, ControlSystem, assemble_control
 from .errors import (HypothesisViolationError, PositivityError, ShapeMismatchError, as_array,
                      negligible, require_geometry, require_invertible, require_shape)
-from .evolution import EvolutionarySystem, TimeGrid, Trajectory, prepare, solve
+from .evolution import EvolutionarySystem, Trajectory, prepare
 from .operators import GradDivPair, Grid1D, build_sbp_pair_1d
 
 REGION_LABELS = ("hyperbolic", "parabolic", "elliptic")
@@ -633,16 +633,3 @@ def maxwell_lift_solve(pair, eps, mu, u_bd, x0, grid, scheme, bdD=None) -> Maxwe
 
     return MaxwellLiftResult(lifted=physical(raw_lifted, True),
                              direct=physical(raw_direct, False))
-
-
-def drive(sys: ControlSystem, u_of_t, grid: TimeGrid, scheme: str,
-          x0=None) -> Trajectory:
-    """Integrate a control system under the control signal t -> u(t).
-
-    Uses the system's stored initial state when x0 is None (zero when it
-    carries none); u_of_t None means zero control.  The trajectory's
-    inputs are the control samples, one row of length n_u1 per step.
-    """
-    if x0 is None:
-        x0 = sys.x0 if sys.x0 is not None else np.zeros(sys.dim)
-    return solve(sys, x0, u_of_t, grid, scheme)

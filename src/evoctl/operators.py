@@ -28,6 +28,7 @@ pairing removed, ``minimal_div`` and ``minimal_grad``); they agree with
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,12 +45,15 @@ class Grid1D:
     n_cells: int
 
     def __post_init__(self):
-        if not np.isfinite([self.a, self.b, self.n_cells]).all():
+        # a comparison, not np.isfinite, which raises TypeError on an int beyond
+        # int64; NaN fails it, and so does an int beyond the float range
+        if not all(abs(value) <= sys.float_info.max for value in (self.a, self.b, self.n_cells)):
             raise InvalidGridError(f"need finite a, b, n_cells, got {self.a, self.b, self.n_cells}")
         if not self.b > self.a:
             raise InvalidGridError(f"need a < b, got [{self.a}, {self.b}]")
-        if int(self.n_cells) != self.n_cells or self.n_cells < 2:
-            raise InvalidGridError(f"need n_cells >= 2, got {self.n_cells}")
+        # numpy counts the nodes in int64
+        if int(self.n_cells) != self.n_cells or not 2 <= self.n_cells < 2 ** 63:
+            raise InvalidGridError(f"need an integer n_cells in [2, 2**63), got {self.n_cells}")
 
     @property
     def h(self) -> float:

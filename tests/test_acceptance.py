@@ -35,7 +35,6 @@ from evoctl import (
     check_wellposed,
     compute_bd_space,
     dot_map,
-    drive,
     endpoint_coupling_defect,
     energy_ledger,
     ibp_defect,
@@ -320,7 +319,7 @@ class TestAcceptance:
             return amp[:, 0] * np.sin(3.0 * t) + amp[:, 1] * np.cos(2.0 * t)
 
         tg = TimeGrid(t_end=0.5, n_steps=50, nu=1.0)
-        traj = drive(sys, u, tg, "implicit_midpoint")
+        traj = solve(sys, sys.x0, u, tg, "implicit_midpoint")
         times = tg.times()
         worst = 0.0
         for k in range(traj.n_euler_init_steps, tg.n_steps):
@@ -354,7 +353,7 @@ class TestAcceptance:
         rng = np.random.default_rng(112)
         worst = 0.0
         for _ in range(3):
-            traj = drive(sys, random_wave_input(rng), tg, "implicit_midpoint")
+            traj = solve(sys, sys.x0, random_wave_input(rng), tg, "implicit_midpoint")
             us = traj.inputs
             samples = traj.x_theta(0, tg.n_steps)
 
@@ -384,7 +383,7 @@ class TestAcceptance:
 
         worst = 0.0
         for scheme in ("implicit_midpoint", "backward_euler"):
-            traj = drive(sys, u, tg, scheme)
+            traj = solve(sys, sys.x0, u, tg, scheme)
             worst = max(worst, endpoint_coupling_defect(sys, traj).max())
         assert report(13, worst <= 1e-9,
                       f"endpoint coupling defect {worst:.2e} over all steps, "
@@ -435,7 +434,7 @@ class TestAcceptance:
         rep = check_wellposed(mixed.M0, mixed.M1, nu_max=4.0)
         tg = TimeGrid(t_end=1.5, n_steps=300, nu=1.0)
         rng = np.random.default_rng(115)
-        traj = drive(mixed, random_wave_input(rng), tg, "implicit_midpoint")
+        traj = solve(mixed, mixed.x0, random_wave_input(rng), tg, "implicit_midpoint")
         times = tg.times()
         worst = 0.0
         for k in range(traj.n_euler_init_steps, tg.n_steps):

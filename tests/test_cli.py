@@ -18,12 +18,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evoctl
@@ -185,6 +186,11 @@ class TestWellposed:
             assert capsys.readouterr().out == \
                 "well-posed with c = 2.928932e-01 at nu = 2.000000e+00\n"
 
+    def test_weight_beyond_the_float_range_is_refused(self, tmp_path, capsys):
+        """time.nu = 1e308 is finite, but the sweep's nu_max = 2 time.nu is not."""
+        assert run(tmp_path, "wellposed", "--set", "time.nu=1e308") == 2
+        assert capsys.readouterr().err == "error: nu_max must be finite, got inf\n"
+
     def test_zero_damping_fails_with_witness(self, tmp_path, capsys):
         """Removing the observation damping breaks positivity."""
         code = run(tmp_path, "wellposed", "--zero-damping")
@@ -311,6 +317,19 @@ class TestSimulate:
         assert run(tmp_path, "simulate", "--set", "input.kind=table") == 2
         assert capsys.readouterr().err == "error: input.kind=table needs input.path\n"
 
+    @pytest.mark.parametrize("value", ["1", "true", "2", "3.5", "[1]"])
+    def test_table_path_must_be_a_string(self, tmp_path, value):
+        """A table path that is not a string exits 2 naming input.path.  The
+        run gets its own process: open() takes an int as a file descriptor,
+        and reading 1 or 2 would close a stream of the test process."""
+        env = dict(os.environ, PYTHONPATH=str(Path(evoctl.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "evoctl.cli", "simulate",
+                               "--set", "input.kind=table", "--set", f"input.path={value}",
+                               "--set", f"outdir={tmp_path}"],
+                              env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (
+            2, f"error: input.path must be a path string, got {value}\n")
+
     def test_malformed_table_exits_2(self, tmp_path):
         """A table with the wrong column count is a configuration error."""
         sig = tmp_path / "sig.csv"
@@ -393,7 +412,7 @@ class TestSimulate:
         def allocate(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.45 TiB for an array")
 
-        monkeypatch.setattr("evoctl.cli.drive", allocate)
+        monkeypatch.setattr("evoctl.cli.solve", allocate)
         assert run(tmp_path, "simulate", "--set", "time.n_steps=1e9") == 2
         assert "error: Unable to allocate" in capsys.readouterr().err
 
@@ -699,6 +718,90 @@ class TestReaderFuzz:
         result = self.simulate(tmp_path_factory.mktemp("table"), edited)
         if comments_added(self.TABLE, edited):
             assert result == (0, driven)
+
+
+def config_keys(node, prefix=""):
+    """Every dotted key of a configuration object, objects included."""
+    for key, value in node.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from config_keys(value, f"{prefix}{key}.")
+
+
+class TestConfigFuzz:
+    """One hostile value for one configuration key, known or unknown, on 4
+    cells and 4 steps, under the preset and the input and initial kinds that
+    make the key read: every command ends with status 0, 1 or 2, with no
+    exception out of main, no traceback or source line on stderr, the
+    standard streams still open, and 0 only with finite artifacts."""
+
+    KEYS = (*config_keys(cli.DEFAULT_CONFIG), "bogus", "grid.bogus", "input.kind.deep",
+            "time.n_steps.deep")
+    # the text after 'key=', parsed as JSON where it is JSON
+    HOSTILE = ("nan", "NaN", "Infinity", "-Infinity", "1e308", "-1e308", "1e400", "0", "-1",
+               "2", "3.5", str(2 ** 63), "1" + "0" * 400, "true", "false", "null", "[]",
+               "[1]", "[[0.5, 1]]", "{}", '{"a": 1}', '"x"', "x", "")
+    READ_BY = {"input.freq": ("input.kind", "sinusoid"),
+               "input.amplitude": ("input.kind", "sinusoid"),
+               "input.component": ("input.kind", "sinusoid"),
+               "input.path": ("input.kind", "table"),
+               "initial.amplitude": ("initial.kind", "sine"),
+               "initial.mode": ("initial.kind", "sine")}
+    CONTEXT = st.fixed_dictionaries({"preset": st.sampled_from(cli.PRESETS),
+                                     "input.kind": st.sampled_from(["zero", "sinusoid", "table"]),
+                                     "initial.kind": st.sampled_from(["zero", "sine"])})
+    PLAIN = {"preset": "wave-wt", "input.kind": "zero", "initial.kind": "zero"}
+
+    @staticmethod
+    def finite_artifacts(root):
+        """Whether every number in the CSV files below root is finite; the
+        text columns (bdspace's side and check) are skipped."""
+        for path in root.rglob("*.csv"):
+            for row in read_table(path, numeric=False)[2]:
+                for cell in row:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue
+                    if not np.isfinite(value):
+                        return False
+        return True
+
+    @pytest.mark.parametrize("command", ["wellposed", "simulate", "bdspace", "energy"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(key=st.sampled_from(KEYS), value=st.sampled_from(HOSTILE), context=CONTEXT)
+    # the counterexamples this test has found, each fixed
+    @example(key="input.path", value="1", context=PLAIN)
+    @example(key="grid.n_cells", value="1e308", context=PLAIN)
+    @example(key="grid.a", value="1" + "0" * 400, context=PLAIN)
+    @example(key="time.nu", value="1e308", context=PLAIN)
+    def test_hostile_value(self, command, key, value, context):
+        context = {**context, "grid.n_cells": 4, "time.n_steps": 4}
+        if key in self.READ_BY:
+            context.update([self.READ_BY[key]])
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "signal.csv").write_text(parity.SIGNAL_TABLE, encoding="utf-8")
+            context.update({"input.path": root / "signal.csv", "outdir": root})
+            args = [arg for item in context.items() for arg in ("--set", "%s=%s" % item)]
+            extra = []
+            if command == "energy":
+                # the replayed trajectory is the run of the context alone
+                assert main(["simulate", *args, "--set", f"outdir={root / 'stored'}"]) in (0, 2)
+                extra = ["--trajectory", str(root / "stored" / "trajectory.csv")]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            os.chdir(root)  # a relative outdir, hostile or not, lands in root
+            try:
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    status = main([command, *args, "--set", f"{key}={value}", *extra])
+            finally:
+                os.chdir(cwd)
+            for fd in (1, 2):
+                os.fstat(fd)  # an OSError when the run closed a standard stream
+            assert status in (0, 1, 2)
+            assert "Traceback" not in stderr.getvalue() and ".py:" not in stderr.getvalue()
+            assert status or self.finite_artifacts(root)
 
 
 class TestVerdict:

@@ -33,7 +33,6 @@ from evoctl.evolution import (_ROWS, EvolutionarySystem, TimeGrid, Trajectory, c
 from evoctl.models import (PortHamiltonianSpec, WaveSpec, build_mixed_type_wave,
                            build_port_hamiltonian, build_weiss_tucsnak_wave, maxwell_system,
                            three_region_indicators)
-from evoctl.models import drive as drive_control
 from evoctl.operators import Grid1D, build_sbp_pair_1d
 
 RT2 = np.sqrt(2.0)
@@ -90,11 +89,6 @@ def random_compatible_system(rng, n_h0=4, n_zeta=3, n_w=2, n_y=2, n_u1=2):
         part, M0b, M1b, Cmat=cplx(n_w, n_h0),
         B_blocks=(B0, B1, B2), Gmat=cplx(n_zeta, n_h0), n_w=n_w,
     )
-
-
-def drive(sys, u_of_t, x0, grid, scheme):
-    """Integrate a control system under the control signal u_of_t."""
-    return drive_control(sys, u_of_t, grid, scheme, x0)
 
 
 class TestBlockPartition:
@@ -207,11 +201,11 @@ class TestAssembleControl:
         with pytest.raises(ShapeMismatchError, match=re.escape(words)):
             replace(wave_example_system(), **mats)
 
-    def test_drive_rejects_a_control_of_the_wrong_length(self):
+    def test_solve_rejects_a_control_of_the_wrong_length(self):
         """A control signal must have one entry per control input."""
         sys = wave_example_system()
         with pytest.raises(ShapeMismatchError):
-            drive(sys, lambda t: np.ones(2), np.zeros(4), TimeGrid(1.0, 2), "backward_euler")
+            solve(sys, np.zeros(4), lambda t: np.ones(2), TimeGrid(1.0, 2), "backward_euler")
 
 
 class TestAdjointStructure:
@@ -374,7 +368,7 @@ class TestEnergyLedger:
         sys = random_compatible_system(rng)
         grid = TimeGrid(t_end=1.2, n_steps=16)
         x0 = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
-        traj = drive(sys, self.u_signal(2), x0, grid, "implicit_midpoint")
+        traj = solve(sys, x0, self.u_signal(2), grid, "implicit_midpoint")
         assert traj.n_euler_init_steps == 1
         times = grid.times()
         led = energy_ledger(sys, traj, a=times[ia], b=times[ib])
@@ -388,7 +382,7 @@ class TestEnergyLedger:
         sys = wave_example_system()
         grid = TimeGrid(t_end=2.0, n_steps=40)
         x0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        traj = drive(sys, self.u_signal(1), x0, grid, "implicit_midpoint")
+        traj = solve(sys, x0, self.u_signal(1), grid, "implicit_midpoint")
         led = energy_ledger(sys, traj, a=grid.times()[1], b=grid.t_end)
         scale = max(1.0, abs(led.stored_drop), led.dissipation, abs(led.supply))
         assert abs(led.defect) < 1e-11 * scale, f"ledger defect {led.defect:.2e}"
@@ -399,7 +393,7 @@ class TestEnergyLedger:
         sys = random_compatible_system(rng)
         grid = TimeGrid(t_end=1.0, n_steps=12)
         x0 = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
-        traj = drive(sys, self.u_signal(2), x0, grid, "backward_euler")
+        traj = solve(sys, x0, self.u_signal(2), grid, "backward_euler")
         led = energy_ledger(sys, traj, a=0.0, b=grid.t_end)
         expected = sum(
             0.5 * np.vdot(d, sys.M0 @ d).real
@@ -419,7 +413,7 @@ class TestEnergyLedger:
         sys = random_compatible_system(rng)
         grid = TimeGrid(t_end=1.0, n_steps=12)
         x0 = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
-        traj = drive(sys, self.u_signal(2), x0, grid, scheme)
+        traj = solve(sys, x0, self.u_signal(2), grid, scheme)
         steps = step_ledger(sys, traj)
         drop = steps.energy[:-1] - steps.energy[1:]
         residual = drop - (steps.dissipation - steps.supply) - steps.correction
@@ -443,7 +437,7 @@ class TestEnergyLedger:
         n_u1 = sys.partition.n_u1
         grid = TimeGrid(t_end=1.0, n_steps=n_steps)
         x0 = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
-        traj = drive(sys, self.u_signal(n_u1), x0, grid, scheme)
+        traj = solve(sys, x0, self.u_signal(n_u1), grid, scheme)
         assert traj.inputs.shape == (n_steps, n_u1)
         steps = step_ledger(sys, traj)
         drop = steps.energy[:-1] - steps.energy[1:]
@@ -461,7 +455,7 @@ class TestEnergyLedger:
         sys = random_compatible_system(rng)
         grid = TimeGrid(t_end=1.0, n_steps=10)
         x0 = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
-        traj = drive(sys, self.u_signal(2), x0, grid, "implicit_midpoint")
+        traj = solve(sys, x0, self.u_signal(2), grid, "implicit_midpoint")
         times = grid.times()
         steps = step_ledger(sys, traj, a=times[3], b=times[7])
         assert steps.ia == 3 and steps.energy.shape == (5,)
@@ -489,7 +483,7 @@ class TestEnergyLedger:
         grid = TimeGrid(t_end=1.0, n_steps=20)
         x0 = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
         with pytest.warns(RuntimeWarning, match="not certified well-posed"):
-            traj = drive(sys, self.u_signal(1), x0, grid, "implicit_midpoint")
+            traj = solve(sys, x0, self.u_signal(1), grid, "implicit_midpoint")
         led = energy_ledger(sys, traj, a=grid.times()[1], b=grid.t_end)
         assert led.dissipation == 0.0
         assert led.supply == 0.0
@@ -561,7 +555,7 @@ class TestEnergyLedger:
         sys = wave_example_system()
         grid = TimeGrid(t_end=1.0, n_steps=4)
         x0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        traj = drive(sys, self.u_signal(1), x0, grid, "backward_euler")
+        traj = solve(sys, x0, self.u_signal(1), grid, "backward_euler")
         with pytest.raises(ValueError, match="grid time"):
             energy_ledger(sys, traj, a=0.1, b=1.0)
 
@@ -580,7 +574,7 @@ class TestExtractIO:
         sys = random_compatible_system(rng)
         grid = TimeGrid(t_end=1.0, n_steps=14)
         x0 = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
-        traj = drive(sys, self.u_signal(2), x0, grid, scheme)
+        traj = solve(sys, x0, self.u_signal(2), grid, scheme)
         io = extract_io(sys, traj)
         assert io.w_samples.shape == (14, 2)
         assert io.y_samples.shape == (14, 2)
@@ -594,7 +588,7 @@ class TestExtractIO:
         sys = wave_example_system(c=c)
         grid = TimeGrid(t_end=2.0, n_steps=32)
         x0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        traj = drive(sys, self.u_signal(1), x0, grid, "implicit_midpoint")
+        traj = solve(sys, x0, self.u_signal(1), grid, "implicit_midpoint")
         io = extract_io(sys, traj)
         w, y = io.w_samples, io.y_samples
         u_used = traj.inputs
@@ -613,7 +607,7 @@ class TestExtractIO:
         sys = wave_example_system()
         grid = TimeGrid(t_end=1.0, n_steps=4)
         x0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        traj = drive(sys, self.u_signal(1), x0, grid, "implicit_midpoint")
+        traj = solve(sys, x0, self.u_signal(1), grid, "implicit_midpoint")
         sample_times = traj.sample_times()
         times = grid.times()
         assert sample_times[0] == times[1]
@@ -625,7 +619,7 @@ class TestExtractIO:
         sys = random_compatible_system(rng)
         grid = TimeGrid(t_end=1.0, n_steps=6)
         x0 = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
-        traj = drive(sys, self.u_signal(2), x0, grid, "backward_euler")
+        traj = solve(sys, x0, self.u_signal(2), grid, "backward_euler")
         traj.states[4, -1] = np.nan
         assert np.isnan(extract_io(sys, traj).max_deviation)
 
@@ -645,7 +639,7 @@ class TestExtractIO:
         grid = TimeGrid(t_end=1.0, n_steps=6)
         x0 = np.zeros(sys.dim, dtype=complex)
         x0[:2] = rng.standard_normal(2)
-        traj = drive(sys, lambda t: np.zeros(1), x0, grid, "implicit_midpoint")
+        traj = solve(sys, x0, lambda t: np.zeros(1), grid, "implicit_midpoint")
         io = extract_io(sys, traj)
         assert np.abs(io.w_samples).max() < 1e-13
         assert np.abs(io.y_samples).max() < 1e-13
@@ -719,7 +713,7 @@ class TestRowBlocks:
         grid = TimeGrid(t_end=1.0, n_steps=self.n_steps)
         x0 = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
         u = lambda t: np.array([np.cos(3.0 * t), 0.5j * np.sin(2.0 * t)])
-        return sys, drive(sys, u, x0, grid, scheme)
+        return sys, solve(sys, x0, u, grid, scheme)
 
     @pytest.mark.parametrize("scheme", ["backward_euler", "implicit_midpoint"])
     @pytest.mark.parametrize("ia,ib", [(0, None), (_ROWS - 27, 2 * _ROWS + 1)])
@@ -942,7 +936,8 @@ class TestStepPlan:
         assert prepare(singular, grid, scheme).n_init == (scheme == "implicit_midpoint")
 
     def test_one_plan_runs_many_sources(self):
-        """Each run of a plan equals a fresh solve of its own source."""
+        """Each run of a plan from the zero state equals a fresh solve of its
+        own source from x0 None."""
         rng = np.random.default_rng(72)
         sys = random_compatible_system(rng)
         grid = TimeGrid(t_end=1.0, n_steps=30)
@@ -950,7 +945,7 @@ class TestStepPlan:
         for freq in (1.0, 2.0, 5.0):
             f = lambda t: np.sin(freq * t) * np.ones(sys.n_inputs)
             run = plan.run(np.zeros(sys.dim), sample_source(f, plan.sample_times(), sys.n_inputs))
-            fresh = solve(sys, np.zeros(sys.dim), f, grid, "implicit_midpoint")
+            fresh = solve(sys, None, f, grid, "implicit_midpoint")
             assert np.array_equal(run.states, fresh.states)
 
     def test_run_refuses_a_source_of_the_wrong_shape(self):
@@ -1034,7 +1029,7 @@ class TestDtypeFollowsTheData:
         sys = random_compatible_system(np.random.default_rng(81))
         assert [m.dtype for m in (sys.M0, sys.M1, sys.A, sys.J)] == [np.complex128] * 4
         grid = TimeGrid(t_end=1.0, n_steps=12)
-        traj = drive(sys, lambda t: np.array([np.sin(t), np.cos(t)]), np.zeros(sys.dim),
+        traj = solve(sys, np.zeros(sys.dim), lambda t: np.array([np.sin(t), np.cos(t)]),
                      grid, "implicit_midpoint")
         assert traj.inputs.dtype == np.float64 and traj.states.dtype == np.complex128
         assert extract_io(sys, traj).y_samples.dtype == np.complex128
@@ -1056,7 +1051,7 @@ class TestDtypeFollowsTheData:
                        x0=real.x0.astype(complex))
         grid = TimeGrid(t_end=1.0, n_steps=_ROWS + 9)
         u = lambda t: np.cos(3.0 * t) * np.arange(1.0, real.n_inputs + 1.0)
-        ref, ours = (drive_control(sys, u, grid, scheme) for sys in (cplx, real))
+        ref, ours = (solve(sys, sys.x0, u, grid, scheme) for sys in (cplx, real))
         assert ours.states.dtype == np.float64 and ref.states.dtype == np.complex128
         assert rel_close(ours.states, ref.states, 1e-13)
         for term, ref_term in zip(step_ledger(real, ours)[1:], step_ledger(cplx, ref)[1:]):

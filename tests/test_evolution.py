@@ -215,9 +215,10 @@ class TestCheckWellposed:
         assert rep.c >= np.linalg.eigvalsh(nu * M0 + re_m1)[0] - 1e-10 * scale
         assert rep.ok == (rep.c > 0)
 
-    @pytest.mark.parametrize("nu_max", [0.0, -1.0, np.nan])
-    def test_rejects_a_weight_that_is_not_positive(self, nu_max):
-        with pytest.raises(ValueError, match=f"^nu_max must be positive, got {nu_max}$"):
+    @pytest.mark.parametrize("nu_max,rule", [(0.0, "positive"), (-1.0, "positive"),
+                                             (np.nan, "positive"), (np.inf, "finite")])
+    def test_rejects_a_weight_that_is_not_positive(self, nu_max, rule):
+        with pytest.raises(ValueError, match=f"^nu_max must be {rule}, got {nu_max}$"):
             check_wellposed(np.eye(2), np.eye(2), nu_max)
 
     def test_rejects_nonhermitian_m0(self):

@@ -28,7 +28,7 @@ from evoctl.errors import (
     PositivityError,
     ShapeMismatchError,
 )
-from evoctl.evolution import SCHEMES, TimeGrid, check_wellposed
+from evoctl.evolution import SCHEMES, TimeGrid, check_wellposed, solve
 from evoctl.models import (
     MaxwellLiftResult,
     PortHamiltonianSpec,
@@ -38,7 +38,6 @@ from evoctl.models import (
     build_port_hamiltonian,
     build_weiss_tucsnak_wave,
     deflation_basis,
-    drive,
     elliptic_residual,
     endpoint_coupling_defect,
     maxwell_lift_solve,
@@ -260,7 +259,7 @@ class TestWaveBuilder:
         """w + Cv = -sqrt(2) u and w = Cv - sqrt(2) y at scheme states."""
         sys = wave_system()
         tg = TimeGrid(t_end=1.0, n_steps=200, nu=1.0)
-        traj = drive(sys, two_tone, tg, scheme)
+        traj = solve(sys, sys.x0, two_tone, tg, scheme)
         us = traj.inputs
         worst = 0.0
         for k, x in enumerate(traj.x_theta(0, tg.n_steps)):
@@ -283,7 +282,7 @@ class TestWaveBuilder:
         """
         sys = wave_system()
         tg = TimeGrid(t_end=2.0, n_steps=400, nu=1.0)
-        traj = drive(sys, two_tone, tg, "implicit_midpoint")
+        traj = solve(sys, sys.x0, two_tone, tg, "implicit_midpoint")
         us = traj.inputs
         flux = 0.0
         for k, x in enumerate(traj.x_theta(0, tg.n_steps)):
@@ -309,7 +308,7 @@ class TestWaveBuilder:
         """
         sys = wave_system()
         tg = TimeGrid(t_end=1.5, n_steps=300, nu=1.0)
-        traj = drive(sys, two_tone, tg, "implicit_midpoint")
+        traj = solve(sys, sys.x0, two_tone, tg, "implicit_midpoint")
         led = energy_ledger(sys, traj, a=tg.times()[1])
         us = traj.inputs
         full = reduced = 0.0
@@ -361,7 +360,7 @@ class TestMixedTypeWave:
         sys = build_mixed_type_wave(WaveSpec(grid=grid, z1=z1), ind)
         assert not sys.M0[sys.fine_slice(1), sys.fine_slice(1)].any()
         tg = TimeGrid(t_end=0.5, n_steps=100, nu=1.0)
-        traj = drive(sys, None, tg, "backward_euler")
+        traj = solve(sys, sys.x0, None, tg, "backward_euler")
         energies = 0.5 * np.einsum("ki,ij,kj->k", traj.states.conj(),
                                    sys.M0, traj.states).real
         diffs = np.diff(energies)
@@ -379,7 +378,7 @@ class TestMixedTypeWave:
         err = abs(rep.c - (1.0 - 1.0 / RT2))
         assert err < 1e-8, f"damping constant off: {err:.2e}"
         tg = TimeGrid(t_end=1.0, n_steps=250, nu=1.0)
-        traj = drive(sys, two_tone, tg, "implicit_midpoint")
+        traj = solve(sys, sys.x0, two_tone, tg, "implicit_midpoint")
         led = energy_ledger(sys, traj, a=tg.times()[1])
         assert abs(led.defect) < 1e-9, f"mixed ledger defect: {led.defect:.2e}"
 
@@ -390,7 +389,7 @@ class TestMixedTypeWave:
         sys = build_mixed_type_wave(WaveSpec(grid=grid),
                                     three_region_indicators(grid))
         tg = TimeGrid(t_end=1.0, n_steps=150, nu=1.0)
-        traj = drive(sys, two_tone, tg, scheme)
+        traj = solve(sys, sys.x0, two_tone, tg, scheme)
         res = elliptic_residual(sys, traj)
         assert res.shape == (tg.n_steps,)
         assert res.max() < 1e-10, f"elliptic residual: {res.max():.2e}"
@@ -411,14 +410,14 @@ class TestMixedTypeWave:
     def test_elliptic_residual_needs_elliptic_interior(self):
         sys = wave_system(n_cells=12)
         tg = TimeGrid(t_end=0.2, n_steps=10, nu=1.0)
-        traj = drive(sys, None, tg, "backward_euler")
+        traj = solve(sys, sys.x0, None, tg, "backward_euler")
         with pytest.raises(ValueError, match="elliptic"):
             elliptic_residual(sys, traj)
 
     def test_elliptic_residual_needs_geometry(self):
         sys = wave_system(n_cells=12)
         tg = TimeGrid(t_end=0.2, n_steps=10, nu=1.0)
-        traj = drive(sys, None, tg, "backward_euler")
+        traj = solve(sys, sys.x0, None, tg, "backward_euler")
         bare = dataclasses.replace(sys, geometry=None)
         with pytest.raises(HypothesisViolationError, match="geometry"):
             elliptic_residual(bare, traj)
@@ -453,7 +452,7 @@ class TestPortHamiltonian:
             PortHamiltonianSpec(grid=grid, Nmat=[[1.0]]))
         tg = TimeGrid(t_end=1.5, n_steps=300, nu=1.0)
         u = lambda t: np.array([np.sin(1.7 * t), 0.3 * np.cos(2.4 * t)])
-        traj = drive(sys, u, tg, scheme)
+        traj = solve(sys, sys.x0, u, tg, scheme)
         defects = endpoint_coupling_defect(sys, traj)
         assert defects.max() < 1e-9, f"endpoint coupling broken: {defects.max():.2e}"
         # bitwise the defect of one solve per step
@@ -491,7 +490,7 @@ class TestPortHamiltonian:
         sys = build_port_hamiltonian(spec)
         assert check_compatibility(sys) == (0.0, 0.0)
         tg = TimeGrid(t_end=1.0, n_steps=200, nu=1.0)
-        traj = drive(sys, None, tg, "backward_euler")
+        traj = solve(sys, sys.x0, None, tg, "backward_euler")
         energies = 0.5 * np.einsum("ki,ij,kj->k", traj.states.conj(),
                                    sys.M0, traj.states).real
         diffs = np.diff(energies)
@@ -592,7 +591,7 @@ class TestPortHamiltonian:
         assert np.abs(block).max() == 0.4
         assert check_compatibility(sys) == (0.0, 0.0)
         for scheme in SCHEMES:
-            traj = drive(sys, two_tone, TimeGrid(t_end=1.0, n_steps=40), scheme)
+            traj = solve(sys, sys.x0, two_tone, TimeGrid(t_end=1.0, n_steps=40), scheme)
             steps = step_ledger(sys, traj)
             drop = steps.energy[:-1] - steps.energy[1:]
             residual = drop - (steps.dissipation - steps.supply) - steps.correction
@@ -624,7 +623,7 @@ class TestPortHamiltonian:
             M1_lower=(np.eye(2), zero, zero, np.eye(2)),
             B1=zero, B2=zero))
         tg = TimeGrid(t_end=0.2, n_steps=10, nu=1.0)
-        traj = drive(sys, None, tg, "backward_euler")
+        traj = solve(sys, sys.x0, None, tg, "backward_euler")
         with pytest.raises(HypothesisViolationError, match="M32"):
             endpoint_coupling_defect(sys, traj)
 

@@ -63,6 +63,11 @@ class TestGrid1D:
             Grid1D(0.0, 1.0, np.inf)
         with pytest.raises(InvalidGridError):
             Grid1D(0.0, 1.0, np.nan)
+        for huge in (10 ** 400, int(1e308), 2 ** 63):
+            with pytest.raises(InvalidGridError):
+                Grid1D(0.0, 1.0, huge)
+        with pytest.raises(InvalidGridError):
+            Grid1D(0.0, 10 ** 400, 4)
 
 
 class TestSummationByParts:

@@ -33,11 +33,13 @@ port-Hamiltonian run whose sinusoid input of amplitude 1e300 overflows
 the ledger, naming its first non-finite step.  Refusals close the matrix,
 each with the status the command line documents for it: a certificate
 that fails (1, printing its witness), and an invalid time grid, a table
-input without a path, refuse-simulate-table-ragged (SIGNAL_TABLE with a
-field missing from one row), a wave-wt trajectory replayed as wave-mixed
-and a port-Hamiltonian run whose sinusoid input of amplitude 1e308
-overflows the states, refused naming the step whose right side is not
-finite (2 each).
+input without a path, one whose path is the number 1 (which open() would
+take as the file descriptor of stdout), refuse-simulate-table-ragged
+(SIGNAL_TABLE with a field missing from one row), a wave-wt trajectory
+replayed as wave-mixed, a port-Hamiltonian run whose sinusoid input of
+amplitude 1e308 overflows the states, refused naming the step whose
+right side is not finite, a grid of 1e308 cells, and a weight time.nu =
+1e308, whose nu_max = 2 time.nu is not finite (2 each).
 """
 
 import argparse
@@ -152,6 +154,8 @@ def matrix(out: Path) -> list:
         ("refuse-wellposed-t_end-0", 2, ["wellposed", *_sets(("time.t_end", 0))]),
         ("refuse-simulate-table-without-path", 2,
          ["simulate", *_sets(("input.kind", "table"))]),
+        ("refuse-simulate-table-path-number", 2,
+         ["simulate", *_sets(("input.kind", "table"), ("input.path", 1))]),
         ("refuse-simulate-table-ragged", 2,
          ["simulate", *_sets(*table, ("input.path", ragged))]),
         ("refuse-energy-wave-wt-as-wave-mixed", 2, ["energy", *_sets(
@@ -160,6 +164,8 @@ def matrix(out: Path) -> list:
         ("refuse-simulate-overflow", 2, ["simulate", *_sets(
             ("preset", "port-hamiltonian"), ("grid.n_cells", PRESETS["port-hamiltonian"]),
             ("input.kind", "sinusoid"), ("input.amplitude", 1e308))]),
+        ("refuse-wellposed-n_cells-1e308", 2, ["wellposed", *_sets(("grid.n_cells", 1e308))]),
+        ("refuse-wellposed-nu-1e308", 2, ["wellposed", *_sets(("time.nu", 1e308))]),
     ):
         case = out / name
         cases.append((case, [*args, *_sets(("outdir", case))], status, None))
