@@ -9,13 +9,11 @@ port-Hamiltonian, and Maxwell-type models.
 
 from .bdspace import (
     BoundaryDataSpace,
-    USpace,
     boundary_triple_defect,
     build_u_space,
     compute_bd_space,
     dot_map,
     dual_projection,
-    riesz_map,
 )
 from .control import (
     BlockPartition,
@@ -46,7 +44,6 @@ from .evolution import (
     causality_defect,
     check_wellposed,
     solve,
-    weighted_norm,
 )
 from .models import (
     MaxwellLiftResult,
@@ -62,6 +59,6 @@ from .models import (
     maxwell_lift_solve,
     three_region_indicators,
 )
-from .operators import Grid1D, GradDivPair, build_sbp_pair_1d, ibp_defect, minimal_projector
+from .operators import Grid1D, GradDivPair, build_sbp_pair_1d, ibp_defect
 
 __version__ = "0.1.0"

@@ -12,11 +12,11 @@ part plus its boundary-data component.  Restricting G to the node-side
 space gives a map onto the cell-side space that is unitary for the graph
 inner products; its inverse is the restriction of D.
 
-On top of the two spaces the module provides the Riesz isomorphism
-``(1 + G*G)^-1`` of the node graph space, the dual projection that
-represents boundary functionals as node vectors, an auxiliary control
-space U built from a chosen map N into the cell-side space, and a Green
-identity check: with
+On top of the two spaces the module provides the dual projection that
+represents boundary functionals as node vectors (the Riesz isomorphism
+``(1 + G*G)^-1`` of the node graph space maps it back to the basis), the
+Gram matrix of an auxiliary control space U built from a chosen map N
+into the cell-side space, and a Green identity check: with
 
     S*(x, y) = -i (D y, G x),
     Gamma_0 (x, y) = boundary coordinates of x,
@@ -29,7 +29,6 @@ the pairing <S*z|z'> - <z|S*z'> equals <Gamma_0 z|Gamma_1 z'> -
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,25 +97,6 @@ class BoundaryDataSpace:
                 f"(expected {self.basis.shape[0]})"
             )
         return self.projector @ u
-
-
-@dataclass(frozen=True)
-class USpace:
-    """Auxiliary control space over the node-side boundary data space.
-
-    Built from a map N into the cell-side space: the inner product is
-    <f|g>_U = (1/2)<Nf|Gdot g> + (1/2)<Gdot f|Ng>, and j_adjoint is the
-    matrix (1/2)(Ddot N + N* Gdot) that realizes the adjoint of the
-    inclusion.
-    """
-
-    N_map: np.ndarray
-    gram: np.ndarray
-    j_adjoint: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.gram.shape[0]
 
 
 def _graph_mgs(columns: np.ndarray, graph: GraphInnerProduct) -> np.ndarray:
@@ -193,22 +173,6 @@ def dot_map(bd_from: BoundaryDataSpace, bd_to: BoundaryDataSpace, pair: GradDivP
     return bd_to.projector @ (op @ bd_from.basis)
 
 
-def riesz_map(pair: GradDivPair) -> np.ndarray:
-    """Riesz isomorphism (1 + G*G)^-1 of the node graph space.
-
-    G* is the weight-adjoint W0^-1 G^T W1, that is -pair.minimal_div().
-    The result maps a node vector z, read as the functional <z|.>_W0, to
-    its representer in the graph inner product; equivalently it is the
-    inverse of the graph form read as an operator on the W0 space.
-    """
-    graph = GraphInnerProduct(W=pair.W0, O=pair.G, W_out=pair.W1)
-    form = graph.matrix()
-    cond = np.linalg.cond(form)
-    if cond > 1e12:
-        warnings.warn(f"graph form matrix badly conditioned: cond = {cond:.3e}", RuntimeWarning)
-    return np.linalg.solve(form, np.diag(pair.W0).astype(float))
-
-
 def dual_projection(
     bdG: BoundaryDataSpace, bdD: BoundaryDataSpace, pair: GradDivPair
 ) -> np.ndarray:
@@ -220,7 +184,7 @@ def dual_projection(
         pi_dual = basis_G - Ddot . basis_D . Gdot,
 
     with Ddot the minimal divergence (the boundary pairing stripped from
-    D).  Composing with the Riesz map recovers basis_G.
+    D).  Applying the Riesz isomorphism (1 + G*G)^-1 recovers basis_G.
     """
     Q = dot_map(bdG, bdD, pair)
     return bdG.basis - pair.minimal_div() @ (bdD.basis @ Q)
@@ -231,19 +195,19 @@ def build_u_space(
     bdD: BoundaryDataSpace,
     N_map: np.ndarray,
     pair: GradDivPair,
-) -> USpace:
-    """Auxiliary control space from a map N of node-side coordinates
-    into cell-side coordinates.
+) -> np.ndarray:
+    """Gram matrix of the auxiliary control space from a map N of
+    node-side coordinates into cell-side coordinates.
 
-    Raises PositivityError (with a witness direction) when the induced
-    form (1/2)(Ddot N + N* Gdot) fails to be positive definite.
+    The inner product is <f|g>_U = (1/2)<Nf|Gdot g> + (1/2)<Gdot f|Ng>,
+    with Gdot the transport dot_map(bdG, bdD, pair).  Raises
+    PositivityError (with a witness direction) when this form fails to be
+    positive definite.
     """
     N_map = require_shape(N_map, (bdD.dim, bdG.dim), "N_map")
     Q = dot_map(bdG, bdD, pair)
-    Qd = dot_map(bdD, bdG, pair)
     gram = 0.5 * (N_map.conj().T @ Q + Q.conj().T @ N_map)
     gram = 0.5 * (gram + gram.conj().T)
-    j_adjoint = 0.5 * (Qd @ N_map + N_map.conj().T @ Q)
 
     evals, evecs = np.linalg.eigh(gram)
     if evals[0] <= 1e-12 * max(abs(evals[-1]), 1.0):
@@ -252,7 +216,7 @@ def build_u_space(
             f"{evals[0]:.3e}",
             witness=evecs[:, 0],
         )
-    return USpace(N_map=N_map, gram=gram, j_adjoint=j_adjoint)
+    return gram
 
 
 def boundary_triple_defect(

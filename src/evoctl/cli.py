@@ -132,7 +132,7 @@ def _apply_override(data, dotted, raw):
     for key in keys[:-1]:
         node = node.setdefault(key, {})
         if not isinstance(node, dict):
-            raise ValueError(f"cannot override below non-object key {key!r}")
+            raise ValueError(f"cannot override {dotted} below the non-object key {key!r}")
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
@@ -141,13 +141,13 @@ def _apply_override(data, dotted, raw):
 
 
 def _number(name, value, kind=float):
-    """A finite float or int; null, bool and fractional counts are refused."""
-    if value is None or isinstance(value, (bool, list, dict)):
-        raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
+    """A finite float or int; null, bool, non-numeric text and fractional counts are refused."""
     try:
-        number = float(value)
+        number = float(None if isinstance(value, bool) else value)  # float(True) is 1.0
     except OverflowError:  # an int beyond the float range
         number = math.inf
+    except (TypeError, ValueError):  # null, bool, list, object or text that is no number
+        raise ValueError(f"{name} must be a number, got {json.dumps(value)}") from None
     if not math.isfinite(number) or kind(number) != number:
         raise ValueError(f"{name} must be a finite {kind.__name__}, got {value}")
     return kind(number)
@@ -169,8 +169,8 @@ def load_config(path, overrides, default_tolerance) -> RunConfig:
 
     grid, time = data["grid"], data["time"]
     n_steps = _number("time.n_steps", time["n_steps"], int)
-    if n_steps < 1:
-        raise ValueError(f"time.n_steps must be at least 1, got {n_steps}")
+    if not 1 <= n_steps < 2 ** 63 - 1:  # numpy counts the n_steps + 1 times in int64
+        raise ValueError(f"time.n_steps must be at least 1 and below 2**63 - 1, got {n_steps}")
     if data["preset"] not in PRESETS:
         raise ValueError(f"unknown preset {data['preset']!r}; choose from {PRESETS}")
     if data["scheme"] not in SCHEMES:
@@ -179,6 +179,8 @@ def load_config(path, overrides, default_tolerance) -> RunConfig:
     tolerance = default_tolerance if tolerance is None else _number("tolerance", tolerance)
     if tolerance is not None and tolerance <= 0:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+    if not isinstance(data["outdir"], str):  # Path() takes text; null, 0 or [1] name no directory
+        raise ValueError(f"outdir must be a path string, got {json.dumps(data['outdir'])}")
     return RunConfig(
         preset=data["preset"],
         grid=Grid1D(_number("grid.a", grid["a"]), _number("grid.b", grid["b"]),
@@ -186,7 +188,7 @@ def load_config(path, overrides, default_tolerance) -> RunConfig:
         time=TimeGrid(t_end=_number("time.t_end", time["t_end"]), n_steps=n_steps,
                       nu=_number("time.nu", time["nu"])),
         scheme=data["scheme"], input=data["input"], initial=data["initial"],
-        outdir=str(data["outdir"]), tolerance=tolerance,
+        outdir=data["outdir"], tolerance=tolerance,
     )
 
 
@@ -327,6 +329,8 @@ def _initial_profile(cfg: RunConfig, points):
     if kind == "sine":
         amplitude = _number("initial.amplitude", cfg.initial["amplitude"])
         mode = _number("initial.mode", cfg.initial["mode"], int)
+        if not math.isfinite(mode * math.pi):
+            raise ValueError(f"initial.mode must keep mode * pi finite, got {mode}")
         rel = (np.asarray(points) - cfg.grid.a) / (cfg.grid.b - cfg.grid.a)
         return amplitude * np.sin(mode * np.pi * rel)
     raise ValueError(f"unknown initial kind {kind!r}; use zero or sine")
@@ -418,6 +422,8 @@ def _control_signal(cfg: RunConfig, n_inputs):
             raise ValueError(f"input.path must be a path string, got {json.dumps(path)}")
         if not path:
             raise ValueError("input.kind=table needs input.path")
+        if not os.path.isfile(path):
+            raise ValueError(f"input.path must name a file, got {json.dumps(path)}")
         return _table_signal(path, n_inputs)
     raise ValueError(f"unknown input kind {kind!r}; use zero, sinusoid or table")
 
@@ -627,7 +633,7 @@ def cmd_energy(cfg: RunConfig, outdir: Path, trajectory_path) -> int:
     if states.shape != (tg.n_steps + 1, sys.dim):
         raise ValueError(
             f"stored trajectory has shape {states.shape}, the configured run "
-            f"needs ({tg.n_steps + 1}, {sys.dim})"
+            f"needs ({tg.n_steps + 1}, {sys.dim}) from time.n_steps, preset and grid.n_cells"
         )
     scheme = meta.get("scheme", cfg.scheme)
     if scheme not in SCHEMES:
@@ -636,7 +642,7 @@ def cmd_energy(cfg: RunConfig, outdir: Path, trajectory_path) -> int:
     grid_times = tg.times()
     # written so that a NaN time fails the comparison
     if not np.abs(grid_times - times).max() <= 1e-9 * max(1.0, tg.t_end):
-        raise ValueError("stored time column does not match the configured grid")
+        raise ValueError("stored time column does not match the configured time.t_end")
 
     # the theta = 1 start-up steps of a midpoint run follow from the system
     n_init = n_euler_init_steps(scheme, m0_spectrum(sys.M0, sys.re_m1()))

@@ -44,7 +44,6 @@ float64, and a complex matrix, source or state makes the run complex128.
 
 Every theta-step is causal by construction; causality_defect measures this
 numerically, testing the samples <= a in one masked comparison.
-weighted_norm evaluates the exponentially weighted space-time norm.
 """
 
 from __future__ import annotations
@@ -464,19 +463,3 @@ def causality_defect(sys, f1, f2, a: float, grid: TimeGrid, scheme: str, x0=None
         raise HypothesisViolationError(f"inputs differ at sample t = {bad[0]:.6g} <= a = {a:.6g}")
     mask = grid.times() <= a_tol
     return float(np.abs(t1.states[mask] - t2.states[mask]).max(initial=0.0))
-
-
-def weighted_norm(traj: Trajectory, component_weights) -> float:
-    """Exponentially weighted space-time norm of a trajectory.
-
-    Trapezoid quadrature of exp(-2 nu t) <x(t)|W x(t)> over [0, t_end],
-    square root returned.  W must be Hermitian positive semidefinite for
-    the result to be a norm; the real part of the quadratic form is used.
-    """
-    n = traj.states.shape[1]
-    W = require_shape(component_weights, (n, n), "component_weights")
-    t = traj.grid.times()
-    quad = np.einsum("ki,ij,kj->k", traj.states.conj(), W, traj.states).real
-    integrand = np.exp(-2.0 * traj.grid.nu * t) * quad
-    total = float(np.trapezoid(integrand, t))
-    return float(np.sqrt(max(total, 0.0)))

@@ -201,10 +201,10 @@ def build_mixed_type_wave(spec: WaveSpec, indicators) -> ControlSystem:
     bdG = compute_bd_space(pair, "G")
     bdD = compute_bd_space(pair, "D")
     N_map = dot_map(bdG, bdD, pair) if spec.N_map is None else spec.N_map
-    uspace = build_u_space(bdG, bdD, N_map, pair)
-    m = uspace.dim
+    gram = build_u_space(bdG, bdD, N_map, pair)
+    m = gram.shape[0]
     b_map = require_shape(spec.b_map, (m, m), "b_map", default=np.eye(m))
-    L = np.linalg.cholesky(uspace.gram)
+    L = np.linalg.cholesky(gram)
 
     V = deflation_basis(pair)
     n_v = V.shape[1]

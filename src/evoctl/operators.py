@@ -49,8 +49,9 @@ class Grid1D:
         # int64; NaN fails it, and so does an int beyond the float range
         if not all(abs(value) <= sys.float_info.max for value in (self.a, self.b, self.n_cells)):
             raise InvalidGridError(f"need finite a, b, n_cells, got {self.a, self.b, self.n_cells}")
-        if not self.b > self.a:
-            raise InvalidGridError(f"need a < b, got [{self.a}, {self.b}]")
+        # the pair's boundary rows hold h**2 <= (b - a)**2 / 4, which must be finite
+        if not 0 < self.b - self.a <= sys.float_info.max ** 0.5:
+            raise InvalidGridError(f"need a < b and a finite (b - a)**2, got [{self.a}, {self.b}]")
         # numpy counts the nodes in int64
         if int(self.n_cells) != self.n_cells or not 2 <= self.n_cells < 2 ** 63:
             raise InvalidGridError(f"need an integer n_cells in [2, 2**63), got {self.n_cells}")
@@ -192,17 +193,3 @@ def ibp_defect(pair: GradDivPair, u, v) -> float:
     lhs = pair.cell_inner(pair.G @ u, v) + pair.node_inner(u, pair.D @ v)
     boundary = np.vdot(u, pair.T @ v)
     return abs(lhs - boundary)
-
-
-def minimal_projector(pair: GradDivPair, side: str) -> np.ndarray:
-    """Coordinate projector onto interior-supported vectors.
-
-    side="node": zeroes the two boundary nodes; side="cell": zeroes the
-    first and last cell.  Diagonal, hence idempotent and symmetric with
-    respect to the diagonal weight of its side.
-    """
-    if side not in ("node", "cell"):
-        raise ValueError(f"side must be 'node' or 'cell', got {side!r}")
-    mask = np.ones(pair.n_nodes if side == "node" else pair.n_cells)
-    mask[[0, -1]] = 0.0
-    return np.diag(mask)

@@ -1,5 +1,5 @@
-"""Tests for boundary data spaces, their transport maps, Riesz and dual
-projections, the auxiliary control space, and the Green identity."""
+"""Tests for boundary data spaces, their transport maps, the dual
+projection, the auxiliary control space, and the Green identity."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from evoctl.bdspace import (
-    GraphInnerProduct,
     boundary_triple_defect,
     build_u_space,
     compute_bd_space,
     dot_map,
     dual_projection,
-    riesz_map,
 )
 from evoctl.errors import PositivityError, ShapeMismatchError
 from evoctl.operators import Grid1D, build_sbp_pair_1d
@@ -190,48 +188,26 @@ class TestDotMap:
             dot_map(bdG, bdG, pair16)
 
 
-class TestRieszMap:
-    def test_inverse_of_graph_operator(self, pair16):
-        R = riesz_map(pair16)
-        Gstar = -pair16.minimal_div()
-        op = np.eye(17) + Gstar @ pair16.G
-        assert np.max(np.abs(R @ op - np.eye(17))) < 1e-10
-
-    def test_fixes_constants(self, pair16):
-        ones = np.ones(17)
-        assert np.max(np.abs(riesz_map(pair16) @ ones - ones)) < 1e-12
-
-    def test_riesz_representation(self, pair16):
-        """<R phi|psi>_graph = <phi|psi>_W0 for random pairs."""
-        R = riesz_map(pair16)
-        graph = GraphInnerProduct(W=pair16.W0, O=pair16.G, W_out=pair16.W1)
-        rng = np.random.default_rng(seed=17)
-        phi = rng.standard_normal(17) + 1j * rng.standard_normal(17)
-        worst = 0.0
-        for _ in range(100):
-            psi = rng.standard_normal(17) + 1j * rng.standard_normal(17)
-            lhs = graph.inner(R @ phi, psi)
-            rhs = np.vdot(phi, pair16.W0 * psi)
-            worst = max(worst, abs(lhs - rhs))
-        assert worst < 1e-10, f"Riesz representation defect: {worst:.2e}"
+def riesz(pair, P):
+    """The Riesz isomorphism (1 + G*G)^-1 of the node graph space applied to
+    P, with G* = -minimal_div() the weight-adjoint W0^-1 G^T W1 of G."""
+    return np.linalg.solve(np.eye(pair.n_nodes) - pair.minimal_div() @ pair.G, P)
 
 
 class TestDualProjection:
     def test_riesz_recovers_embedding(self, pair16, spaces16):
-        """Riesz map applied to the dual projection gives the plain
-        embedding on every coordinate vector."""
+        """The Riesz isomorphism applied to the dual projection gives the
+        plain embedding on every coordinate vector."""
         bdG, bdD = spaces16
         P = dual_projection(bdG, bdD, pair16)
-        R = riesz_map(pair16)
-        err = np.max(np.abs(R @ P - bdG.basis))
+        err = np.max(np.abs(riesz(pair16, P) - bdG.basis))
         assert err < 1e-10, f"dual projection mismatch: {err:.2e}"
 
     def test_pairing_normalization(self, pair16, spaces16):
         """Projecting the Riesz representer returns the coordinates."""
         bdG, bdD = spaces16
         P = dual_projection(bdG, bdD, pair16)
-        R = riesz_map(pair16)
-        comp = bdG.projector @ R @ P
+        comp = bdG.projector @ riesz(pair16, P)
         assert np.max(np.abs(comp - np.eye(2))) < 1e-10
 
     def test_zero_maps_to_zero(self, pair16, spaces16):
@@ -242,13 +218,11 @@ class TestDualProjection:
 
 class TestUSpace:
     def test_transport_choice_gives_identity(self, pair16, spaces16):
-        """N equal to the transport map makes gram and j_adjoint the
-        identity."""
+        """N equal to the transport map makes the Gram matrix the identity."""
         bdG, bdD = spaces16
         Q = dot_map(bdG, bdD, pair16)
-        U = build_u_space(bdG, bdD, Q, pair16)
-        assert np.max(np.abs(U.gram - np.eye(2))) < 1e-10
-        assert np.max(np.abs(U.j_adjoint - np.eye(2))) < 1e-10
+        gram = build_u_space(bdG, bdD, Q, pair16)
+        assert np.max(np.abs(gram - np.eye(2))) < 1e-10
 
     def test_sign_flip_violates_positivity(self, pair16, spaces16):
         bdG, bdD = spaces16
@@ -264,12 +238,12 @@ class TestUSpace:
         Q = dot_map(bdG, bdD, pair16)
         rng = np.random.default_rng(seed=23)
         N = Q + 0.1 * rng.standard_normal((2, 2))
-        U = build_u_space(bdG, bdD, N, pair16)
+        gram = build_u_space(bdG, bdD, N, pair16)
         for _ in range(10):
             f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             g = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             direct = 0.5 * np.vdot(N @ f, Q @ g) + 0.5 * np.vdot(Q @ f, N @ g)
-            assert abs(np.vdot(f, U.gram @ g) - direct) < 1e-12
+            assert abs(np.vdot(f, gram @ g) - direct) < 1e-12
 
     def test_wrong_shape_rejected(self, pair16, spaces16):
         bdG, bdD = spaces16

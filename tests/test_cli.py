@@ -14,6 +14,7 @@ within tolerance.
 import contextlib
 import dataclasses
 import io
+import json
 import os
 import re
 import subprocess
@@ -137,8 +138,16 @@ class TestConfig:
     @pytest.mark.parametrize("args,message", [
         (("simulate", "--set", "grid=5"), "config.grid must be an object"),
         (("simulate", "--set", "preset=wave-wt", "--set", "preset.x=1"),
-         "cannot override below non-object key 'preset'"),
+         "cannot override preset.x below the non-object key 'preset'"),
         (("simulate", "--set", "grid.a"), "--set expects key=value, got 'grid.a'"),
+        (("simulate", "--set", "input.kind=table", "--set", "input.path=missing.csv"),
+         'input.path must name a file, got "missing.csv"'),
+        (("simulate", "--set", "initial.kind=sine", "--set", "initial.mode=1e308"),
+         f"initial.mode must keep mode * pi finite, got {int(1e308)}"),
+        (("simulate", "--set", "time.n_steps=1e308"),
+         f"time.n_steps must be at least 1 and below 2**63 - 1, got {int(1e308)}"),
+        (("wellposed", "--set", "grid.b=1e200"),
+         "need a < b and a finite (b - a)**2, got [0.0, 1e+200]"),
         (("simulate", "--set", "initial.kind=cosine"),
          "unknown initial kind 'cosine'; use zero or sine"),
         (("simulate", "--set", "input.kind=sinusoid", "--set", "input.component=2"),
@@ -152,6 +161,28 @@ class TestConfig:
         """Each malformed configuration exits 2 with its own words."""
         assert run(tmp_path, *args) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("override,message", [
+        ("time.t_end=x", 'time.t_end must be a number, got "x"'),
+        ("input.freq=abc", 'input.freq must be a number, got "abc"'),
+        ("grid.n_cells=x", 'grid.n_cells must be a number, got "x"'),
+        ("time.n_steps=", 'time.n_steps must be a number, got ""'),
+    ], ids=["float", "float-input", "int", "int-empty"])
+    def test_non_numeric_text_names_its_key(self, tmp_path, capsys, override, message):
+        """float()'s own refusal ("could not convert string to float") named
+        no key."""
+        assert run(tmp_path, "simulate", "--set", "input.kind=sinusoid", "--set", override) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value", ["null", "[1]", "{}", "0", "true"])
+    def test_outdir_must_be_a_path_string(self, tmp_path, capsys, monkeypatch, value):
+        """str() made null the directory None and [1] the directory [1],
+        beside the working directory; the refusal writes nothing."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["bdspace", "--set", f"outdir={value}"]) == 2
+        shown = json.dumps(json.loads(value))
+        assert capsys.readouterr().err == f"error: outdir must be a path string, got {shown}\n"
+        assert not any(tmp_path.iterdir())
 
     def test_configuration_file_must_hold_an_object(self, tmp_path, capsys):
         path = tmp_path / "conf.json"
@@ -211,27 +242,29 @@ class TestWellposed:
         """The three-region wave still certifies a positive constant."""
         assert run(tmp_path, "wellposed", "--set", "preset=wave-mixed") == 0
 
-    @pytest.mark.parametrize("command,preset", [
-        ("wellposed", "wave-wt"),
-        ("wellposed", "port-hamiltonian"),
-        ("simulate", "wave-wt"),
-        ("bdspace", "wave-wt"),
+    @pytest.mark.parametrize("command,preset,b", [
+        ("wellposed", "wave-wt", 1e150),
+        ("wellposed", "port-hamiltonian", 1e-300),
+        ("simulate", "wave-wt", 1e150),
+        ("bdspace", "wave-wt", 1e150),
     ])
-    def test_non_finite_system_exits_2(self, tmp_path, capsys, command, preset):
-        """On [0, 1e200] the scaled operators overflow.  The wave's boundary
-        space refuses its infinite graph norm, the same way in every
-        command; the chain builds no boundary space, and the NaN in its A
-        is refused instead of being certified.  numpy's floating-point
-        warnings come first, one 'warning: <message>' line each, without
+    def test_non_finite_system_exits_2(self, tmp_path, capsys, command, preset, b):
+        """On [0, 1e150] the wave's scaled graph form overflows, and its
+        boundary space refuses its infinite graph norm, the same way in every
+        command.  On [0, 1e-300] the chain, which builds no boundary space,
+        overflows in its scaled operators, and the NaN in its A is refused
+        instead of being certified.  numpy's floating-point warnings (the
+        chain's) come first, one 'warning: <message>' line each, without
         source lines."""
         assert run(tmp_path, command, "--set", f"preset={preset}",
-                   "--set", "grid.b=1e200") == 2
+                   "--set", f"grid.b={b}") == 2
         message = ("error: A is not finite" if preset == "port-hamiltonian" else
                    "error: kernel basis collapsed or overflowed during "
                    "orthonormalization (graph norm inf)")
         lines = capsys.readouterr().err.splitlines()
         assert lines[-1] == message
-        assert lines[:-1] and all(line.startswith("warning: ") for line in lines[:-1])
+        assert bool(lines[:-1]) == (preset == "port-hamiltonian")
+        assert all(line.startswith("warning: ") for line in lines[:-1])
         assert not any(".py:" in line for line in lines)
 
 
@@ -488,13 +521,27 @@ class TestEnergy:
         assert code == 2
         assert "lacks '# preset=wave-mixed'" in capsys.readouterr().err
 
-    def test_mismatched_shape_is_rejected(self, tmp_path):
-        """A stored trajectory must match the configured run size."""
+    def test_mismatched_shape_is_rejected(self, tmp_path, capsys):
+        """A stored trajectory must match the configured run size, and the
+        refusal names the keys that set it."""
         sim = tmp_path / "sim"
         assert run(sim, "simulate", "--set", "time.n_steps=20") == 0
         code = run(tmp_path, "energy", "--set", "time.n_steps=30",
                    "--trajectory", str(sim / "trajectory.csv"))
         assert code == 2
+        # 36 states: 16 deflated velocities, 16 fluxes, and w and y with 2 each
+        assert capsys.readouterr().err == (
+            "error: stored trajectory has shape (21, 36), the configured run "
+            "needs (31, 36) from time.n_steps, preset and grid.n_cells\n")
+
+    def test_trajectory_of_another_length_is_rejected(self, tmp_path, capsys):
+        """A same-shape trajectory over [0, 2] cannot replay over [0, 1]."""
+        sim = tmp_path / "sim"
+        assert run(sim, "simulate", "--set", "time.t_end=2") == 0
+        code = run(tmp_path, "energy", "--trajectory", str(sim / "trajectory.csv"))
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: stored time column does not match the configured time.t_end\n"
 
     def simulated_trajectory(self, tmp_path):
         """Lines of a stored 20-step midpoint wave-wt trajectory."""
@@ -733,7 +780,9 @@ class TestConfigFuzz:
     cells and 4 steps, under the preset and the input and initial kinds that
     make the key read: every command ends with status 0, 1 or 2, with no
     exception out of main, no traceback or source line on stderr, the
-    standard streams still open, and 0 only with finite artifacts."""
+    standard streams still open, and 0 only with finite artifacts.  The run
+    writes nothing outside its outdir, and a refusal (2) that the context
+    alone does not give names the key."""
 
     KEYS = (*config_keys(cli.DEFAULT_CONFIG), "bogus", "grid.bogus", "input.kind.deep",
             "time.n_steps.deep")
@@ -767,6 +816,38 @@ class TestConfigFuzz:
                         return False
         return True
 
+    @staticmethod
+    def parsed(value):
+        """The value as --set reads it: JSON where it is JSON, else the text."""
+        try:
+            return json.loads(value)
+        except json.JSONDecodeError:
+            return value
+
+    @classmethod
+    def names(cls, message, key, value):
+        """Whether a refusal names key: by its dotted path, or by its last
+        part as a word or before '_' (Grid1D, TimeGrid and the run headers
+        name the grid and time fields bare, and wellposed names time.nu in
+        nu_max = 2 time.nu).  An object value also counts as named by one of
+        its own keys, which it sets."""
+        parsed = cls.parsed(value)
+        keys = [key, *(f"{key}.{sub}" for sub in parsed)] if isinstance(parsed, dict) else [key]
+        return any(name in message or re.search(rf"\b{re.escape(name.rpartition('.')[2])}(\b|_)",
+                                                message) for name in keys)
+
+    @staticmethod
+    def main_captured(cwd, argv):
+        """The exit status and stderr of main(argv) run from cwd."""
+        here = os.getcwd()
+        stderr = io.StringIO()
+        os.chdir(cwd)  # a relative outdir, hostile or not, lands in cwd
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                return main(argv), stderr.getvalue()
+        finally:
+            os.chdir(here)
+
     @pytest.mark.parametrize("command", ["wellposed", "simulate", "bdspace", "energy"])
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(key=st.sampled_from(KEYS), value=st.sampled_from(HOSTILE), context=CONTEXT)
@@ -775,33 +856,51 @@ class TestConfigFuzz:
     @example(key="grid.n_cells", value="1e308", context=PLAIN)
     @example(key="grid.a", value="1" + "0" * 400, context=PLAIN)
     @example(key="time.nu", value="1e308", context=PLAIN)
+    @example(key="outdir", value="null", context=PLAIN)
+    @example(key="outdir", value="[1]", context=PLAIN)
+    @example(key="time.t_end", value="x", context=PLAIN)
+    @example(key="grid.n_cells", value="x", context=PLAIN)
+    @example(key="grid.b", value="1e308", context=PLAIN)
+    @example(key="input.kind.deep", value="1", context=PLAIN)
+    @example(key="input.path", value="x", context=PLAIN)
+    @example(key="time.n_steps", value="1e308", context=PLAIN)
+    @example(key="initial.mode", value="1e308", context=PLAIN)
+    @example(key="time.n_steps", value="2", context=PLAIN)
+    @example(key="time.t_end", value="2", context=PLAIN)
+    @example(key="grid", value='{"a": 1}', context=PLAIN)
     def test_hostile_value(self, command, key, value, context):
         context = {**context, "grid.n_cells": 4, "time.n_steps": 4}
         if key in self.READ_BY:
             context.update([self.READ_BY[key]])
-        cwd = os.getcwd()
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             (root / "signal.csv").write_text(parity.SIGNAL_TABLE, encoding="utf-8")
-            context.update({"input.path": root / "signal.csv", "outdir": root})
+            context.update({"input.path": root / "signal.csv", "outdir": root / "run"})
             args = [arg for item in context.items() for arg in ("--set", "%s=%s" % item)]
             extra = []
             if command == "energy":
                 # the replayed trajectory is the run of the context alone
                 assert main(["simulate", *args, "--set", f"outdir={root / 'stored'}"]) in (0, 2)
                 extra = ["--trajectory", str(root / "stored" / "trajectory.csv")]
-            stdout, stderr = io.StringIO(), io.StringIO()
-            os.chdir(root)  # a relative outdir, hostile or not, lands in root
-            try:
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                    status = main([command, *args, "--set", f"{key}={value}", *extra])
-            finally:
-                os.chdir(cwd)
+            before = set(root.rglob("*"))
+            status, stderr = self.main_captured(root, [command, *args, "--set", f"{key}={value}",
+                                                       *extra])
             for fd in (1, 2):
                 os.fstat(fd)  # an OSError when the run closed a standard stream
             assert status in (0, 1, 2)
-            assert "Traceback" not in stderr.getvalue() and ".py:" not in stderr.getvalue()
+            assert "Traceback" not in stderr and ".py:" not in stderr
             assert status or self.finite_artifacts(root)
+            # a hostile outdir that is a path string is the run's outdir, relative to root
+            outdir = root / "run"
+            if key == "outdir":
+                hostile = self.parsed(value)
+                outdir = root / hostile if isinstance(hostile, str) else None
+            outside = [path for path in set(root.rglob("*")) - before
+                       if outdir is None or not path.is_relative_to(outdir)]
+            assert not outside, f"written outside the outdir {outdir}: {sorted(outside)}"
+            if status == 2:
+                alone = self.main_captured(root, [command, *args, *extra])
+                assert alone == (2, stderr) or self.names(stderr, key, value), stderr
 
 
 class TestVerdict:

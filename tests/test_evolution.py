@@ -1,5 +1,5 @@
 """Tests for the evolutionary-equation steppers, the well-posedness
-checker, causality, and the weighted space-time norm."""
+checker, causality, and the observed order of accuracy of each preset."""
 
 import itertools
 import re
@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from evoctl import evolution
+from evoctl import cli, evolution
 from evoctl.errors import HypothesisViolationError, ShapeMismatchError, StepSingularityError
 from evoctl.evolution import (
     _ROWS,
@@ -22,10 +22,9 @@ from evoctl.evolution import (
     row_blocks,
     prepare,
     solve,
-    weighted_norm,
 )
-from evoctl.models import WaveSpec, build_weiss_tucsnak_wave
-from evoctl.operators import Grid1D
+from evoctl.models import WaveSpec, build_weiss_tucsnak_wave, maxwell_lift_solve
+from evoctl.operators import Grid1D, build_sbp_pair_1d
 
 
 def random_skew(rng, n):
@@ -657,32 +656,49 @@ class TestThetaSchedule:
             assert np.array_equal(x, expected)
 
 
-class TestWeightedNorm:
-    def make_traj(self, values, t_end, n_steps, nu):
-        sys = EvolutionarySystem(M0=np.eye(1), M1=np.eye(1), A=np.zeros((1, 1)), J=np.eye(1))
-        grid = TimeGrid(t_end=t_end, n_steps=n_steps, nu=nu)
-        traj = solve(sys, np.zeros(1), None, grid, "backward_euler")
-        states = np.asarray(values, dtype=complex)[:, None]
-        return type(traj)(grid=grid, states=states, inputs=traj.inputs, scheme=traj.scheme)
+class TestOrderOfAccuracy:
+    """The observed order of each preset under each scheme, both Maxwell
+    routes included: the Richardson ratio |x_n - x_2n| / |x_2n - x_4n| of the
+    final states (max norm) lies within 20 % of 2^p, with p = 1 for backward
+    Euler and p = 2 for the midpoint rule.  The ledger, causality and io
+    checks hold for whatever source samples a run takes, so this is the test
+    that fails when a step samples its source at the wrong time: at t_k + tau
+    the midpoint rule is first order, and the control presets read about 2.
 
-    def test_zero_trajectory(self):
-        traj = self.make_traj(np.zeros(11), 1.0, 10, 1.0)
-        assert weighted_norm(traj, np.eye(1)) == 0.0
+    The run is 8 cells on [0, 1] with t_end 1, the source sin(3t) on the
+    first input and a sine initial profile, and n = 320 for every preset:
+    the range where each one is asymptotic.  wave-mixed under backward Euler
+    comes last, because its parabolic region is stiff: its ratio reads 1.27,
+    1.57 and 1.78 from n = 80, 160 and 320.
+    """
 
-    def test_constant_against_closed_form(self):
-        """x = 1, nu = 1: the squared norm tends to 1/2 with O(tau^2)
-        quadrature error."""
-        n = 400
-        traj = self.make_traj(np.ones(n + 1), 20.0, n, 1.0)
-        val = weighted_norm(traj, np.eye(1))
-        tau = 20.0 / n
-        assert abs(val**2 - 0.5) < tau**2, f"quadrature error {abs(val**2 - 0.5):.2e}"
+    ORDER = {"backward_euler": 1, "implicit_midpoint": 2}
+    N_STEPS = 320
 
-    def test_homogeneity(self):
-        rng = np.random.default_rng(seed=50)
-        vals = rng.standard_normal(21)
-        t1 = self.make_traj(vals, 1.0, 20, 2.0)
-        t2 = self.make_traj(3.0 * vals, 1.0, 20, 2.0)
-        assert weighted_norm(t2, np.eye(1)) == pytest.approx(
-            3.0 * weighted_norm(t1, np.eye(1)), rel=1e-12
-        )
+    @staticmethod
+    def source(n_inputs):
+        return lambda t: np.sin(3.0 * t) * np.eye(n_inputs)[0]
+
+    def final_states(self, preset, scheme, n_steps):
+        """The final state of each route of the preset's run, by name."""
+        cfg = cli.load_config(None, [f"preset={preset}", "grid.n_cells=8", "initial.kind=sine",
+                                     f"time.n_steps={n_steps}"], None)
+        if preset != "maxwell-lift-1d":
+            system = cli._build_preset(cfg)
+            source = self.source(system.partition.n_u1)
+            return {preset: solve(system, system.x0, source, cfg.time, scheme).states[-1]}
+        pair = build_sbp_pair_1d(cfg.grid)
+        u = np.array([self.source(2)(t) for t in cfg.time.times()])
+        E0 = np.sin(np.pi * cfg.grid.nodes())
+        routes = maxwell_lift_solve(pair, None, None, u, (E0, np.zeros(pair.n_cells)), cfg.time,
+                                    scheme)
+        return {f"{preset} {name}": traj.states[-1] for name, traj in routes._asdict().items()}
+
+    @pytest.mark.parametrize("scheme", evolution.SCHEMES)
+    @pytest.mark.parametrize("preset", cli.PRESETS)
+    def test_richardson_ratio(self, preset, scheme):
+        x_n, x_2n, x_4n = (self.final_states(preset, scheme, k * self.N_STEPS) for k in (1, 2, 4))
+        expected = 2.0 ** self.ORDER[scheme]
+        for route in x_n:
+            ratio = np.abs(x_n[route] - x_2n[route]).max() / np.abs(x_2n[route] - x_4n[route]).max()
+            assert 0.8 * expected <= ratio <= 1.2 * expected, f"{route}: ratio {ratio:.3f}"

@@ -185,7 +185,7 @@ class TestWaveBuilder:
         """The default N map makes the control Gram matrix the identity."""
         pair = build_sbp_pair_1d(Grid1D(0.0, 1.0, 24))
         bdG, bdD = compute_bd_space(pair, "G"), compute_bd_space(pair, "D")
-        gram = build_u_space(bdG, bdD, dot_map(bdG, bdD, pair), pair).gram
+        gram = build_u_space(bdG, bdD, dot_map(bdG, bdD, pair), pair)
         err = np.abs(gram - np.eye(2)).max()
         assert err < 1e-12, f"gram deviates from identity: {err:.2e}"
 

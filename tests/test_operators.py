@@ -1,9 +1,11 @@
 """Tests for the staggered gradient/divergence pair.
 
 Checks the summation-by-parts identity, the two-dimensional kernels of
-1 - DG and 1 - GD, exactness of the difference stencils on low-order
-polynomials, and the coordinate projectors.
+1 - DG and 1 - GD, and exactness of the difference stencils on low-order
+polynomials.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from evoctl import Grid1D, InvalidGridError, build_sbp_pair_1d, ibp_defect, minimal_projector
+from evoctl import Grid1D, InvalidGridError, build_sbp_pair_1d, ibp_defect
 from evoctl.errors import ShapeMismatchError
 
 
@@ -68,6 +70,19 @@ class TestGrid1D:
                 Grid1D(0.0, 1.0, huge)
         with pytest.raises(InvalidGridError):
             Grid1D(0.0, 10 ** 400, 4)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1e200), (-1e308, 1.0), (-1e308, 1e308)])
+    def test_rejects_a_length_whose_square_overflows(self, a, b):
+        """T holds (3 + h^2)/2, which overflowed on these grids."""
+        with pytest.raises(InvalidGridError, match=r"^need a < b and a finite \(b - a\)\*\*2"):
+            Grid1D(a, b, 4)
+
+    def test_the_longest_grid_gives_a_finite_pair(self):
+        """The longest accepted length keeps every entry of the pair finite."""
+        length = sys.float_info.max ** 0.5
+        pair = build_sbp_pair_1d(Grid1D(0.0, length, 2))
+        for name in ("G", "D", "W0", "W1", "T"):
+            assert np.isfinite(getattr(pair, name)).all(), name
 
 
 class TestSummationByParts:
@@ -230,33 +245,3 @@ class TestMinimalOperators:
         pair = build_sbp_pair_1d(Grid1D(0.0, 1.0, 8))
         with pytest.raises(ShapeMismatchError, match=f"^{words}$"):
             getattr(pair, inner)(np.zeros(u), np.zeros(v))
-
-
-class TestMinimalProjector:
-    def test_node_projector_zeroes_boundary(self):
-        pair = build_sbp_pair_1d(Grid1D(0.0, 1.0, 6))
-        P = minimal_projector(pair, "node")
-        u = np.arange(7, dtype=float)
-        pu = P @ u
-        assert pu[0] == 0.0 and pu[-1] == 0.0
-        assert np.array_equal(pu[1:-1], u[1:-1])
-
-    def test_cell_projector_zeroes_first_last(self):
-        pair = build_sbp_pair_1d(Grid1D(0.0, 1.0, 6))
-        P = minimal_projector(pair, "cell")
-        v = np.arange(6, dtype=float)
-        pv = P @ v
-        assert pv[0] == 0.0 and pv[-1] == 0.0
-        assert np.array_equal(pv[1:-1], v[1:-1])
-
-    def test_idempotent_and_selfadjoint(self):
-        pair = build_sbp_pair_1d(Grid1D(0.0, 1.0, 6))
-        for side in ("node", "cell"):
-            P = minimal_projector(pair, side)
-            assert np.array_equal(P @ P, P)
-            assert np.array_equal(P, P.T)
-
-    def test_unknown_side_rejected(self):
-        pair = build_sbp_pair_1d(Grid1D(0.0, 1.0, 6))
-        with pytest.raises(ValueError):
-            minimal_projector(pair, "edge")

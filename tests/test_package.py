@@ -10,13 +10,13 @@ PUBLIC_NAMES = {
     "EvoctlError", "HypothesisViolationError", "InvalidGridError", "NumericalRankError",
     "PositivityError", "ShapeMismatchError", "StepSingularityError",
     # operators
-    "Grid1D", "GradDivPair", "build_sbp_pair_1d", "ibp_defect", "minimal_projector",
+    "Grid1D", "GradDivPair", "build_sbp_pair_1d", "ibp_defect",
     # bdspace
-    "BoundaryDataSpace", "USpace", "boundary_triple_defect", "build_u_space",
-    "compute_bd_space", "dot_map", "dual_projection", "riesz_map",
+    "BoundaryDataSpace", "boundary_triple_defect", "build_u_space", "compute_bd_space",
+    "dot_map", "dual_projection",
     # evolution
     "EvolutionarySystem", "TimeGrid", "Trajectory", "WellPosednessReport",
-    "causality_defect", "check_wellposed", "solve", "weighted_norm",
+    "causality_defect", "check_wellposed", "solve",
     # control
     "BlockPartition", "ControlSystem", "EnergyLedger", "IOSamples", "assemble_control",
     "boundary_equation_defect", "check_compatibility", "energy_ledger", "extract_io",
@@ -35,7 +35,7 @@ class TestPublicNames:
         one of the pinned names, and every pinned name is offered."""
         public = {name for name, value in vars(evoctl).items()
                   if not name.startswith("_") and not isinstance(value, ModuleType)}
-        assert len(PUBLIC_NAMES) == 50
+        assert len(PUBLIC_NAMES) == 46
         assert public == PUBLIC_NAMES
 
     def test_star_import_binds_every_public_name(self):

@@ -38,8 +38,11 @@ take as the file descriptor of stdout), refuse-simulate-table-ragged
 (SIGNAL_TABLE with a field missing from one row), a wave-wt trajectory
 replayed as wave-mixed, a port-Hamiltonian run whose sinusoid input of
 amplitude 1e308 overflows the states, refused naming the step whose
-right side is not finite, a grid of 1e308 cells, and a weight time.nu =
-1e308, whose nu_max = 2 time.nu is not finite (2 each).
+right side is not finite, a grid of 1e308 cells, a weight time.nu =
+1e308, whose nu_max = 2 time.nu is not finite, an outdir of null, which
+is no path string (refuse-bdspace-outdir-null), and a time.t_end of x,
+refused naming the key (refuse-wellposed-t_end-string) (2 each).  Each
+case runs in its own directory, so a relative outdir would land there.
 """
 
 import argparse
@@ -166,9 +169,12 @@ def matrix(out: Path) -> list:
             ("input.kind", "sinusoid"), ("input.amplitude", 1e308))]),
         ("refuse-wellposed-n_cells-1e308", 2, ["wellposed", *_sets(("grid.n_cells", 1e308))]),
         ("refuse-wellposed-nu-1e308", 2, ["wellposed", *_sets(("time.nu", 1e308))]),
+        ("refuse-bdspace-outdir-null", 2, ["bdspace", *_sets(("outdir", "null"))]),
+        ("refuse-wellposed-t_end-string", 2, ["wellposed", *_sets(("time.t_end", "x"))]),
     ):
         case = out / name
-        cases.append((case, [*args, *_sets(("outdir", case))], status, None))
+        # the case's outdir comes first, so that a case may set its own
+        cases.append((case, [args[0], *_sets(("outdir", case)), *args[1:]], status, None))
     return cases
 
 
@@ -188,7 +194,7 @@ def main(argv=None) -> int:
         case.mkdir(parents=True, exist_ok=True)
         if prepare is not None:
             prepare()
-        proc = subprocess.run([sys.executable, "-m", "evoctl.cli", *args], env=env,
+        proc = subprocess.run([sys.executable, "-m", "evoctl.cli", *args], env=env, cwd=case,
                               capture_output=True, text=True)
         for name, text in (("stdout.txt", proc.stdout), ("stderr.txt", proc.stderr)):
             text = text.replace(str(out), "<outdir>").replace(str(ROOT), "<checkout>")
