@@ -714,7 +714,10 @@ def main(argv=None) -> int:
             cfg = load_config(args.config, args.overrides,
                               DEFAULT_TOLERANCES.get(args.command))
             outdir = Path(cfg.outdir)
-            outdir.mkdir(parents=True, exist_ok=True)
+            try:
+                outdir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:  # a name too long, a file in the way, no permission
+                raise ValueError(f"outdir cannot be created: {exc}") from None
             if args.command == "wellposed":
                 return cmd_wellposed(cfg, outdir, args.zero_damping)
             if args.command == "simulate":
@@ -722,8 +725,14 @@ def main(argv=None) -> int:
             if args.command == "bdspace":
                 return cmd_bdspace(cfg, outdir)
             return cmd_energy(cfg, outdir, args.trajectory)
-        except (EvoctlError, ValueError, OSError, MemoryError) as exc:
+        except (EvoctlError, ValueError, OSError) as exc:
             print(f"error: {exc}", file=_sys.stderr)
+            return 2
+        except MemoryError as exc:  # an array too large to allocate or to address
+            sizes = "grid.n_cells" if args.command in ("wellposed", "bdspace") \
+                else "time.n_steps and grid.n_cells"
+            print(f"error: the arrays that {sizes} size cannot be allocated ({exc})",
+                  file=_sys.stderr)
             return 2
 
 

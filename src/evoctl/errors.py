@@ -6,6 +6,8 @@ every public entry states through them:
     negligible          a block is zero up to roundoff next to its matrix
     require_invertible  a matrix is numerically invertible
     require_geometry    a check finds the model data it reads on the system
+    allocated           an array too large to address fails as one too large
+                        to allocate, a MemoryError
 """
 
 import numpy as np
@@ -83,6 +85,17 @@ def require_shape(value, shape, name, default=None) -> np.ndarray:
     if arr.shape != shape:
         raise ShapeMismatchError(f"{name} must have shape {shape}, got {arr.shape}")
     return arr
+
+
+def allocated(make, *args) -> np.ndarray:
+    """make(*args), a numpy call that allocates an array from valid sizes, so
+    that its one ValueError is numpy's refusal of a byte count beyond the
+    address space; that refusal is raised as MemoryError, as an allocation
+    that the memory cannot hold is."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise MemoryError(str(exc)) from None
 
 
 def negligible(part, scale) -> bool:

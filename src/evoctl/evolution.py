@@ -32,7 +32,8 @@ for backward Euler.  theta is the scheme's own, except that a midpoint
 run on singular M0 (n_euler_init_steps) takes its first step with
 theta = 1, which initializes the algebraic components consistently.
 
-prepare certifies a system and inverts each distinct step matrix once;
+prepare certifies a system and inverts each distinct step matrix once,
+every inverse before any right side and one step matrix at a time;
 the plan's run steps through any number of source arrays in row blocks of
 _ROWS steps, forming J f_k and testing the states once per block; the first
 non-finite state names the step, with no numpy warning.  solve is prepare,
@@ -55,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (HypothesisViolationError, ShapeMismatchError, StepSingularityError,
-                     as_array, negligible, require_shape)
+                     allocated, as_array, negligible, require_shape)
 
 SCHEMES = ("backward_euler", "implicit_midpoint")
 # steps per row block: level-3 products whose temporaries stay near 70 KB at dim 67
@@ -88,7 +89,7 @@ class TimeGrid:
         return self.t_end / self.n_steps
 
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_end, self.n_steps + 1)
+        return allocated(np.linspace, 0.0, self.t_end, self.n_steps + 1)
 
     def sample_times(self, theta) -> np.ndarray:
         """Time t_k + theta_k tau at which step k samples its source."""
@@ -304,7 +305,8 @@ def lu_factor(K):
 def _factor_step_matrix(K, tau):
     """Inverse P of a step matrix K and its exact 1-norm condition number
     kappa_1 = |K|_1 |P|_1, refused when K is singular or kappa_1 is not
-    <= 1e14 (so NaN or inf from an overflowing K is refused too).
+    <= 1e14 (so NaN or inf from an overflowing K is refused too).  K is not
+    kept: the caller drops it before it forms the next step matrix.
 
     The residual bound of a step through P is kappa times that of an LU
     solve (Higham, Accuracy and Stability, sec. 14.1); the shipped
@@ -358,7 +360,7 @@ def n_euler_init_steps(scheme, spectrum) -> int:
 
 def theta_steps(scheme, n_steps, n_init) -> np.ndarray:
     """theta of the n_steps steps of a scheme run whose first n_init steps take theta = 1."""
-    theta = np.full(n_steps, 0.5 if scheme == "implicit_midpoint" else 1.0)
+    theta = allocated(np.full, n_steps, 0.5 if scheme == "implicit_midpoint" else 1.0)
     theta[:n_init] = 1.0
     return theta
 
@@ -367,7 +369,9 @@ def theta_steps(scheme, n_steps, n_init) -> np.ndarray:
 class StepPlan:
     """A system prepared for one grid and scheme; theta and sample_times() derive
     from n_init as in Trajectory.  steps[theta] = (P, kappa, R) per distinct theta:
-    P = K^-1, K = M0/tau + theta (M1+A), kappa = |K|_1 |P|_1, R = M0/tau - (1-theta)(M1+A)."""
+    P = K^-1, K = M0/tau + theta (M1+A), kappa = |K|_1 |P|_1, R = M0/tau - (1-theta)(M1+A).
+    prepare makes every P first, one K and one inverse workspace at a time,
+    then every R; no K is kept."""
 
     sys: EvolutionarySystem
     grid: TimeGrid
@@ -420,19 +424,43 @@ class StepPlan:
         return Trajectory(self.grid, states, F, self.scheme, self.n_init)
 
 
+def _with_m1a(op, c, sys, tau, m0_tau=None):
+    """op(M0/tau, c (M1 + A)) formed in one new array of the dtype of M0, M1
+    and A together, with no M1 + A beside it.  The sum and the product by c
+    are taken in M1 + A's own dtype (in the real part when only M0 is
+    complex), so every bit, signed zeros included, is that of the expression
+    evaluated term by term.  M0/tau is m0_tau when given, else it is divided
+    after the array is allocated, so that with glibc's malloc, which fills a
+    free chunk that fits before it grows the heap, the quotient is freed at
+    the top of the heap and each step matrix leaves its slot below the
+    inverses made after it."""
+    out = np.zeros(sys.M0.shape, np.result_type(sys.M0, sys.M1, sys.A))
+    part = out if np.result_type(sys.M1, sys.A) == out.dtype else out.real
+    np.add(sys.M1, sys.A, out=part)
+    np.multiply(c, part, out=part)
+    return op(sys.M0 / tau if m0_tau is None else m0_tau, out, out=out)
+
+
 def prepare(sys: EvolutionarySystem, grid: TimeGrid, scheme: str) -> StepPlan:
-    """Certify the system at nu_max = 1/tau (warning when that fails) and
-    invert the step matrix of each distinct theta once."""
+    """Certify the system at nu_max = 1/tau (warning when that fails), invert
+    the step matrix of each distinct theta once, and only then form the right
+    sides.  Each step matrix is formed in place and dropped after its
+    inversion, so one step matrix and one inverse workspace are alive at a
+    time, beside the inverses made before.  M0/tau is computed once for all
+    right sides and takes the slot the last step matrix left, so that the
+    inverses and the right sides lie together at the top of the heap, where
+    the memory returns to the system when the plan is dropped."""
     tau = grid.tau
     report = check_wellposed(sys.M0, sys.M1, nu_max=1.0 / tau)
     if not report.ok:
         warnings.warn("system not certified well-posed for any nu <= 1/tau "
                       f"(best c = {report.c:.3e}); proceeding", RuntimeWarning)
     n_init = n_euler_init_steps(scheme, report.spectrum)
-    theta = theta_steps(scheme, grid.n_steps, n_init)
-    M1A = sys.M1 + sys.A
-    steps = {th: (*_factor_step_matrix(sys.M0 / tau + th * M1A, tau),
-                  sys.M0 / tau - (1.0 - th) * M1A) for th in sorted(set(theta.tolist()))}
+    thetas = sorted(set(theta_steps(scheme, grid.n_steps, n_init).tolist()))
+    inverses = [_factor_step_matrix(_with_m1a(np.add, th, sys, tau), tau) for th in thetas]
+    m0_tau = sys.M0 / tau
+    steps = {th: (*inverse, _with_m1a(np.subtract, 1.0 - th, sys, tau, m0_tau))
+             for th, inverse in zip(thetas, inverses)}
     return StepPlan(sys, grid, scheme, n_init, report, steps)
 
 

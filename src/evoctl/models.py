@@ -64,8 +64,9 @@ import numpy as np
 
 from .bdspace import build_u_space, compute_bd_space, dot_map, dual_projection
 from .control import BlockPartition, ControlSystem, assemble_control
-from .errors import (HypothesisViolationError, PositivityError, ShapeMismatchError, as_array,
-                     negligible, require_geometry, require_invertible, require_shape)
+from .errors import (HypothesisViolationError, InvalidGridError, PositivityError,
+                     ShapeMismatchError, as_array, negligible, require_geometry,
+                     require_invertible, require_shape)
 from .evolution import EvolutionarySystem, Trajectory, prepare
 from .operators import GradDivPair, Grid1D, build_sbp_pair_1d
 
@@ -209,7 +210,14 @@ def build_mixed_type_wave(spec: WaveSpec, indicators) -> ControlSystem:
     V = deflation_basis(pair)
     n_v = V.shape[1]
     Cmat = -(L.conj().T @ b_map @ (bdG.projector @ (V / s0[:, None])))
-    Cdual_physical = -(dual_projection(bdG, bdD, pair) @ b_map.conj().T @ L)
+    # the dual projection grows faster than 1/h**2 as h shrinks, so its
+    # product with L overflows on cells that Grid1D accepts (h up to ~1e-117)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Cdual_physical = -(dual_projection(bdG, bdD, pair) @ b_map.conj().T @ L)
+    if not np.isfinite(Cdual_physical).all():
+        raise InvalidGridError(f"the wave's dual boundary map Cdual overflows on a cell width "
+                               f"h = (b - a)/n_cells = {grid.h:.3e} on [{grid.a}, {grid.b}] "
+                               f"with {grid.n_cells} cells")
 
     nm_h, cm_h = masks["hyperbolic"]
     nm_p, cm_p = masks["parabolic"]

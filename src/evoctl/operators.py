@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGridError, ShapeMismatchError
+from .errors import InvalidGridError, ShapeMismatchError, allocated
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,18 @@ class Grid1D:
         # int64; NaN fails it, and so does an int beyond the float range
         if not all(abs(value) <= sys.float_info.max for value in (self.a, self.b, self.n_cells)):
             raise InvalidGridError(f"need finite a, b, n_cells, got {self.a, self.b, self.n_cells}")
-        # the pair's boundary rows hold h**2 <= (b - a)**2 / 4, which must be finite
-        if not 0 < self.b - self.a <= sys.float_info.max ** 0.5:
-            raise InvalidGridError(f"need a < b and a finite (b - a)**2, got [{self.a}, {self.b}]")
         # numpy counts the nodes in int64
         if int(self.n_cells) != self.n_cells or not 2 <= self.n_cells < 2 ** 63:
             raise InvalidGridError(f"need an integer n_cells in [2, 2**63), got {self.n_cells}")
+        # the pair's boundary rows hold h**2 <= (b - a)**2 / 4, which must be finite;
+        # G and D hold 1/h, so a row of D G or G D holds 1/h**2, -2/h**2 and 1/h**2,
+        # whose absolute sum 4/h**2 must be finite too
+        if not 0 < self.b - self.a <= sys.float_info.max ** 0.5:
+            raise InvalidGridError(f"need a < b and a finite (b - a)**2, got [{self.a}, {self.b}]")
+        if not self.h >= 2 / sys.float_info.max ** 0.5:
+            raise InvalidGridError(f"need a cell width h = (b - a)/n_cells >= 2/sqrt(max float) "
+                                   f"= 1.5e-154, so that 4/h**2 is finite, got h = {self.h:.3e} "
+                                   f"on [{self.a}, {self.b}] with {self.n_cells} cells")
 
     @property
     def h(self) -> float:
@@ -65,7 +71,7 @@ class Grid1D:
         return self.n_cells + 1
 
     def nodes(self) -> np.ndarray:
-        return self.a + self.h * np.arange(self.n_nodes)
+        return self.a + self.h * allocated(np.arange, self.n_nodes)
 
     def cells(self) -> np.ndarray:
         return self.a + self.h * (np.arange(self.n_cells) + 0.5)
@@ -140,7 +146,7 @@ def build_sbp_pair_1d(grid: Grid1D) -> GradDivPair:
     n = grid.n_cells
     h = grid.h
 
-    G = np.zeros((n, n + 1))
+    G = allocated(np.zeros, (n, n + 1))
     idx = np.arange(n)
     G[idx, idx] = -1.0 / h
     G[idx, idx + 1] = 1.0 / h

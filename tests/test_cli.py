@@ -20,6 +20,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -184,6 +185,18 @@ class TestConfig:
         assert capsys.readouterr().err == f"error: outdir must be a path string, got {shown}\n"
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("outdir", ["x" * 300, "file/sub"], ids=["too-long", "file-in-the-way"])
+    def test_outdir_that_cannot_be_created_is_named(self, tmp_path, capsys, monkeypatch,
+                                                    outdir):
+        """The file system's refusal (a name too long, a file in the way) was
+        a bare "[Errno 36] File name too long" naming no key."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        assert main(["bdspace", "--set", f"outdir={outdir}"]) == 2
+        assert re.fullmatch(rf"error: outdir cannot be created: \[Errno \d+\] [^\n]+: "
+                            rf"'{outdir}'\n", capsys.readouterr().err)
+        assert [path.name for path in tmp_path.iterdir()] == ["file"]
+
     def test_configuration_file_must_hold_an_object(self, tmp_path, capsys):
         path = tmp_path / "conf.json"
         path.write_text("[1, 2]", encoding="utf-8")
@@ -244,28 +257,61 @@ class TestWellposed:
 
     @pytest.mark.parametrize("command,preset,b", [
         ("wellposed", "wave-wt", 1e150),
-        ("wellposed", "port-hamiltonian", 1e-300),
         ("simulate", "wave-wt", 1e150),
         ("bdspace", "wave-wt", 1e150),
     ])
     def test_non_finite_system_exits_2(self, tmp_path, capsys, command, preset, b):
         """On [0, 1e150] the wave's scaled graph form overflows, and its
         boundary space refuses its infinite graph norm, the same way in every
-        command.  On [0, 1e-300] the chain, which builds no boundary space,
-        overflows in its scaled operators, and the NaN in its A is refused
-        instead of being certified.  numpy's floating-point warnings (the
-        chain's) come first, one 'warning: <message>' line each, without
-        source lines."""
-        assert run(tmp_path, command, "--set", f"preset={preset}",
-                   "--set", f"grid.b={b}") == 2
-        message = ("error: A is not finite" if preset == "port-hamiltonian" else
-                   "error: kernel basis collapsed or overflowed during "
-                   "orthonormalization (graph norm inf)")
-        lines = capsys.readouterr().err.splitlines()
-        assert lines[-1] == message
-        assert bool(lines[:-1]) == (preset == "port-hamiltonian")
-        assert all(line.startswith("warning: ") for line in lines[:-1])
-        assert not any(".py:" in line for line in lines)
+        command and without a numpy warning."""
+        assert run(tmp_path, command, "--set", f"preset={preset}", "--set", f"grid.b={b}") == 2
+        assert capsys.readouterr().err == ("error: kernel basis collapsed or overflowed during "
+                                           "orthonormalization (graph norm inf)\n")
+
+    @pytest.mark.parametrize("command", ["wellposed", "simulate", "bdspace"])
+    @pytest.mark.parametrize("preset,b", [("wave-wt", 1e-160), ("maxwell-lift-1d", 1e-160),
+                                          ("port-hamiltonian", 1e-300)])
+    def test_cell_width_whose_arithmetic_overflows_exits_2(self, tmp_path, capsys, command,
+                                                           preset, b):
+        """The wave's dense SVD met 'overflow encountered in matmul', then did
+        not converge, and the chain's A overflowed to NaN, each after numpy
+        warnings; Grid1D now refuses the cell width first, naming b."""
+        assert run(tmp_path, command, "--set", f"preset={preset}", "--set", f"grid.b={b}") == 2
+        assert capsys.readouterr().err == (
+            "error: need a cell width h = (b - a)/n_cells >= 2/sqrt(max float) = 1.5e-154, "
+            f"so that 4/h**2 is finite, got h = {b / 16:.3e} on [0.0, {b}] with 16 cells\n")
+
+    @pytest.mark.parametrize("command", ["wellposed", "simulate"])
+    @pytest.mark.parametrize("preset", ["wave-wt", "wave-mixed"])
+    def test_wave_whose_dual_map_overflows_exits_2(self, tmp_path, capsys, command, preset):
+        """Above Grid1D's bound the wave's dual boundary map overflowed after
+        'warning: overflow encountered in matmul', and wellposed certified
+        the system; the cell width is refused instead, without a warning."""
+        assert run(tmp_path, command, "--set", f"preset={preset}", "--set", "grid.b=1e-140") == 2
+        assert capsys.readouterr().err == (
+            "error: the wave's dual boundary map Cdual overflows on a cell width "
+            "h = (b - a)/n_cells = 6.250e-142 on [0.0, 1e-140] with 16 cells\n")
+
+    @pytest.mark.parametrize("b,status,error", [
+        (1.0, 0, ""),
+        (1e150, 2, "error: kernel basis collapsed or overflowed during orthonormalization "
+                   "(graph norm inf)\n"),
+    ], ids=["certified", "refused"])
+    def test_warning_prints_one_line_without_its_source(self, tmp_path, capsys, monkeypatch,
+                                                        b, status, error):
+        """Each warning raised during a command prints as one 'warning:
+        <message>' line on stderr, with no source line, ahead of the error
+        that ends the command, if any."""
+        build = cli._build_preset
+
+        def warn_then_build(cfg):
+            warnings.warn("first", RuntimeWarning)
+            warnings.warn("second", UserWarning)
+            return build(cfg)
+
+        monkeypatch.setattr(cli, "_build_preset", warn_then_build)
+        assert run(tmp_path, "wellposed", "--set", f"grid.b={b}") == status
+        assert capsys.readouterr().err == "warning: first\nwarning: second\n" + error
 
 
 class TestSimulate:
@@ -441,13 +487,38 @@ class TestSimulate:
         assert sum(map(len, spaces)) == 1 and sum(map(len, certs)) == 1
 
     def test_out_of_memory_is_a_configuration_error(self, tmp_path, monkeypatch, capsys):
-        """A run too large to allocate exits 2 with a message, not a traceback."""
+        """A run too large to allocate exits 2 with a message that names the
+        keys that size its arrays, not a traceback."""
         def allocate(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.45 TiB for an array")
 
         monkeypatch.setattr("evoctl.cli.solve", allocate)
         assert run(tmp_path, "simulate", "--set", "time.n_steps=1e9") == 2
-        assert "error: Unable to allocate" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: the arrays that time.n_steps and grid.n_cells "
+                                           "size cannot be allocated (Unable to allocate 7.45 TiB "
+                                           "for an array)\n")
+
+    @pytest.mark.parametrize("preset", ["wave-wt", "maxwell-lift-1d"])
+    @pytest.mark.parametrize("n_steps", [2 ** 62, 2 ** 60 - 1, 2 ** 60, 10 ** 14])
+    def test_step_count_that_no_memory_holds_names_its_key(self, tmp_path, capsys, preset,
+                                                            n_steps):
+        """numpy refused these counts in its own words, naming no key: "array
+        is too big" (a byte count beyond the address space) or "Unable to
+        allocate 728. TiB"."""
+        assert run(tmp_path, "simulate", "--set", f"preset={preset}",
+                   "--set", f"time.n_steps={n_steps}") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the arrays that time.n_steps and grid.n_cells size "
+                              "cannot be allocated (") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["wellposed", "bdspace"])
+    @pytest.mark.parametrize("n_cells", [2 ** 62, 10 ** 14])
+    def test_cell_count_that_no_memory_holds_names_its_key(self, tmp_path, capsys, command,
+                                                           n_cells):
+        assert run(tmp_path, command, "--set", f"grid.n_cells={n_cells}") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the arrays that grid.n_cells size cannot be allocated (") \
+            and err.count("\n") == 1
 
 
 class TestBdspace:
@@ -868,6 +939,7 @@ class TestConfigFuzz:
     @example(key="time.n_steps", value="2", context=PLAIN)
     @example(key="time.t_end", value="2", context=PLAIN)
     @example(key="grid", value='{"a": 1}', context=PLAIN)
+    @example(key="time.n_steps", value=str(2 ** 62), context=PLAIN)
     def test_hostile_value(self, command, key, value, context):
         context = {**context, "grid.n_cells": 4, "time.n_steps": 4}
         if key in self.READ_BY:

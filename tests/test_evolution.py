@@ -3,6 +3,7 @@ checker, causality, and the observed order of accuracy of each preset."""
 
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -654,6 +655,77 @@ class TestThetaSchedule:
         for k, (theta, x) in enumerate(zip(traj.theta, traj.x_theta(0, 6))):
             expected = (1 - theta) * traj.states[k] + theta * traj.states[k + 1]
             assert np.array_equal(x, expected)
+
+
+class TestStepPlan:
+    """prepare inverts one step matrix at a time and forms the right sides
+    after every inverse, keeping every bit of the formulas evaluated term by
+    term."""
+
+    @staticmethod
+    def singular_midpoint_system(n, dtype_m0=float, dtype_m1a=float, seed=0):
+        """M0 >= 0 with a zero eigenvalue (a midpoint run on it takes theta = 1
+        at step 0, then 1/2), M1 = I + noise and a skew A; M0 holds -0.0
+        off its diagonal when it is real."""
+        rng = np.random.default_rng(seed)
+        M0 = -np.zeros((n, n), dtype_m0)
+        M0[np.diag_indices(n)] = np.linspace(1.0, 2.0, n)
+        M0[-1, -1] = 0.0
+        if dtype_m0 is complex:
+            M0[0, 1], M0[1, 0] = 0.25j, -0.25j
+        S = rng.standard_normal((n, n)).astype(dtype_m1a)
+        M1 = np.eye(n) + 0.1 * rng.standard_normal((n, n))
+        if dtype_m1a is complex:
+            S += 1j * rng.standard_normal((n, n))
+            M1 = M1 + 0.1j * rng.standard_normal((n, n))
+        return EvolutionarySystem(M0, M1, S - S.conj().T, np.zeros((n, 1)))
+
+    def test_one_step_matrix_alive_at_each_inversion(self, monkeypatch):
+        """At the k-th inversion the traced memory above the system holds the
+        k - 1 inverses made before and the step matrix (k n^2 words): no
+        M1 + A, no right side and no earlier step matrix."""
+        n = 300
+        sys = self.singular_midpoint_system(n)
+        live, inverse = [], evolution.lu_factor
+
+        def spy(K):
+            live.append(tracemalloc.get_traced_memory()[0] - base)
+            return inverse(K)
+
+        monkeypatch.setattr(evolution, "lu_factor", spy)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            plan = prepare(sys, TimeGrid(t_end=1.0, n_steps=4), "implicit_midpoint")
+        finally:
+            tracemalloc.stop()
+        assert sorted(plan.steps) == [0.5, 1.0]
+        words = np.array(live) / (8 * n * n)
+        assert np.allclose(words, [1.0, 2.0], atol=0.1), words
+
+    @pytest.mark.parametrize("dtype_m0,dtype_m1a", [(float, float), (complex, complex),
+                                                    (complex, float), (float, complex)],
+                             ids=["real", "complex", "complex-M0", "complex-M1-A"])
+    def test_plan_holds_the_bits_of_the_formulas(self, dtype_m0, dtype_m1a):
+        """P = inv(M0/tau + theta (M1 + A)), kappa = |K|_1 |P|_1 and
+        R = M0/tau - (1 - theta)(M1 + A), bit for bit and signed zeros
+        included, in the dtype of the three matrices together."""
+        sys = self.singular_midpoint_system(7, dtype_m0, dtype_m1a, seed=3)
+        grid = TimeGrid(t_end=0.7, n_steps=3)
+        plan = prepare(sys, grid, "implicit_midpoint")
+        M1A = sys.M1 + sys.A
+        assert sorted(plan.steps) == [0.5, 1.0]
+        for theta, (P, kappa, R) in plan.steps.items():
+            K = sys.M0 / grid.tau + theta * M1A
+            for got, want in ((P, np.linalg.inv(K)),
+                              (R, sys.M0 / grid.tau - (1.0 - theta) * M1A)):
+                assert got.dtype == want.dtype == np.result_type(sys.M0, sys.M1, sys.A)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert kappa == np.linalg.norm(K, 1) * np.linalg.norm(P, 1)
+        # at theta = 1, R = M0/tau - 0 (M1 + A) is -0.0 or +0.0 where the real M0 is -0.0
+        zeros = plan.steps[1.0][2][sys.M0 == 0]
+        if zeros.dtype == float:
+            assert np.signbit(zeros).any() and not np.signbit(zeros).all()
 
 
 class TestOrderOfAccuracy:

@@ -25,6 +25,7 @@ from evoctl.bdspace import build_u_space, compute_bd_space, dot_map
 from evoctl.control import check_compatibility, energy_ledger, extract_io, step_ledger
 from evoctl.errors import (
     HypothesisViolationError,
+    InvalidGridError,
     PositivityError,
     ShapeMismatchError,
 )
@@ -338,6 +339,21 @@ class TestWaveBuilder:
             build_weiss_tucsnak_wave(WaveSpec(grid=grid, z0=np.zeros(9)))
         with pytest.raises(ShapeMismatchError):
             build_weiss_tucsnak_wave(WaveSpec(grid=grid, b_map=np.eye(3)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n_cells", [4, 16, 64])
+    def test_dual_map_that_overflows_is_refused(self, n_cells):
+        """The dual projection grows faster than 1/h**2, so Cdual overflowed,
+        after numpy's 'overflow encountered in matmul', on cell widths that
+        Grid1D accepts; it is refused naming the cell width, and one decade
+        above the widest such h the map is finite."""
+        for build in (build_weiss_tucsnak_wave,
+                      lambda spec: build_mixed_type_wave(spec, three_region_indicators(spec.grid))):
+            with pytest.raises(InvalidGridError, match=r"^the wave's dual boundary map Cdual "
+                                                       r"overflows on a cell width h = "):
+                build(WaveSpec(grid=Grid1D(0.0, 1e-140 * n_cells, n_cells)))
+            sys = build(WaveSpec(grid=Grid1D(0.0, 1e-116 * n_cells, n_cells)))
+            assert np.isfinite(sys.geometry["Cdual_physical"]).all()
 
 
 class TestMixedTypeWave:

@@ -84,6 +84,28 @@ class TestGrid1D:
         for name in ("G", "D", "W0", "W1", "T"):
             assert np.isfinite(getattr(pair, name)).all(), name
 
+    @pytest.mark.parametrize("a, b, n_cells", [(0.0, 1e-160, 16), (0.0, 1e-300, 4),
+                                               (0.0, 1e-140, 2 ** 62)])
+    def test_rejects_a_cell_width_whose_products_overflow(self, a, b, n_cells):
+        """A row of D G holds 1/h**2, -2/h**2 and 1/h**2; on these grids its
+        absolute sum overflows."""
+        with pytest.raises(InvalidGridError, match=r"^need a cell width h = \(b - a\)/n_cells >= "):
+            Grid1D(a, b, n_cells)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n_cells", [2, 64])
+    def test_the_narrowest_cells_give_finite_products(self, n_cells):
+        """At the smallest accepted cell width the products of the pair that
+        the boundary spaces form stay finite, without a numpy warning, and
+        the next smaller width is refused (a power-of-two count keeps h
+        exact)."""
+        h = 2 / sys.float_info.max ** 0.5
+        with pytest.raises(InvalidGridError):
+            Grid1D(0.0, np.nextafter(h, 0) * n_cells, n_cells)
+        pair = build_sbp_pair_1d(Grid1D(0.0, h * n_cells, n_cells))
+        for product in (pair.D @ pair.G, pair.G @ pair.D, pair.G.T @ pair.G, pair.D.T @ pair.D):
+            assert np.isfinite(product).all()
+
 
 class TestSummationByParts:
     @pytest.mark.parametrize("n", [4, 16, 64, 256])

@@ -40,9 +40,12 @@ replayed as wave-mixed, a port-Hamiltonian run whose sinusoid input of
 amplitude 1e308 overflows the states, refused naming the step whose
 right side is not finite, a grid of 1e308 cells, a weight time.nu =
 1e308, whose nu_max = 2 time.nu is not finite, an outdir of null, which
-is no path string (refuse-bdspace-outdir-null), and a time.t_end of x,
-refused naming the key (refuse-wellposed-t_end-string) (2 each).  Each
-case runs in its own directory, so a relative outdir would land there.
+is no path string (refuse-bdspace-outdir-null), a time.t_end of x,
+refused naming the key (refuse-wellposed-t_end-string), a time.n_steps of
+2**62, whose arrays no address space holds (refuse-simulate-n_steps-2e62),
+and an outdir of 300 x's, a name too long for the file system
+(refuse-bdspace-outdir-too-long), each refused naming its key (2 each).
+Each case runs in its own directory, so a relative outdir would land there.
 """
 
 import argparse
@@ -171,6 +174,8 @@ def matrix(out: Path) -> list:
         ("refuse-wellposed-nu-1e308", 2, ["wellposed", *_sets(("time.nu", 1e308))]),
         ("refuse-bdspace-outdir-null", 2, ["bdspace", *_sets(("outdir", "null"))]),
         ("refuse-wellposed-t_end-string", 2, ["wellposed", *_sets(("time.t_end", "x"))]),
+        ("refuse-simulate-n_steps-2e62", 2, ["simulate", *_sets(("time.n_steps", 2 ** 62))]),
+        ("refuse-bdspace-outdir-too-long", 2, ["bdspace", *_sets(("outdir", "x" * 300))]),
     ):
         case = out / name
         # the case's outdir comes first, so that a case may set its own
