@@ -99,12 +99,13 @@ class BoundaryDataSpace:
         return self.projector @ u
 
 
-def _graph_mgs(columns: np.ndarray, graph: GraphInnerProduct) -> np.ndarray:
+def _graph_mgs(columns: np.ndarray, graph: GraphInnerProduct, where: str) -> np.ndarray:
     """Orthonormalize columns in the graph inner product.
 
     Modified Gram-Schmidt with one reorthogonalization pass, which keeps
     the orthonormality defect near roundoff.  The basis has the dtype of
     the columns and the graph form, so a real kernel gives a real basis.
+    A refusal ends with where, which names the grid.
     """
     out = []
     for v in as_array(columns).T:
@@ -115,7 +116,7 @@ def _graph_mgs(columns: np.ndarray, graph: GraphInnerProduct) -> np.ndarray:
         if not 1e-12 <= nrm < np.inf:  # NaN and inf come from a graph form that overflows
             raise NumericalRankError(
                 f"kernel basis collapsed or overflowed during orthonormalization "
-                f"(graph norm {nrm:.3e})"
+                f"(graph norm {nrm:.3e}){where}"
             )
         out.append(v / nrm)
     return np.column_stack(out)
@@ -128,8 +129,12 @@ def compute_bd_space(pair: GradDivPair, side: str) -> BoundaryDataSpace:
     of 1 - GD on cells, each with a graph-orthonormal basis found by a
     singular value decomposition with cutoff 1e-8 relative to the largest
     singular value, or to 1 when that is smaller: the operator contains
-    the identity, and on two cells 1 - GD is zero up to roundoff.
+    the identity, and on two cells 1 - GD is zero up to roundoff.  Each
+    refusal names the cell width and the grid.
     """
+    grid = pair.grid
+    where = (f" on a cell width h = (b - a)/n_cells = {grid.h:.3e} on [{grid.a}, {grid.b}] "
+             f"with {grid.n_cells} cells")
     if side == "G":
         mat = np.eye(pair.n_nodes) - pair.D @ pair.G
         graph = GraphInnerProduct(W=pair.W0, O=pair.G, W_out=pair.W1)
@@ -146,13 +151,13 @@ def compute_bd_space(pair: GradDivPair, side: str) -> BoundaryDataSpace:
     if np.any(in_gap):
         raise NumericalRankError(
             "null space of the boundary-data operator is not cleanly separated: "
-            f"singular values {s[in_gap]} sit at the cutoff {cutoff:.3e}"
+            f"singular values {s[in_gap]} sit at the cutoff {cutoff:.3e}{where}"
         )
     kernel = vh[s < cutoff].conj().T
     if kernel.shape[1] == 0:
-        raise NumericalRankError("boundary-data operator has trivial kernel")
+        raise NumericalRankError(f"boundary-data operator has trivial kernel{where}")
 
-    basis = _graph_mgs(kernel, graph)
+    basis = _graph_mgs(kernel, graph, where)
     projector = basis.conj().T @ graph.matrix()
     return BoundaryDataSpace(
         side=side, basis=basis, projector=projector, graph=graph

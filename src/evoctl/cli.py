@@ -37,7 +37,12 @@ configurations produce byte-identical output.  write_csv is the one writer
 of this layout and _read_csv its one reader, of a table input and of the
 trajectory an energy replay takes: a line that starts with '#' is a
 comment wherever it stands, blank lines are skipped, the first other line
-names the columns and np.loadtxt parses the rows.
+names the columns and np.loadtxt parses the rows.  Beside the trajectory
+of a control preset simulate writes trajectory.npy (_write_sidecar), the
+float64 table that _read_csv would parse from it and a check record of the
+file's byte length and CRC-32, which write_csv returns; energy takes the
+table from there (_read_sidecar) when the record matches the file, and
+parses an edited file's text.
 A theta-step dissipates the extra (theta - 1/2)<dx|M0 dx> (theta = 1 on
 backward Euler steps), shown in the euler_correction column; the defect
 column balances each step against its own identity.  simulate, energy and
@@ -53,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import itertools
 import json
 import math
@@ -60,6 +66,7 @@ import os
 import re
 import sys as _sys
 import warnings
+import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -292,7 +299,8 @@ def _text(values) -> np.ndarray:
 
 def write_csv(path: Path, comments, columns, data):
     """Write the comments, the header and the rows of data, a sequence of
-    columns (1-D) and blocks of columns (2-D) with one row per entry.
+    columns (1-D) and blocks of columns (2-D) with one row per entry, and
+    return the file's byte length and CRC-32, taken over the bytes written.
 
     A str column is written as is, every other value as '%.17g' writes
     float(value), by one _format17 call per block of _CELLS values and run of
@@ -302,13 +310,71 @@ def write_csv(path: Path, comments, columns, data):
     runs = [list(run) for _, run in itertools.groupby(fields, lambda f: f.dtype.kind == "U")]
     rows = max(1, _CELLS // max(1, sum(f[:1].size for f in fields)))
     with open(path, "wb") as fh:
-        fh.write("".join([f"# {line}\n" for line in comments]
-                         + [",".join(columns), "\n"]).encode("utf-8"))
+        block = "".join([f"# {line}\n" for line in comments]
+                        + [",".join(columns), "\n"]).encode("utf-8")
+        fh.write(block)
+        crc = zlib.crc32(block)
         for lo in range(0, len(fields[0]), rows):
             parts = [_text(np.column_stack([f[lo:lo + rows] for f in run])) for run in runs]
             text = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
             text[:, -1] = 10
-            fh.write(text.tobytes().translate(None, b"\0"))
+            block = text.tobytes().translate(None, b"\0")
+            fh.write(block)
+            crc = zlib.crc32(block, crc)
+        return fh.tell(), crc
+
+
+def _npy_header(shape) -> bytes:
+    """The .npy 1.0 header of a little-endian float64 table of this shape."""
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(out, {"descr": "<f8", "fortran_order": False,
+                                               "shape": shape})
+    return out.getvalue()
+
+
+def _write_sidecar(path: Path, check, times, states):
+    """Write, as a .npy array in row blocks, the float64 table that _read_csv
+    takes from the file that write_csv wrote from times and states, then the
+    check record: three little-endian uint64, the file's byte length and
+    CRC-32 (check, as write_csv returns them) and the table's CRC-32."""
+    shape = (len(times), 1 + states.shape[1])
+    rows, crc = max(1, _CELLS // shape[1]), 0
+    with open(path, "wb") as fh:
+        fh.write(_npy_header(shape))
+        for lo in range(0, shape[0], rows):
+            block = np.asarray(np.column_stack([times[lo:lo + rows], states[lo:lo + rows]]), "<f8")
+            fh.write(block)
+            crc = zlib.crc32(block, crc)
+        fh.write(np.array([*check, crc], "<u8"))
+
+
+def _read_sidecar(path: Path, shape):
+    """The comments and the table of the file path from the sidecar that
+    _write_sidecar wrote beside it (path with suffix .npy), or None unless
+    its header names a float64 table of this shape, checked before any data
+    is read, and its check record matches its table and the file, read in
+    chunks.  The CRC-32 guards against an edited or stale file, not a forged one."""
+    header = _npy_header(shape)
+    try:
+        with open(path.with_suffix(".npy"), "rb") as npy, open(path, "rb") as fh:
+            if npy.read(len(header)) != header:
+                return None
+            table = np.empty(shape, "<f8")
+            if npy.readinto(table) != table.nbytes:
+                return None
+            record = npy.read(25)  # a 25th byte is one too many
+            comments, crc, line = [], 0, fh.readline()
+            while line.startswith(b"#"):  # write_csv writes every comment first
+                comments.append(line[1:].decode("utf-8").strip())
+                crc, line = zlib.crc32(line, crc), fh.readline()
+            crc = zlib.crc32(line, crc)
+            while chunk := fh.read(1 << 20):
+                crc = zlib.crc32(chunk, crc)
+            if record != np.array([fh.tell(), crc, zlib.crc32(table)], "<u8").tobytes():
+                return None
+    except (OSError, ValueError):  # no sidecar, or a comment that is not UTF-8
+        return None
+    return comments, table
 
 
 def _base_comments(cfg: RunConfig):
@@ -499,8 +565,9 @@ def _verdict(checks, summary=None) -> int:
 
 
 def _ledger_columns(led, times):
-    drop = led.energy[:-1] - led.energy[1:]
-    defect = drop - (led.dissipation - led.supply) - led.correction
+    with np.errstate(all="ignore"):  # a non-finite defect is named by _verdict
+        drop = led.energy[:-1] - led.energy[1:]
+        defect = drop - (led.dissipation - led.supply) - led.correction
     return [times[:-1], times[1:], drop, led.dissipation, led.supply, led.correction,
             defect], defect
 
@@ -512,12 +579,16 @@ LEDGER_COLUMNS = ("t_a", "t_b", "stored_drop", "dissipation", "supply",
 def _write_run(cfg: RunConfig, outdir: Path, traj: Trajectory, y, ledger,
                ledger_note=None):
     """Write a simulate run: trajectory.csv with the states at traj.grid.times(),
-    io.csv with one row (sample time, traj.inputs, y) per step, and
-    ledger.csv, whose header gains ledger_note when one is given."""
+    beside it, for the presets that energy replays, its table as
+    trajectory.npy, io.csv with one row (sample time, traj.inputs, y) per
+    step, and ledger.csv, whose header gains ledger_note when one is given."""
     # every command-line run is real (all presets, sources and profiles are)
     comments = _run_comments(cfg, traj.scheme, traj.n_euler_init_steps) + ["max_imag=0"]
     columns = ("t",) + tuple(f"x{i}" for i in range(traj.states.shape[1]))
-    write_csv(outdir / "trajectory.csv", comments, columns, [traj.grid.times(), traj.states])
+    times = traj.grid.times()
+    check = write_csv(outdir / "trajectory.csv", comments, columns, [times, traj.states])
+    if cfg.preset != "maxwell-lift-1d":
+        _write_sidecar(outdir / "trajectory.npy", check, times, traj.states)
     io_columns = ("t",) + tuple(f"u{i}" for i in range(traj.inputs.shape[1])) \
         + tuple(f"y{i}" for i in range(y.shape[1]))
     write_csv(outdir / "io.csv", comments, io_columns,
@@ -627,7 +698,9 @@ def cmd_energy(cfg: RunConfig, outdir: Path, trajectory_path) -> int:
     tg = cfg.time
     path = Path(trajectory_path) if trajectory_path is not None \
         else outdir / "trajectory.csv"
-    comments, table, _ = _read_csv(path, "trajectory file")
+    # the table simulate wrote beside an unedited file, else the file's text
+    comments, table = _read_sidecar(path, (tg.n_steps + 1, 1 + sys.dim)) \
+        or _read_csv(path, "trajectory file")[:2]
     times, states = table[:, 0], table[:, 1:]
     meta = dict(line.partition("=")[::2] for line in comments)
     if states.shape != (tg.n_steps + 1, sys.dim):

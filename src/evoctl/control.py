@@ -382,13 +382,15 @@ def step_ledger(sys: ControlSystem, traj: Trajectory, a=0.0, b=None) -> StepLedg
     supply_kernel = 0.5 * (Myy_inv + Myy_inv.conj().T)
 
     tau, theta, states = traj.grid.tau, traj.theta, traj.states
-    energy = np.concatenate([0.5 * _quad(states[lo:hi], sys.M0)
-                             for lo, hi in row_blocks(ia, ib + 1)])
-    dissipation, supply, correction = np.hstack([
-        (tau * _quad(traj.x_theta(lo, hi), reM1),
-         tau * _quad(traj.inputs[lo:hi] @ sys.B2.T, supply_kernel),
-         (theta[lo:hi] - 0.5) * _quad(states[lo + 1:hi + 1] - states[lo:hi], sys.M0))
-        for lo, hi in row_blocks(ia, ib)])
+    # a ledger that leaves float64 is reported by its non-finite entries, not by numpy warnings
+    with np.errstate(all="ignore"):
+        energy = np.concatenate([0.5 * _quad(states[lo:hi], sys.M0)
+                                 for lo, hi in row_blocks(ia, ib + 1)])
+        dissipation, supply, correction = np.hstack([
+            (tau * _quad(traj.x_theta(lo, hi), reM1),
+             tau * _quad(traj.inputs[lo:hi] @ sys.B2.T, supply_kernel),
+             (theta[lo:hi] - 0.5) * _quad(states[lo + 1:hi + 1] - states[lo:hi], sys.M0))
+            for lo, hi in row_blocks(ia, ib)])
     return StepLedger(ia, energy, dissipation, supply, correction)
 
 

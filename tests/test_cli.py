@@ -21,6 +21,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import zlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -262,11 +263,24 @@ class TestWellposed:
     ])
     def test_non_finite_system_exits_2(self, tmp_path, capsys, command, preset, b):
         """On [0, 1e150] the wave's scaled graph form overflows, and its
-        boundary space refuses its infinite graph norm, the same way in every
-        command and without a numpy warning."""
+        boundary space refuses its infinite graph norm, naming the grid, the
+        same way in every command and without a numpy warning."""
         assert run(tmp_path, command, "--set", f"preset={preset}", "--set", f"grid.b={b}") == 2
-        assert capsys.readouterr().err == ("error: kernel basis collapsed or overflowed during "
-                                           "orthonormalization (graph norm inf)\n")
+        assert capsys.readouterr().err == (
+            "error: kernel basis collapsed or overflowed during orthonormalization (graph norm "
+            "inf) on a cell width h = (b - a)/n_cells = 6.250e+148 on [0.0, 1e+150] "
+            "with 16 cells\n")
+
+    @pytest.mark.parametrize("command", ["wellposed", "bdspace"])
+    def test_collapsed_boundary_basis_names_the_grid(self, tmp_path, capsys, command):
+        """On 4 cells of width 1e-146 the graph norm of the kernel basis
+        falls to 1e-73; the refusal named no key, and now names the cell
+        width and the grid as the Cdual refusal does."""
+        assert run(tmp_path, command, "--set", "grid.n_cells=4", "--set", "grid.b=4e-146") == 2
+        assert capsys.readouterr().err == (
+            "error: kernel basis collapsed or overflowed during orthonormalization (graph norm "
+            "1.000e-73) on a cell width h = (b - a)/n_cells = 1.000e-146 on [0.0, 4e-146] "
+            "with 4 cells\n")
 
     @pytest.mark.parametrize("command", ["wellposed", "simulate", "bdspace"])
     @pytest.mark.parametrize("preset,b", [("wave-wt", 1e-160), ("maxwell-lift-1d", 1e-160),
@@ -295,7 +309,8 @@ class TestWellposed:
     @pytest.mark.parametrize("b,status,error", [
         (1.0, 0, ""),
         (1e150, 2, "error: kernel basis collapsed or overflowed during orthonormalization "
-                   "(graph norm inf)\n"),
+                   "(graph norm inf) on a cell width h = (b - a)/n_cells = 6.250e+148 on "
+                   "[0.0, 1e+150] with 16 cells\n"),
     ], ids=["certified", "refused"])
     def test_warning_prints_one_line_without_its_source(self, tmp_path, capsys, monkeypatch,
                                                         b, status, error):
@@ -342,6 +357,16 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert code == 1
         assert "ledger defect is not finite at step 0" in out
+
+    def test_overflowing_ledger_prints_no_numpy_warning(self, tmp_path, capsys):
+        """The chain's ledger under an input of amplitude 1e300 leaves
+        float64; four numpy warnings preceded the step's name, which now
+        stands alone."""
+        assert run(tmp_path, "simulate", "--set", "preset=port-hamiltonian",
+                   "--set", "grid.n_cells=16", "--set", "input.kind=sinusoid",
+                   "--set", "input.amplitude=1e300") == 1
+        assert capsys.readouterr() == ("ledger defect max = nan (tolerance 1e-09)\n"
+                                       "ledger defect is not finite at step 0\n", "")
 
     def test_non_finite_step_right_side_exits_2(self, tmp_path, capsys):
         """States that overflow make the next step's right side non-finite;
@@ -657,23 +682,50 @@ class TestEnergy:
         assert capsys.readouterr().err == \
             "error: stored scheme 'crank_nicolson' is not recognized\n"
 
-    def test_hash_line_before_header_replays_the_same_ledger(self, tmp_path):
-        """The parity case energy-hash-comment: the wave-wt midpoint run's
-        trajectory with '#note' before its column header replays to the
-        plain replay's ledger.csv, byte for byte."""
+    @pytest.mark.parametrize("edit", ["energy-hash-comment", "energy-sidecar-corrupt"])
+    def test_refused_sidecar_replays_the_same_ledger(self, tmp_path, monkeypatch, edit):
+        """The parity cases energy-hash-comment (the wave-wt midpoint run's
+        trajectory with '#note' before its column header, beside the run's
+        trajectory.npy) and energy-sidecar-corrupt (the trajectory beside its
+        trajectory.npy with a table byte flipped) replay from the file's text
+        to the plain replay's ledger.csv, byte for byte."""
         cases = {case.name: (case, args, prepare)
                  for case, args, _, prepare in parity.matrix(tmp_path)}
-        for name in ("simulate-wave-wt-implicit_midpoint", "energy-wave-wt-implicit_midpoint",
-                     "energy-hash-comment"):
-            case, args, prepare = cases[name]
-            case.mkdir(parents=True, exist_ok=True)
-            if prepare is not None:
-                prepare()
+        for name in ("simulate-wave-wt-implicit_midpoint", "energy-wave-wt-implicit_midpoint"):
+            case, args, _ = cases[name]
             assert main(args) == 0, name
-        edited = (tmp_path / "energy-hash-comment" / "trajectory.csv").read_text(encoding="utf-8")
-        assert "# max_imag=0\n#note\nt,x0," in edited
-        assert (tmp_path / "energy-hash-comment" / "ledger.csv").read_bytes() == \
+        case, args, prepare = cases[edit]
+        case.mkdir()
+        prepare()
+        assert (case / "trajectory.npy").is_file()
+        if edit == "energy-hash-comment":
+            assert "# max_imag=0\n#note\nt,x0," in (case / "trajectory.csv").read_text("utf-8")
+        read_csv = cli._read_csv
+        parsed = []
+        monkeypatch.setattr(cli, "_read_csv", lambda *a: parsed.append(a[0]) or read_csv(*a))
+        assert main(args) == 0
+        assert parsed == [case / "trajectory.csv"]
+        assert (case / "ledger.csv").read_bytes() == \
             (tmp_path / "energy-wave-wt-implicit_midpoint" / "ledger.csv").read_bytes()
+
+    def test_overflowing_replay_prints_no_numpy_warning(self, tmp_path, capsys):
+        """A stored chain state of 1e300 at t = 0.5 overflows the replayed
+        ledger; two numpy warnings preceded the step's name, which now
+        stands alone."""
+        args = ("--set", "preset=port-hamiltonian", "--set", "grid.n_cells=4",
+                "--set", "time.n_steps=4", "--set", "input.kind=sinusoid")
+        assert run(tmp_path / "sim", "simulate", *args) == 0
+        lines = (tmp_path / "sim" / "trajectory.csv").read_text(encoding="utf-8").splitlines(True)
+        row = next(i for i, line in enumerate(lines) if line.startswith("0.5,"))
+        lines[row] = "0.5,1e300," + lines[row].split(",", 2)[2]
+        path = tmp_path / "edited.csv"
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run(tmp_path / "replay", "energy", *args, "--trajectory", str(path)) == 1
+        assert capsys.readouterr() == (
+            "stored drop -1.323359e-01, dissipation 1.340685e-01, supply 2.664044e-01 over "
+            "(0.25, 1.0)\nledger defect max = nan (tolerance 1e-09)\n"
+            "ledger defect is not finite at step 1\n", "")
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_theta_schedule_header_is_checked(self, tmp_path, capsys, value):
@@ -753,6 +805,35 @@ def mutated(draw, text):
     return b"".join(lines)
 
 
+@st.composite
+def mutated_sidecar(draw, blob):
+    """The bytes of a trajectory.npy under one mutation: cut at a byte, bytes
+    appended, one byte flipped in the .npy header, the table or the check
+    record (its last 24 bytes), a header naming 10**12 rows, or an object
+    array, which only pickle reads, in its place."""
+    start = 10 + int.from_bytes(blob[8:10], "little")  # the table follows the header
+    kind = draw(st.sampled_from(["cut", "append", "flip header", "flip table", "flip record",
+                                 "huge", "object"]))
+    if kind == "cut":
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    if kind == "append":
+        return blob + draw(st.binary(min_size=1, max_size=8))
+    if kind.startswith("flip"):
+        lo, hi = {"flip header": (0, start), "flip table": (start, len(blob) - 24),
+                  "flip record": (len(blob) - 24, len(blob))}[kind]
+        i = draw(st.integers(lo, hi - 1))
+        return blob[:i] + bytes([blob[i] ^ draw(st.integers(1, 255))]) + blob[i + 1:]
+    out = io.BytesIO()
+    if kind == "huge":
+        width = np.load(io.BytesIO(blob)).shape[1]
+        np.lib.format.write_array_header_1_0(out, {"descr": "<f8", "fortran_order": False,
+                                                   "shape": (10 ** 12, width)})
+        out.write(blob[start:])
+    else:
+        np.save(out, np.array([None, {"x": 1}], dtype=object), allow_pickle=True)
+    return out.getvalue()
+
+
 def comments_added(text, edited):
     """Whether edited is UTF-8 and holds the lines of text with comment
     lines added, so that a reader must take the same rows from both."""
@@ -770,7 +851,10 @@ class TestReaderFuzz:
     signal table, read by simulate, end with a documented status: 0, 1 or 2,
     no exception out of main and no traceback or source line on stderr, and
     0 only with finite artifacts.  A copy that only gains comment lines
-    gives the unmutated file's artifacts, byte for byte."""
+    gives the unmutated file's artifacts and output, byte for byte.  The
+    run's trajectory.npy beside a mutated trajectory changes nothing, and a
+    mutated trajectory.npy beside the unmutated file is refused in silence:
+    the replay is the plain text replay."""
 
     RUN = ("--set", "grid.n_cells=4", "--set", "time.n_steps=8",
            "--set", "input.kind=sinusoid", "--set", "initial.kind=sine")
@@ -779,7 +863,7 @@ class TestReaderFuzz:
     @staticmethod
     def checked_run(outdir, args, names):
         """The exit status of one checked run and, when it is 0, the bytes of
-        its named artifacts, each of them finite."""
+        its named artifacts, each of them finite, and its stdout and stderr."""
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             status = run(outdir, *args)
@@ -789,11 +873,14 @@ class TestReaderFuzz:
             return status, None
         for name in names:
             assert np.isfinite(read_table(outdir / name)[2]).all(), name
-        return status, {name: (outdir / name).read_bytes() for name in names}
+        return status, {"<stdout>": stdout.getvalue(), "<stderr>": stderr.getvalue(),
+                        **{name: (outdir / name).read_bytes() for name in names}}
 
-    def replay(self, outdir, text):
+    def replay(self, outdir, text, sidecar=None):
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "trajectory.csv").write_bytes(text)
+        if sidecar is not None:
+            (outdir / "trajectory.npy").write_bytes(sidecar)
         return self.checked_run(outdir, ("energy", *self.RUN, "--trajectory",
                                          str(outdir / "trajectory.csv")), ["ledger.csv"])
 
@@ -806,13 +893,15 @@ class TestReaderFuzz:
 
     @pytest.fixture(scope="class")
     def stored(self, tmp_path_factory):
-        """A stored trajectory and the artifacts of its replay."""
+        """A stored trajectory, its sidecar and the artifacts of its plain
+        replay, which the replay beside the sidecar gives byte for byte."""
         out = tmp_path_factory.mktemp("stored")
         assert run(out, "simulate", *self.RUN) == 0
-        text = (out / "trajectory.csv").read_bytes()
+        text, sidecar = (out / "trajectory.csv").read_bytes(), (out / "trajectory.npy").read_bytes()
         status, artifacts = self.replay(out / "replay", text)
         assert status == 0
-        return text, artifacts
+        assert self.replay(out / "sidecar", text, sidecar) == (0, artifacts)
+        return text, sidecar, artifacts
 
     @pytest.fixture(scope="class")
     def driven(self, tmp_path_factory):
@@ -824,11 +913,19 @@ class TestReaderFuzz:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_mutated_trajectory(self, tmp_path_factory, stored, data):
-        text, plain = stored
+        text, sidecar, plain = stored
         edited = data.draw(mutated(text))
         result = self.replay(tmp_path_factory.mktemp("replay"), edited)
+        assert self.replay(tmp_path_factory.mktemp("beside"), edited, sidecar) == result
         if comments_added(text, edited):
             assert result == (0, plain)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_sidecar(self, tmp_path_factory, stored, data):
+        text, sidecar, plain = stored
+        edited = data.draw(mutated_sidecar(sidecar))
+        assert self.replay(tmp_path_factory.mktemp("sidecar"), text, edited) == (0, plain)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(edited=mutated(TABLE))
@@ -1069,9 +1166,11 @@ class TestWriteCsv:
         return "".join(line + "\n" for line in lines)
 
     def check(self, tmp_path, columns, data):
+        """The file's bytes, and the byte length and CRC-32 that write_csv returns."""
         path = tmp_path / "out.csv"
-        write_csv(path, ["seed=1"], columns, data)
+        check = write_csv(path, ["seed=1"], columns, data)
         assert path.read_bytes() == self.expected(["seed=1"], columns, data).encode()
+        assert check == (path.stat().st_size, zlib.crc32(path.read_bytes()))
 
     def test_special_values_and_types(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -1120,6 +1219,54 @@ class TestWriteCsv:
     def test_random_rows(self, tmp_path_factory, rows):
         columns = [[row[i] for row in rows] for i in range(3)]
         self.check(tmp_path_factory.mktemp("csv"), ["a", "b", "c"], columns)
+
+
+class TestSidecar:
+    """simulate writes trajectory.npy beside trajectory.csv for the presets
+    that energy replays: the table that _read_csv parses from the file, bit
+    for bit, then its check record, and a replay of the unedited file takes
+    the table from it."""
+
+    DRIVE = ("--set", "grid.n_cells=8", "--set", "time.n_steps=40", "--set", "input.kind=sinusoid",
+             "--set", "input.freq=3", "--set", "initial.kind=sine")
+
+    @pytest.mark.parametrize("margin", [cli._MARGIN, 0.5], ids=["platform", "fallback"])
+    @pytest.mark.parametrize("scheme", ["backward_euler", "implicit_midpoint"])
+    @pytest.mark.parametrize("preset", parity.CONTROL_PRESETS)
+    def test_sidecar_round_trip(self, tmp_path, monkeypatch, preset, scheme, margin):
+        """np.load and the replay's reader take from trajectory.npy what
+        _read_csv parses from trajectory.csv: the same comments and the
+        same float64 table, bit for bit, whether the writer takes this
+        platform's lanes or, at a margin of 1/2, '%.17g' for every value."""
+        monkeypatch.setattr(cli, "_MARGIN", margin)
+        assert run(tmp_path, "simulate", "--set", f"preset={preset}", "--set", f"scheme={scheme}",
+                   *self.DRIVE) == 0
+        path = tmp_path / "trajectory.csv"
+        comments, table, _ = cli._read_csv(path, "trajectory file")
+        loaded = np.load(tmp_path / "trajectory.npy")  # the check record follows the table
+        assert loaded.dtype == np.dtype("<f8") and loaded.tobytes() == table.tobytes()
+        stored_comments, stored = cli._read_sidecar(path, table.shape)
+        assert stored_comments == comments and stored.tobytes() == table.tobytes()
+
+    def test_replay_takes_the_table_from_the_sidecar(self, tmp_path, monkeypatch):
+        """The replay of the unedited file parses none of its text, and
+        writes the ledger of the replay of a copy without the sidecar."""
+        assert run(tmp_path / "sim", "simulate", *self.DRIVE) == 0
+        copy = tmp_path / "text" / "trajectory.csv"
+        copy.parent.mkdir()
+        copy.write_bytes((tmp_path / "sim" / "trajectory.csv").read_bytes())
+        assert run(tmp_path / "text", "energy", *self.DRIVE, "--trajectory", str(copy)) == 0
+        monkeypatch.setattr(cli, "_read_csv", None)
+        assert run(tmp_path / "sidecar", "energy", *self.DRIVE,
+                   "--trajectory", str(tmp_path / "sim" / "trajectory.csv")) == 0
+        assert (tmp_path / "sidecar" / "ledger.csv").read_bytes() == \
+            (tmp_path / "text" / "ledger.csv").read_bytes()
+
+    def test_maxwell_run_writes_no_sidecar(self, tmp_path):
+        """energy refuses the Maxwell preset, so its run writes no table."""
+        assert run(tmp_path, "simulate", "--set", "preset=maxwell-lift-1d", *self.DRIVE) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["io.csv", "ledger.csv",
+                                                              "trajectory.csv"]
 
 
 class TestFormat17:

@@ -19,8 +19,11 @@ frequency 3 and a sine initial profile (n_cells 24, 16 for the
 port-Hamiltonian chain), an energy replay of each control preset's run,
 a replay of the backward-Euler chain run under the default (midpoint)
 scheme, energy-hash-comment (the replay of the wave-wt midpoint run with
-a '#note' line inserted before the column header of its trajectory,
-whose ledger.csv is the plain replay's byte for byte), a wave-wt run
+a '#note' line inserted before the column header of its trajectory and
+the run's trajectory.npy beside it, which no longer matches the file and
+is refused) and energy-sidecar-corrupt (the same run's trajectory.csv
+beside its trajectory.npy with one table byte flipped, which is refused),
+each of whose ledger.csv is the plain replay's byte for byte, a wave-wt run
 driven by the signal table SIGNAL_TABLE (written into its case
 directory), wellposed for each preset, bdspace on the grids of
 BDSPACE_GRIDS, and the benchmark's cubic-wave and long-horizon
@@ -30,7 +33,8 @@ the driven wave-wt run, its energy replay and the driven Maxwell run
 under tolerance 1e-30 (each printing its max line), bdspace on [0, 0.01]
 with 64 cells, whose unitarity defect exceeds 1e-10, and a
 port-Hamiltonian run whose sinusoid input of amplitude 1e300 overflows
-the ledger, naming its first non-finite step.  Refusals close the matrix,
+the ledger, naming its first non-finite step without a numpy warning.
+Refusals close the matrix,
 each with the status the command line documents for it: a certificate
 that fails (1, printing its witness), and an invalid time grid, a table
 input without a path, one whose path is the number 1 (which open() would
@@ -43,8 +47,10 @@ right side is not finite, a grid of 1e308 cells, a weight time.nu =
 is no path string (refuse-bdspace-outdir-null), a time.t_end of x,
 refused naming the key (refuse-wellposed-t_end-string), a time.n_steps of
 2**62, whose arrays no address space holds (refuse-simulate-n_steps-2e62),
-and an outdir of 300 x's, a name too long for the file system
-(refuse-bdspace-outdir-too-long), each refused naming its key (2 each).
+an outdir of 300 x's, a name too long for the file system
+(refuse-bdspace-outdir-too-long), each refused naming its key, and 4 cells
+of width 1e-146, whose boundary basis collapses, refused naming the cell
+width and the grid (refuse-bdspace-collapsed-basis) (2 each).
 Each case runs in its own directory, so a relative outdir would land there.
 """
 
@@ -84,10 +90,21 @@ def _sets(*pairs):
 
 
 def note_before_header(stored: Path, edited: Path):
-    """Write stored to edited with a '#note' line before its column header."""
+    """Write stored to edited with a '#note' line before its column header,
+    and copy the sidecar of stored beside edited."""
     lines = stored.read_text(encoding="utf-8").splitlines(True)
     header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
     edited.write_text("".join(lines[:header] + ["#note\n"] + lines[header:]), encoding="utf-8")
+    edited.with_suffix(".npy").write_bytes(stored.with_suffix(".npy").read_bytes())
+
+
+def flip_table_byte(stored: Path, copy: Path):
+    """Copy stored to copy, and its sidecar beside it with the first byte of
+    the table's last value flipped."""
+    copy.write_bytes(stored.read_bytes())
+    sidecar = bytearray(stored.with_suffix(".npy").read_bytes())
+    sidecar[-32] ^= 0xFF  # the check record takes the last 24 bytes
+    copy.with_suffix(".npy").write_bytes(sidecar)
 
 
 def matrix(out: Path) -> list:
@@ -140,6 +157,12 @@ def matrix(out: Path) -> list:
                                           ("scheme", "implicit_midpoint"), *drive,
                                           ("outdir", case)), "--trajectory", str(edited)],
                   0, functools.partial(note_before_header, replayed, edited)))
+    case = out / "energy-sidecar-corrupt"
+    copy = case / "trajectory.csv"
+    cases.append((case, ["energy", *_sets(("grid.n_cells", PRESETS["wave-wt"]),
+                                          ("scheme", "implicit_midpoint"), *drive,
+                                          ("outdir", case)), "--trajectory", str(copy)],
+                  0, functools.partial(flip_table_byte, replayed, copy)))
     # the driven wave-wt and Maxwell runs (both on 24 cells) under a tolerance
     # that their roundoff exceeds
     tight = (("grid.n_cells", 24), *drive, ("tolerance", 1e-30))
@@ -176,6 +199,8 @@ def matrix(out: Path) -> list:
         ("refuse-wellposed-t_end-string", 2, ["wellposed", *_sets(("time.t_end", "x"))]),
         ("refuse-simulate-n_steps-2e62", 2, ["simulate", *_sets(("time.n_steps", 2 ** 62))]),
         ("refuse-bdspace-outdir-too-long", 2, ["bdspace", *_sets(("outdir", "x" * 300))]),
+        ("refuse-bdspace-collapsed-basis", 2,
+         ["bdspace", *_sets(("grid.n_cells", 4), ("grid.b", 4e-146))]),
     ):
         case = out / name
         # the case's outdir comes first, so that a case may set its own
