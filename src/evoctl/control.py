@@ -139,13 +139,13 @@ class ControlSystem(EvolutionarySystem):
 
     Only what cannot be derived is stored: the partition, the fine split
     n_w of the middle block, an optional initial state x0 and an
-    optional geometry mapping carrying model data (grid operators,
-    scaling matrices, boundary spaces) for checks that need the
-    physical picture.  The control columns B0/B1/B2 are the rows of J
-    over the coarse blocks, and Gmat and Cmat, the two constituents of
-    F, are read off A; Cdual = Cmat^H is the dual map of Cmat appearing
-    in the v-rows of A.  The base class checks that M0 is Hermitian and
-    A skew-Hermitian.
+    optional geometry mapping carrying the model data that checks need
+    for the physical picture (a wave keeps its grid, and its checks
+    rebuild the grid operators from it).  The control columns B0/B1/B2
+    are the rows of J over the coarse blocks, and Gmat and Cmat, the two
+    constituents of F, are read off A; Cdual = Cmat^H is the dual map of
+    Cmat appearing in the v-rows of A.  The base class checks that M0 is
+    Hermitian and A skew-Hermitian.
     """
 
     partition: BlockPartition
@@ -467,12 +467,16 @@ def boundary_equation_defect(sys: ControlSystem, traj: Trajectory) -> np.ndarray
     assembled to satisfy the constraint; small along trajectories that
     enforce it weakly.
 
-    Needs the physical picture from the system geometry: the grad/div
-    pair, its cell-side boundary data space and the physical dual map
-    of the boundary observation.
+    Needs the physical picture from the system geometry: the grid and
+    the physical dual map Cdual_physical of the boundary observation.
+    The grad/div pair and its cell-side boundary data space are rebuilt
+    from the grid as the wave builder formed them.
     """
-    pair, bdD, Cdual_phys = require_geometry(sys, ("pair", "bdD", "Cdual_physical"),
-                                             "the boundary equation check")
+    from .models import _wave_operators  # models builds on this module
+
+    grid, Cdual_phys = require_geometry(sys, ("grid", "Cdual_physical"),
+                                        "the boundary equation check")
+    pair, _, bdD = _wave_operators(grid)[:3]
     if sys.n_w == 0 or np.abs(sys.Cmat).max() == 0.0:
         raise HypothesisViolationError(
             "boundary equation check needs a system with boundary coupling"

@@ -90,6 +90,17 @@ def deflation_basis(pair: GradDivPair) -> np.ndarray:
     return house[:, 1:]
 
 
+def _wave_operators(grid: Grid1D) -> tuple:
+    """(pair, bdG, bdD, S0, S1, V) of the wave on grid: the grad/div pair,
+    its node- and cell-side boundary spaces, the roots of its weights and
+    the deflation basis.  Every call repeats the same deterministic
+    computation, so the wave keeps only its grid and its checks rebuild
+    these bitwise as the builder formed them."""
+    pair = build_sbp_pair_1d(grid)
+    return (pair, compute_bd_space(pair, "G"), compute_bd_space(pair, "D"),
+            np.sqrt(pair.W0), np.sqrt(pair.W1), deflation_basis(pair))
+
+
 # ---------------------------------------------------------------------------
 # wave presets
 
@@ -194,20 +205,14 @@ def build_mixed_type_wave(spec: WaveSpec, indicators) -> ControlSystem:
     to S1 z0 with nothing projected away.
     """
     grid = spec.grid
-    pair = build_sbp_pair_1d(grid)
     masks = _checked_masks(indicators, grid)
-    s0 = np.sqrt(pair.W0)
-    s1 = np.sqrt(pair.W1)
-
-    bdG = compute_bd_space(pair, "G")
-    bdD = compute_bd_space(pair, "D")
+    pair, bdG, bdD, s0, s1, V = _wave_operators(grid)
     N_map = dot_map(bdG, bdD, pair) if spec.N_map is None else spec.N_map
     gram = build_u_space(bdG, bdD, N_map, pair)
     m = gram.shape[0]
     b_map = require_shape(spec.b_map, (m, m), "b_map", default=np.eye(m))
     L = np.linalg.cholesky(gram)
 
-    V = deflation_basis(pair)
     n_v = V.shape[1]
     Cmat = -(L.conj().T @ b_map @ (bdG.projector @ (V / s0[:, None])))
     # the dual projection grows faster than 1/h**2 as h shrinks, so its
@@ -261,15 +266,7 @@ def build_mixed_type_wave(spec: WaveSpec, indicators) -> ControlSystem:
     ])
 
     partition = BlockPartition(n_h0=n_v, n_h1=pair.n_cells + m, n_y=m, n_u1=m)
-    geometry = {
-        "pair": pair,
-        "bdD": bdD,
-        "S0": s0,
-        "S1": s1,
-        "node_basis": V,
-        "Cdual_physical": Cdual_physical,
-        "region_masks": masks,
-    }
+    geometry = {"grid": grid, "Cdual_physical": Cdual_physical, "region_masks": masks}
     return assemble_control(
         partition, M0_blocks, M1_blocks, Gmat, Cmat, B_blocks,
         n_w=m, x0=x0, geometry=geometry,
@@ -291,10 +288,14 @@ def elliptic_residual(sys: ControlSystem, traj: Trajectory) -> np.ndarray:
     rows only up to a shared constant, which turns up as a constant
     shift of the full residual; the defect is therefore measured after
     removing the mean over the eligible nodes.
+
+    The wave's geometry holds its grid, Cdual_physical and region_masks;
+    the pair, S0, S1 and the node basis V are rebuilt from the grid as
+    the builder formed them.
     """
-    pair, V, s0, s1, Cdual, masks = require_geometry(
-        sys, ("pair", "node_basis", "S0", "S1", "Cdual_physical", "region_masks"),
-        "the elliptic residual")
+    grid, Cdual, masks = require_geometry(
+        sys, ("grid", "Cdual_physical", "region_masks"), "the elliptic residual")
+    pair, _, _, s0, s1, V = _wave_operators(grid)
     nm_e, cm_e = masks["elliptic"]
 
     inner = np.arange(1, pair.n_nodes - 1)

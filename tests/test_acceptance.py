@@ -34,6 +34,7 @@ from evoctl import (
     check_compatibility,
     check_wellposed,
     compute_bd_space,
+    deflation_basis,
     dot_map,
     endpoint_coupling_defect,
     energy_ledger,
@@ -176,8 +177,8 @@ class TestAcceptance:
         divergence plus dual-coupling route through physical operators."""
         sys = wave_system()
         geo = sys.geometry
-        pair, V = geo["pair"], geo["node_basis"]
-        s0, s1 = geo["S0"], geo["S1"]
+        pair = build_sbp_pair_1d(geo["grid"])
+        s0, s1, V = np.sqrt(pair.W0), np.sqrt(pair.W1), deflation_basis(pair)
         div_min = pair.minimal_div()
         rng = np.random.default_rng(106)
         worst = 0.0

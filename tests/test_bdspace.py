@@ -1,10 +1,12 @@
 """Tests for boundary data spaces, their transport maps, the dual
 projection, the auxiliary control space, and the Green identity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -40,6 +42,25 @@ def green_pairs(draw):
 
     return (pair, cplx(pair.n_nodes), cplx(pair.n_cells),
             cplx(pair.n_nodes), cplx(pair.n_cells))
+
+
+def green_bound(pair, x, y, x2, y2):
+    """1e-12 (h + 1/h)(|x| + |y|)(|x2| + |y2|): Gamma_0 and Gamma_1 are
+    coordinates in the graph form diag(W) + O^H W_out O, whose entries
+    are O(h + 1/h), so the roundoff of the identity scales with it."""
+    # scipy's BLAS norm rescales instead of underflowing like np.linalg.norm
+    norm = scipy.linalg.norm
+    h = pair.grid.h
+    return 1e-12 * (h + 1.0 / h) * (norm(x) + norm(y)) * (norm(x2) + norm(y2))
+
+
+def ones_on_a_long_coarse_grid():
+    """(pair, x, y, x2, y2) on [0, 50] with 2 cells: x = i on the nodes and
+    y2 = i on the cells, the rest zero.  Its defect 2.5e-13 exceeds
+    1e-12 (|x| + |y|)(|x2| + |y2|)/h = 9.8e-14, a bound without the h term."""
+    pair = build_sbp_pair_1d(Grid1D(0.0, 50.0, 2))
+    return (pair, np.full(3, 1j), np.zeros(2, complex), np.zeros(3, complex),
+            np.full(2, 1j))
 
 
 @pytest.fixture(scope="module")
@@ -264,14 +285,27 @@ class TestGreenIdentity:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(green_pairs())
+    @example(ones_on_a_long_coarse_grid())
     def test_random_grids_stay_at_roundoff(self, draw):
         """The identity holds to roundoff relative to
-        (|x| + |y|)(|x2| + |y2|) / h on any interval and cell count."""
-        pair, x, y, x2, y2 = draw
-        # scipy's BLAS norm rescales instead of underflowing like np.linalg.norm
-        norm = scipy.linalg.norm
-        scale = (norm(x) + norm(y)) * (norm(x2) + norm(y2)) / pair.grid.h
-        assert boundary_triple_defect(pair, x, y, x2, y2) <= 1e-12 * scale
+        (h + 1/h)(|x| + |y|)(|x2| + |y2|) on any interval and cell count."""
+        assert boundary_triple_defect(*draw) <= green_bound(*draw)
+
+    @pytest.mark.parametrize("length,n_cells", [(50.0, 2), (1.0, 16), (0.01, 64)])
+    def test_perturbed_coordinates_exceed_the_bound(self, length, n_cells):
+        """A node-side coordinate map off by a relative 1e-5 breaks the
+        identity by more than the bound on every draw."""
+        pair = build_sbp_pair_1d(Grid1D(0.0, length, n_cells))
+        bdG, bdD = compute_bd_space(pair, "G"), compute_bd_space(pair, "D")
+        off = dataclasses.replace(bdG, projector=bdG.projector * (1.0 + 1e-5))
+        rng = np.random.default_rng(seed=80)
+        for _ in range(20):
+            x, x2, y, y2 = (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+                            for n in (pair.n_nodes, pair.n_nodes, pair.n_cells, pair.n_cells))
+            assert boundary_triple_defect(pair, x, y, x2, y2, bdG, bdD) \
+                <= green_bound(pair, x, y, x2, y2)
+            assert boundary_triple_defect(pair, x, y, x2, y2, off, bdD) \
+                > green_bound(pair, x, y, x2, y2)
 
     def test_zero_boundary_states(self, pair16, spaces16):
         """Interior-supported states make both sides vanish."""

@@ -20,6 +20,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 import zlib
 from fractions import Fraction
@@ -349,6 +350,27 @@ class TestSimulate:
         correction = rows[:, header.index("euler_correction")]
         assert correction[0] > 0.0
         assert np.abs(correction[1:]).max() == 0.0
+
+    def test_traced_peak_stays_below_nine_step_matrices(self, tmp_path):
+        """A wave-wt simulate peaks at about 8.1 dim x dim float64 matrices
+        of traced memory; a wave whose geometry kept the grad/div pair, its
+        boundary space and the node basis peaked at 9.1.  The first run of a
+        process imports modules whose memory is traced, so a small run goes
+        before the measured one."""
+        assert run(tmp_path / "warm", "simulate", "--set", "time.n_steps=2") == 0
+        n_cells = 96
+        dim = 2 * n_cells + 4
+        tracemalloc.start()
+        try:
+            code = run(tmp_path, "simulate", "--set", f"grid.n_cells={n_cells}",
+                       "--set", "time.n_steps=20", "--set", "input.kind=sinusoid")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        matrices = peak / (8 * dim * dim)
+        assert matrices <= 8.6, (f"traced peak {peak} B is {matrices:.3f} float64 "
+                                 f"matrices of dim x dim = {dim} x {dim} (bound 8.6)")
 
     def test_overflowing_run_fails_and_names_the_step(self, tmp_path, capsys):
         """A ledger that overflows to NaN fails instead of passing."""

@@ -781,7 +781,7 @@ def geometry():
 
 class TestBoundaryEquationDefect:
     def build_system(self, geometry, couple=True):
-        pair, bdG, bdD, cdual_phys = geometry
+        pair, bdG, _, cdual_phys = geometry
         n_nodes, n_cells = pair.n_nodes, pair.grid.n_cells
         part = BlockPartition(n_h0=n_nodes, n_h1=n_cells + 2, n_y=2, n_u1=2)
         M0b = empty_blocks()
@@ -796,7 +796,7 @@ class TestBoundaryEquationDefect:
         B1 = np.vstack([np.zeros((n_cells, 2)), -RT2 * np.eye(2)])
         return assemble_control(
             part, M0b, M1b, ghat, cmat, (None, B1, -np.eye(2)), n_w=2,
-            geometry={"pair": pair, "bdD": bdD, "Cdual_physical": cdual_phys},
+            geometry={"grid": pair.grid, "Cdual_physical": cdual_phys},
         )
 
     def constant_trajectory(self, sys, x, n_steps=3):
@@ -885,7 +885,7 @@ class TestBoundaryEquationDefect:
         traj = Trajectory(grid=grid, states=np.zeros((3, 4), dtype=complex),
                           inputs=np.zeros((2, 1), dtype=complex),
                           scheme="backward_euler")
-        with pytest.raises(HypothesisViolationError, match="pair"):
+        with pytest.raises(HypothesisViolationError, match="grid"):
             boundary_equation_defect(sys, traj)
 
     def test_refuses_without_coupling(self, geometry):

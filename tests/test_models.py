@@ -55,6 +55,13 @@ def wave_system(n_cells=24, **kwargs):
     return build_weiss_tucsnak_wave(WaveSpec(grid=grid, **kwargs))
 
 
+def wave_operators(sys):
+    """(pair, S0, S1, V) of a wave system, rebuilt from the grid its
+    geometry keeps."""
+    pair = build_sbp_pair_1d(sys.geometry["grid"])
+    return pair, np.sqrt(pair.W0), np.sqrt(pair.W1), deflation_basis(pair)
+
+
 def two_tone(t):
     return np.array([np.sin(2.1 * t), 0.4 * np.cos(1.3 * t)])
 
@@ -193,18 +200,16 @@ class TestWaveBuilder:
     def test_dual_coupling_chain(self):
         """C^H equals V^H S0 times the physical dual coupling map."""
         sys = wave_system()
-        geo = sys.geometry
-        V, s0 = geo["node_basis"], geo["S0"]
-        chain = V.conj().T @ (s0[:, None] * geo["Cdual_physical"])
+        _, s0, _, V = wave_operators(sys)
+        chain = V.conj().T @ (s0[:, None] * sys.geometry["Cdual_physical"])
         err = np.abs(sys.Cmat.conj().T - chain).max()
         assert err < 1e-12, f"dual coupling chain broken: {err:.2e}"
 
     def test_gradient_part_is_the_deflated_gradient(self):
         """Gmat is the real product S1 G S0^-1 V, bit for bit."""
         sys = wave_system(n_cells=192)
-        geo = sys.geometry
-        pair, V = geo["pair"], geo["node_basis"]
-        ghat = (pair.G / geo["S0"][None, :]) * geo["S1"][:, None]
+        pair, s0, s1, V = wave_operators(sys)
+        ghat = (pair.G / s0[None, :]) * s1[:, None]
         assert sys.Gmat.dtype == np.float64
         assert np.array_equal(sys.Gmat, ghat @ V)
 
@@ -223,8 +228,7 @@ class TestWaveBuilder:
         """
         sys = wave_system()
         geo = sys.geometry
-        pair, V = geo["pair"], geo["node_basis"]
-        s0, s1 = geo["S0"], geo["S1"]
+        pair, s0, s1, V = wave_operators(sys)
         div_min = pair.minimal_div()
         rng = np.random.default_rng(42)
         worst = 0.0
@@ -245,12 +249,12 @@ class TestWaveBuilder:
         z1 = 1.0 + x
         z0 = np.cos(np.pi * grid.cells())
         sys = build_weiss_tucsnak_wave(WaveSpec(grid=grid, z1=z1, z0=z0))
-        geo = sys.geometry
-        v_phys = (geo["node_basis"] @ sys.x0[sys.fine_slice(0)]) / geo["S0"]
+        _, s0, s1, V = wave_operators(sys)
+        v_phys = (V @ sys.x0[sys.fine_slice(0)]) / s0
         mean = (pair.W0 * z1).sum() / pair.W0.sum()
         err = np.abs(v_phys - (z1 - mean)).max()
         assert err < 1e-12, f"velocity initial data mangled: {err:.2e}"
-        err = np.abs(sys.x0[sys.fine_slice(1)] - geo["S1"] * z0).max()
+        err = np.abs(sys.x0[sys.fine_slice(1)] - s1 * z0).max()
         assert err < 1e-10, f"flux initial data mangled: {err:.2e}"
         assert not sys.x0[sys.fine_slice(2)].any()
         assert not sys.x0[sys.fine_slice(3)].any()
@@ -411,13 +415,14 @@ class TestMixedTypeWave:
         assert res.max() < 1e-10, f"elliptic residual: {res.max():.2e}"
         # against the residual formed state by state
         geo, off = sys.geometry, sys.fine_offsets()
-        pair, (nm_e, cm_e) = geo["pair"], geo["region_masks"]["elliptic"]
+        pair, s0, s1, V = wave_operators(sys)
+        nm_e, cm_e = geo["region_masks"]["elliptic"]
         inner = np.arange(1, pair.n_nodes - 1)
         inner = inner[nm_e[inner] & cm_e[inner - 1] & cm_e[inner]]
         reference = []
         for x in traj.x_theta(0, tg.n_steps):
-            r = ((geo["node_basis"] @ x[off[0]:off[1]]) / geo["S0"]
-                 - pair.minimal_div() @ (x[off[1]:off[2]] / geo["S1"])
+            r = ((V @ x[off[0]:off[1]]) / s0
+                 - pair.minimal_div() @ (x[off[1]:off[2]] / s1)
                  - geo["Cdual_physical"] @ x[off[2]:off[3]])[inner]
             reference.append(np.abs(r - r.mean()).max())
         err = np.abs(res - reference).max()

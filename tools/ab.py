@@ -13,9 +13,12 @@ BENCHMARK.json, and every workload is run.
 
 For each workload and metric the summary gives each side's median and
 quartiles over the pairs, the number of pairs the change won (ties count
-for neither side), and whether the medians differ by more than the
-distance between the base's quartiles.  A run that fails or reports a
-failed operation stops the tool with exit status 1.
+for neither side), whether the medians differ by more than the distance
+between the base's quartiles, whether every run of the change is better
+than every run of the base, and whether the change's median is worse than
+the base's by more than the metric's bound in BENCHMARK.json, a fraction
+of the base median.  A run that fails or reports a failed operation stops
+the tool with exit status 1.
 """
 
 import argparse
@@ -52,19 +55,25 @@ def quartiles(values):
 
 
 def summary(workload, metrics, base, change) -> list:
-    """Lines of the summary table of one workload."""
+    """Lines of the summary table of one workload; metrics maps each name to
+    its BENCHMARK.json entry, which gives `better` and `bound`."""
     lines = [f"== {workload}, {len(base)} pair(s)",
              f"{'metric':14} {'base median [q1, q3]':>32} {'change median [q1, q3]':>32}"
-             f" {'change/base':>11} {'won':>6}  beyond base IQR"]
-    for name, better in metrics.items():
+             f" {'change/base':>11} {'won':>6}  beyond base IQR  all better  worse than bound"]
+    for name, metric in metrics.items():
+        # sign * value grows as the metric gets worse
+        sign = 1 if metric["better"] == "lower" else -1
         b = [run[name] for run in base]
         c = [run[name] for run in change]
-        sign = 1 if better == "lower" else -1
         won = sum(sign * (y - x) < 0 for x, y in zip(b, c))
         (bq1, bmed, bq3), (cq1, cmed, cq3) = quartiles(b), quartiles(c)
+        flags = (abs(cmed - bmed) > bq3 - bq1,
+                 max(sign * y for y in c) < min(sign * x for x in b),
+                 sign * (cmed - bmed) > metric["bound"] * abs(bmed))
+        beyond, all_better, worse = ("yes" if flag else "no" for flag in flags)
         lines.append(f"{name:14} {bmed:12.6g} [{bq1:8.4g}, {bq3:8.4g}] "
                      f"{cmed:12.6g} [{cq1:8.4g}, {cq3:8.4g}] {cmed / bmed:11.4f} "
-                     f"{won:3d}/{len(b):<2d}  {'yes' if abs(cmed - bmed) > bq3 - bq1 else 'no'}")
+                     f"{won:3d}/{len(b):<2d}  {beyond:15}  {all_better:10}  {worse}")
     return lines
 
 
@@ -84,7 +93,7 @@ def main(argv=None) -> int:
         return 2
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in bench["workloads"]]
-    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
     trees = {"base": base, "change": ROOT}
     runs = {(w, side): [] for w in workloads for side in trees}
     try:
