@@ -35,7 +35,8 @@ Euler, theta = 1) adds the nonnegative numerical dissipation
 (theta - 1/2)<dx|M0 dx>, which step_ledger reports per step.
 
 The per-step checks are array kernels: step_ledger and extract_io take one
-product per row block of steps and term, boundary_equation_defect one lstsq.
+product per row block of steps and term, boundary_equation_defect, the one
+reader of a system's geometry, one lstsq.
 """
 
 from __future__ import annotations
@@ -139,13 +140,13 @@ class ControlSystem(EvolutionarySystem):
 
     Only what cannot be derived is stored: the partition, the fine split
     n_w of the middle block, an optional initial state x0 and an
-    optional geometry mapping carrying the model data that checks need
-    for the physical picture (a wave keeps its grid, and its checks
-    rebuild the grid operators from it).  The control columns B0/B1/B2
-    are the rows of J over the coarse blocks, and Gmat and Cmat, the two
-    constituents of F, are read off A; Cdual = Cmat^H is the dual map of
-    Cmat appearing in the v-rows of A.  The base class checks that M0 is
-    Hermitian and A skew-Hermitian.
+    optional geometry mapping carrying the model data that
+    boundary_equation_defect needs for the physical picture (a wave keeps
+    its grid and Cdual_physical, the chain none).  The control columns
+    B0/B1/B2 are the rows of J over the coarse blocks, and Gmat and Cmat,
+    the two constituents of F, are read off A; Cdual = Cmat^H is the dual
+    map of Cmat appearing in the v-rows of A.  The base class checks that
+    M0 is Hermitian and A skew-Hermitian.
     """
 
     partition: BlockPartition
@@ -196,9 +197,6 @@ class ControlSystem(EvolutionarySystem):
     def fine_slice(self, i: int) -> slice:
         off = self.fine_offsets()
         return slice(off[i], off[i + 1])
-
-    def m1_block(self, i: int, j: int) -> np.ndarray:
-        return self.M1[self.fine_slice(i), self.fine_slice(j)]
 
 
 def assemble_control(

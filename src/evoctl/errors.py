@@ -5,7 +5,7 @@ every public entry states through them:
     require_shape       an array argument has the shape the operation needs
     negligible          a block is zero up to roundoff next to its matrix
     require_invertible  a matrix is numerically invertible
-    require_geometry    a check finds the model data it reads on the system
+    require_geometry    a check finds a wave's grid and dual map on the system
     allocated           an array too large to address fails as one too large
                         to allocate, a MemoryError
 """
@@ -60,6 +60,10 @@ class StepSingularityError(EvoctlError, RuntimeError):
     def __init__(self, message, cond_estimate=None):
         super().__init__(message)
         self.cond_estimate = cond_estimate
+
+
+class StepOverflowError(EvoctlError, ValueError):
+    """The right side of a step is not finite; the message names the step."""
 
 
 def require_invertible(mat, message):

@@ -55,8 +55,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (HypothesisViolationError, ShapeMismatchError, StepSingularityError,
-                     allocated, as_array, negligible, require_shape)
+from .errors import (HypothesisViolationError, ShapeMismatchError, StepOverflowError,
+                     StepSingularityError, allocated, as_array, negligible, require_shape)
 
 SCHEMES = ("backward_euler", "implicit_midpoint")
 # steps per row block: level-3 products whose temporaries stay near 70 KB at dim 67
@@ -390,8 +390,8 @@ class StepPlan:
     def run(self, x0, F) -> Trajectory:
         """Step from x^0 = x0 (the zero state when None) through the (n_steps,
         n_inputs) source samples F; a step whose right side is not finite raises
-        ValueError naming it.  The states take the dtype that x0, F, J and every
-        P and R promote to."""
+        StepOverflowError, a ValueError, naming it.  The states take the dtype
+        that x0, F, J and every P and R promote to."""
         sys, n_steps = self.sys, self.grid.n_steps
         x0 = require_shape(x0, (sys.dim,), "x0", default=np.zeros(sys.dim))
         F = require_shape(F, (n_steps, sys.n_inputs), "F")
@@ -419,8 +419,8 @@ class StepPlan:
                                              + src[s - 1 - lo]).all():
                         s -= 1
                     if s < n_steps:
-                        raise ValueError("array must not contain infs or NaNs: "
-                                         f"the right side of step {s}")
+                        raise StepOverflowError("array must not contain infs or NaNs: "
+                                                f"the right side of step {s}")
         return Trajectory(self.grid, states, F, self.scheme, self.n_init)
 
 

@@ -49,9 +49,10 @@ boundary pairing.  Each step takes the shift at the theta-average
 u_theta of the data and its derivative as the step's difference
 quotient, so the two routes agree to roundoff under both schemes.
 
-The per-step diagnostics and the lift's sources are array kernels over
-Trajectory.x_theta or the data samples; the Hamiltonian density, a user
-callable, is called point by point.
+The lift's sources are array kernels over the data samples; the
+Hamiltonian density, a user callable, is called point by point.  A wave
+keeps its grid and its physical dual map Cdual_physical as its geometry,
+which control.boundary_equation_defect reads; the chain keeps none.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ import numpy as np
 from .bdspace import build_u_space, compute_bd_space, dot_map, dual_projection
 from .control import BlockPartition, ControlSystem, assemble_control
 from .errors import (HypothesisViolationError, InvalidGridError, PositivityError,
-                     ShapeMismatchError, as_array, negligible, require_geometry,
-                     require_invertible, require_shape)
+                     ShapeMismatchError, as_array, negligible, require_invertible,
+                     require_shape)
 from .evolution import EvolutionarySystem, Trajectory, prepare
 from .operators import GradDivPair, Grid1D, build_sbp_pair_1d
 
@@ -94,7 +95,7 @@ def _wave_operators(grid: Grid1D) -> tuple:
     """(pair, bdG, bdD, S0, S1, V) of the wave on grid: the grad/div pair,
     its node- and cell-side boundary spaces, the roots of its weights and
     the deflation basis.  Every call repeats the same deterministic
-    computation, so the wave keeps only its grid and its checks rebuild
+    computation, so the wave keeps only its grid and its check rebuilds
     these bitwise as the builder formed them."""
     pair = build_sbp_pair_1d(grid)
     return (pair, compute_bd_space(pair, "G"), compute_bd_space(pair, "D"),
@@ -266,7 +267,7 @@ def build_mixed_type_wave(spec: WaveSpec, indicators) -> ControlSystem:
     ])
 
     partition = BlockPartition(n_h0=n_v, n_h1=pair.n_cells + m, n_y=m, n_u1=m)
-    geometry = {"grid": grid, "Cdual_physical": Cdual_physical, "region_masks": masks}
+    geometry = {"grid": grid, "Cdual_physical": Cdual_physical}
     return assemble_control(
         partition, M0_blocks, M1_blocks, Gmat, Cmat, B_blocks,
         n_w=m, x0=x0, geometry=geometry,
@@ -276,38 +277,6 @@ def build_mixed_type_wave(spec: WaveSpec, indicators) -> ControlSystem:
 def build_weiss_tucsnak_wave(spec: WaveSpec) -> ControlSystem:
     """Assemble the boundary-observation wave (every point hyperbolic)."""
     return build_mixed_type_wave(spec, all_hyperbolic_indicators(spec.grid))
-
-
-def elliptic_residual(sys: ControlSystem, traj: Trajectory) -> np.ndarray:
-    """Steady-state defect max |v - div grad v| over interior elliptic
-    nodes, one value per step.
-
-    Eligible nodes are elliptic with both neighboring cells elliptic, so
-    the flux rows there read zeta = grad v and the divergence row
-    carries no boundary pairing.  The deflation determines the velocity
-    rows only up to a shared constant, which turns up as a constant
-    shift of the full residual; the defect is therefore measured after
-    removing the mean over the eligible nodes.
-
-    The wave's geometry holds its grid, Cdual_physical and region_masks;
-    the pair, S0, S1 and the node basis V are rebuilt from the grid as
-    the builder formed them.
-    """
-    grid, Cdual, masks = require_geometry(
-        sys, ("grid", "Cdual_physical", "region_masks"), "the elliptic residual")
-    pair, _, _, s0, s1, V = _wave_operators(grid)
-    nm_e, cm_e = masks["elliptic"]
-
-    inner = np.arange(1, pair.n_nodes - 1)
-    inner = inner[nm_e[inner] & cm_e[inner - 1] & cm_e[inner]]
-    if inner.size == 0:
-        raise ValueError("the partition has no interior elliptic nodes to evaluate")
-
-    off = sys.fine_offsets()
-    X = traj.x_theta(0, traj.grid.n_steps)
-    r = ((X[:, off[0]:off[1]] @ V.T) / s0 - (X[:, off[1]:off[2]] / s1) @ pair.minimal_div().T
-         - X[:, off[2]:off[3]] @ Cdual.T)[:, inner]
-    return np.abs(r - r.mean(axis=1, keepdims=True)).max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -481,33 +450,10 @@ def build_port_hamiltonian(spec: PortHamiltonianSpec) -> ControlSystem:
     ])
 
     partition = BlockPartition(n_h0=ell * nc, n_h1=ell * nn, n_y=n, n_u1=n)
-    geometry = {"endpoint_sampler": E, "M32": M32}
     return assemble_control(
         partition, M0_blocks, M1_blocks, Gmat, None,
-        (None, E.conj().T @ B1, B2), n_w=0, x0=x0, geometry=geometry,
+        (None, E.conj().T @ B1, B2), n_w=0, x0=x0,
     )
-
-
-def endpoint_coupling_defect(sys: ControlSystem, traj: Trajectory) -> np.ndarray:
-    """Distance between x1's endpoint values and the eliminated w, per step.
-
-    w was substituted out of the chain, but the observation rows still
-    determine it as w = M32^-1 (B2 u - M33 y).  At every scheme-consistent
-    state the recovered w must match the endpoint samples of x1; that is
-    the boundary coupling the substitution enforced.
-    """
-    E, M32 = require_geometry(sys, ("endpoint_sampler", "M32"), "the endpoint coupling check")
-    M32 = as_array(M32)
-    M33 = sys.m1_block(3, 3)
-    require_invertible(
-        M32, "M32 is not invertible; w cannot be recovered from the observation rows"
-    )
-    off = sys.fine_offsets()
-    X = traj.x_theta(0, traj.grid.n_steps)[:, :, None]
-    # stacked products and one gufunc solve run one GEMV and one ?gesv per
-    # step, so each step's value is bitwise that of its own products
-    w = np.linalg.solve(M32, sys.B2 @ traj.inputs[:, :, None] - M33 @ X[:, off[3]:off[4]])
-    return np.abs(E @ X[:, off[1]:off[2]] - w).max(axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------

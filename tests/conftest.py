@@ -1,6 +1,16 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and hypothesis profiles shared by the test modules.
+
+A plain run loads the "derandomized" profile, so every property test draws
+the same examples on every run.  `--hypothesis-profile=random` draws fresh
+ones, reproducible with `--hypothesis-seed=N`, and keeps no example
+database."""
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("derandomized", derandomize=True)
+settings.register_profile("random", derandomize=False, database=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

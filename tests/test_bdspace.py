@@ -190,7 +190,7 @@ class TestDotMap:
         v = bdD.basis @ (Q @ bdG.project(even))
         assert np.max(np.abs(flip_cells @ v + v)) < 1e-10, "transported vector is not odd"
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None)
     @given(random_grids())
     def test_random_grids_transport_unitarily(self, grid):
         """Both spaces are two-dimensional and the transport is unitary to
@@ -283,7 +283,7 @@ class TestGreenIdentity:
             worst = max(worst, boundary_triple_defect(pair16, x, y, x2, y2, bdG, bdD))
         assert worst < 1e-10, f"Green identity defect: {worst:.2e}"
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None)
     @given(green_pairs())
     @example(ones_on_a_long_coarse_grid())
     def test_random_grids_stay_at_roundoff(self, draw):

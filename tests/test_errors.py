@@ -91,12 +91,13 @@ class TestRequireGeometry:
         assert require_geometry(sys, ("c", "a"), "the check") == (3, 1)
 
     def test_message_names_check_and_missing_keys(self):
-        sys = SimpleNamespace(geometry={"pair": object()})
+        sys = SimpleNamespace(geometry={"grid": object()})
         with pytest.raises(HypothesisViolationError,
-                           match=r"^the residual needs bdD, M32 in the system geometry$"):
-            require_geometry(sys, ("pair", "bdD", "M32"), "the residual")
+                           match=r"^the check needs Cdual_physical in the system geometry$"):
+            require_geometry(sys, ("grid", "Cdual_physical"), "the check")
 
     def test_missing_geometry_misses_every_key(self):
         sys = SimpleNamespace(geometry=None)
-        with pytest.raises(HypothesisViolationError, match="needs pair, bdD"):
-            require_geometry(sys, ("pair", "bdD"), "the check")
+        with pytest.raises(HypothesisViolationError,
+                           match=r"^the check needs grid, Cdual_physical in the system geometry$"):
+            require_geometry(sys, ("grid", "Cdual_physical"), "the check")

@@ -137,7 +137,7 @@ def _dense_pencil(n=12):
 class TestBlockSpectra:
     """The lowest eigenvalues taken block by block agree with the dense ones."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None)
     @given(permuted_block_pencils())
     @example(_dense_pencil())
     def test_split_matches_dense(self, pencil):
@@ -202,7 +202,7 @@ class TestCheckWellposed:
         w = np.abs(rep.witness)
         assert w[1] > 0.99 and w[0] < 1e-6
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None)
     @given(psd_pencils())
     def test_psd_mass_certifies_at_nu_max(self, pencil):
         """For M0 >= 0 the constant is c(nu_max), the largest on (0, nu_max]."""
@@ -583,7 +583,7 @@ class TestCausality:
             causality_defect(sys, f1, f2, a, grid, scheme)
 
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 3),
            n_steps=st.integers(1, 30), data=st.data(),
            scheme=st.sampled_from(["backward_euler", "implicit_midpoint"]))

@@ -11,7 +11,6 @@ lift integrates the same boundary data through a state shift and
 through the boundary pairing rows side by side.
 """
 
-import dataclasses
 import re
 
 import numpy as np
@@ -39,8 +38,6 @@ from evoctl.models import (
     build_port_hamiltonian,
     build_weiss_tucsnak_wave,
     deflation_basis,
-    elliptic_residual,
-    endpoint_coupling_defect,
     maxwell_lift_solve,
     maxwell_system,
     three_region_indicators,
@@ -60,6 +57,17 @@ def wave_operators(sys):
     geometry keeps."""
     pair = build_sbp_pair_1d(sys.geometry["grid"])
     return pair, np.sqrt(pair.W0), np.sqrt(pair.W1), deflation_basis(pair)
+
+
+def m1_block(sys, i, j):
+    """The (i, j) block of M1 over the fine blocks (v, zeta, w, y)."""
+    return sys.M1[sys.fine_slice(i), sys.fine_slice(j)]
+
+
+def endpoint_sampler(sys):
+    """The chain's endpoint sampler E, read off the (y, x1) block M32 E of
+    M1 under the default M32 = sqrt(2) I."""
+    return m1_block(sys, 3, 1) / RT2
 
 
 def two_tone(t):
@@ -404,44 +412,31 @@ class TestMixedTypeWave:
 
     @pytest.mark.parametrize("scheme", ["backward_euler", "implicit_midpoint"])
     def test_elliptic_residual_vanishes_at_scheme_states(self, scheme):
-        """v = div grad v holds on interior elliptic nodes along runs."""
+        """v = div grad v holds on interior elliptic nodes along runs.
+
+        Eligible nodes are elliptic with both neighboring cells elliptic,
+        so the flux rows there read zeta = grad v and the divergence row
+        carries no boundary pairing.  The deflation fixes the velocity rows
+        only up to a shared constant, so the residual is measured after
+        removing its mean over the eligible nodes."""
         grid = Grid1D(0.0, 1.0, 30)
-        sys = build_mixed_type_wave(WaveSpec(grid=grid),
-                                    three_region_indicators(grid))
+        indicators = three_region_indicators(grid)
+        sys = build_mixed_type_wave(WaveSpec(grid=grid), indicators)
         tg = TimeGrid(t_end=1.0, n_steps=150, nu=1.0)
         traj = solve(sys, sys.x0, two_tone, tg, scheme)
-        res = elliptic_residual(sys, traj)
-        assert res.shape == (tg.n_steps,)
-        assert res.max() < 1e-10, f"elliptic residual: {res.max():.2e}"
-        # against the residual formed state by state
-        geo, off = sys.geometry, sys.fine_offsets()
+        off = sys.fine_offsets()
         pair, s0, s1, V = wave_operators(sys)
-        nm_e, cm_e = geo["region_masks"]["elliptic"]
+        nm_e, cm_e = indicators["elliptic"]
         inner = np.arange(1, pair.n_nodes - 1)
         inner = inner[nm_e[inner] & cm_e[inner - 1] & cm_e[inner]]
-        reference = []
+        assert inner.size > 0
+        res = []
         for x in traj.x_theta(0, tg.n_steps):
             r = ((V @ x[off[0]:off[1]]) / s0
                  - pair.minimal_div() @ (x[off[1]:off[2]] / s1)
-                 - geo["Cdual_physical"] @ x[off[2]:off[3]])[inner]
-            reference.append(np.abs(r - r.mean()).max())
-        err = np.abs(res - reference).max()
-        assert err <= 1e-13 * max(1.0, max(reference)), f"off the per-step form by {err:.2e}"
-
-    def test_elliptic_residual_needs_elliptic_interior(self):
-        sys = wave_system(n_cells=12)
-        tg = TimeGrid(t_end=0.2, n_steps=10, nu=1.0)
-        traj = solve(sys, sys.x0, None, tg, "backward_euler")
-        with pytest.raises(ValueError, match="elliptic"):
-            elliptic_residual(sys, traj)
-
-    def test_elliptic_residual_needs_geometry(self):
-        sys = wave_system(n_cells=12)
-        tg = TimeGrid(t_end=0.2, n_steps=10, nu=1.0)
-        traj = solve(sys, sys.x0, None, tg, "backward_euler")
-        bare = dataclasses.replace(sys, geometry=None)
-        with pytest.raises(HypothesisViolationError, match="geometry"):
-            elliptic_residual(bare, traj)
+                 - sys.geometry["Cdual_physical"] @ x[off[2]:off[3]])[inner]
+            res.append(np.abs(r - r.mean()).max())
+        assert max(res) < 1e-10, f"elliptic residual: {max(res):.2e}"
 
 
 class TestPortHamiltonian:
@@ -467,32 +462,28 @@ class TestPortHamiltonian:
 
     @pytest.mark.parametrize("scheme", ["backward_euler", "implicit_midpoint"])
     def test_endpoint_values_match_recovered_w(self, scheme):
-        """x1's endpoint samples equal the w recovered from the y-rows."""
+        """x1's endpoint samples equal the w recovered from the y-rows,
+        w = M32^-1 (B2 u - M33 y), at every scheme-consistent state."""
         grid = Grid1D(0.0, 1.0, 20)
         sys = build_port_hamiltonian(
             PortHamiltonianSpec(grid=grid, Nmat=[[1.0]]))
         tg = TimeGrid(t_end=1.5, n_steps=300, nu=1.0)
         u = lambda t: np.array([np.sin(1.7 * t), 0.3 * np.cos(2.4 * t)])
         traj = solve(sys, sys.x0, u, tg, scheme)
-        defects = endpoint_coupling_defect(sys, traj)
-        assert defects.max() < 1e-9, f"endpoint coupling broken: {defects.max():.2e}"
-        # bitwise the defect of one solve per step
-        E, M32 = sys.geometry["endpoint_sampler"], sys.geometry["M32"]
-        off = sys.fine_offsets()
-        reference = [np.abs(E @ x[off[1]:off[2]] - np.linalg.solve(
-            M32, sys.B2 @ u_k - sys.m1_block(3, 3) @ x[off[3]:off[4]])).max()
+        E, M33, off = endpoint_sampler(sys), m1_block(sys, 3, 3), sys.fine_offsets()
+        defects = [np.abs(E @ x[off[1]:off[2]] - np.linalg.solve(
+            RT2 * np.eye(2), sys.B2 @ u_k - M33 @ x[off[3]:off[4]])).max()
             for x, u_k in zip(traj.x_theta(0, tg.n_steps), traj.inputs)]
-        assert np.array_equal(defects, reference)
+        assert max(defects) < 1e-9, f"endpoint coupling broken: {max(defects):.2e}"
 
     def test_recovered_w_is_physical_endpoint_value(self):
         """The sampler really reads x1 at (b, a) in physical units."""
         grid = Grid1D(0.0, 1.0, 10)
         sys = build_port_hamiltonian(PortHamiltonianSpec(grid=grid, Nmat=[[1.0]]))
-        geo = sys.geometry
         rng = np.random.default_rng(11)
         x1_phys = rng.standard_normal(grid.n_nodes)
         s0 = np.sqrt(build_sbp_pair_1d(grid).W0)
-        sample = geo["endpoint_sampler"] @ (s0 * x1_phys)
+        sample = endpoint_sampler(sys) @ (s0 * x1_phys)
         err = np.abs(sample - np.array([x1_phys[-1], x1_phys[0]])).max()
         assert err < 1e-13, f"sampler is not nodal evaluation: {err:.2e}"
 
@@ -592,9 +583,9 @@ class TestPortHamiltonian:
         base = build_port_hamiltonian(PortHamiltonianSpec(grid=grid, Nmat=[[1.0]]))
         shifted = build_port_hamiltonian(PortHamiltonianSpec(
             grid=grid, Nmat=[[1.0]], P0=np.diag([0.3, -0.2])))
-        err = np.abs(shifted.m1_block(0, 0) + 0.3 * np.eye(grid.n_cells)).max()
+        err = np.abs(m1_block(shifted, 0, 0) + 0.3 * np.eye(grid.n_cells)).max()
         assert err < 1e-14, f"cell-group P0 misfolded: {err:.2e}"
-        delta = shifted.m1_block(1, 1) - base.m1_block(1, 1)
+        delta = m1_block(shifted, 1, 1) - m1_block(base, 1, 1)
         err = np.abs(delta - 0.2 * np.eye(grid.n_nodes)).max()
         assert err < 1e-12, f"node-group P0 misfolded: {err:.2e}"
 
@@ -606,8 +597,11 @@ class TestPortHamiltonian:
         sys = build_port_hamiltonian(PortHamiltonianSpec(
             grid=grid, Nmat=[[1.0]], M1_lower=(eye, 0.1 * eye, RT2 * eye, eye),
             xi1=np.sin(np.pi * grid.nodes())[None, :]))
-        E = sys.geometry["endpoint_sampler"]
-        block = sys.m1_block(1, 3)
+        # the builder's endpoint sampler: 1/S0 at b, then at a
+        s0 = np.sqrt(build_sbp_pair_1d(grid).W0)
+        E = np.zeros((2, grid.n_nodes))
+        E[0, -1], E[1, 0] = 1.0 / s0[-1], 1.0 / s0[0]
+        block = m1_block(sys, 1, 3)
         assert np.array_equal(block, E.conj().T @ (0.1 * eye))
         assert np.abs(block).max() == 0.4
         assert check_compatibility(sys) == (0.0, 0.0)
@@ -635,18 +629,6 @@ class TestPortHamiltonian:
         with pytest.raises(HypothesisViolationError):
             PortHamiltonianSpec(grid=Grid1D(0.0, 1.0, 8),
                                 Nmat=[[1.0, 1.0], [1.0, 1.0]])
-
-    def test_singular_m32_blocks_recovery(self):
-        grid = Grid1D(0.0, 1.0, 8)
-        zero = np.zeros((2, 2))
-        sys = build_port_hamiltonian(PortHamiltonianSpec(
-            grid=grid, Nmat=[[1.0]],
-            M1_lower=(np.eye(2), zero, zero, np.eye(2)),
-            B1=zero, B2=zero))
-        tg = TimeGrid(t_end=0.2, n_steps=10, nu=1.0)
-        traj = solve(sys, sys.x0, None, tg, "backward_euler")
-        with pytest.raises(HypothesisViolationError, match="M32"):
-            endpoint_coupling_defect(sys, traj)
 
 
 class TestMaxwellLift:
@@ -706,7 +688,7 @@ class TestMaxwellLift:
             assert traj.inputs.shape == (20, 2)
             assert np.array_equal(traj.inputs, expected)
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None)
     @given(lift_draws())
     def test_random_runs_agree_to_roundoff(self, draw):
         """Route agreement on random grids, step counts, data and initial

@@ -128,7 +128,7 @@ class TestSummationByParts:
             worst = max(worst, ibp_defect(pair, u, v))
         assert worst < 1e-12, f"integration by parts defect at n={n}: {worst:.2e}"
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None)
     @given(sbp_pairings())
     def test_random_intervals_stay_at_roundoff(self, draw):
         """The identity holds to roundoff relative to |u| |v| / h on any

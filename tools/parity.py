@@ -26,7 +26,8 @@ beside its trajectory.npy with one table byte flipped, which is refused),
 each of whose ledger.csv is the plain replay's byte for byte, a wave-wt run
 driven by the signal table SIGNAL_TABLE (written into its case
 directory), wellposed for each preset, bdspace on the grids of
-BDSPACE_GRIDS, and the benchmark's cubic-wave and long-horizon
+BDSPACE_GRIDS (each bd_defects.csv holds six rows, the boundary triple's
+Green identity last), and the benchmark's cubic-wave and long-horizon
 configurations (perfbench/workloads.py) at input frequency 3 and initial
 mode 2.  All of these exit 0.  Failing verdicts follow, each exiting 1:
 the driven wave-wt run, its energy replay and the driven Maxwell run
@@ -42,15 +43,16 @@ take as the file descriptor of stdout), refuse-simulate-table-ragged
 (SIGNAL_TABLE with a field missing from one row), a wave-wt trajectory
 replayed as wave-mixed, a port-Hamiltonian run whose sinusoid input of
 amplitude 1e308 overflows the states, refused naming the step whose
-right side is not finite, a grid of 1e308 cells, a weight time.nu =
-1e308, whose nu_max = 2 time.nu is not finite, an outdir of null, which
-is no path string (refuse-bdspace-outdir-null), a time.t_end of x,
-refused naming the key (refuse-wellposed-t_end-string), a time.n_steps of
-2**62, whose arrays no address space holds (refuse-simulate-n_steps-2e62),
-an outdir of 300 x's, a name too long for the file system
-(refuse-bdspace-outdir-too-long), each refused naming its key, and 4 cells
-of width 1e-146, whose boundary basis collapses, refused naming the cell
-width and the grid (refuse-bdspace-collapsed-basis) (2 each).
+right side is not finite and the keys that scale the run's data, a grid
+of 1e308 cells, a weight time.nu = 1e308, whose nu_max = 2 time.nu is
+not finite, an outdir of null, which is no path string
+(refuse-bdspace-outdir-null), a time.t_end of x, refused naming the key
+(refuse-wellposed-t_end-string), a time.n_steps of 2**62, whose arrays
+no address space holds (refuse-simulate-n_steps-2e62), an outdir of 300
+x's, a name too long for the file system
+(refuse-bdspace-outdir-too-long), each refused naming its key, and 4
+cells of width 1e-146, whose boundary basis collapses, refused naming
+the cell width and the grid (refuse-bdspace-collapsed-basis) (2 each).
 Each case runs in its own directory, so a relative outdir would land there.
 """
 
