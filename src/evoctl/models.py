@@ -69,7 +69,7 @@ from .errors import (HypothesisViolationError, InvalidGridError, PositivityError
                      ShapeMismatchError, as_array, negligible, require_invertible,
                      require_shape)
 from .evolution import EvolutionarySystem, Trajectory, prepare
-from .operators import GradDivPair, Grid1D, build_sbp_pair_1d
+from .operators import GradDivPair, Grid1D, build_sbp_pair_1d, matvec
 
 REGION_LABELS = ("hyperbolic", "parabolic", "elliptic")
 
@@ -175,16 +175,15 @@ def _checked_masks(indicators, grid: Grid1D) -> dict:
 class WaveSpec:
     """Data for the boundary-observation wave builders.
 
-    b_map (control operator on the boundary space) and N_map (node-side
-    to cell-side transport defining the control inner product) default
-    to the identity and the graph isometry, which make the Gram matrix
-    the identity.  z1 is the initial velocity on nodes and z0 the
-    initial flux on cells, both zero when omitted.
+    b_map is the control operator on the boundary space, the identity
+    when omitted.  The control inner product takes the graph isometry
+    dot_map(bdG, bdD, pair) as its map N, which makes the Gram matrix the
+    identity.  z1 is the initial velocity on nodes and z0 the initial
+    flux on cells, both zero when omitted.
     """
 
     grid: Grid1D
     b_map: np.ndarray = None
-    N_map: np.ndarray = None
     z1: np.ndarray = None
     z0: np.ndarray = None
 
@@ -208,8 +207,7 @@ def build_mixed_type_wave(spec: WaveSpec, indicators) -> ControlSystem:
     grid = spec.grid
     masks = _checked_masks(indicators, grid)
     pair, bdG, bdD, s0, s1, V = _wave_operators(grid)
-    N_map = dot_map(bdG, bdD, pair) if spec.N_map is None else spec.N_map
-    gram = build_u_space(bdG, bdD, N_map, pair)
+    gram = build_u_space(bdG, bdD, dot_map(bdG, bdD, pair), pair)
     m = gram.shape[0]
     b_map = require_shape(spec.b_map, (m, m), "b_map", default=np.eye(m))
     L = np.linalg.cholesky(gram)
@@ -564,12 +562,12 @@ def maxwell_lift_solve(pair, eps, mu, u_bd, x0, grid, scheme, bdD=None) -> Maxwe
     theta = plan.theta
     u_theta = (1.0 - theta)[:, None] * u[:-1] + theta[:, None] * u[1:]
     du = (u[1:] - u[:-1]) / grid.tau
-    # stacked over [:, :, None], each product runs one GEMV per step; a source
-    # that overflows is refused by plan.run, naming its step
+    # each product runs one GEMV per step; a source that overflows is refused
+    # by plan.run, naming its step
     with np.errstate(over="ignore", invalid="ignore"):
-        P_theta = lift @ u_theta[:, :, None]
-        F_lifted = np.hstack([-(Dhat @ P_theta)[..., 0], -mu_d * (lift @ du[:, :, None])[..., 0]])
-        F_direct = np.hstack([-(Theta @ P_theta)[..., 0], np.zeros((n_steps, nc), F_lifted.dtype)])
+        P_theta = matvec(lift, u_theta)
+        F_lifted = np.hstack([-matvec(Dhat, P_theta), -mu_d * matvec(lift, du)])
+        F_direct = np.hstack([-matvec(Theta, P_theta), np.zeros((n_steps, nc), F_lifted.dtype)])
 
     E0, H0 = _initial_fields(x0, nn, nc)
     x_direct = np.concatenate([s0 * E0, s1 * H0])

@@ -390,6 +390,17 @@ class TestSimulate:
         assert capsys.readouterr() == ("ledger defect max = nan (tolerance 1e-09)\n"
                                        "ledger defect is not finite at step 0\n", "")
 
+    def test_overflowing_maxwell_energies_print_no_numpy_warning(self, tmp_path, capsys):
+        """The Maxwell run's energies under an input of amplitude 1e300 leave
+        float64 and are written as they are; three numpy warnings preceded
+        the route gap, which now stands alone and decides the exit status."""
+        assert run(tmp_path, "simulate", "--set", "preset=maxwell-lift-1d",
+                   "--set", "grid.n_cells=16", "--set", "input.kind=sinusoid",
+                   "--set", "input.amplitude=1e300") == 1
+        out, err = capsys.readouterr()
+        assert re.fullmatch(r"route gap max = \d\.\d{6}e\+285 \(tolerance 1e-09\)\n", out)
+        assert err == ""
+
     def test_non_finite_step_right_side_exits_2(self, tmp_path, capsys):
         """States that overflow make the next step's right side non-finite;
         the step solve refuses it and the run is a configuration error."""

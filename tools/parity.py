@@ -34,7 +34,10 @@ the driven wave-wt run, its energy replay and the driven Maxwell run
 under tolerance 1e-30 (each printing its max line), bdspace on [0, 0.01]
 with 64 cells, whose unitarity defect exceeds 1e-10, and a
 port-Hamiltonian run whose sinusoid input of amplitude 1e300 overflows
-the ledger, naming its first non-finite step without a numpy warning.
+the ledger, naming its first non-finite step without a numpy warning,
+and fail-simulate-maxwell-overflow, the Maxwell run on 16 cells under
+the same input, whose energies leave float64 and are written as they
+are, without a numpy warning, and whose route gap exceeds 1e-9.
 Refusals close the matrix,
 each with the status the command line documents for it: a certificate
 that fails (1, printing its witness), and an invalid time grid, a table
@@ -180,6 +183,9 @@ def matrix(out: Path) -> list:
          ["bdspace", *_sets(("grid.b", 0.01), ("grid.n_cells", 64))]),
         ("fail-simulate-ledger-not-finite", 1, ["simulate", *_sets(
             ("preset", "port-hamiltonian"), ("grid.n_cells", PRESETS["port-hamiltonian"]),
+            ("input.kind", "sinusoid"), ("input.amplitude", 1e300))]),
+        ("fail-simulate-maxwell-overflow", 1, ["simulate", *_sets(
+            ("preset", "maxwell-lift-1d"), ("grid.n_cells", 16),
             ("input.kind", "sinusoid"), ("input.amplitude", 1e300))]),
         ("refuse-wellposed-zero-damping", 1, ["wellposed", "--zero-damping"]),
         ("refuse-wellposed-t_end-0", 2, ["wellposed", *_sets(("time.t_end", 0))]),
