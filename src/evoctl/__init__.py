@@ -10,7 +10,6 @@ port-Hamiltonian, and Maxwell-type models.
 from .bdspace import (
     BoundaryDataSpace,
     boundary_triple_defect,
-    build_u_space,
     compute_bd_space,
     dot_map,
     dual_projection,

@@ -10,13 +10,13 @@ They carry the graph inner products
 and every node vector splits graph-orthogonally into a zero-boundary
 part plus its boundary-data component.  Restricting G to the node-side
 space gives a map onto the cell-side space that is unitary for the graph
-inner products; its inverse is the restriction of D.
+inner products; its inverse is the restriction of D.  unitarity_defects
+measures how far the computed round trips miss the identity.
 
 On top of the two spaces the module provides the dual projection that
 represents boundary functionals as node vectors (the Riesz isomorphism
-``(1 + G*G)^-1`` of the node graph space maps it back to the basis), the
-Gram matrix of an auxiliary control space U built from a chosen map N
-into the cell-side space, and a Green identity check: with
+``(1 + G*G)^-1`` of the node graph space maps it back to the basis) and
+a Green identity check: with
 
     S*(x, y) = -i (D y, G x),
     Gamma_0 (x, y) = boundary coordinates of x,
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalRankError, PositivityError, as_array, require_shape
+from .errors import NumericalRankError, as_array
 from .operators import GradDivPair, matvec
 
 KERNEL_CUTOFF = 1e-8
@@ -170,6 +170,14 @@ def dot_map(bd_from: BoundaryDataSpace, bd_to: BoundaryDataSpace, pair: GradDivP
     return bd_to.projector @ (op @ bd_from.basis)
 
 
+def unitarity_defects(bdG: BoundaryDataSpace, bdD: BoundaryDataSpace, pair: GradDivPair):
+    """max |Qd Q - 1| and max |Q Qd - 1| for the transports Q = dot_map(bdG,
+    bdD, pair) and Qd = dot_map(bdD, bdG, pair): roundoff where the spaces
+    are accurate, and not small when they differ in dimension."""
+    Q, Qd = dot_map(bdG, bdD, pair), dot_map(bdD, bdG, pair)
+    return np.abs(Qd @ Q - np.eye(bdG.dim)).max(), np.abs(Q @ Qd - np.eye(bdD.dim)).max()
+
+
 def dual_projection(
     bdG: BoundaryDataSpace, bdD: BoundaryDataSpace, pair: GradDivPair
 ) -> np.ndarray:
@@ -185,35 +193,6 @@ def dual_projection(
     """
     Q = dot_map(bdG, bdD, pair)
     return bdG.basis - pair.minimal_div() @ (bdD.basis @ Q)
-
-
-def build_u_space(
-    bdG: BoundaryDataSpace,
-    bdD: BoundaryDataSpace,
-    N_map: np.ndarray,
-    pair: GradDivPair,
-) -> np.ndarray:
-    """Gram matrix of the auxiliary control space from a map N of
-    node-side coordinates into cell-side coordinates.
-
-    The inner product is <f|g>_U = (1/2)<Nf|Gdot g> + (1/2)<Gdot f|Ng>,
-    with Gdot the transport dot_map(bdG, bdD, pair).  Raises
-    PositivityError (with a witness direction) when this form fails to be
-    positive definite.
-    """
-    N_map = require_shape(N_map, (bdD.dim, bdG.dim), "N_map")
-    Q = dot_map(bdG, bdD, pair)
-    gram = 0.5 * (N_map.conj().T @ Q + Q.conj().T @ N_map)
-    gram = 0.5 * (gram + gram.conj().T)
-
-    evals, evecs = np.linalg.eigh(gram)
-    if evals[0] <= 1e-12 * max(abs(evals[-1]), 1.0):
-        raise PositivityError(
-            f"the chosen N does not induce an inner product: smallest eigenvalue "
-            f"{evals[0]:.3e}",
-            witness=evecs[:, 0],
-        )
-    return gram
 
 
 def boundary_triple_defect(pair: GradDivPair, x, y, x2, y2,

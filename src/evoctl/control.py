@@ -142,7 +142,7 @@ class ControlSystem(EvolutionarySystem):
     n_w of the middle block, an optional initial state x0 and an
     optional geometry mapping carrying the model data that
     boundary_equation_defect needs for the physical picture (a wave keeps
-    its grid and Cdual_physical, the chain none).  The control columns
+    its grid, the chain none).  The control columns
     B0/B1/B2 are the rows of J over the coarse blocks, and Gmat and Cmat,
     the two constituents of F, are read off A; Cdual = Cmat^H is the dual
     map of Cmat appearing in the v-rows of A.  The base class checks that
@@ -465,22 +465,20 @@ def boundary_equation_defect(sys: ControlSystem, traj: Trajectory) -> np.ndarray
     assembled to satisfy the constraint; small along trajectories that
     enforce it weakly.
 
-    Needs the physical picture from the system geometry: the grid and
-    the physical dual map Cdual_physical of the boundary observation.
-    The grad/div pair and its cell-side boundary data space are rebuilt
-    from the grid as the wave builder formed them.
+    Needs the wave's grid from the system geometry.  The grad/div pair,
+    its boundary data spaces and the physical dual map of the boundary
+    observation are rebuilt from it as the wave builder forms them.
     """
-    from .models import _wave_operators  # models builds on this module
+    from .models import _wave_dual_map, _wave_operators  # models builds on this module
 
-    grid, Cdual_phys = require_geometry(sys, ("grid", "Cdual_physical"),
-                                        "the boundary equation check")
-    pair, _, bdD = _wave_operators(grid)[:3]
+    grid = require_geometry(sys, "grid", "the boundary equation check")
+    pair, bdG, bdD = _wave_operators(grid)[:3]
     if sys.n_w == 0 or np.abs(sys.Cmat).max() == 0.0:
         raise HypothesisViolationError(
             "boundary equation check needs a system with boundary coupling"
         )
     # eta is linear in w: one least-squares solve for the columns of the dual map
-    eta_of_w = np.linalg.lstsq(pair.minimal_div(), Cdual_phys, rcond=1e-10)[0]
+    eta_of_w = np.linalg.lstsq(pair.minimal_div(), _wave_dual_map(pair, bdG, bdD), rcond=1e-10)[0]
     X = traj.states
     zeta = X[:, sys.fine_slice(1)] / np.sqrt(pair.W1) + X[:, sys.fine_slice(2)] @ eta_of_w.T
     return np.linalg.norm(zeta @ bdD.projector.T, axis=1)

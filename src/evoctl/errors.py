@@ -5,7 +5,7 @@ every public entry states through them:
     require_shape       an array argument has the shape the operation needs
     negligible          a block is zero up to roundoff next to its matrix
     require_invertible  a matrix is numerically invertible
-    require_geometry    a check finds a wave's grid and dual map on the system
+    require_geometry    a check finds a wave's grid on the system
     allocated           an array too large to address fails as one too large
                         to allocate, a MemoryError
 """
@@ -110,13 +110,10 @@ def negligible(part, scale) -> bool:
     return part.size == 0 or bool(part.max() <= 1e-12 * max(1.0, np.abs(scale).max()))
 
 
-def require_geometry(sys, keys, check) -> tuple:
-    """The values of keys in sys.geometry, in key order; raises
-    HypothesisViolationError naming check and every missing key."""
+def require_geometry(sys, key, check):
+    """The value of key in sys.geometry; raises HypothesisViolationError
+    naming check and key when the geometry lacks it."""
     geo = sys.geometry or {}
-    missing = [key for key in keys if key not in geo]
-    if missing:
-        raise HypothesisViolationError(
-            f"{check} needs {', '.join(missing)} in the system geometry"
-        )
-    return tuple(geo[key] for key in keys)
+    if key not in geo:
+        raise HypothesisViolationError(f"{check} needs {key} in the system geometry")
+    return geo[key]

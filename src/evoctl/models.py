@@ -14,13 +14,14 @@ are
           [0, 0, 0,       0],
           [0, 0, 1,       0],
           [0, 0, sqrt(2), 1]],
-    F  = (-Gmat; Cmat),   Cmat = -L^H b P_G S0^-1 V,
+    F  = (-Gmat; Cmat),   Cmat = -P_G S0^-1 V,
 
-with V the deflation basis, P_G the node-side boundary coordinate map,
-b the control operator on the boundary space and L the Cholesky factor
-of the control-space Gram matrix; w, y and u are stored in coordinates
-that turn the control inner product into the plain dot product.  The
-algebraic rows encode w + Cv = -sqrt(2) u and sqrt(2) w + y = -u, so
+with V the deflation basis and P_G the node-side boundary coordinate
+map.  w, y and u are node-side boundary coordinates: the control space
+takes the unitary transport onto the cell side as its map N, so its
+inner product is the boundary space's own, the plain dot product; a grid
+whose computed transport misses unitarity by more than 1e-8 is refused.
+The algebraic rows encode w + Cv = -sqrt(2) u and sqrt(2) w + y = -u, so
 the closed loop obeys E(a) - E(b) = integral of |y|^2/2 - |u|^2/2.
 
 Mixed type.  Region indicators move points between the time-derivative
@@ -51,8 +52,9 @@ quotient, so the two routes agree to roundoff under both schemes.
 
 The lift's sources are array kernels over the data samples; the
 Hamiltonian density, a user callable, is called point by point.  A wave
-keeps its grid and its physical dual map Cdual_physical as its geometry,
-which control.boundary_equation_defect reads; the chain keeps none.
+keeps its grid as its geometry, from which
+control.boundary_equation_defect rebuilds its operators; the chain keeps
+none.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bdspace import build_u_space, compute_bd_space, dot_map, dual_projection
+from .bdspace import KERNEL_CUTOFF, compute_bd_space, dual_projection, unitarity_defects
 from .control import BlockPartition, ControlSystem, assemble_control
 from .errors import (HypothesisViolationError, InvalidGridError, PositivityError,
                      ShapeMismatchError, as_array, negligible, require_invertible,
@@ -94,12 +96,27 @@ def deflation_basis(pair: GradDivPair) -> np.ndarray:
 def _wave_operators(grid: Grid1D) -> tuple:
     """(pair, bdG, bdD, S0, S1, V) of the wave on grid: the grad/div pair,
     its node- and cell-side boundary spaces, the roots of its weights and
-    the deflation basis.  Every call repeats the same deterministic
-    computation, so the wave keeps only its grid and its check rebuilds
-    these bitwise as the builder formed them."""
+    the deflation basis, rebuilt bitwise by every call, so the wave keeps
+    only its grid.  w holds node-side boundary coordinates because the
+    transport between the spaces is unitary; the grid is refused, naming
+    h, where roundoff makes bdspace's unitarity rows exceed KERNEL_CUTOFF."""
     pair = build_sbp_pair_1d(grid)
-    return (pair, compute_bd_space(pair, "G"), compute_bd_space(pair, "D"),
-            np.sqrt(pair.W0), np.sqrt(pair.W1), deflation_basis(pair))
+    bdG, bdD = compute_bd_space(pair, "G"), compute_bd_space(pair, "D")
+    # on the tiniest cells the round trips leave float64; NaN is refused too
+    with np.errstate(all="ignore"):
+        miss = np.max(unitarity_defects(bdG, bdD, pair))
+    if not miss <= KERNEL_CUTOFF:
+        raise InvalidGridError(
+            f"the boundary data transport is not unitary: its round trips miss the identity "
+            f"by {miss:.3e} (bound {KERNEL_CUTOFF:.0e}) on a cell width h = (b - a)/n_cells = "
+            f"{grid.h:.3e} on [{grid.a}, {grid.b}] with {grid.n_cells} cells")
+    return pair, bdG, bdD, np.sqrt(pair.W0), np.sqrt(pair.W1), deflation_basis(pair)
+
+
+def _wave_dual_map(pair: GradDivPair, bdG, bdD) -> np.ndarray:
+    """Physical dual map of the wave's boundary observation, node vectors
+    by node-side boundary coordinates, which w holds."""
+    return -dual_projection(bdG, bdD, pair)
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +192,14 @@ def _checked_masks(indicators, grid: Grid1D) -> dict:
 class WaveSpec:
     """Data for the boundary-observation wave builders.
 
-    b_map is the control operator on the boundary space, the identity
-    when omitted.  The control inner product takes the graph isometry
-    dot_map(bdG, bdD, pair) as its map N, which makes the Gram matrix the
-    identity.  z1 is the initial velocity on nodes and z0 the initial
-    flux on cells, both zero when omitted.
+    z1 is the initial velocity on nodes and z0 the initial flux on cells,
+    both zero when omitted.  The control acts on the node-side boundary
+    coordinates as they are: the control inner product takes the graph
+    isometry dot_map(bdG, bdD, pair) as its map N, which makes it the
+    boundary space's own.
     """
 
     grid: Grid1D
-    b_map: np.ndarray = None
     z1: np.ndarray = None
     z0: np.ndarray = None
 
@@ -206,22 +222,10 @@ def build_mixed_type_wave(spec: WaveSpec, indicators) -> ControlSystem:
     """
     grid = spec.grid
     masks = _checked_masks(indicators, grid)
-    pair, bdG, bdD, s0, s1, V = _wave_operators(grid)
-    gram = build_u_space(bdG, bdD, dot_map(bdG, bdD, pair), pair)
-    m = gram.shape[0]
-    b_map = require_shape(spec.b_map, (m, m), "b_map", default=np.eye(m))
-    L = np.linalg.cholesky(gram)
-
+    pair, bdG, _, s0, s1, V = _wave_operators(grid)
+    m = bdG.dim
     n_v = V.shape[1]
-    Cmat = -(L.conj().T @ b_map @ (bdG.projector @ (V / s0[:, None])))
-    # the dual projection grows faster than 1/h**2 as h shrinks, so its
-    # product with L overflows on cells that Grid1D accepts (h up to ~1e-117)
-    with np.errstate(over="ignore", invalid="ignore"):
-        Cdual_physical = -(dual_projection(bdG, bdD, pair) @ b_map.conj().T @ L)
-    if not np.isfinite(Cdual_physical).all():
-        raise InvalidGridError(f"the wave's dual boundary map Cdual overflows on a cell width "
-                               f"h = (b - a)/n_cells = {grid.h:.3e} on [{grid.a}, {grid.b}] "
-                               f"with {grid.n_cells} cells")
+    Cmat = -(bdG.projector @ (V / s0[:, None]))
 
     nm_h, cm_h = masks["hyperbolic"]
     nm_p, cm_p = masks["parabolic"]
@@ -265,10 +269,9 @@ def build_mixed_type_wave(spec: WaveSpec, indicators) -> ControlSystem:
     ])
 
     partition = BlockPartition(n_h0=n_v, n_h1=pair.n_cells + m, n_y=m, n_u1=m)
-    geometry = {"grid": grid, "Cdual_physical": Cdual_physical}
     return assemble_control(
         partition, M0_blocks, M1_blocks, Gmat, Cmat, B_blocks,
-        n_w=m, x0=x0, geometry=geometry,
+        n_w=m, x0=x0, geometry={"grid": grid},
     )
 
 

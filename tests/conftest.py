@@ -8,6 +8,8 @@ database."""
 import pytest
 from hypothesis import settings
 
+from evoctl.models import _wave_dual_map, _wave_operators
+
 settings.register_profile("derandomized", derandomize=True)
 settings.register_profile("random", derandomize=False, database=None)
 settings.load_profile("derandomized")
@@ -28,3 +30,11 @@ def calls_to(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def dual_map():
+    """dual_map(sys) is the physical dual map of a wave's boundary observation,
+    rebuilt from the grid its geometry keeps as the boundary equation check
+    rebuilds it."""
+    return lambda sys: _wave_dual_map(*_wave_operators(sys.geometry["grid"])[:3])

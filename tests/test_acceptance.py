@@ -172,12 +172,12 @@ class TestAcceptance:
                       f"Green identity defect {worst:.2e} over 100 draws "
                       f"(tol 1e-10)")
 
-    def test_06_coupling_adjoint_dual_route(self):
+    def test_06_coupling_adjoint_dual_route(self, dual_map):
         """The assembled adjoint of the coupling map equals the minimal
         divergence plus dual-coupling route through physical operators."""
         sys = wave_system()
-        geo = sys.geometry
-        pair = build_sbp_pair_1d(geo["grid"])
+        cdual = dual_map(sys)
+        pair = build_sbp_pair_1d(sys.geometry["grid"])
         s0, s1, V = np.sqrt(pair.W0), np.sqrt(pair.W1), deflation_basis(pair)
         div_min = pair.minimal_div()
         rng = np.random.default_rng(106)
@@ -186,8 +186,7 @@ class TestAcceptance:
             zeta = cplx(rng, pair.n_cells)
             w = cplx(rng, 2)
             assembled = -sys.Gmat.conj().T @ zeta + sys.Cmat.conj().T @ w
-            physical = V.conj().T @ (s0 * (div_min @ (zeta / s1)
-                                           + geo["Cdual_physical"] @ w))
+            physical = V.conj().T @ (s0 * (div_min @ (zeta / s1) + cdual @ w))
             worst = max(worst, np.abs(assembled - physical).max())
         assert report(6, worst <= 1e-10,
                       f"adjoint route gap {worst:.2e} over 100 draws "

@@ -1,5 +1,5 @@
 """Tests for boundary data spaces, their transport maps, the dual
-projection, the auxiliary control space, and the Green identity."""
+projection, and the Green identity."""
 
 import dataclasses
 
@@ -12,12 +12,11 @@ from hypothesis.extra import numpy as hnp
 
 from evoctl.bdspace import (
     boundary_triple_defect,
-    build_u_space,
     compute_bd_space,
     dot_map,
     dual_projection,
+    unitarity_defects,
 )
-from evoctl.errors import PositivityError, ShapeMismatchError
 from evoctl.operators import Grid1D, build_sbp_pair_1d
 
 
@@ -151,6 +150,15 @@ class TestDotMap:
         Qd = dot_map(bdD, bdG, pair16)
         assert np.max(np.abs(Qd @ Q - np.eye(2))) < 1e-10
         assert np.max(np.abs(Q @ Qd - np.eye(2))) < 1e-10
+        assert unitarity_defects(bdG, bdD, pair16) == (np.abs(Qd @ Q - np.eye(2)).max(),
+                                                       np.abs(Q @ Qd - np.eye(2)).max())
+
+    def test_a_lost_dimension_is_not_unitary(self, pair16, spaces16):
+        """With one cell-side basis vector dropped, Qd Q has rank 1, so it
+        misses the identity by at least 1/2 in some entry."""
+        bdG, bdD = spaces16
+        narrow = dataclasses.replace(bdD, basis=bdD.basis[:, :1], projector=bdD.projector[:1])
+        assert unitarity_defects(bdG, narrow, pair16)[0] >= 0.5
 
     def test_graph_isometry(self, pair16, spaces16):
         """In orthonormal coordinates the transport is unitary."""
@@ -230,41 +238,6 @@ class TestDualProjection:
         bdG, bdD = spaces16
         P = dual_projection(bdG, bdD, pair16)
         assert np.linalg.norm(P @ np.zeros(2)) == 0.0
-
-
-class TestUSpace:
-    def test_transport_choice_gives_identity(self, pair16, spaces16):
-        """N equal to the transport map makes the Gram matrix the identity."""
-        bdG, bdD = spaces16
-        Q = dot_map(bdG, bdD, pair16)
-        gram = build_u_space(bdG, bdD, Q, pair16)
-        assert np.max(np.abs(gram - np.eye(2))) < 1e-10
-
-    def test_sign_flip_violates_positivity(self, pair16, spaces16):
-        bdG, bdD = spaces16
-        Q = dot_map(bdG, bdD, pair16)
-        with pytest.raises(PositivityError) as exc:
-            build_u_space(bdG, bdD, -Q, pair16)
-        assert exc.value.witness is not None
-        assert exc.value.witness.shape == (2,)
-
-    def test_gram_matches_definition(self, pair16, spaces16):
-        """gram entry (f,g) equals the averaged transported pairing."""
-        bdG, bdD = spaces16
-        Q = dot_map(bdG, bdD, pair16)
-        rng = np.random.default_rng(seed=23)
-        N = Q + 0.1 * rng.standard_normal((2, 2))
-        gram = build_u_space(bdG, bdD, N, pair16)
-        for _ in range(10):
-            f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            g = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            direct = 0.5 * np.vdot(N @ f, Q @ g) + 0.5 * np.vdot(Q @ f, N @ g)
-            assert abs(np.vdot(f, gram @ g) - direct) < 1e-12
-
-    def test_wrong_shape_rejected(self, pair16, spaces16):
-        bdG, bdD = spaces16
-        with pytest.raises(ShapeMismatchError):
-            build_u_space(bdG, bdD, np.eye(3), pair16)
 
 
 class TestGreenIdentity:

@@ -276,7 +276,7 @@ class TestWellposed:
     def test_collapsed_boundary_basis_names_the_grid(self, tmp_path, capsys, command):
         """On 4 cells of width 1e-146 the graph norm of the kernel basis
         falls to 1e-73; the refusal named no key, and now names the cell
-        width and the grid as the Cdual refusal does."""
+        width and the grid."""
         assert run(tmp_path, command, "--set", "grid.n_cells=4", "--set", "grid.b=4e-146") == 2
         assert capsys.readouterr().err == (
             "error: kernel basis collapsed or overflowed during orthonormalization (graph norm "
@@ -296,16 +296,32 @@ class TestWellposed:
             "error: need a cell width h = (b - a)/n_cells >= 2/sqrt(max float) = 1.5e-154, "
             f"so that 4/h**2 is finite, got h = {b / 16:.3e} on [0.0, {b}] with 16 cells\n")
 
+    def test_tiny_cells_certify_the_chain_and_refuse_its_step_naming_its_keys(self, tmp_path,
+                                                                             capsys):
+        """On [0, 1e-140] the chain is certified, and simulate refuses its
+        step matrix as numerically singular, naming the keys that set tau
+        and h, with no warning."""
+        assert run(tmp_path, "wellposed", "--set", "preset=port-hamiltonian",
+                   "--set", "grid.b=1e-140") == 0
+        assert capsys.readouterr().err == ""
+        assert run(tmp_path, "simulate", "--set", "preset=port-hamiltonian",
+                   "--set", "grid.b=1e-140") == 2
+        assert capsys.readouterr().err == (
+            "error: step matrix numerically singular (cond ~ 5.463e+141) at tau = 0.005; the "
+            "time step and the cell width (time.t_end, time.n_steps, grid.a, grid.b, "
+            "grid.n_cells) set the step matrix\n")
+
     @pytest.mark.parametrize("command", ["wellposed", "simulate"])
     @pytest.mark.parametrize("preset", ["wave-wt", "wave-mixed"])
-    def test_wave_whose_dual_map_overflows_exits_2(self, tmp_path, capsys, command, preset):
-        """Above Grid1D's bound the wave's dual boundary map overflowed after
-        'warning: overflow encountered in matmul', and wellposed certified
-        the system; the cell width is refused instead, without a warning."""
+    def test_wave_whose_transport_is_not_unitary_exits_2(self, tmp_path, capsys, command,
+                                                         preset):
+        """On [0, 1e-140] the boundary spaces' transport is far from unitary,
+        so the wave is refused naming the cell width, without a warning."""
         assert run(tmp_path, command, "--set", f"preset={preset}", "--set", "grid.b=1e-140") == 2
-        assert capsys.readouterr().err == (
-            "error: the wave's dual boundary map Cdual overflows on a cell width "
-            "h = (b - a)/n_cells = 6.250e-142 on [0.0, 1e-140] with 16 cells\n")
+        assert re.fullmatch(
+            r"error: the boundary data transport is not unitary: its round trips miss the "
+            r"identity by \S+ \(bound 1e-08\) on a cell width h = \(b - a\)/n_cells = "
+            r"6\.250e-142 on \[0\.0, 1e-140\] with 16 cells\n", capsys.readouterr().err)
 
     @pytest.mark.parametrize("b,status,error", [
         (1.0, 0, ""),
@@ -1197,6 +1213,21 @@ class TestVerdict:
         summary, mismatch = capsys.readouterr().out.splitlines()
         assert summary.startswith("boundary space dimensions: G = 2, D = 3; worst defect = ")
         assert mismatch == "dimension mismatch between the node and cell sides"
+
+    @pytest.mark.parametrize("n_cells,out", [
+        (4, "worst defect = nan (tolerance 1e-10)\nunitarity_node_to_cell defect is not finite\n"),
+        (2, "worst defect = inf (tolerance 1e-10)\n"
+            "dimension mismatch between the node and cell sides\n"),
+    ])
+    def test_bdspace_at_the_grid_bound_prints_no_warning(self, tmp_path, capsys, n_cells, out):
+        """On cells of width 1.6e-154, the Grid1D bound, the transport leaves
+        float64: its rows report it, with no numpy warning."""
+        assert run(tmp_path, "bdspace", "--set", f"grid.n_cells={n_cells}",
+                   "--set", f"grid.b={n_cells * 1.6e-154}") == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == \
+            f"boundary space dimensions: G = 2, D = {n_cells // 2}; {out}"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scheme,step", [("implicit_midpoint", 15),

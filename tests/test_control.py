@@ -796,7 +796,7 @@ class TestBoundaryEquationDefect:
         B1 = np.vstack([np.zeros((n_cells, 2)), -RT2 * np.eye(2)])
         return assemble_control(
             part, M0b, M1b, ghat, cmat, (None, B1, -np.eye(2)), n_w=2,
-            geometry={"grid": pair.grid, "Cdual_physical": cdual_phys},
+            geometry={"grid": pair.grid},
         )
 
     def constant_trajectory(self, sys, x, n_steps=3):
@@ -808,11 +808,10 @@ class TestBoundaryEquationDefect:
 
     def test_manufactured_state_has_zero_defect(self, geometry):
         """A flux built from the least-squares lift satisfies the equation."""
-        pair = geometry[0]
+        pair, _, _, cdual_phys = geometry
         rng = np.random.default_rng(51)
         sys = self.build_system(geometry)
         w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        cdual_phys = sys.geometry["Cdual_physical"]
         lift = np.linalg.lstsq(pair.minimal_div(), cdual_phys @ w, rcond=1e-10)[0]
         x = np.zeros(sys.dim, dtype=complex)
         x[sys.fine_slice(1)] = np.sqrt(pair.W1) * (-lift)
@@ -823,11 +822,10 @@ class TestBoundaryEquationDefect:
 
     def test_defect_ignores_invisible_flux_components(self, geometry):
         """Adding a flux from the boundary pairing's kernel changes nothing."""
-        pair = geometry[0]
+        pair, _, _, cdual_phys = geometry
         rng = np.random.default_rng(52)
         sys = self.build_system(geometry)
         w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        cdual_phys = sys.geometry["Cdual_physical"]
         lift = np.linalg.lstsq(pair.minimal_div(), cdual_phys @ w, rcond=1e-10)[0]
         from scipy.linalg import null_space
 
@@ -889,12 +887,12 @@ class TestBoundaryEquationDefect:
             boundary_equation_defect(sys, traj)
 
     def test_refuses_on_the_chain(self):
-        """The chain keeps no geometry, so the check names both keys it reads."""
+        """The chain keeps no geometry, so the check names the key it reads."""
         sys = build_port_hamiltonian(PortHamiltonianSpec(grid=Grid1D(0.0, 1.0, 4), Nmat=[[1.0]]))
         assert sys.geometry is None
         traj = solve(sys, sys.x0, None, TimeGrid(t_end=1.0, n_steps=2), "backward_euler")
         with pytest.raises(HypothesisViolationError, match=r"^the boundary equation check "
-                           r"needs grid, Cdual_physical in the system geometry$"):
+                           r"needs grid in the system geometry$"):
             boundary_equation_defect(sys, traj)
 
     def test_refuses_without_coupling(self, geometry):

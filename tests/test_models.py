@@ -12,6 +12,7 @@ through the boundary pairing rows side by side.
 """
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from evoctl import evolution, models
-from evoctl.bdspace import build_u_space, compute_bd_space, dot_map
-from evoctl.control import check_compatibility, energy_ledger, extract_io, step_ledger
+from evoctl.bdspace import compute_bd_space
+from evoctl.control import (boundary_equation_defect, check_compatibility, energy_ledger,
+                            extract_io, step_ledger)
 from evoctl.errors import (
     HypothesisViolationError,
     InvalidGridError,
@@ -197,19 +199,11 @@ class TestWaveBuilder:
         err = abs(rep.c - (1.0 - 1.0 / RT2))
         assert err < 1e-8, f"damping constant off: {err:.2e}"
 
-    def test_control_gram_is_identity_for_defaults(self):
-        """The default N map makes the control Gram matrix the identity."""
-        pair = build_sbp_pair_1d(Grid1D(0.0, 1.0, 24))
-        bdG, bdD = compute_bd_space(pair, "G"), compute_bd_space(pair, "D")
-        gram = build_u_space(bdG, bdD, dot_map(bdG, bdD, pair), pair)
-        err = np.abs(gram - np.eye(2)).max()
-        assert err < 1e-12, f"gram deviates from identity: {err:.2e}"
-
-    def test_dual_coupling_chain(self):
+    def test_dual_coupling_chain(self, dual_map):
         """C^H equals V^H S0 times the physical dual coupling map."""
         sys = wave_system()
         _, s0, _, V = wave_operators(sys)
-        chain = V.conj().T @ (s0[:, None] * sys.geometry["Cdual_physical"])
+        chain = V.conj().T @ (s0[:, None] * dual_map(sys))
         err = np.abs(sys.Cmat.conj().T - chain).max()
         assert err < 1e-12, f"dual coupling chain broken: {err:.2e}"
 
@@ -221,21 +215,29 @@ class TestWaveBuilder:
         assert sys.Gmat.dtype == np.float64
         assert np.array_equal(sys.Gmat, ghat @ V)
 
-    def test_dual_coupling_supported_on_boundary(self):
+    def test_coupling_is_the_scaled_boundary_coordinate_map(self):
+        """Cmat is -P_G S0^-1 V with P_G the node-side coordinate map, bit
+        for bit: w holds node-side boundary coordinates as they are."""
+        sys = wave_system(n_cells=192)
+        pair, s0, _, V = wave_operators(sys)
+        bdG = compute_bd_space(pair, "G")
+        assert np.array_equal(sys.Cmat, -(bdG.projector @ (V / s0[:, None])))
+
+    def test_dual_coupling_supported_on_boundary(self, dual_map):
         """The physical dual coupling vanishes at interior nodes."""
-        sys = wave_system()
-        err = np.abs(sys.geometry["Cdual_physical"][1:-1]).max()
+        err = np.abs(dual_map(wave_system())[1:-1]).max()
         assert err < 1e-12, f"interior support: {err:.2e}"
 
-    def test_adjoint_through_physical_operators(self):
+    def test_adjoint_through_physical_operators(self, dual_map):
         """F^H agrees with the minimal divergence plus dual coupling route.
 
         For (zeta, w) the adjoint must act as V^H S0 (div_min zeta_phys
         + Cdual w); the assembled blocks realize this through entirely
-        different formulas (scaled gradient transpose, Cholesky factor).
+        different formulas (scaled gradient transpose, node-side
+        boundary coordinates).
         """
         sys = wave_system()
-        geo = sys.geometry
+        cdual = dual_map(sys)
         pair, s0, s1, V = wave_operators(sys)
         div_min = pair.minimal_div()
         rng = np.random.default_rng(42)
@@ -244,8 +246,7 @@ class TestWaveBuilder:
             zeta = rng.standard_normal(pair.n_cells) + 1j * rng.standard_normal(pair.n_cells)
             w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             assembled = -sys.Gmat.conj().T @ zeta + sys.Cmat.conj().T @ w
-            physical = V.conj().T @ (s0 * (div_min @ (zeta / s1)
-                                           + geo["Cdual_physical"] @ w))
+            physical = V.conj().T @ (s0 * (div_min @ (zeta / s1) + cdual @ w))
             worst = max(worst, np.abs(assembled - physical).max())
         assert worst < 1e-10, f"adjoint routes disagree: {worst:.2e}"
 
@@ -349,23 +350,35 @@ class TestWaveBuilder:
             build_weiss_tucsnak_wave(WaveSpec(grid=grid, z1=np.zeros(3)))
         with pytest.raises(ShapeMismatchError):
             build_weiss_tucsnak_wave(WaveSpec(grid=grid, z0=np.zeros(9)))
-        with pytest.raises(ShapeMismatchError):
-            build_weiss_tucsnak_wave(WaveSpec(grid=grid, b_map=np.eye(3)))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("n_cells", [4, 16, 64])
-    def test_dual_map_that_overflows_is_refused(self, n_cells):
-        """The dual projection grows faster than 1/h**2, so Cdual overflowed,
-        after numpy's 'overflow encountered in matmul', on cell widths that
-        Grid1D accepts; it is refused naming the cell width, and one decade
-        above the widest such h the map is finite."""
-        for build in (build_weiss_tucsnak_wave,
-                      lambda spec: build_mixed_type_wave(spec, three_region_indicators(spec.grid))):
-            with pytest.raises(InvalidGridError, match=r"^the wave's dual boundary map Cdual "
-                                                       r"overflows on a cell width h = "):
-                build(WaveSpec(grid=Grid1D(0.0, 1e-140 * n_cells, n_cells)))
-            sys = build(WaveSpec(grid=Grid1D(0.0, 1e-116 * n_cells, n_cells)))
-            assert np.isfinite(sys.geometry["Cdual_physical"]).all()
+    @pytest.mark.parametrize("n_cells,b", [(4, 4e-140), (16, 1.6e-139), (64, 6.4e-139),
+                                           (2, 3.2e-154), (4, 6.4e-154), (16, 1e-3)])
+    def test_grid_whose_transport_is_not_unitary_is_refused(self, n_cells, b):
+        """On cells of width 1e-140, and at the Grid1D bound, roundoff swamps
+        the boundary spaces: the transport's round trips leave float64 or
+        the cell side loses a dimension, so node-side coordinates would not
+        be control coordinates.  On [0, 1e-3] they miss the identity by
+        7.8e-8.  Both builders and the boundary equation check refuse the
+        grid, naming h, without a numpy warning."""
+        grid = Grid1D(0.0, b, n_cells)
+        refusal = (r"^the boundary data transport is not unitary: its round trips miss the "
+                   r"identity by \S+ \(bound 1e-08\) on a cell width h = \(b - a\)/n_cells = "
+                   rf"{grid.h:.3e} on \[0.0, {b}\] with {n_cells} cells$")
+        for check in (lambda: build_weiss_tucsnak_wave(WaveSpec(grid=grid)),
+                      lambda: build_mixed_type_wave(WaveSpec(grid=grid),
+                                                    three_region_indicators(grid)),
+                      lambda: boundary_equation_defect(SimpleNamespace(geometry={"grid": grid}),
+                                                       None)):
+            with pytest.raises(InvalidGridError, match=refusal):
+                check()
+
+    def test_transport_within_the_kernel_cutoff_builds(self, dual_map):
+        """On [0, 1e-2] with 16 cells the round trip misses the identity by
+        about 1e-10, and the wave builds with a finite dual map."""
+        sys = build_weiss_tucsnak_wave(WaveSpec(grid=Grid1D(0.0, 1e-2, 16)))
+        assert set(sys.geometry) == {"grid"}
+        assert np.isfinite(dual_map(sys)).all()
 
 
 class TestMixedTypeWave:
@@ -411,7 +424,7 @@ class TestMixedTypeWave:
         assert abs(led.defect) < 1e-9, f"mixed ledger defect: {led.defect:.2e}"
 
     @pytest.mark.parametrize("scheme", ["backward_euler", "implicit_midpoint"])
-    def test_elliptic_residual_vanishes_at_scheme_states(self, scheme):
+    def test_elliptic_residual_vanishes_at_scheme_states(self, scheme, dual_map):
         """v = div grad v holds on interior elliptic nodes along runs.
 
         Eligible nodes are elliptic with both neighboring cells elliptic,
@@ -426,6 +439,7 @@ class TestMixedTypeWave:
         traj = solve(sys, sys.x0, two_tone, tg, scheme)
         off = sys.fine_offsets()
         pair, s0, s1, V = wave_operators(sys)
+        cdual = dual_map(sys)
         nm_e, cm_e = indicators["elliptic"]
         inner = np.arange(1, pair.n_nodes - 1)
         inner = inner[nm_e[inner] & cm_e[inner - 1] & cm_e[inner]]
@@ -434,7 +448,7 @@ class TestMixedTypeWave:
         for x in traj.x_theta(0, tg.n_steps):
             r = ((V @ x[off[0]:off[1]]) / s0
                  - pair.minimal_div() @ (x[off[1]:off[2]] / s1)
-                 - sys.geometry["Cdual_physical"] @ x[off[2]:off[3]])[inner]
+                 - cdual @ x[off[2]:off[3]])[inner]
             res.append(np.abs(r - r.mean()).max())
         assert max(res) < 1e-10, f"elliptic residual: {max(res):.2e}"
 

@@ -27,8 +27,9 @@ each of whose ledger.csv is the plain replay's byte for byte, a wave-wt run
 driven by the signal table SIGNAL_TABLE (written into its case
 directory), wellposed for each preset, bdspace on the grids of
 BDSPACE_GRIDS (each bd_defects.csv holds six rows, the boundary triple's
-Green identity last), and the benchmark's cubic-wave and long-horizon
-configurations (perfbench/workloads.py) at input frequency 3 and initial
+Green identity last), wellposed for the chain on [0, 1e-140]
+(wellposed-port-hamiltonian-b1e-140), and the benchmark's cubic-wave and
+long-horizon configurations (perfbench/workloads.py) at input frequency 3 and initial
 mode 2.  All of these exit 0.  Failing verdicts follow, each exiting 1:
 the driven wave-wt run, its energy replay and the driven Maxwell run
 under tolerance 1e-30 (each printing its max line), bdspace on [0, 0.01]
@@ -37,7 +38,10 @@ port-Hamiltonian run whose sinusoid input of amplitude 1e300 overflows
 the ledger, naming its first non-finite step without a numpy warning,
 and fail-simulate-maxwell-overflow, the Maxwell run on 16 cells under
 the same input, whose energies leave float64 and are written as they
-are, without a numpy warning, and whose route gap exceeds 1e-9.
+are, without a numpy warning, and whose route gap exceeds 1e-9, and
+bdspace on 4 cells at the Grid1D bound of the cell width
+(fail-bdspace-at-the-grid-bound), whose transport leaves float64, which
+its rows report without a numpy warning.
 Refusals close the matrix,
 each with the status the command line documents for it: a certificate
 that fails (1, printing its witness), and an invalid time grid, a table
@@ -55,7 +59,12 @@ no address space holds (refuse-simulate-n_steps-2e62), an outdir of 300
 x's, a name too long for the file system
 (refuse-bdspace-outdir-too-long), each refused naming its key, and 4
 cells of width 1e-146, whose boundary basis collapses, refused naming
-the cell width and the grid (refuse-bdspace-collapsed-basis) (2 each).
+the cell width and the grid (refuse-bdspace-collapsed-basis), the
+default wave on [0, 1e-140], whose boundary data transport is far from
+unitary, refused naming the cell width (refuse-wellposed-wave-wt-b1e-140),
+and simulate of the chain there, whose step matrix is refused as
+numerically singular naming the keys that set tau and h
+(refuse-simulate-port-hamiltonian-b1e-140) (2 each).
 Each case runs in its own directory, so a relative outdir would land there.
 """
 
@@ -150,6 +159,10 @@ def matrix(out: Path) -> list:
         case = out / name
         cases.append((case, ["bdspace", *_sets(("grid.a", a), ("grid.b", b),
                                                ("grid.n_cells", n_cells), ("outdir", case))]))
+    # the chain on cells of width 6.25e-142, which it certifies
+    case = out / "wellposed-port-hamiltonian-b1e-140"
+    cases.append((case, ["wellposed", *_sets(("preset", "port-hamiltonian"), ("grid.b", 1e-140),
+                                             ("outdir", case))]))
     for workload in ("cubic-wave", "long-horizon"):
         cases += [(inv.outdir, list(inv.argv))
                   for inv in invocations(workload, WORKLOAD_PARAMS, out / workload)]
@@ -187,6 +200,8 @@ def matrix(out: Path) -> list:
         ("fail-simulate-maxwell-overflow", 1, ["simulate", *_sets(
             ("preset", "maxwell-lift-1d"), ("grid.n_cells", 16),
             ("input.kind", "sinusoid"), ("input.amplitude", 1e300))]),
+        ("fail-bdspace-at-the-grid-bound", 1,
+         ["bdspace", *_sets(("grid.n_cells", 4), ("grid.b", 6.4e-154))]),
         ("refuse-wellposed-zero-damping", 1, ["wellposed", "--zero-damping"]),
         ("refuse-wellposed-t_end-0", 2, ["wellposed", *_sets(("time.t_end", 0))]),
         ("refuse-simulate-table-without-path", 2,
@@ -209,6 +224,9 @@ def matrix(out: Path) -> list:
         ("refuse-bdspace-outdir-too-long", 2, ["bdspace", *_sets(("outdir", "x" * 300))]),
         ("refuse-bdspace-collapsed-basis", 2,
          ["bdspace", *_sets(("grid.n_cells", 4), ("grid.b", 4e-146))]),
+        ("refuse-wellposed-wave-wt-b1e-140", 2, ["wellposed", *_sets(("grid.b", 1e-140))]),
+        ("refuse-simulate-port-hamiltonian-b1e-140", 2,
+         ["simulate", *_sets(("preset", "port-hamiltonian"), ("grid.b", 1e-140))]),
     ):
         case = out / name
         # the case's outdir comes first, so that a case may set its own
