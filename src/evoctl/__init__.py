@@ -20,7 +20,6 @@ from .control import (
     EnergyLedger,
     IOSamples,
     assemble_control,
-    boundary_equation_defect,
     check_compatibility,
     energy_ledger,
     extract_io,
@@ -49,6 +48,7 @@ from .models import (
     PortHamiltonianSpec,
     WaveSpec,
     all_hyperbolic_indicators,
+    boundary_equation_defect,
     build_mixed_type_wave,
     build_port_hamiltonian,
     build_weiss_tucsnak_wave,

@@ -1,5 +1,5 @@
 """Boundary control systems: block assembly, compatibility conditions,
-energy ledgers, input/output recovery, and the boundary equation check.
+energy ledgers and input/output recovery.
 
 A control system has state (v, zeta, w, y): a bulk field v, its flux
 zeta, boundary values w, and an observation y.  The skew coupling
@@ -35,8 +35,8 @@ Euler, theta = 1) adds the nonnegative numerical dissipation
 (theta - 1/2)<dx|M0 dx>, which step_ledger reports per step.
 
 The per-step checks are array kernels: step_ledger and extract_io take one
-product per row block of steps and term, boundary_equation_defect, the one
-reader of a system's geometry, one lstsq.
+product per row block of steps and term.  A system is its operators
+alone: a check that needs a model's grid lives with the model.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (HypothesisViolationError, ShapeMismatchError, as_array, negligible,
-                     require_geometry, require_invertible, require_shape)
+                     require_invertible, require_shape)
 from .evolution import EvolutionarySystem, Trajectory, row_blocks
 
 COMPAT_TOL = 1e-10
@@ -139,20 +139,16 @@ class ControlSystem(EvolutionarySystem):
     control map, J = B, in flat coordinates over a block partition.
 
     Only what cannot be derived is stored: the partition, the fine split
-    n_w of the middle block, an optional initial state x0 and an
-    optional geometry mapping carrying the model data that
-    boundary_equation_defect needs for the physical picture (a wave keeps
-    its grid, the chain none).  The control columns
-    B0/B1/B2 are the rows of J over the coarse blocks, and Gmat and Cmat,
-    the two constituents of F, are read off A; Cdual = Cmat^H is the dual
-    map of Cmat appearing in the v-rows of A.  The base class checks that
-    M0 is Hermitian and A skew-Hermitian.
+    n_w of the middle block and an optional initial state x0, no model
+    geometry.  The control columns B0/B1/B2 are the rows of J over the
+    coarse blocks, and Gmat and Cmat, the two constituents of F, are read
+    off A; Cdual = Cmat^H is the dual map of Cmat appearing in the v-rows
+    of A.  The base class checks that M0 is Hermitian and A skew-Hermitian.
     """
 
     partition: BlockPartition
     n_w: int
     x0: np.ndarray = field(default=None)
-    geometry: dict = field(default=None)
 
     def __post_init__(self):
         super().__post_init__()
@@ -209,7 +205,6 @@ def assemble_control(
     *,
     n_w,
     x0=None,
-    geometry=None,
 ) -> ControlSystem:
     """Build a ControlSystem from fine-block data.
 
@@ -245,7 +240,6 @@ def assemble_control(
         M1=_expand_blocks(M1_blocks, sizes, "M1_blocks"), A=A, J=J,
         partition=partition, n_w=n_w,
         x0=None if x0 is None else as_array(x0),
-        geometry=geometry,
     )
 
 
@@ -455,30 +449,3 @@ def extract_io(sys: ControlSystem, traj: Trajectory) -> IOSamples:
         max_deviation=float(np.abs(sol - stored).max()) if sol.size else 0.0,
     )
 
-
-def boundary_equation_defect(sys: ControlSystem, traj: Trajectory) -> np.ndarray:
-    """Norm of the boundary-data constraint on zeta at every grid state.
-
-    Evaluates the cell-side boundary coordinates of zeta^k + eta^k,
-    where eta^k is the least-squares preimage of the physical dual
-    image of w^k under the minimal divergence.  Exactly zero for states
-    assembled to satisfy the constraint; small along trajectories that
-    enforce it weakly.
-
-    Needs the wave's grid from the system geometry.  The grad/div pair,
-    its boundary data spaces and the physical dual map of the boundary
-    observation are rebuilt from it as the wave builder forms them.
-    """
-    from .models import _wave_dual_map, _wave_operators  # models builds on this module
-
-    grid = require_geometry(sys, "grid", "the boundary equation check")
-    pair, bdG, bdD = _wave_operators(grid)[:3]
-    if sys.n_w == 0 or np.abs(sys.Cmat).max() == 0.0:
-        raise HypothesisViolationError(
-            "boundary equation check needs a system with boundary coupling"
-        )
-    # eta is linear in w: one least-squares solve for the columns of the dual map
-    eta_of_w = np.linalg.lstsq(pair.minimal_div(), _wave_dual_map(pair, bdG, bdD), rcond=1e-10)[0]
-    X = traj.states
-    zeta = X[:, sys.fine_slice(1)] / np.sqrt(pair.W1) + X[:, sys.fine_slice(2)] @ eta_of_w.T
-    return np.linalg.norm(zeta @ bdD.projector.T, axis=1)

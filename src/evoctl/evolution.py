@@ -182,6 +182,10 @@ class Trajectory:
             raise ShapeMismatchError("states must hold n_steps + 1 rows")
         if self.inputs.shape[0] != self.grid.n_steps:
             raise ShapeMismatchError("inputs must hold one sample per step")
+        _require_scheme(self.scheme)
+        if not 0 <= self.n_euler_init_steps <= self.grid.n_steps:
+            raise ValueError(f"n_euler_init_steps must lie in [0, {self.grid.n_steps}], "
+                             f"got {self.n_euler_init_steps}")
 
     @property
     def theta(self) -> np.ndarray:
@@ -347,11 +351,15 @@ def sample_source(f, times, m) -> np.ndarray:
     return out.reshape(len(times), m)
 
 
+def _require_scheme(scheme):
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+
+
 def n_euler_init_steps(scheme, spectrum) -> int:
     """The singular-M0 rule: a midpoint run starts with one theta = 1 step when
     an eigenvalue of M0 (m0_spectrum) is at most 1e-12 max(1, largest) in modulus."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    _require_scheme(scheme)
     if scheme != "implicit_midpoint":
         return 0
     eigs = np.abs(np.concatenate([block.ravel() for block in spectrum]))

@@ -51,10 +51,9 @@ u_theta of the data and its derivative as the step's difference
 quotient, so the two routes agree to roundoff under both schemes.
 
 The lift's sources are array kernels over the data samples; the
-Hamiltonian density, a user callable, is called point by point.  A wave
-keeps its grid as its geometry, from which
-control.boundary_equation_defect rebuilds its operators; the chain keeps
-none.
+Hamiltonian density, a user callable, is called point by point.  A
+system keeps no grid: boundary_equation_defect takes the grid a wave was
+built on and rebuilds the wave's operators from it.
 """
 
 from __future__ import annotations
@@ -96,8 +95,8 @@ def deflation_basis(pair: GradDivPair) -> np.ndarray:
 def _wave_operators(grid: Grid1D) -> tuple:
     """(pair, bdG, bdD, S0, S1, V) of the wave on grid: the grad/div pair,
     its node- and cell-side boundary spaces, the roots of its weights and
-    the deflation basis, rebuilt bitwise by every call, so the wave keeps
-    only its grid.  w holds node-side boundary coordinates because the
+    the deflation basis, rebuilt bitwise by every call, so a wave system
+    keeps none of them.  w holds node-side boundary coordinates because the
     transport between the spaces is unitary; the grid is refused, naming
     h, where roundoff makes bdspace's unitarity rows exceed KERNEL_CUTOFF."""
     pair = build_sbp_pair_1d(grid)
@@ -117,6 +116,36 @@ def _wave_dual_map(pair: GradDivPair, bdG, bdD) -> np.ndarray:
     """Physical dual map of the wave's boundary observation, node vectors
     by node-side boundary coordinates, which w holds."""
     return -dual_projection(bdG, bdD, pair)
+
+
+def boundary_equation_defect(sys: ControlSystem, traj: Trajectory, grid: Grid1D) -> np.ndarray:
+    """Norm of the boundary-data constraint on zeta at every state of traj,
+    a run of a wave built on grid.
+
+    Evaluates the cell-side boundary coordinates of zeta^k + eta^k, where
+    eta^k is the least-squares preimage of the physical dual image of w^k
+    under the minimal divergence: zero for states assembled to satisfy the
+    constraint, first order in h along a run from compatible data.  The
+    pair, its boundary spaces and the dual map are rebuilt from grid as
+    the wave builder forms them, refusing the grids it refuses.  A grid
+    that does not fit n_w or the flux block is refused naming both sizes,
+    and so is a system without boundary coupling.
+    """
+    pair, bdG, bdD = _wave_operators(grid)[:3]
+    if bdG.dim != sys.n_w:
+        raise ShapeMismatchError(f"the grid's boundary space has dimension {bdG.dim}, "
+                                 f"the system's n_w is {sys.n_w}")
+    if grid.n_cells != sys.fine_sizes[1]:
+        raise ShapeMismatchError(f"the grid has {grid.n_cells} cells, "
+                                 f"the system's flux block {sys.fine_sizes[1]}")
+    if not np.any(sys.Cmat):
+        raise HypothesisViolationError(
+            "boundary equation check needs a system with boundary coupling")
+    # eta is linear in w: one least-squares solve for the columns of the dual map
+    eta_of_w = np.linalg.lstsq(pair.minimal_div(), _wave_dual_map(pair, bdG, bdD), rcond=1e-10)[0]
+    X = traj.states
+    zeta = X[:, sys.fine_slice(1)] / np.sqrt(pair.W1) + X[:, sys.fine_slice(2)] @ eta_of_w.T
+    return np.linalg.norm(zeta @ bdD.projector.T, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +300,7 @@ def build_mixed_type_wave(spec: WaveSpec, indicators) -> ControlSystem:
     partition = BlockPartition(n_h0=n_v, n_h1=pair.n_cells + m, n_y=m, n_u1=m)
     return assemble_control(
         partition, M0_blocks, M1_blocks, Gmat, Cmat, B_blocks,
-        n_w=m, x0=x0, geometry={"grid": grid},
+        n_w=m, x0=x0,
     )
 
 

@@ -34,7 +34,6 @@ def calls_to(monkeypatch):
 
 @pytest.fixture
 def dual_map():
-    """dual_map(sys) is the physical dual map of a wave's boundary observation,
-    rebuilt from the grid its geometry keeps as the boundary equation check
-    rebuilds it."""
-    return lambda sys: _wave_dual_map(*_wave_operators(sys.geometry["grid"])[:3])
+    """dual_map(grid) is the physical dual map of the boundary observation of
+    a wave built on grid, rebuilt as the boundary equation check rebuilds it."""
+    return lambda grid: _wave_dual_map(*_wave_operators(grid)[:3])

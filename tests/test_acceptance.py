@@ -175,9 +175,10 @@ class TestAcceptance:
     def test_06_coupling_adjoint_dual_route(self, dual_map):
         """The assembled adjoint of the coupling map equals the minimal
         divergence plus dual-coupling route through physical operators."""
-        sys = wave_system()
-        cdual = dual_map(sys)
-        pair = build_sbp_pair_1d(sys.geometry["grid"])
+        grid = Grid1D(0.0, 1.0, 16)
+        sys = build_weiss_tucsnak_wave(WaveSpec(grid=grid))
+        cdual = dual_map(grid)
+        pair = build_sbp_pair_1d(grid)
         s0, s1, V = np.sqrt(pair.W0), np.sqrt(pair.W1), deflation_basis(pair)
         div_min = pair.minimal_div()
         rng = np.random.default_rng(106)

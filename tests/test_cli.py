@@ -369,7 +369,7 @@ class TestSimulate:
 
     def test_traced_peak_stays_below_nine_step_matrices(self, tmp_path):
         """A wave-wt simulate peaks at about 8.1 dim x dim float64 matrices
-        of traced memory; a wave whose geometry kept the grad/div pair, its
+        of traced memory; a wave system that kept the grad/div pair, its
         boundary space and the node basis peaked at 9.1.  The first run of a
         process imports modules whose memory is traced, so a small run goes
         before the measured one."""

@@ -17,11 +17,9 @@ from hypothesis import strategies as st
 from scipy.linalg import qr
 
 from evoctl import cli, evolution
-from evoctl.bdspace import compute_bd_space, dual_projection
 from evoctl.control import (
     BlockPartition,
     assemble_control,
-    boundary_equation_defect,
     check_compatibility,
     energy_ledger,
     extract_io,
@@ -769,137 +767,6 @@ class TestRowBlocks:
         with pytest.raises(ValueError, match="must not contain infs or NaNs: "
                                              f"the right side of step {step}$"):
             solve(sys, np.zeros(sys.dim), u, grid, scheme)
-
-
-@pytest.fixture(scope="module")
-def geometry():
-    pair = build_sbp_pair_1d(Grid1D(0.0, 1.0, 16))
-    bdG = compute_bd_space(pair, "G")
-    bdD = compute_bd_space(pair, "D")
-    return pair, bdG, bdD, -dual_projection(bdG, bdD, pair)
-
-
-class TestBoundaryEquationDefect:
-    def build_system(self, geometry, couple=True):
-        pair, bdG, _, cdual_phys = geometry
-        n_nodes, n_cells = pair.n_nodes, pair.grid.n_cells
-        part = BlockPartition(n_h0=n_nodes, n_h1=n_cells + 2, n_y=2, n_u1=2)
-        M0b = empty_blocks()
-        M0b[0][0] = 1.0
-        M0b[1][1] = 1.0
-        M1b = empty_blocks()
-        M1b[2][2] = 1.0
-        M1b[3][2] = RT2
-        M1b[3][3] = 1.0
-        cmat = -bdG.projector @ np.diag(1.0 / np.sqrt(pair.W0)) if couple else None
-        ghat = (pair.G / np.sqrt(pair.W0)[None, :]) * np.sqrt(pair.W1)[:, None]
-        B1 = np.vstack([np.zeros((n_cells, 2)), -RT2 * np.eye(2)])
-        return assemble_control(
-            part, M0b, M1b, ghat, cmat, (None, B1, -np.eye(2)), n_w=2,
-            geometry={"grid": pair.grid},
-        )
-
-    def constant_trajectory(self, sys, x, n_steps=3):
-        grid = TimeGrid(t_end=1.0, n_steps=n_steps)
-        states = np.tile(x, (n_steps + 1, 1))
-        inputs = np.zeros((n_steps, sys.partition.n_u1), dtype=complex)
-        return Trajectory(grid=grid, states=states, inputs=inputs,
-                          scheme="backward_euler")
-
-    def test_manufactured_state_has_zero_defect(self, geometry):
-        """A flux built from the least-squares lift satisfies the equation."""
-        pair, _, _, cdual_phys = geometry
-        rng = np.random.default_rng(51)
-        sys = self.build_system(geometry)
-        w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        lift = np.linalg.lstsq(pair.minimal_div(), cdual_phys @ w, rcond=1e-10)[0]
-        x = np.zeros(sys.dim, dtype=complex)
-        x[sys.fine_slice(1)] = np.sqrt(pair.W1) * (-lift)
-        x[sys.fine_slice(2)] = w
-        defects = boundary_equation_defect(sys, self.constant_trajectory(sys, x))
-        assert defects.shape == (4,)
-        assert defects.max() < 1e-12, f"manufactured defect {defects.max():.2e}"
-
-    def test_defect_ignores_invisible_flux_components(self, geometry):
-        """Adding a flux from the boundary pairing's kernel changes nothing."""
-        pair, _, _, cdual_phys = geometry
-        rng = np.random.default_rng(52)
-        sys = self.build_system(geometry)
-        w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        lift = np.linalg.lstsq(pair.minimal_div(), cdual_phys @ w, rcond=1e-10)[0]
-        from scipy.linalg import null_space
-
-        kernel = null_space(pair.T)
-        z = kernel @ (rng.standard_normal(kernel.shape[1])
-                      + 1j * rng.standard_normal(kernel.shape[1]))
-        x = np.zeros(sys.dim, dtype=complex)
-        x[sys.fine_slice(1)] = np.sqrt(pair.W1) * (z - lift)
-        x[sys.fine_slice(2)] = w
-        defects = boundary_equation_defect(sys, self.constant_trajectory(sys, x))
-        assert defects.max() < 1e-10, f"kernel flux leaked {defects.max():.2e}"
-
-    def test_zero_boundary_values_need_kernel_flux_only(self, geometry):
-        """With w = 0 the defect is the boundary content of the flux alone."""
-        pair = geometry[0]
-        rng = np.random.default_rng(53)
-        sys = self.build_system(geometry)
-        from scipy.linalg import null_space
-
-        kernel = null_space(pair.T)
-        z = kernel @ rng.standard_normal(kernel.shape[1])
-        x = np.zeros(sys.dim, dtype=complex)
-        x[sys.fine_slice(1)] = np.sqrt(pair.W1) * z
-        defects = boundary_equation_defect(sys, self.constant_trajectory(sys, x))
-        assert defects.max() < 1e-10, f"kernel-only flux defect {defects.max():.2e}"
-
-    def test_boundary_heavy_flux_is_flagged(self, geometry):
-        """A flux with boundary content produces an order-one defect."""
-        pair, _, bdD, _ = geometry
-        sys = self.build_system(geometry)
-        x = np.zeros(sys.dim, dtype=complex)
-        x[sys.fine_slice(1)] = np.sqrt(pair.W1) * bdD.basis[:, 0]
-        defects = boundary_equation_defect(sys, self.constant_trajectory(sys, x))
-        assert defects.max() > 0.1, f"boundary flux went unnoticed {defects.max():.2e}"
-
-    def test_matches_a_least_squares_solve_per_state(self, geometry):
-        """The defect of every state of a random trajectory agrees with one
-        least-squares solve per state, the lift of its own w."""
-        pair, _, bdD, cdual_phys = geometry
-        rng = np.random.default_rng(54)
-        sys = self.build_system(geometry)
-        states = rng.standard_normal((8, sys.dim)) + 1j * rng.standard_normal((8, sys.dim))
-        traj = Trajectory(grid=TimeGrid(t_end=1.0, n_steps=7), states=states,
-                          inputs=np.zeros((7, 2)), scheme="backward_euler")
-        reference = np.array([np.linalg.norm(bdD.projector @ (
-            x[sys.fine_slice(1)] / np.sqrt(pair.W1)
-            + np.linalg.lstsq(pair.minimal_div(), cdual_phys @ x[sys.fine_slice(2)],
-                              rcond=1e-10)[0])) for x in states])
-        err = np.abs(boundary_equation_defect(sys, traj) - reference).max()
-        assert err <= 1e-13 * max(1.0, reference.max()), f"off the per-state solve by {err:.2e}"
-
-    def test_refuses_without_geometry(self):
-        sys = wave_example_system()
-        grid = TimeGrid(t_end=1.0, n_steps=2)
-        traj = Trajectory(grid=grid, states=np.zeros((3, 4), dtype=complex),
-                          inputs=np.zeros((2, 1), dtype=complex),
-                          scheme="backward_euler")
-        with pytest.raises(HypothesisViolationError, match="grid"):
-            boundary_equation_defect(sys, traj)
-
-    def test_refuses_on_the_chain(self):
-        """The chain keeps no geometry, so the check names the key it reads."""
-        sys = build_port_hamiltonian(PortHamiltonianSpec(grid=Grid1D(0.0, 1.0, 4), Nmat=[[1.0]]))
-        assert sys.geometry is None
-        traj = solve(sys, sys.x0, None, TimeGrid(t_end=1.0, n_steps=2), "backward_euler")
-        with pytest.raises(HypothesisViolationError, match=r"^the boundary equation check "
-                           r"needs grid in the system geometry$"):
-            boundary_equation_defect(sys, traj)
-
-    def test_refuses_without_coupling(self, geometry):
-        sys = self.build_system(geometry, couple=False)
-        x = np.zeros(sys.dim, dtype=complex)
-        with pytest.raises(HypothesisViolationError, match="coupling"):
-            boundary_equation_defect(sys, self.constant_trajectory(sys, x))
 
 
 def shipped_systems():

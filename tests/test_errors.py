@@ -1,7 +1,5 @@
-"""Tests for the argument rules of evoctl.errors: the shape rule, the
-roundoff-zero rule and the geometry rule."""
-
-from types import SimpleNamespace
+"""Tests for the argument rules of evoctl.errors: the dtype rule, the
+shape rule and the roundoff-zero rule."""
 
 import numpy as np
 import pytest
@@ -11,7 +9,6 @@ from evoctl.errors import (
     ShapeMismatchError,
     as_array,
     negligible,
-    require_geometry,
     require_shape,
 )
 
@@ -84,20 +81,3 @@ class TestNegligible:
         assert negligible(np.array([0.6e-12 + 0.7e-12j]), np.ones(1))
         assert not negligible(np.array([0.6e-12 + 0.9e-12j]), np.ones(1))
 
-
-class TestRequireGeometry:
-    def test_returns_the_value_of_the_key(self):
-        sys = SimpleNamespace(geometry={"a": 1, "b": 2})
-        assert require_geometry(sys, "b", "the check") == 2
-
-    def test_message_names_check_and_missing_key(self):
-        sys = SimpleNamespace(geometry={"a": object()})
-        with pytest.raises(HypothesisViolationError,
-                           match=r"^the check needs b in the system geometry$"):
-            require_geometry(sys, "b", "the check")
-
-    def test_missing_geometry_misses_the_key(self):
-        sys = SimpleNamespace(geometry=None)
-        with pytest.raises(HypothesisViolationError,
-                           match=r"^the check needs a in the system geometry$"):
-            require_geometry(sys, "a", "the check")

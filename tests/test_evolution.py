@@ -408,6 +408,20 @@ class TestSolve:
             evolution.Trajectory(TimeGrid(t_end=1.0, n_steps=3), np.zeros((n_states, 2)),
                                  np.zeros((n_inputs, 1)), "backward_euler")
 
+    @pytest.mark.parametrize("scheme, n_init, words", [
+        ("implicit-midpoint", 0, "scheme must be one of ('backward_euler', 'implicit_midpoint'), "
+                                 "got 'implicit-midpoint'"),
+        ("implicit_midpoint", -1, "n_euler_init_steps must lie in [0, 3], got -1"),
+        ("backward_euler", 4, "n_euler_init_steps must lie in [0, 3], got 4"),
+    ], ids=["misspelt-scheme", "negative-start-up", "start-up-beyond-the-grid"])
+    def test_trajectory_rejects_a_schedule_its_scheme_cannot_have(self, scheme, n_init, words):
+        """theta follows from the scheme and the start-up count, so a misspelt
+        scheme (read as theta = 1 before) or a count outside [0, n_steps] is
+        refused when the trajectory is made."""
+        with pytest.raises(ValueError, match=f"^{re.escape(words)}$"):
+            evolution.Trajectory(TimeGrid(t_end=1.0, n_steps=3), np.zeros((4, 2)),
+                                 np.zeros((3, 1)), scheme, n_init)
+
     def test_unknown_scheme_rejected(self):
         sys = EvolutionarySystem(M0=np.eye(1), M1=np.eye(1), A=np.zeros((1, 1)), J=np.eye(1))
         with pytest.raises(ValueError):
