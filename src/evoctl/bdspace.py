@@ -13,6 +13,12 @@ space gives a map onto the cell-side space that is unitary for the graph
 inner products; its inverse is the restriction of D.  unitarity_defects
 measures how far the computed round trips miss the identity.
 
+A graph inner product <u|v>_W + <Ou|Ov>_W_out is the Euclidean one of
+(sqrt(W) u; sqrt(W_out) O u), so one Householder QR of that stack
+orthonormalizes a kernel without squaring a norm, which would overflow on
+huge cells.  On tiny cells roundoff swamps the spaces instead, and the
+wave builders refuse the grid by how far the round trips miss.
+
 On top of the two spaces the module provides the dual projection that
 represents boundary functionals as node vectors (the Riesz isomorphism
 ``(1 + G*G)^-1`` of the node graph space maps it back to the basis) and
@@ -35,36 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalRankError, as_array
+from .errors import NumericalRankError
 from .operators import GradDivPair, matvec
 
 KERNEL_CUTOFF = 1e-8
 KERNEL_GAP = 10.0
-
-
-@dataclass(frozen=True)
-class GraphInnerProduct:
-    """Inner product <u|v> = <u|v>_W + <Ou|Ov>_W_out.
-
-    W is the diagonal weight of the domain side (as a 1D array), O the
-    operator leaving it, W_out the diagonal weight of the target side.
-    """
-
-    W: np.ndarray
-    O: np.ndarray
-    W_out: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        """Dense symmetric positive definite form matrix."""
-        return np.diag(self.W) + self.O.conj().T @ (self.W_out[:, None] * self.O)
-
-    def inner(self, u, v):
-        u = np.asarray(u)
-        v = np.asarray(v)
-        return np.vdot(u, self.W * v) + np.vdot(self.O @ u, self.W_out * (self.O @ v))
-
-    def norm(self, u) -> float:
-        return float(np.sqrt(max(self.inner(u, u).real, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -75,7 +56,6 @@ class BoundaryDataSpace:
     basis      columns span the space, orthonormal in the graph inner
                product.
     projector  coordinate map, basis^H times the graph form matrix.
-    graph      the inner product the basis is orthonormal for.
 
     basis maps coordinates back to vectors: basis @ (projector @ u) is
     the boundary-data component of u.
@@ -84,55 +64,33 @@ class BoundaryDataSpace:
     side: str
     basis: np.ndarray
     projector: np.ndarray
-    graph: GraphInnerProduct
 
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
 
 
-def _graph_mgs(columns: np.ndarray, graph: GraphInnerProduct, where: str) -> np.ndarray:
-    """Orthonormalize columns in the graph inner product.
-
-    Modified Gram-Schmidt with one reorthogonalization pass, which keeps
-    the orthonormality defect near roundoff.  The basis has the dtype of
-    the columns and the graph form, so a real kernel gives a real basis.
-    A refusal ends with where, which names the grid.
-    """
-    out = []
-    for v in as_array(columns).T:
-        for _ in range(2):
-            for q in out:
-                v = v - q * graph.inner(q, v)
-        nrm = graph.norm(v)
-        if not 1e-12 <= nrm < np.inf:  # NaN and inf come from a graph form that overflows
-            raise NumericalRankError(
-                f"kernel basis collapsed or overflowed during orthonormalization "
-                f"(graph norm {nrm:.3e}){where}"
-            )
-        out.append(v / nrm)
-    return np.column_stack(out)
-
-
 def compute_bd_space(pair: GradDivPair, side: str) -> BoundaryDataSpace:
     """Boundary data space of the pair on one side.
 
     side='G' returns the kernel of 1 - DG on nodes, side='D' the kernel
-    of 1 - GD on cells, each with a graph-orthonormal basis found by a
-    singular value decomposition with cutoff 1e-8 relative to the largest
-    singular value, or to 1 when that is smaller: the operator contains
-    the identity, and on two cells 1 - GD is zero up to roundoff.  Each
-    refusal names the cell width and the grid.
+    of 1 - GD on cells.  A singular value decomposition finds the kernel
+    K, with cutoff 1e-8 relative to the largest singular value, or to 1
+    when that is smaller: the operator contains the identity, and on two
+    cells 1 - GD is zero up to roundoff.  The basis is K R^-1, with R
+    Gram-Schmidt's factor: the QR factor of K's graph-weighted stack with
+    its diagonal, the graph norms, made positive.  Each refusal names the
+    cell width and the grid; a graph norm below 1e-12 or not finite is one.
     """
     grid = pair.grid
     where = (f" on a cell width h = (b - a)/n_cells = {grid.h:.3e} on [{grid.a}, {grid.b}] "
              f"with {grid.n_cells} cells")
     if side == "G":
         mat = np.eye(pair.n_nodes) - pair.D @ pair.G
-        graph = GraphInnerProduct(W=pair.W0, O=pair.G, W_out=pair.W1)
+        W, O, W_out = pair.W0, pair.G, pair.W1
     elif side == "D":
         mat = np.eye(pair.n_cells) - pair.G @ pair.D
-        graph = GraphInnerProduct(W=pair.W1, O=pair.D, W_out=pair.W0)
+        W, O, W_out = pair.W1, pair.D, pair.W0
     else:
         raise ValueError(f"side must be 'G' or 'D', got {side!r}")
 
@@ -149,11 +107,15 @@ def compute_bd_space(pair: GradDivPair, side: str) -> BoundaryDataSpace:
     if kernel.shape[1] == 0:
         raise NumericalRankError(f"boundary-data operator has trivial kernel{where}")
 
-    basis = _graph_mgs(kernel, graph, where)
-    projector = basis.conj().T @ graph.matrix()
-    return BoundaryDataSpace(
-        side=side, basis=basis, projector=projector, graph=graph
-    )
+    r = np.linalg.qr(np.vstack([np.sqrt(W)[:, None] * kernel,
+                                np.sqrt(W_out)[:, None] * (O @ kernel)]), mode="r")
+    for nrm in np.abs(np.diagonal(r)):
+        if not 1e-12 <= nrm < np.inf:  # NaN and inf would come from an overflowing O K
+            raise NumericalRankError("kernel basis collapsed or overflowed during "
+                                     f"orthonormalization (graph norm {nrm:.3e}){where}")
+    basis = kernel @ np.linalg.inv(np.sign(np.diagonal(r)).conj()[:, None] * r)
+    projector = (W[:, None] * basis).conj().T + (W_out[:, None] * (O @ basis)).conj().T @ O
+    return BoundaryDataSpace(side=side, basis=basis, projector=projector)
 
 
 def dot_map(bd_from: BoundaryDataSpace, bd_to: BoundaryDataSpace, pair: GradDivPair) -> np.ndarray:

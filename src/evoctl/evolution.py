@@ -199,7 +199,7 @@ class Trajectory:
     def x_theta(self, lo, hi) -> np.ndarray:
         """The (hi - lo, dim) array of x_theta = (1 - theta_k) x^k + theta_k
         x^{k+1} of the steps lo <= k < hi, where the algebraic rows hold."""
-        theta = self.theta[lo:hi, None]
+        theta = theta_steps(self.scheme, hi - lo, max(0, self.n_euler_init_steps - lo))[:, None]
         return (1.0 - theta) * self.states[lo:hi] + theta * self.states[lo + 1:hi + 1]
 
 
@@ -351,9 +351,9 @@ def sample_source(f, times, m) -> np.ndarray:
     return out.reshape(len(times), m)
 
 
-def _require_scheme(scheme):
+def _require_scheme(scheme, name="scheme"):
     if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+        raise ValueError(f"{name} must be one of {SCHEMES}, got {scheme!r}")
 
 
 def n_euler_init_steps(scheme, spectrum) -> int:
@@ -406,16 +406,18 @@ class StepPlan:
         mats = [mat for P, _, R in self.steps.values() for mat in (P, R)]
         states = np.zeros((n_steps + 1, sys.dim), dtype=np.result_type(x0, F, sys.J, *mats))
         states[0] = x0
-        theta, rhs, matmul = self.theta.tolist(), np.empty(sys.dim, states.dtype), np.matmul
+        theta, rhs, dot = self.theta.tolist(), np.empty(sys.dim, states.dtype), np.dot
         # a non-finite state is refused by its step's ValueError, not by numpy warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for lo, hi in row_blocks(0, n_steps):
                 src = F[lo:hi] @ sys.J.T
-                for k in range(lo, hi):
-                    P, _, R = self.steps[theta[k]]
-                    matmul(R, states[k], out=rhs)
-                    rhs += src[k - lo]
-                    matmul(P, rhs, out=states[k + 1])
+                # row views made once per block: a view per step costs more than its product
+                rows, sources = list(states[lo:hi + 1]), list(src)
+                for j, th in enumerate(theta[lo:hi]):
+                    P, _, R = self.steps[th]
+                    dot(R, rows[j], out=rhs)
+                    rhs += sources[j]
+                    dot(P, rhs, out=rows[j + 1])
                 finite = np.isfinite(states[lo:hi + 1]).all(axis=1)
                 if not finite.all():
                     # x^s is the first non-finite state (x^0 names step 0), so the

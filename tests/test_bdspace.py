@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from evoctl.bdspace import (
+    KERNEL_CUTOFF,
     boundary_triple_defect,
     compute_bd_space,
     dot_map,
     dual_projection,
     unitarity_defects,
 )
+from evoctl.errors import NumericalRankError
 from evoctl.operators import Grid1D, build_sbp_pair_1d
 
 
@@ -62,6 +64,30 @@ def ones_on_a_long_coarse_grid():
             np.full(2, 1j))
 
 
+def svd_kernel(pair, side):
+    """The kernel columns compute_bd_space orthonormalizes: the right
+    singular vectors of 1 - DG or 1 - GD below its cutoff, bit for bit."""
+    if side == "G":
+        mat = np.eye(pair.n_nodes) - pair.D @ pair.G
+    else:
+        mat = np.eye(pair.n_cells) - pair.G @ pair.D
+    _, s, vh = np.linalg.svd(mat)
+    return vh[s < KERNEL_CUTOFF * max(s[0], 1.0)].conj().T
+
+
+def graph_mgs(columns, S):
+    """Modified Gram-Schmidt with one reorthogonalization pass in the graph
+    inner product (Su)^H (Sv): the orthonormalization that the Householder
+    QR of compute_bd_space replaced, kept as the reference for its basis."""
+    out = []
+    for v in columns.T:
+        for _ in range(2):
+            for q in out:
+                v = v - q * np.vdot(S @ q, S @ v)
+        out.append(v / np.linalg.norm(S @ v))
+    return np.column_stack(out)
+
+
 @pytest.fixture(scope="module")
 def pair16():
     return build_sbp_pair_1d(Grid1D(0.0, 1.0, 16))
@@ -95,11 +121,31 @@ class TestComputeBdSpace:
         assert np.max(np.abs(resG)) < 1e-10
         assert np.max(np.abs(resD)) < 1e-10
 
-    def test_graph_orthonormal(self, spaces16):
+    def test_graph_orthonormal(self, pair16, spaces16, graph_map):
         for bd in spaces16:
-            gram = bd.basis.conj().T @ bd.graph.matrix() @ bd.basis
+            image = graph_map(pair16, bd.side) @ bd.basis
+            gram = image.conj().T @ image
             err = np.max(np.abs(gram - np.eye(bd.dim)))
             assert err < 1e-12, f"basis not graph-orthonormal: {err:.2e}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_grids())
+    @example(Grid1D(0.0, 1.0, 1536))
+    def test_basis_is_the_gram_schmidt_basis(self, graph_map, grid):
+        """One Householder QR of the graph-weighted kernel gives the basis
+        that modified Gram-Schmidt gives, within 1e-13 relative, on either
+        side; the basis stays graph-orthonormal and its projector recovers
+        its coordinates."""
+        pair = build_sbp_pair_1d(grid)
+        for side in ("G", "D"):
+            bd = compute_bd_space(pair, side)
+            S = graph_map(pair, side)
+            reference = graph_mgs(svd_kernel(pair, side), S)
+            err = np.abs(bd.basis - reference).max() / np.abs(reference).max()
+            assert err <= 1e-13, f"{side}: basis off the Gram-Schmidt basis by {err:.2e}"
+            image = S @ bd.basis
+            assert np.abs(image.conj().T @ image - np.eye(bd.dim)).max() < 1e-12
+            assert np.abs(bd.projector @ bd.basis - np.eye(bd.dim)).max() < 1e-10
 
     def test_zero_boundary_vectors_project_to_zero(self, spaces16):
         """Node vectors vanishing at both ends carry no boundary data."""
@@ -111,7 +157,7 @@ class TestComputeBdSpace:
             u[-1] = 0.0
             assert np.linalg.norm(bdG.projector @ u) < 1e-10
 
-    def test_projection_error_of_exponential_samples(self):
+    def test_projection_error_of_exponential_samples(self, graph_map):
         """Sampled e^x sits O(h^2) from the space of discrete
         exponentials; halving h divides the distance by about 4."""
         errs = []
@@ -119,15 +165,16 @@ class TestComputeBdSpace:
             pair = build_sbp_pair_1d(Grid1D(0.0, 1.0, n))
             bd = compute_bd_space(pair, "G")
             u = np.exp(pair.grid.nodes())
-            err = bd.graph.norm(u - bd.basis @ (bd.projector @ u))
+            err = np.linalg.norm(graph_map(pair, "G") @ (u - bd.basis @ (bd.projector @ u)))
             errs.append(err)
         for coarse, fine in zip(errs, errs[1:]):
             ratio = coarse / fine
             assert 2.8 < ratio < 5.2, f"projection error ratio off: {ratio:.3f}"
 
-    def test_orthogonal_decomposition(self, pair16, spaces16):
+    def test_orthogonal_decomposition(self, pair16, spaces16, graph_map):
         """u = u_min + embedded boundary data, graph-orthogonally."""
         bdG, _ = spaces16
+        S = graph_map(pair16, "G")
         rng = np.random.default_rng(seed=55)
         for _ in range(20):
             u = rng.standard_normal(17) + 1j * rng.standard_normal(17)
@@ -135,8 +182,21 @@ class TestComputeBdSpace:
             umin = u - ub
             assert abs(umin[0]) < 1e-10 and abs(umin[-1]) < 1e-10
             for k in range(bdG.dim):
-                ip = bdG.graph.inner(bdG.basis[:, k], umin)
+                ip = np.vdot(S @ bdG.basis[:, k], S @ umin)
                 assert abs(ip) < 1e-10, f"decomposition not orthogonal: {abs(ip):.2e}"
+
+    @pytest.mark.parametrize("scale,norm", [(np.inf, "inf"), (1e-40, r"\S+e-\d\d")])
+    @pytest.mark.parametrize("side", ["G", "D"])
+    def test_graph_norm_off_its_range_is_refused(self, pair16, scale, norm, side):
+        """With the weights scaled to inf, or by 1e-40, the graph norms leave
+        [1e-12, inf), and the space is refused naming the grid.  No grid
+        Grid1D accepts was found to reach this refusal."""
+        pair = dataclasses.replace(pair16, W0=scale * pair16.W0, W1=scale * pair16.W1)
+        with pytest.raises(NumericalRankError, match=(
+                r"^kernel basis collapsed or overflowed during orthonormalization \(graph norm "
+                rf"{norm}\) on a cell width h = \(b - a\)/n_cells = 6\.250e-02 on \[0\.0, 1\.0\] "
+                r"with 16 cells$")):
+            compute_bd_space(pair, side)
 
     def test_bad_side_rejected(self, pair16):
         with pytest.raises(ValueError):

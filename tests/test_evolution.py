@@ -670,6 +670,38 @@ class TestThetaSchedule:
             expected = (1 - theta) * traj.states[k] + theta * traj.states[k + 1]
             assert np.array_equal(x, expected)
 
+    @pytest.mark.parametrize("lo,hi", [(0, 1), (0, _ROWS), (_ROWS, 150), (_ROWS - 2, _ROWS + 3),
+                                       (1, 150), (0, 150)])
+    def test_x_theta_builds_its_steps_schedule(self, lo, hi):
+        """On singular M0 a midpoint run takes theta = 1 at step 0 only; any
+        range of steps, across a row block boundary too, reads that
+        schedule from its own first step."""
+        sys = self.system(np.diag([1.0, 1.0, 0.0]))
+        traj = solve(sys, np.ones(3), lambda t: np.sin(t) * np.ones(3),
+                     TimeGrid(t_end=1.0, n_steps=150), "implicit_midpoint")
+        assert traj.n_euler_init_steps == 1
+        theta = np.where(np.arange(lo, hi) == 0, 1.0, 0.5)[:, None]
+        expected = (1 - theta) * traj.states[lo:hi] + theta * traj.states[lo + 1:hi + 1]
+        assert np.array_equal(traj.x_theta(lo, hi), expected)
+
+
+def matmul_loop(plan, x0, F):
+    """The states of plan.run(x0, F) stepped by np.matmul on a fresh view of
+    each state, with each row block's sources formed as run forms them."""
+    J, n_steps = plan.sys.J, plan.grid.n_steps
+    mats = [mat for P, _, R in plan.steps.values() for mat in (P, R)]
+    states = np.zeros((n_steps + 1, len(x0)), np.result_type(x0, F, J, *mats))
+    states[0] = x0
+    rhs = np.empty(len(x0), states.dtype)
+    for lo, hi in row_blocks(0, n_steps):
+        src = F[lo:hi] @ J.T
+        for k in range(lo, hi):
+            P, _, R = plan.steps[plan.theta[k]]
+            np.matmul(R, states[k], out=rhs)
+            rhs += src[k - lo]
+            np.matmul(P, rhs, out=states[k + 1])
+    return states
+
 
 class TestStepPlan:
     """prepare inverts one step matrix at a time and forms the right sides
@@ -740,6 +772,30 @@ class TestStepPlan:
         zeros = plan.steps[1.0][2][sys.M0 == 0]
         if zeros.dtype == float:
             assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+    @pytest.mark.parametrize("data", ["real", "complex"])
+    def test_run_steps_the_bits_of_a_matmul_loop(self, data):
+        """run's states equal a plain np.matmul loop's bit for bit over 150
+        steps, three row blocks: the real wave-wt system with real data, and
+        a complex system on singular M0 (theta = 1, then 1/2) with complex
+        data."""
+        rng = np.random.default_rng(17)
+        grid = TimeGrid(t_end=1.0, n_steps=150)
+        if data == "real":
+            sys = build_weiss_tucsnak_wave(WaveSpec(grid=Grid1D(0.0, 1.0, 8)))
+            x0 = rng.standard_normal(sys.dim)
+            F = rng.standard_normal((grid.n_steps, sys.n_inputs))
+        else:
+            sys = self.singular_midpoint_system(7, complex, complex, seed=5)
+            sys = EvolutionarySystem(sys.M0, sys.M1, sys.A,
+                                     rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2)))
+            x0 = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+            F = rng.standard_normal((grid.n_steps, 2)) + 1j * rng.standard_normal((grid.n_steps, 2))
+        plan = prepare(sys, grid, "implicit_midpoint")
+        states = plan.run(x0, F).states
+        reference = matmul_loop(plan, x0, F)
+        assert states.dtype == reference.dtype == (float if data == "real" else complex)
+        assert np.array_equal(states.view(np.uint8), reference.view(np.uint8))
 
 
 class TestOrderOfAccuracy:

@@ -38,10 +38,11 @@ port-Hamiltonian run whose sinusoid input of amplitude 1e300 overflows
 the ledger, naming its first non-finite step without a numpy warning,
 and fail-simulate-maxwell-overflow, the Maxwell run on 16 cells under
 the same input, whose energies leave float64 and are written as they
-are, without a numpy warning, and whose route gap exceeds 1e-9, and
+are, without a numpy warning, and whose route gap exceeds 1e-9,
 bdspace on 4 cells at the Grid1D bound of the cell width
-(fail-bdspace-at-the-grid-bound), whose transport leaves float64, which
-its rows report without a numpy warning.
+(fail-bdspace-at-the-grid-bound), and bdspace on 4 cells of width 1e-146
+(fail-bdspace-b4e-146-4), whose transports miss unitarity by far more
+than 1e-10, which their finite rows report without a numpy warning.
 Refusals close the matrix,
 each with the status the command line documents for it: a certificate
 that fails (1, printing its witness), and an invalid time grid, a table
@@ -57,9 +58,7 @@ not finite, an outdir of null, which is no path string
 (refuse-wellposed-t_end-string), a time.n_steps of 2**62, whose arrays
 no address space holds (refuse-simulate-n_steps-2e62), an outdir of 300
 x's, a name too long for the file system
-(refuse-bdspace-outdir-too-long), each refused naming its key, and 4
-cells of width 1e-146, whose boundary basis collapses, refused naming
-the cell width and the grid (refuse-bdspace-collapsed-basis), the
+(refuse-bdspace-outdir-too-long), each refused naming its key, the
 default wave on [0, 1e-140], whose boundary data transport is far from
 unitary, refused naming the cell width (refuse-wellposed-wave-wt-b1e-140),
 and simulate of the chain there, whose step matrix is refused as
@@ -202,6 +201,8 @@ def matrix(out: Path) -> list:
             ("input.kind", "sinusoid"), ("input.amplitude", 1e300))]),
         ("fail-bdspace-at-the-grid-bound", 1,
          ["bdspace", *_sets(("grid.n_cells", 4), ("grid.b", 6.4e-154))]),
+        ("fail-bdspace-b4e-146-4", 1,
+         ["bdspace", *_sets(("grid.n_cells", 4), ("grid.b", 4e-146))]),
         ("refuse-wellposed-zero-damping", 1, ["wellposed", "--zero-damping"]),
         ("refuse-wellposed-t_end-0", 2, ["wellposed", *_sets(("time.t_end", 0))]),
         ("refuse-simulate-table-without-path", 2,
@@ -222,8 +223,6 @@ def matrix(out: Path) -> list:
         ("refuse-wellposed-t_end-string", 2, ["wellposed", *_sets(("time.t_end", "x"))]),
         ("refuse-simulate-n_steps-2e62", 2, ["simulate", *_sets(("time.n_steps", 2 ** 62))]),
         ("refuse-bdspace-outdir-too-long", 2, ["bdspace", *_sets(("outdir", "x" * 300))]),
-        ("refuse-bdspace-collapsed-basis", 2,
-         ["bdspace", *_sets(("grid.n_cells", 4), ("grid.b", 4e-146))]),
         ("refuse-wellposed-wave-wt-b1e-140", 2, ["wellposed", *_sets(("grid.b", 1e-140))]),
         ("refuse-simulate-port-hamiltonian-b1e-140", 2,
          ["simulate", *_sets(("preset", "port-hamiltonian"), ("grid.b", 1e-140))]),
