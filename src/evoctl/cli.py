@@ -29,7 +29,7 @@ Commands
 Files are UTF-8 with LF line endings; fields are comma-separated, each
 number exactly as '%.17g' % float(value) writes it, by one _format17 call
 per block of rows: the digits of |v| scaled in longdouble where they are
-provably exact, a zero from its fixed word, else '%.17g' itself (non-finite
+provably exact (a zero has the digits 0), else '%.17g' itself (non-finite
 values, near-ties, fixed-point values of 10 and more, every value where
 longdouble is float64).  Header comments record the sampling seed (env
 EVOCTL_SEED, default 12345) and the run parameters, so identical
@@ -48,10 +48,15 @@ backward Euler steps), shown in the euler_correction column; the defect
 column balances each step against its own identity.  simulate, energy and
 bdspace share one rule, _verdict: a check passes when its largest |value|
 is within the tolerance; a non-finite value fails, the first named by step
-or by row.  wellposed certifies c > 0 and reads no tolerance.  Exit status:
-0 when every requested defect threshold passes, 1 when a threshold or
-hypothesis fails, 2 for configuration and precondition errors, a preset
-whose system matrices are not finite among them.
+or by row.  wellposed certifies c > 0 and reads no tolerance.
+
+Exit status follows one rule: 2 for a configuration or precondition that
+is refused before any result is computed (a preset whose system matrices
+are not finite, a non-finite input sample, a singular step matrix among
+them), 1 for a computed check that fails, and 0 when every check passes.
+A run that leaves float64 is a computed check that fails: the theta
+recursion carries inf and NaN on, and the check that reads them names its
+first non-finite step, with no numpy warning.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ import numpy as np
 
 from .bdspace import boundary_triple_defect, compute_bd_space, unitarity_defects
 from .control import ControlSystem, extract_io, step_ledger
-from .errors import EvoctlError, StepOverflowError, StepSingularityError
+from .errors import EvoctlError, StepSingularityError
 from .evolution import (TimeGrid, Trajectory, _require_scheme, c_min, check_wellposed,
                         m0_spectrum, n_euler_init_steps, sample_source, solve, theta_steps)
 from .models import (
@@ -164,8 +169,13 @@ def _number(name, value, kind=float):
 def load_config(path, overrides, default_tolerance) -> RunConfig:
     user = {}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            user = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                user = json.load(fh)
+        except OSError as exc:  # no file, a directory, no permission
+            raise ValueError(f"configuration file {path}: {exc.strerror}") from None
+        except ValueError as exc:  # not UTF-8, not JSON
+            raise ValueError(f"configuration file {path}: {exc}") from None
         if not isinstance(user, dict):
             raise ValueError("the configuration file must hold a JSON object")
     for item in overrides:
@@ -212,16 +222,15 @@ def _fmt(value) -> str:
 # power of ten, the product) put the computed s within
 # s eps (1 + eps/4) / (1 - eps/2)^2 < 10^17 eps (1 + 2 eps) = _MARGIN of the
 # exact value, so N is exact wherever s lies farther than _MARGIN from a
-# half-integer and from the 10^16 and 10^17 edges.  A zero is written from its
-# fixed word in _ZEROS, and every other lane (non-finite, near a tie or an edge,
-# fixed point at 10 and above, and all lanes where longdouble is float64, whose
-# _MARGIN exceeds 1/2) by '%.17g' itself.
+# half-integer and from the 10^16 and 10^17 edges.  A zero takes N = 0 and the
+# exponent 0, which the same tables write as '0' or '-0'.  Every other lane
+# (non-finite, near a tie or an edge, fixed point at 10 and above, and all lanes
+# where longdouble is float64, whose _MARGIN exceeds 1/2) is written by '%.17g'
+# itself.
 _EPS = float(np.finfo(np.longdouble).eps)
 _MARGIN = 1e17 * _EPS * (1 + 2 * _EPS)
 _WIDTH = 32          # bytes of one value: its text, NUL-padded, then the separator
 _CELLS = 4096        # values per written block, about 1 MB of temporaries
-# the text of '%.17g' % 0.0 and % -0.0, NUL-padded as _format17 lays a value out
-_ZEROS = np.array([b"0", b"-0"], f"S{_WIDTH - 1}").view(np.uint8).reshape(2, _WIDTH - 1)
 
 
 @functools.cache
@@ -260,9 +269,10 @@ def _format17(v) -> np.ndarray:
         # rounding; a k that log10 misjudged falls back here
         ok &= s > np.longdouble(10 ** 16) + 2 * _MARGIN
         ok &= s < np.longdouble(10 ** 17) - 0.5 - 2 * _MARGIN
-        s[~ok] = 10 ** 16
+        s[~ok] = 0
         N = s.astype(np.int64)
         frac = (s - N).astype(np.float64)
+    ok |= v == 0  # a zero is exact: N = 0 and frac = 0, as far from a tie as any lane
     ok &= np.abs(frac - 0.5) > _MARGIN
     N += frac > 0.5
     # N = d0 g1 g2 g3 g4 in groups of four digits; a group whose successors are
@@ -273,14 +283,13 @@ def _format17(v) -> np.ndarray:
     zeros = -k * small
     point0 = (r != 0) & ~small
     out = np.empty((v.size, _WIDTH), np.uint8)
-    out.view(np.uint64)[:, 0] = head[((zeros * 2 + (v < 0)) * 2 + point0) * 10 + d0]
+    out.view(np.uint64)[:, 0] = head[((zeros * 2 + np.signbit(v)) * 2 + point0) * 10 + d0]
     out.view(np.uint64)[:, 3] = tail[k + 400]
     stripped = np.ones(v.size, bool)
     for i in (3, 2, 1, 0):
         out.view(np.uint32)[:, 2 + i] = groups[g[i] + 10000 * stripped]
         stripped &= g[i] == 0
-    out[v == 0, :-1] = _ZEROS[np.signbit(v[v == 0]).view(np.uint8)]
-    slow = np.flatnonzero(~ok & (v != 0))
+    slow = np.flatnonzero(~ok)
     if slow.size:
         text = [b"%.17g" % x for x in v[slow].tolist()]
         out[slow, :-1] = np.array(text, f"S{_WIDTH - 1}").view(np.uint8).reshape(-1, _WIDTH - 1)
@@ -425,6 +434,8 @@ def _read_csv(path, what):
             # a file without rows is refused below, not warned about
             warnings.simplefilter("ignore", UserWarning)
             table = np.loadtxt(rows(fh), delimiter=",", ndmin=2)
+    except OSError as exc:  # no file, a directory, no permission
+        raise ValueError(f"{what} {path}: {exc.strerror}") from None
     except ValueError as exc:
         # loadtxt counts rows, from 1 when the column count changes and from 0
         # when a value does not convert; the refusal names the file line
@@ -468,6 +479,9 @@ def _control_signal(cfg: RunConfig, n_inputs):
         return None
     if kind == "sinusoid":
         freq = _number("input.freq", cfg.input["freq"])
+        if not math.isfinite(freq * cfg.time.t_end):  # the phase of the last sample
+            raise ValueError("input.freq must keep input.freq * time.t_end finite, got "
+                             f"{freq} * {cfg.time.t_end}")
         amplitude = _number("input.amplitude", cfg.input["amplitude"])
         component = _number("input.component", cfg.input["component"], int)
         if not 0 <= component < n_inputs:
@@ -616,14 +630,15 @@ def _simulate_maxwell(cfg: RunConfig, outdir: Path) -> int:
 
     nn = pair.n_nodes
     x = direct.states
-    with np.errstate(all="ignore"):  # energies that leave float64 are written as they are
+    # values that leave float64 are written as they are; a non-finite gap is named by _verdict
+    with np.errstate(all="ignore"):
         energy = 0.5 * ((pair.W0 * np.abs(x[:, :nn]) ** 2).sum(axis=1)
                         + (pair.W1 * np.abs(x[:, nn:]) ** 2).sum(axis=1))
         drop = energy[:-1] - energy[1:]
+        gaps = np.abs(lifted.states[1:] - direct.states[1:]).max(axis=1)
+        y = direct.x_theta(0, cfg.time.n_steps)[:, nn:] @ bdD.projector.T
     times = direct.grid.times()
-    gaps = np.abs(lifted.states[1:] - direct.states[1:]).max(axis=1)
     zero = np.zeros(cfg.time.n_steps)
-    y = direct.x_theta(0, cfg.time.n_steps)[:, nn:] @ bdD.projector.T
     _write_run(cfg, outdir, direct, y,
                [times[:-1], times[1:], drop, zero, zero, zero, gaps],
                "defect column = distance between the lifted and direct routes")
@@ -635,9 +650,6 @@ def cmd_simulate(cfg: RunConfig, outdir: Path) -> int:
         if cfg.preset == "maxwell-lift-1d":
             return _simulate_maxwell(cfg, outdir)
         return _simulate_control(cfg, outdir)
-    except StepOverflowError as exc:  # the grid's operators are finite, so the data overflowed
-        raise StepOverflowError(f"{exc}; the input or the initial state (input.amplitude, "
-                                "input.path, initial.amplitude) leaves float64") from None
     except StepSingularityError as exc:
         raise StepSingularityError(f"{exc}; the time step and the cell width (time.t_end, "
                                    "time.n_steps, grid.a, grid.b, grid.n_cells) set the step "

@@ -301,18 +301,20 @@ class StepLedger(NamedTuple):
         """The steps from grid index start (default ia) to the end summed
         into the ledger of the interval they cover; times are the grid's."""
         j = 0 if start is None else start - self.ia
-        stored_drop = self.energy[j] - self.energy[-1]
-        # the builtin sum adds in step order like a running total; np.sum adds
-        # pairwise, which changes the last digits of the reported ledger
-        dissipation = sum(self.dissipation[j:], 0.0)
-        supply = sum(self.supply[j:], 0.0)
-        return EnergyLedger(
-            interval=(float(times[self.ia + j]), float(times[self.ia + len(self.supply)])),
-            stored_drop=float(stored_drop),
-            dissipation=float(dissipation),
-            supply=float(supply),
-            defect=float(stored_drop - (dissipation - supply)),
-        )
+        # the sums of a ledger that leaves float64 are not finite, with no numpy warning
+        with np.errstate(all="ignore"):
+            stored_drop = self.energy[j] - self.energy[-1]
+            # the builtin sum adds in step order like a running total; np.sum adds
+            # pairwise, which changes the last digits of the reported ledger
+            dissipation = sum(self.dissipation[j:], 0.0)
+            supply = sum(self.supply[j:], 0.0)
+            return EnergyLedger(
+                interval=(float(times[self.ia + j]), float(times[self.ia + len(self.supply)])),
+                stored_drop=float(stored_drop),
+                dissipation=float(dissipation),
+                supply=float(supply),
+                defect=float(stored_drop - (dissipation - supply)),
+            )
 
 
 def _grid_index(grid, t, what):
@@ -437,15 +439,15 @@ def extract_io(sys: ControlSystem, traj: Trajectory) -> IOSamples:
     rhs = np.zeros((traj.grid.n_steps, nw + ny),
                    dtype=np.result_type(traj.inputs, traj.states, B_wy, M1A_wy_vz))
     stored = np.zeros_like(rhs)
-    for lo, hi in row_blocks(0, traj.grid.n_steps):
-        xs = traj.x_theta(lo, hi)
-        rhs[lo:hi] = traj.inputs[lo:hi] @ B_wy.T - xs[:, vz] @ M1A_wy_vz.T
-        stored[lo:hi] = xs[:, wy]
-    # one gufunc call that runs ?gesv per step with one right side, so each
-    # step's solution is bitwise that of a solve of its own
-    sol = np.linalg.solve(K, rhs[:, :, None])[:, :, 0] if K.size else rhs
-    return IOSamples(
-        w_samples=sol[:, :nw], y_samples=sol[:, nw:],
-        max_deviation=float(np.abs(sol - stored).max()) if sol.size else 0.0,
-    )
+    # a run that leaves float64 gives non-finite samples, not numpy warnings
+    with np.errstate(all="ignore"):
+        for lo, hi in row_blocks(0, traj.grid.n_steps):
+            xs = traj.x_theta(lo, hi)
+            rhs[lo:hi] = traj.inputs[lo:hi] @ B_wy.T - xs[:, vz] @ M1A_wy_vz.T
+            stored[lo:hi] = xs[:, wy]
+        # one gufunc call that runs ?gesv per step with one right side, so each
+        # step's solution is bitwise that of a solve of its own
+        sol = np.linalg.solve(K, rhs[:, :, None])[:, :, 0] if K.size else rhs
+        deviation = float(np.abs(sol - stored).max()) if sol.size else 0.0
+    return IOSamples(w_samples=sol[:, :nw], y_samples=sol[:, nw:], max_deviation=deviation)
 

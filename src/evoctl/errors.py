@@ -61,10 +61,6 @@ class StepSingularityError(EvoctlError, RuntimeError):
         self.cond_estimate = cond_estimate
 
 
-class StepOverflowError(EvoctlError, ValueError):
-    """The right side of a step is not finite; the message names the step."""
-
-
 def require_invertible(mat, message):
     """Raise HypothesisViolationError(message) unless mat is numerically
     invertible: its smallest singular value must exceed 1e-12 max(its

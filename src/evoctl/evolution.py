@@ -35,10 +35,10 @@ theta = 1, which initializes the algebraic components consistently.
 prepare certifies a system and inverts each distinct step matrix once,
 every inverse before any right side and one step matrix at a time;
 the plan's run steps through any number of source arrays in row blocks of
-_ROWS steps, forming J f_k and testing the states once per block; the first
-non-finite state names the step, with no numpy warning.  solve is prepare,
-sample, run.  StepPlan.run's theta recursion is the only loop over steps;
-every per-step check and source is an array kernel over Trajectory.x_theta.
+_ROWS steps, forming J f_k once per block; states that leave float64 go on
+as inf and NaN, with no numpy warning.  solve is prepare, sample, run.
+StepPlan.run's theta recursion is the only loop over steps; every per-step
+check and source is an array kernel over Trajectory.x_theta.
 
 The dtype follows the data (errors.as_array): a real system steps in
 float64, and a complex matrix, source or state makes the run complex128.
@@ -55,8 +55,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (HypothesisViolationError, ShapeMismatchError, StepOverflowError,
-                     StepSingularityError, allocated, as_array, negligible, require_shape)
+from .errors import (HypothesisViolationError, ShapeMismatchError, StepSingularityError,
+                     allocated, as_array, negligible, require_shape)
 
 SCHEMES = ("backward_euler", "implicit_midpoint")
 # steps per row block: level-3 products whose temporaries stay near 70 KB at dim 67
@@ -333,8 +333,8 @@ def _factor_step_matrix(K, tau):
 
 def sample_source(f, times, m) -> np.ndarray:
     """The (len(times), m) array of the samples f(t) in the dtype they promote
-    to, zero when f is None; a sample of another shape than (m,) is refused.
-    The samples are converted and checked once, stacked."""
+    to, zero when f is None; a sample not of shape (m,) or not finite is
+    refused, naming it.  The samples are converted and checked once, stacked."""
     if f is None:
         return np.zeros((len(times), m))
     samples = [f(t) for t in times]
@@ -348,7 +348,12 @@ def sample_source(f, times, m) -> np.ndarray:
                 raise ShapeMismatchError(f"input sampler returned shape "
                                          f"{np.shape(sample) or (1,)}, expected ({m},)")
         out = as_array([np.reshape(sample, m) for sample in samples])  # scalars beside (1,)s
-    return out.reshape(len(times), m)
+    out = out.reshape(len(times), m)
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise HypothesisViolationError(f"input sampler returned a non-finite sample at "
+                                       f"t = {times[bad[0]]:.6g} (step {bad[0]})")
+    return out
 
 
 def _require_scheme(scheme, name="scheme"):
@@ -397,9 +402,9 @@ class StepPlan:
 
     def run(self, x0, F) -> Trajectory:
         """Step from x^0 = x0 (the zero state when None) through the (n_steps,
-        n_inputs) source samples F; a step whose right side is not finite raises
-        StepOverflowError, a ValueError, naming it.  The states take the dtype
-        that x0, F, J and every P and R promote to."""
+        n_inputs) source samples F.  The states take the dtype that x0, F, J
+        and every P and R promote to; states that leave float64 go on as inf
+        and NaN, with no numpy warning."""
         sys, n_steps = self.sys, self.grid.n_steps
         x0 = require_shape(x0, (sys.dim,), "x0", default=np.zeros(sys.dim))
         F = require_shape(F, (n_steps, sys.n_inputs), "F")
@@ -407,30 +412,15 @@ class StepPlan:
         states = np.zeros((n_steps + 1, sys.dim), dtype=np.result_type(x0, F, sys.J, *mats))
         states[0] = x0
         theta, rhs, dot = self.theta.tolist(), np.empty(sys.dim, states.dtype), np.dot
-        # a non-finite state is refused by its step's ValueError, not by numpy warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for lo, hi in row_blocks(0, n_steps):
-                src = F[lo:hi] @ sys.J.T
                 # row views made once per block: a view per step costs more than its product
-                rows, sources = list(states[lo:hi + 1]), list(src)
+                rows, sources = list(states[lo:hi + 1]), list(F[lo:hi] @ sys.J.T)
                 for j, th in enumerate(theta[lo:hi]):
                     P, _, R = self.steps[th]
                     dot(R, rows[j], out=rhs)
                     rhs += sources[j]
                     dot(P, rhs, out=rows[j + 1])
-                finite = np.isfinite(states[lo:hi + 1]).all(axis=1)
-                if not finite.all():
-                    # x^s is the first non-finite state (x^0 names step 0), so the
-                    # right sides before step s - 1 were finite; when that of step
-                    # s - 1 is finite too, P carried it past the largest float and
-                    # step s's is not, unless s = n_steps and no step follows
-                    s = lo + int(finite.argmin())
-                    if s and not np.isfinite(self.steps[theta[s - 1]][2] @ states[s - 1]
-                                             + src[s - 1 - lo]).all():
-                        s -= 1
-                    if s < n_steps:
-                        raise StepOverflowError("array must not contain infs or NaNs: "
-                                                f"the right side of step {s}")
         return Trajectory(self.grid, states, F, self.scheme, self.n_init)
 
 

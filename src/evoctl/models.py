@@ -246,8 +246,10 @@ def build_mixed_type_wave(spec: WaveSpec, indicators) -> ControlSystem:
 
     The gradient part of F is the deflated gradient S1 G S0^-1 V, square
     and injective on the staggered pair, so its range is the whole cell
-    space: the initial velocity maps to V^H S0 z1 and the initial flux
-    to S1 z0 with nothing projected away.
+    space: the initial flux maps to S1 z0 with nothing projected away.
+    The initial velocity maps to V^H S0 z1, and V spans the complement of
+    the constants, so the W0-weighted mean sum(W0 z1) / sum(W0) of z1 is
+    dropped: with every node hyperbolic, E(x0) = (1/2) |z1 - mean|^2_W0.
     """
     grid = spec.grid
     masks = _checked_masks(indicators, grid)
@@ -594,8 +596,8 @@ def maxwell_lift_solve(pair, eps, mu, u_bd, x0, grid, scheme, bdD=None) -> Maxwe
     theta = plan.theta
     u_theta = (1.0 - theta)[:, None] * u[:-1] + theta[:, None] * u[1:]
     du = (u[1:] - u[:-1]) / grid.tau
-    # each product runs one GEMV per step; a source that overflows is refused
-    # by plan.run, naming its step
+    # each product runs one GEMV per step; a source that overflows is carried
+    # on by plan.run, and the route gap names its first non-finite step
     with np.errstate(over="ignore", invalid="ignore"):
         P_theta = matvec(lift, u_theta)
         F_lifted = np.hstack([-matvec(Dhat, P_theta), -mu_d * matvec(lift, du)])

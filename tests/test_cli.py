@@ -207,6 +207,34 @@ class TestConfig:
         assert capsys.readouterr().err == \
             "error: the configuration file must hold a JSON object\n"
 
+    @pytest.mark.parametrize("option,content,reason", [
+        ("--config", b"{bad", "Expecting property name enclosed in double quotes: line 1 column 2 "
+                              "(char 1)"),
+        ("--config", b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid "
+                                "start byte"),
+        ("--config", None, "No such file or directory"),
+        ("--config", "dir", "Is a directory"),
+        ("--trajectory", b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid "
+                                  "start byte"),
+        ("--trajectory", None, "No such file or directory"),
+        ("--trajectory", "dir", "Is a directory"),
+    ], ids=["config-not-json", "config-not-utf-8", "config-missing", "config-directory",
+            "trajectory-not-utf-8", "trajectory-missing", "trajectory-directory"])
+    def test_unreadable_file_is_refused_naming_it(self, tmp_path, capsys, option, content,
+                                                  reason):
+        """A configuration file or stored trajectory that cannot be read or
+        parsed is refused naming the file; the refusal was a bare reason
+        ('[Errno 2] ...', 'Expecting property name ...')."""
+        path = tmp_path / "given"
+        if content == "dir":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        command, what = ("wellposed", "configuration file") if option == "--config" \
+            else ("energy", "trajectory file")
+        assert run(tmp_path / "out", command, option, str(path)) == 2
+        assert capsys.readouterr().err == f"error: {what} {path}: {reason}\n"
+
 class TestWellposed:
     def test_wave_sweep_matches_min_formula(self, tmp_path):
         """The wave preset's constant is min(nu, 1 - 1/sqrt(2))."""
@@ -350,6 +378,8 @@ class TestWellposed:
             r"identity by \S+ \(bound 1e-08\) on a cell width h = \(b - a\)/n_cells = "
             r"6\.250e-142 on \[0\.0, 1e-140\] with 16 cells\n", capsys.readouterr().err)
 
+    # the test raises a RuntimeWarning on purpose, which the suite otherwise makes an error
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
     @pytest.mark.parametrize("setting,status,error", [
         ("grid.b=1.0", 0, ""),
         ("time.nu=1e308", 2, "error: nu_max must be finite, got inf\n"),
@@ -442,16 +472,27 @@ class TestSimulate:
         assert re.fullmatch(r"route gap max = \d\.\d{6}e\+285 \(tolerance 1e-09\)\n", out)
         assert err == ""
 
-    def test_non_finite_step_right_side_exits_2(self, tmp_path, capsys):
-        """States that overflow make the next step's right side non-finite;
-        the step solve refuses it and the run is a configuration error."""
+    def test_run_that_leaves_float64_exits_1(self, tmp_path, capsys):
+        """States that overflow are carried on as inf and NaN; the ledger that
+        reads them fails, naming its first non-finite step, as a computed
+        check fails (the run was refused with exit 2, naming step 18)."""
         code = run(tmp_path, "simulate", "--set", "input.kind=sinusoid",
                    "--set", "input.amplitude=1e308")
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: array must not contain infs or NaNs: the right side of step 18; the input "
-            "or the initial state (input.amplitude, input.path, initial.amplitude) leaves "
-            "float64\n")
+        assert code == 1
+        assert capsys.readouterr() == ("ledger defect max = nan (tolerance 1e-09)\n"
+                                       "ledger defect is not finite at step 0\n", "")
+
+    @pytest.mark.parametrize("preset", ["port-hamiltonian", "maxwell-lift-1d"])
+    def test_sinusoid_whose_phase_overflows_is_refused(self, tmp_path, capsys, preset):
+        """freq * t_end = inf made sin print numpy warnings, and the run was
+        refused at step 36 (35 on maxwell-lift-1d) naming keys other than
+        input.freq; it is refused before the run, naming input.freq."""
+        assert run(tmp_path, "simulate", "--set", f"preset={preset}",
+                   "--set", "input.kind=sinusoid", "--set", "input.freq=1e308",
+                   "--set", "time.t_end=10") == 2
+        assert capsys.readouterr() == ("", "error: input.freq must keep input.freq * time.t_end "
+                                           "finite, got 1e+308 * 10.0\n")
+        assert not any(tmp_path.iterdir())
 
     def test_rerun_is_byte_identical(self, tmp_path):
         """The same configuration writes the same bytes twice."""
@@ -1262,16 +1303,64 @@ class TestVerdict:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scheme,step", [("implicit_midpoint", 15),
                                              ("backward_euler", 16)])
-    def test_overflowing_maxwell_run_is_refused_without_warnings(self, tmp_path, capsys,
-                                                                scheme, step):
-        """The Maxwell sources overflow silently; the step refusal alone speaks."""
+    def test_overflowing_maxwell_run_fails_without_warnings(self, tmp_path, capsys,
+                                                           scheme, step):
+        """The Maxwell sources overflow silently, and the route gap names its
+        first non-finite step (the run was refused with exit 2 at that step)."""
         assert run(tmp_path, "simulate", "--set", "preset=maxwell-lift-1d",
                    "--set", "grid.n_cells=16", "--set", f"scheme={scheme}",
-                   "--set", "input.kind=sinusoid", "--set", "input.amplitude=1e308") == 2
-        assert capsys.readouterr().err == (
-            f"error: array must not contain infs or NaNs: the right side of step {step}; the "
-            "input or the initial state (input.amplitude, input.path, initial.amplitude) "
-            "leaves float64\n")
+                   "--set", "input.kind=sinusoid", "--set", "input.amplitude=1e308") == 1
+        assert capsys.readouterr() == ("route gap max = nan (tolerance 1e-09)\n"
+                                       f"route gap is not finite at step {step}\n", "")
+
+    @staticmethod
+    def overflow_verdict(preset, scheme, setting):
+        """The stdout of a run on 16 cells that leaves float64: the route gap
+        of a Maxwell run under an input of 1e300 stays finite, and every other
+        run names its check's first non-finite step."""
+        if preset != "maxwell-lift-1d":
+            return ("ledger defect max = nan (tolerance 1e-09)\n"
+                    "ledger defect is not finite at step 0\n")
+        if setting == "input.amplitude=1e300":
+            gap = {"implicit_midpoint": "1.784420e+285", "backward_euler": "1.933122e+285"}[scheme]
+            return f"route gap max = {gap} (tolerance 1e-09)\n"
+        step = 0 if setting.startswith("initial") else {"implicit_midpoint": 15,
+                                                        "backward_euler": 16}[scheme]
+        return f"route gap max = nan (tolerance 1e-09)\nroute gap is not finite at step {step}\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("setting", ["input.amplitude=1e300", "input.amplitude=1e308",
+                                         "initial.amplitude=1e308"])
+    @pytest.mark.parametrize("scheme", ["implicit_midpoint", "backward_euler"])
+    @pytest.mark.parametrize("preset", cli.PRESETS)
+    def test_run_that_leaves_float64_fails_its_check(self, tmp_path, capsys, preset, scheme,
+                                                     setting):
+        """Every finite configuration whose run leaves float64 exits 1 with no
+        numpy warning, as a failed computed check does.  Under an input of
+        1e308 the run was refused with exit 2 instead, naming the step whose
+        right side was not finite."""
+        assert run(tmp_path, "simulate", "--set", f"preset={preset}", "--set", f"scheme={scheme}",
+                   "--set", "grid.n_cells=16", "--set", "input.kind=sinusoid",
+                   "--set", "initial.kind=sine", "--set", setting) == 1
+        assert capsys.readouterr() == (self.overflow_verdict(preset, scheme, setting), "")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scheme,start", [("implicit_midpoint", "0.005"),
+                                              ("backward_euler", "0.0")])
+    def test_replay_of_a_run_that_leaves_float64_fails_its_check(self, tmp_path, capsys,
+                                                                 scheme, start):
+        """The energy replay of a chain run under an input of 1e308 reads the
+        stored inf and NaN, sums them without a numpy warning and fails on its
+        first non-finite step."""
+        args = ("--set", "preset=port-hamiltonian", "--set", f"scheme={scheme}",
+                "--set", "grid.n_cells=16", "--set", "input.kind=sinusoid",
+                "--set", "input.amplitude=1e308")
+        assert run(tmp_path, "simulate", *args) == 1
+        capsys.readouterr()
+        assert run(tmp_path, "energy", *args) == 1
+        assert capsys.readouterr() == (
+            f"stored drop nan, dissipation nan, supply inf over ({start}, 1.0)\n"
+            + self.overflow_verdict("port-hamiltonian", scheme, "input.amplitude=1e308"), "")
 
 
 class TestWriteCsv:

@@ -373,31 +373,31 @@ class TestSolve:
         assert cond == pytest.approx(np.linalg.cond(K, 1), rel=1e-12)
 
     def test_non_finite_sample_refused(self):
-        """A NaN source sample makes the step's right side non-finite, and
-        the step solve refuses it instead of carrying NaN forward."""
+        """A NaN source sample is refused where it enters, by sample_source,
+        naming its sample time and step, before any step is taken."""
         sys = EvolutionarySystem(M0=np.eye(2), M1=np.eye(2), A=np.zeros((2, 2)), J=np.eye(2))
         f = lambda t: np.full(2, np.nan) if t > 0.5 else np.ones(2)
-        with pytest.raises(ValueError,
-                           match="must not contain infs or NaNs: the right side of step 4$"):
+        with pytest.raises(HypothesisViolationError, match=r"^input sampler returned a "
+                           r"non-finite sample at t = 0\.625 \(step 4\)$"):
             solve(sys, np.zeros(2), f, TimeGrid(t_end=1.0, n_steps=8), "backward_euler")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("x0,amplitude,n_steps,step", [
         ([np.nan, 0.0], 1.0, 8, 0), ([0.0, 0.0], 1.5e308, 8, 5),
         ([0.0, 0.0], 1.5e308, 2 * _ROWS, _ROWS)], ids=["nan-x0", "overflow", "overflow-block-end"])
-    def test_non_finite_state_names_its_step(self, x0, amplitude, n_steps, step):
-        """Finiteness is tested once per block of steps, and the refusal names
-        the step whose right side is not finite: step 0 for a NaN x0, and the
-        step after the first source of 1.5e308, a finite right side that P = 2
-        maps past the largest float (backward Euler, K = n_steps + M1 = 1/2),
-        also when that step starts the next block."""
+    def test_non_finite_state_goes_on(self, x0, amplitude, n_steps, step):
+        """A run that leaves float64 is not refused: it carries inf and NaN on
+        from its first non-finite state, x^0 for a NaN x0, and x^step after
+        the first source of 1.5e308, a finite right side that P = 2 maps past
+        the largest float (backward Euler, K = n_steps + M1 = 1/2), also when
+        that state starts the next block; no numpy warning is raised."""
         M1 = (0.5 - n_steps) * np.eye(2)
         sys = EvolutionarySystem(M0=np.eye(2), M1=M1, A=np.zeros((2, 2)), J=np.eye(2))
         # step k samples at (k + 1) / n_steps: the source is large from step - 1 on
         f = lambda t: np.full(2, amplitude) if t * n_steps > step - 0.5 else np.zeros(2)
-        with pytest.raises(ValueError,
-                           match=f"must not contain infs or NaNs: the right side of step {step}$"):
-            solve(sys, np.array(x0), f, TimeGrid(t_end=1.0, n_steps=n_steps), "backward_euler")
+        traj = solve(sys, np.array(x0), f, TimeGrid(t_end=1.0, n_steps=n_steps), "backward_euler")
+        finite = np.isfinite(traj.states).all(axis=1)
+        assert finite.argmin() == step and not finite[step:].any()
 
     @pytest.mark.parametrize("n_states, n_inputs, words", [
         (3, 3, "states must hold n_steps + 1 rows"),
@@ -428,57 +428,42 @@ class TestSolve:
             solve(sys, np.zeros(1), None, TimeGrid(1.0, 4), "leapfrog")
 
 
-def refusal(step):
-    return f"array must not contain infs or NaNs: the right side of step {step}"
-
-
-class TestRunRefusal:
+class TestRunReference:
     """StepPlan.run against a per-step reference recursion on runs of
-    3 _ROWS + 5 steps: a non-finite run refuses the reference's step, and a
-    finite run keeps every bit of the reference's states."""
+    3 _ROWS + 5 steps: every run keeps every bit of the reference's states,
+    NaN and inf included, and a run that leaves float64 goes on in IEEE
+    arithmetic from its first non-finite state."""
 
     N = 3 * _ROWS + 5
     # (M0, scheme); a midpoint run on the singular M0 takes theta = 1 at step 0
     SYSTEMS = {"backward_euler": (np.eye(2), "backward_euler"),
                "implicit_midpoint": (np.eye(2), "implicit_midpoint"),
                "implicit_midpoint-singular": (np.diag([1.0, 0.0]), "implicit_midpoint")}
-    # a source sample of step k, and the step refused: NaN, inf and a J f_k of
-    # 2e308 make step k's right side non-finite; J f_k = (1e308, 1e308) keeps
-    # it finite, and P, of norm 2 to 8 at tau = 4 (M0/tau + theta M1 is 1/8 to
-    # 1/2), carries it past the largest float, so that step k + 1's right side
-    # is the first non-finite one
-    BAD = {"nan": ([np.nan, 0.0], 0), "inf": ([np.inf, 0.0], 0),
-           "overflow-source": ([1e308, 1e308], 0), "overflow-P": ([0.0, 1e308], 1)}
+    # a source sample of step k; each makes x^{k+1} the first non-finite state:
+    # NaN, inf and a J f_k of 2e308 through a non-finite right side, and J f_k =
+    # (1e308, 1e308) through P, of norm 2 to 8 at tau = 4 (M0/tau + theta M1 is
+    # 1/8 to 1/2), which carries that finite right side past the largest float
+    BAD = {"nan": [np.nan, 0.0], "inf": [np.inf, 0.0], "overflow-source": [1e308, 1e308],
+           "overflow-P": [0.0, 1e308]}
     CASES = [("finite", None), ("nan-x0", 0),
              *itertools.product(BAD, (0, 1, _ROWS - 1, _ROWS, N - 1))]
 
     @staticmethod
     def reference(plan, x0, F):
-        """x^{k+1} = P (R x^k + J f_k), refused at the first non-finite right
-        side; J f_k is formed in row blocks, as the run forms it."""
+        """x^{k+1} = P (R x^k + J f_k), step by step; J f_k is formed in row
+        blocks, as the run forms it."""
         states = [x0]
         with np.errstate(over="ignore", invalid="ignore"):
             src = np.concatenate([F[lo:hi] @ plan.sys.J.T for lo, hi in row_blocks(0, len(F))])
             for k, theta in enumerate(plan.theta.tolist()):
                 P, _, R = plan.steps[theta]
-                rhs = R @ states[k] + src[k]
-                if not np.isfinite(rhs).all():
-                    raise ValueError(refusal(k))
-                states.append(P @ rhs)
+                states.append(P @ (R @ states[k] + src[k]))
         return np.array(states)
-
-    @staticmethod
-    def outcome(run):
-        """The states of a run, or the text of its ValueError."""
-        try:
-            return run()
-        except ValueError as exc:
-            return str(exc)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad,step", CASES)
     @pytest.mark.parametrize("system", SYSTEMS)
-    def test_run_refuses_or_matches_the_reference(self, system, bad, step):
+    def test_run_matches_the_reference(self, system, bad, step):
         M0, scheme = self.SYSTEMS[system]
         sys = EvolutionarySystem(M0=M0, M1=0.25 * np.eye(2), A=np.array([[0.0, 0.1], [-0.1, 0.0]]),
                                  J=np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -488,15 +473,12 @@ class TestRunRefusal:
         F = np.hstack([np.sin(0.1 * k), np.cos(0.3 * k)])
         x0 = np.array([np.nan if bad == "nan-x0" else 1.0, -0.5])
         if bad in self.BAD:
-            F[step], shift = self.BAD[bad]
-            step += shift
-        expected = self.outcome(lambda: self.reference(plan, x0, F))
-        got = self.outcome(lambda: plan.run(x0, F).states)
-        if step is None or step == self.N:  # the last state overflows, and no step follows
-            assert not isinstance(expected, str) and got.tobytes() == expected.tobytes()
-            assert np.isfinite(got).all() == (step is None)
-        else:
-            assert expected == refusal(step) and got == expected
+            F[step] = self.BAD[bad]
+            step += 1
+        got = plan.run(x0, F).states
+        assert got.tobytes() == self.reference(plan, x0, F).tobytes()
+        finite = np.isfinite(got).all(axis=1)
+        assert finite.all() if step is None else finite.argmin() == step
 
 
 class TestSampleSource:
@@ -515,6 +497,15 @@ class TestSampleSource:
     def test_scalar_and_length_one_samples_for_one_input(self, f):
         out = evolution.sample_source(f, self.TIMES, 1)
         assert out.shape == (9, 1) and np.array_equal(out[:, 0], np.sin(self.TIMES))
+
+    @pytest.mark.parametrize("f, m", [(lambda t: [1.0, np.inf if t > 0.3 else 0.0], 2),
+                                      (lambda t: [1.0, complex(0.0, np.nan) if t > 0.3 else 0j], 2),
+                                      (lambda t: np.nan if t > 0.3 else 0.0, 1)],
+                             ids=["inf", "complex-nan", "scalar-nan"])
+    def test_non_finite_sample_is_refused_naming_its_time_and_step(self, f, m):
+        with pytest.raises(HypothesisViolationError, match=r"^input sampler returned a "
+                           r"non-finite sample at t = 0\.375 \(step 3\)$"):
+            evolution.sample_source(f, self.TIMES, m)
 
     @pytest.mark.parametrize("f, shape", [(lambda t: np.zeros(3), (3,)),
                                           (lambda t: np.zeros(2 if t < 0.5 else 3), (3,)),

@@ -187,6 +187,22 @@ class TestWaveBuilder:
         assert np.array_equal(sys.B1[-2:], -RT2 * np.eye(2).astype(complex))
         assert not sys.B0.any() and not sys.B1[:-2].any()
 
+    @pytest.mark.parametrize("mode,energy", [(1, 0.047378), (2, 0.25), (3, 0.227505)])
+    def test_initial_energy_drops_the_mean_of_the_velocity(self, mode, energy):
+        """The velocity block stores V^H S0 z1, which drops the W0-weighted
+        mean of z1: E(x0) = (1/2) |z1 - mean|^2_W0 on wave-wt at 128 cells,
+        against (1/2) |z1|^2_W0 = 0.25 for every mode."""
+        grid = Grid1D(0.0, 1.0, 128)
+        z1 = np.sin(mode * np.pi * grid.nodes())
+        sys = build_weiss_tucsnak_wave(WaveSpec(grid=grid, z1=z1))
+        W0 = build_sbp_pair_1d(grid).W0
+        kept = z1 - (W0 * z1).sum() / W0.sum()
+        expected = 0.5 * (W0 * kept ** 2).sum()
+        stored = 0.5 * np.vdot(sys.x0, sys.M0 @ sys.x0).real
+        assert abs(stored - expected) <= 1e-14 * expected
+        assert round(stored, 6) == energy
+        assert 0.5 * (W0 * z1 ** 2).sum() == pytest.approx(0.25, rel=1e-14)
+
     def test_compatibility_defects_vanish_exactly(self):
         """The default control columns satisfy both conditions exactly."""
         d0, d1 = check_compatibility(wave_system())

@@ -39,7 +39,10 @@ the ledger, naming its first non-finite step without a numpy warning,
 and fail-simulate-maxwell-overflow, the Maxwell run on 16 cells under
 the same input, whose energies leave float64 and are written as they
 are, without a numpy warning, and whose route gap exceeds 1e-9,
-bdspace on 4 cells at the Grid1D bound of the cell width
+fail-simulate-overflow, the port-Hamiltonian run under amplitude 1e308,
+whose states leave float64 and go on as inf and NaN, so that its ledger
+names its first non-finite step without a numpy warning, bdspace on 4
+cells at the Grid1D bound of the cell width
 (fail-bdspace-at-the-grid-bound), and bdspace on 4 cells of width 1e-146
 (fail-bdspace-b4e-146-4), whose transports miss unitarity by far more
 than 1e-10, which their finite rows report without a numpy warning.
@@ -49,9 +52,9 @@ that fails (1, printing its witness), and an invalid time grid, a table
 input without a path, one whose path is the number 1 (which open() would
 take as the file descriptor of stdout), refuse-simulate-table-ragged
 (SIGNAL_TABLE with a field missing from one row), a wave-wt trajectory
-replayed as wave-mixed, a port-Hamiltonian run whose sinusoid input of
-amplitude 1e308 overflows the states, refused naming the step whose
-right side is not finite and the keys that scale the run's data, a grid
+replayed as wave-mixed, a wave-wt run whose sinusoid phase freq * t_end
+= 1e308 * 10 is not finite, refused naming input.freq and time.t_end
+before any step (refuse-simulate-freq-1e308), a grid
 of 1e308 cells, a weight time.nu = 1e308, whose nu_max = 2 time.nu is
 not finite, an outdir of null, which is no path string
 (refuse-bdspace-outdir-null), a time.t_end of x, refused naming the key
@@ -199,6 +202,9 @@ def matrix(out: Path) -> list:
         ("fail-simulate-maxwell-overflow", 1, ["simulate", *_sets(
             ("preset", "maxwell-lift-1d"), ("grid.n_cells", 16),
             ("input.kind", "sinusoid"), ("input.amplitude", 1e300))]),
+        ("fail-simulate-overflow", 1, ["simulate", *_sets(
+            ("preset", "port-hamiltonian"), ("grid.n_cells", PRESETS["port-hamiltonian"]),
+            ("input.kind", "sinusoid"), ("input.amplitude", 1e308))]),
         ("fail-bdspace-at-the-grid-bound", 1,
          ["bdspace", *_sets(("grid.n_cells", 4), ("grid.b", 6.4e-154))]),
         ("fail-bdspace-b4e-146-4", 1,
@@ -214,9 +220,8 @@ def matrix(out: Path) -> list:
         ("refuse-energy-wave-wt-as-wave-mixed", 2, ["energy", *_sets(
             ("preset", "wave-mixed"), ("grid.n_cells", PRESETS["wave-wt"]),
             ("scheme", "implicit_midpoint"), *drive), "--trajectory", str(replayed)]),
-        ("refuse-simulate-overflow", 2, ["simulate", *_sets(
-            ("preset", "port-hamiltonian"), ("grid.n_cells", PRESETS["port-hamiltonian"]),
-            ("input.kind", "sinusoid"), ("input.amplitude", 1e308))]),
+        ("refuse-simulate-freq-1e308", 2, ["simulate", *_sets(
+            ("input.kind", "sinusoid"), ("input.freq", 1e308), ("time.t_end", 10))]),
         ("refuse-wellposed-n_cells-1e308", 2, ["wellposed", *_sets(("grid.n_cells", 1e308))]),
         ("refuse-wellposed-nu-1e308", 2, ["wellposed", *_sets(("time.nu", 1e308))]),
         ("refuse-bdspace-outdir-null", 2, ["bdspace", *_sets(("outdir", "null"))]),
